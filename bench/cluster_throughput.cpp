@@ -50,6 +50,7 @@
 #include "common/stopwatch.hpp"
 #include "core/challenge.hpp"
 #include "core/report.hpp"
+#include "linalg/stats.hpp"
 #include "obs/json.hpp"
 #include "obs/run_report.hpp"
 #include "serve/bundle_io.hpp"
@@ -59,15 +60,7 @@
 namespace {
 
 using namespace scwc;
-
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
+using linalg::quantile_sorted;
 
 /// One forked scwc_worker process.
 struct WorkerProc {
@@ -231,7 +224,7 @@ PhaseStats run_load(cluster::ShardRouter& router,
     ++stats.accepted;
     if (r.prediction.abstained) ++stats.abstained;
     stats.latencies_by_shard[owners[i]].push_back(r.total_latency_s);
-    // Phase attribution rides the verdict frame back (wire v2): where did
+    // Phase attribution rides the verdict frame back: where did
     // each window's budget actually go — the wire, the queue, or the model?
     PhaseSamples& ph = stats.phases_by_shard[owners[i]];
     ph.wire.push_back(r.phases.wire_send_s + r.phases.wire_recv_s);

@@ -42,6 +42,7 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
+#include "linalg/stats.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -58,13 +59,7 @@ using clock_type = std::chrono::steady_clock;
 constexpr std::size_t kSteps = 16;
 constexpr std::size_t kSensors = 4;
 
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
-}
+using linalg::quantile_sorted;
 
 /// Deterministic 3-cluster training tensor — enough structure for a tiny
 /// forest to serve real (non-abstaining) answers.

@@ -33,6 +33,7 @@
 #include "common/stopwatch.hpp"
 #include "core/challenge.hpp"
 #include "core/report.hpp"
+#include "linalg/stats.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -46,15 +47,7 @@
 namespace {
 
 using namespace scwc;
-
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
+using linalg::quantile_sorted;
 
 }  // namespace
 

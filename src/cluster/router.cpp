@@ -55,9 +55,6 @@ ShardRouter::ShardRouter(RouterConfig config)
   obs_wire_tx_bytes_ = reg.counter("scwc_cluster_wire_tx_bytes_total");
   obs_wire_rx_frames_ = reg.counter("scwc_cluster_wire_rx_frames_total");
   obs_wire_rx_bytes_ = reg.counter("scwc_cluster_wire_rx_bytes_total");
-  obs_untraced_submits_ = reg.counter("scwc_cluster_untraced_submits_total");
-  obs_unphased_verdicts_ =
-      reg.counter("scwc_cluster_unphased_verdicts_total");
   obs_ring_size_ = reg.gauge("scwc_cluster_ring_size");
   obs_swap_phase_ = reg.gauge("scwc_cluster_swap_phase");
 }
@@ -80,13 +77,7 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   auto conn = std::make_shared<ShardConn>(hello.shard_id, port,
                                           std::move(sock));
   conn->hello = hello;
-  // Version negotiation: the hello frame's header announces the highest
-  // protocol the worker speaks; everything after this flows at the lower
-  // of the two. A v1 peer therefore degrades to untraced operation (the
-  // typed counters record it) — never to a decode error.
-  conn->wire_version =
-      std::min<std::uint16_t>(frame->version, net::kWireVersion);
-  if (conn->wire_version >= 2 && config_.clock_sync_pings > 0) {
+  if (config_.clock_sync_pings > 0) {
     // Clock handshake while the socket is still exclusively ours and the
     // hello io timeout still bounds each round trip.
     sync_clock(*conn);
@@ -109,9 +100,8 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   SCWC_LOG_INFO("cluster router: shard "
                 << hello.shard_id << " joined from port " << port
                 << " (model '" << hello.model_version << "', "
-                << hello.window_steps << "×" << hello.sensors << ", wire v"
-                << conn->wire_version << ", clock offset "
-                << conn->clock_offset_ns << "ns)");
+                << hello.window_steps << "×" << hello.sensors
+                << ", clock offset " << conn->clock_offset_ns << "ns)");
   return hello.shard_id;
 }
 
@@ -126,14 +116,13 @@ void ShardRouter::sync_clock(ShardConn& conn) {
     ping.nonce = round + 1;
     const std::uint64_t t0 = obs::steady_ns();
     if (!net::write_frame(conn.sock, net::FrameType::kPing,
-                          net::encode_ping(ping), conn.wire_version)) {
+                          net::encode_ping(ping))) {
       break;
     }
     std::optional<net::Frame> reply = net::read_frame(conn.sock);
     const std::uint64_t t1 = obs::steady_ns();
     if (!reply.has_value() || reply->type != net::FrameType::kPong) break;
-    const net::PongFrame pong =
-        net::decode_pong(reply->payload, reply->version);
+    const net::PongFrame pong = net::decode_pong(reply->payload);
     if (pong.nonce != ping.nonce || pong.t_mono_ns == 0) break;
     const std::uint64_t rtt = t1 > t0 ? t1 - t0 : 0;
     if (!have || rtt < conn.clock_rtt_ns) {
@@ -222,17 +211,12 @@ std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
   frame.steps = static_cast<std::uint32_t>(steps);
   frame.sensors = static_cast<std::uint32_t>(sensors);
   frame.values = std::move(window);
-  if (conn->wire_version >= 2) {
-    frame.trace_id = trace_id;
-    frame.trace_sampled = sampled;
-  } else {
-    // v1 shard: the submit crosses the wire without its trace context.
-    obs_untraced_submits_.inc();
-  }
+  frame.trace_id = trace_id;
+  frame.trace_sampled = sampled;
 
   const auto t_send = std::chrono::steady_clock::now();
   if (!send(*conn, net::FrameType::kSubmitWindow,
-            net::encode_submit_window(frame, conn->wire_version))) {
+            net::encode_submit_window(frame))) {
     {
       LockGuard lock(conn->pending_mutex);
       conn->pending.erase(request_id);
@@ -312,34 +296,6 @@ SwapReport ShardRouter::push_bundle(const std::string& bundle_bytes,
   return report;
 }
 
-std::optional<net::StatsReplyFrame> ShardRouter::fetch_stats(
-    std::uint32_t shard_id, double timeout_s) {
-  std::shared_ptr<ShardConn> conn;
-  {
-    LockGuard lock(ring_mutex_);
-    const auto it = conns_.find(shard_id);
-    if (it != conns_.end()) conn = it->second;
-  }
-  if (conn == nullptr || !conn->up.load()) return std::nullopt;
-  {
-    LockGuard lock(conn->control_mutex);
-    conn->stats_reply.reset();
-  }
-  if (!send(*conn, net::FrameType::kStats, "")) return std::nullopt;
-  const auto deadline = deadline_after(timeout_s);
-  LockGuard lock(conn->control_mutex);
-  while (!conn->stats_reply.has_value()) {
-    if (conn->control_cv.wait_until(conn->control_mutex, deadline) ==
-            std::cv_status::timeout &&
-        !conn->stats_reply.has_value()) {
-      return std::nullopt;
-    }
-  }
-  std::optional<net::StatsReplyFrame> reply = std::move(conn->stats_reply);
-  conn->stats_reply.reset();
-  return reply;
-}
-
 std::optional<net::MetricsReplyFrame> ShardRouter::fetch_metrics(
     std::uint32_t shard_id, double timeout_s) {
   std::shared_ptr<ShardConn> conn;
@@ -349,9 +305,6 @@ std::optional<net::MetricsReplyFrame> ShardRouter::fetch_metrics(
     if (it != conns_.end()) conn = it->second;
   }
   if (conn == nullptr || !conn->up.load()) return std::nullopt;
-  // Never send a v2-only frame to a v1 peer: it would answer kError and
-  // keep serving, but "degrade, don't surprise" applies to us too.
-  if (conn->wire_version < 2) return std::nullopt;
   {
     LockGuard lock(conn->control_mutex);
     conn->metrics_reply.reset();
@@ -387,7 +340,7 @@ void ShardRouter::metrics_poll_loop(double period_s) {
       LockGuard lock(ring_mutex_);
       if (stopped_) return;
       for (const auto& [id, conn] : conns_) {
-        if (conn->up.load() && conn->wire_version >= 2) ids.push_back(id);
+        if (conn->up.load()) ids.push_back(id);
       }
     }
     for (const std::uint32_t id : ids) {
@@ -428,8 +381,6 @@ std::string ShardRouter::fleet_metrics_text() const {
          << (conn->up.load() ? 1 : 0) << '\n';
       os << "scwc_cluster_shard_inflight" << label << ' '
          << conn->inflight.load() << '\n';
-      os << "scwc_cluster_shard_wire_version" << label << ' '
-         << conn->wire_version << '\n';
       os << "scwc_cluster_shard_clock_offset_ns" << label << ' '
          << conn->clock_offset_ns << '\n';
     }
@@ -475,7 +426,6 @@ obs::Json ShardRouter::shards_health_json() const {
     o.emplace("up", obs::Json(s.up));
     o.emplace("inflight", obs::Json(static_cast<double>(s.inflight)));
     o.emplace("model_version", obs::Json(s.model_version));
-    o.emplace("wire_version", obs::Json(static_cast<double>(s.wire_version)));
     o.emplace("clock_offset_ns",
               obs::Json(static_cast<double>(s.clock_offset_ns)));
     o.emplace("clock_rtt_ns",
@@ -510,7 +460,6 @@ std::vector<ShardStatus> ShardRouter::shards() const {
     status.window_steps = conn->hello.window_steps;
     status.sensors = conn->hello.sensors;
     status.model_version = conn->hello.model_version;
-    status.wire_version = conn->wire_version;
     status.clock_offset_ns = conn->clock_offset_ns;
     status.clock_rtt_ns = conn->clock_rtt_ns;
     out.push_back(std::move(status));
@@ -563,9 +512,7 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
       obs_wire_rx_bytes_.inc(frame->payload.size() + net::kHeaderBytes);
       switch (frame->type) {
         case net::FrameType::kVerdict: {
-          const net::VerdictFrame v =
-              net::decode_verdict(frame->payload, frame->version);
-          if (frame->version < 2) obs_unphased_verdicts_.inc();
+          const net::VerdictFrame v = net::decode_verdict(frame->payload);
           PendingRequest req;
           bool found = false;
           {
@@ -578,8 +525,8 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
             }
           }
           if (!found) {
-            // Stream-driven verdicts (high id bit) and verdicts for
-            // requests we already failed land here.
+            // A verdict for a request we already failed (shard marked
+            // down, router stopping) lands here.
             orphan_verdicts_.fetch_add(1);
             break;
           }
@@ -602,9 +549,8 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
           result.model_version = v.model_version;
           result.batch_size = v.batch_size;
           result.degrade_level = v.degrade_level;
-          // The router's identity wins: with a v2 worker the ids are the
-          // same anyway; a v1 worker stamped its own, which would collide
-          // with router-issued ids across shards.
+          // The router's identity wins; the worker adopted it from the
+          // submit frame, so the two ids agree anyway.
           result.trace_id = req.trace_id;
           result.total_latency_s = obs::seconds_between(
               req.submitted_at, std::chrono::steady_clock::now());
@@ -614,7 +560,7 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
               std::max(0.0, result.total_latency_s - v.worker_latency_s);
 
           // Full cross-process phase breakdown: router-side stamps, the
-          // worker's own split (v2), and the wire residual.
+          // worker's own split, and the wire residual.
           result.phases.admission_s = req.admission_s;
           result.phases.route_s = req.route_s;
           result.phases.wire_send_s = req.wire_send_s;
@@ -627,8 +573,10 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
                        req.wire_send_s - v.worker_latency_s);
 
           conn->rolling_latency.observe(result.total_latency_s);
-          record_request(req.trace_id, req.trace_sampled, req.job_id,
-                         conn->shard_id, req.submitted_at, result);
+          serve::record_verdict(tracer_, config_.audit, req.trace_id,
+                                req.trace_sampled, req.job_id,
+                                req.submitted_at, result, conn->shard_id,
+                                std::nullopt);
           req.promise.set_value(std::move(result));
           break;
         }
@@ -636,14 +584,6 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
           {
             LockGuard lock(conn->control_mutex);
             conn->swap_ack = net::decode_swap_ack(frame->payload);
-          }
-          conn->control_cv.notify_all();
-          break;
-        }
-        case net::FrameType::kStatsReply: {
-          {
-            LockGuard lock(conn->control_mutex);
-            conn->stats_reply = net::decode_stats_reply(frame->payload);
           }
           conn->control_cv.notify_all();
           break;
@@ -713,8 +653,9 @@ void ShardRouter::mark_down(ShardConn& conn, serve::RejectReason reason) {
     } else {
       obs_shed_shutdown_.inc();
     }
-    record_request(req.trace_id, req.trace_sampled, req.job_id,
-                   conn.shard_id, req.submitted_at, result);
+    serve::record_verdict(tracer_, config_.audit, req.trace_id,
+                          req.trace_sampled, req.job_id, req.submitted_at,
+                          result, conn.shard_id, std::nullopt);
     req.promise.set_value(std::move(result));
   }
   {
@@ -754,75 +695,10 @@ std::future<serve::ServeResult> ShardRouter::shed(
   result.trace_id = trace_id;
   result.phases = phases;
   result.total_latency_s = phases.total_s;
-  record_request(trace_id, sampled, job_id, shard_id, started, result);
+  serve::record_verdict(tracer_, config_.audit, trace_id, sampled, job_id,
+                        started, result, shard_id, std::nullopt);
   promise.set_value(std::move(result));
   return promise.get_future();
-}
-
-void ShardRouter::record_request(std::uint64_t trace_id, bool sampled,
-                                 std::int64_t job_id,
-                                 std::optional<std::uint32_t> shard_id,
-                                 std::chrono::steady_clock::time_point started,
-                                 const serve::ServeResult& result) {
-  const bool want_trace = sampled;
-  const bool want_audit = config_.audit != nullptr;
-  if (!want_trace && !want_audit) return;
-
-  // Mirrors ClassificationService::note_verdict so router-side records
-  // are shaped exactly like in-process ones (plus wire phases/shard_id).
-  std::string event;
-  if (!result.accepted) {
-    event = "shed";
-  } else if (result.prediction.abstained) {
-    event = "abstain";
-  } else {
-    event = "answer";
-  }
-
-  if (want_trace) {
-    obs::RequestTraceRecord rec;
-    rec.trace_id = trace_id;
-    rec.job_id = job_id;
-    rec.start_s = tracer_.since_epoch(started);
-    rec.phases = result.phases;
-    rec.outcome = event;
-    if (event == "shed") {
-      rec.outcome +=
-          std::string(":") + serve::reject_reason_name(result.reject_reason);
-    } else if (event == "abstain") {
-      rec.outcome += std::string(":") +
-                     robust::abstain_reason_name(result.prediction.reason);
-    }
-    rec.model_version = result.model_version;
-    rec.batch_size = result.batch_size;
-    rec.degrade_level = result.degrade_level;
-    tracer_.record(std::move(rec));
-  }
-
-  if (want_audit) {
-    serve::AuditRecord rec;
-    rec.trace_id = trace_id;
-    rec.job_id = job_id;
-    rec.event = event;
-    rec.model_version = result.model_version;
-    rec.label = result.prediction.label;
-    rec.degrade_level = result.degrade_level;
-    rec.batch_size = result.batch_size;
-    if (event == "abstain") {
-      rec.abstain_reason =
-          robust::abstain_reason_name(result.prediction.reason);
-    }
-    if (event == "shed") {
-      rec.reject_reason = serve::reject_reason_name(result.reject_reason);
-    } else {
-      rec.quality = result.prediction.report.quality();
-      rec.missing_values = result.prediction.report.missing_values;
-      rec.repaired_values = result.prediction.report.repaired_values;
-    }
-    rec.phases = result.phases;
-    rec.shard_id = shard_id;
-    config_.audit->log(rec);
-  }
 }
 
 SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
@@ -913,7 +789,7 @@ std::optional<net::SwapAckFrame> ShardRouter::wait_swap_ack(
 bool ShardRouter::send(ShardConn& conn, net::FrameType type,
                        std::string_view payload) {
   LockGuard lock(conn.write_mutex);
-  if (!net::write_frame(conn.sock, type, payload, conn.wire_version)) {
+  if (!net::write_frame(conn.sock, type, payload)) {
     return false;
   }
   obs_wire_tx_frames_.inc();

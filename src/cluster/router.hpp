@@ -62,7 +62,7 @@ struct RouterConfig {
   double swap_ack_timeout_s = 30.0;
   /// Forwarded per submit as the worker-side latency budget; 0 = none.
   double default_deadline_s = 0.0;
-  /// Clock-offset handshake rounds per v2 shard (NTP-style: the offset of
+  /// Clock-offset handshake rounds per shard (NTP-style: the offset of
   /// the minimum-RTT round wins). 0 disables the handshake.
   std::size_t clock_sync_pings = 5;
   /// Router-side request tracing: every routed window keeps the router's
@@ -97,9 +97,8 @@ struct ShardStatus {
   std::size_t window_steps = 0;  ///< geometry from the hello handshake
   std::size_t sensors = 0;
   std::string model_version;  ///< from the hello / last swap ack
-  std::uint16_t wire_version = 0;  ///< negotiated protocol version
   /// Estimated worker-minus-router monotonic clock offset (ns) from the
-  /// min-RTT ping handshake; 0 for v1 shards (no handshake).
+  /// min-RTT ping handshake; 0 when the handshake is disabled.
   std::int64_t clock_offset_ns = 0;
   std::uint64_t clock_rtt_ns = 0;  ///< RTT of the winning handshake round
 };
@@ -141,17 +140,13 @@ class ShardRouter {
   SwapReport push_bundle(const std::string& bundle_bytes,
                          const std::string& version);
 
-  /// Requests fresh serving counters from one shard (kStats round-trip).
-  [[nodiscard]] std::optional<net::StatsReplyFrame> fetch_stats(
-      std::uint32_t shard_id, double timeout_s = 5.0);
-
   /// Pulls one shard's full metrics snapshot over the wire (kMetricsScrape
-  /// round-trip; v2 shards only — nullopt for v1 peers and dead shards).
+  /// round-trip; nullopt for dead shards and on timeout).
   [[nodiscard]] std::optional<net::MetricsReplyFrame> fetch_metrics(
       std::uint32_t shard_id, double timeout_s = 5.0);
 
   /// Starts the background aggregation poller: every `period_s` it pulls
-  /// each live v2 shard's metrics and retains the latest reply for
+  /// each live shard's metrics and retains the latest reply for
   /// fleet_metrics_text(). Idempotent; stop() joins the thread.
   void start_metrics_poll(double period_s);
 
@@ -163,7 +158,7 @@ class ShardRouter {
   [[nodiscard]] std::string fleet_metrics_text() const;
 
   /// JSON health view for the /shards endpoint: one object per shard with
-  /// id, port, up, inflight, wire version, clock offset and model version.
+  /// id, port, up, inflight, clock offset and model version.
   [[nodiscard]] obs::Json shards_health_json() const;
 
   /// The shard `job_id` would be routed to right now.
@@ -187,7 +182,7 @@ class ShardRouter {
   struct PendingRequest {
     std::promise<serve::ServeResult> promise;
     std::chrono::steady_clock::time_point submitted_at;
-    std::uint64_t trace_id = 0;  ///< router-issued, propagated on v2 wires
+    std::uint64_t trace_id = 0;  ///< router-issued, propagated in the submit
     bool trace_sampled = false;
     std::int64_t job_id = -1;
     // Router-side phase stamps, merged with the worker's phase breakdown
@@ -220,8 +215,6 @@ class ShardRouter {
     CondVar control_cv;
     std::optional<net::SwapAckFrame> swap_ack
         SCWC_GUARDED_BY(control_mutex);
-    std::optional<net::StatsReplyFrame> stats_reply
-        SCWC_GUARDED_BY(control_mutex);
     std::optional<net::MetricsReplyFrame> metrics_reply
         SCWC_GUARDED_BY(control_mutex);
     std::atomic<std::size_t> inflight{0};
@@ -229,9 +222,6 @@ class ShardRouter {
     // Hello metadata: written once during add_shard, before the reader
     // spawns or the shard is published — immutable afterwards.
     net::HelloFrame hello;  // scwc-lint: allow(guarded-field-coverage)
-    // Negotiated in add_shard (min of peer hello version and ours) before
-    // publication — immutable afterwards, like hello.
-    std::uint16_t wire_version = net::kWireVersionMin;  // scwc-lint: allow(guarded-field-coverage)
     // Min-RTT clock handshake result; written once in add_shard.
     std::int64_t clock_offset_ns = 0;  // scwc-lint: allow(guarded-field-coverage)
     std::uint64_t clock_rtt_ns = 0;  // scwc-lint: allow(guarded-field-coverage)
@@ -243,8 +233,6 @@ class ShardRouter {
   };
 
   void reader_loop(const std::shared_ptr<ShardConn>& conn);
-  /// Resolves the shard owning `job_id`; nullptr when the ring is empty.
-  [[nodiscard]] std::shared_ptr<ShardConn> route(std::int64_t job_id) const;
   /// Marks a shard dead: out of the ring, pending requests failed with
   /// `reason`, control waiters woken. Safe to call repeatedly.
   void mark_down(ShardConn& conn, serve::RejectReason reason);
@@ -269,13 +257,6 @@ class ShardRouter {
   /// (the socket is exclusively owned and its io timeout still active).
   void sync_clock(ShardConn& conn);
   void metrics_poll_loop(double period_s);
-  /// Records one finished routed request into the tracer and audit log,
-  /// mirroring ClassificationService::note_verdict's record shape.
-  void record_request(std::uint64_t trace_id, bool sampled,
-                      std::int64_t job_id,
-                      std::optional<std::uint32_t> shard_id,
-                      std::chrono::steady_clock::time_point started,
-                      const serve::ServeResult& result);
 
   const RouterConfig config_;
 
@@ -314,11 +295,6 @@ class ShardRouter {
   obs::CounterHandle obs_wire_tx_bytes_;
   obs::CounterHandle obs_wire_rx_frames_;
   obs::CounterHandle obs_wire_rx_bytes_;
-  /// Submits sent to v1 shards without a trace context — the router-side
-  /// "degraded to untraced operation" signal the compat tests assert on.
-  obs::CounterHandle obs_untraced_submits_;
-  /// v1 verdicts carrying no worker phase breakdown.
-  obs::CounterHandle obs_unphased_verdicts_;
   obs::GaugeHandle obs_ring_size_;
   obs::GaugeHandle obs_swap_phase_;
 };

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "serve/bundle_io.hpp"
 #include "serve/retry.hpp"
@@ -18,8 +19,6 @@ ClusterWorker::ClusterWorker(serve::ModelRegistry& registry,
     : registry_(registry), config_(std::move(config)) {
   service_ = std::make_unique<serve::ClassificationService>(
       registry_, config_.service);
-  obs_untraced_submits_ = obs::MetricsRegistry::global().counter(
-      "scwc_cluster_worker_untraced_submits_total");
 }
 
 ClusterWorker::~ClusterWorker() { stop(); }
@@ -112,13 +111,10 @@ void ClusterWorker::reader_loop(Connection& conn) {
     while (std::optional<net::Frame> frame = net::read_frame(conn.sock)) {
       switch (frame->type) {
         case net::FrameType::kSubmitWindow:
-          handle_submit(conn, *frame);
-          break;
-        case net::FrameType::kTelemetryRow:
-          handle_telemetry(conn, frame->payload);
+          handle_submit(conn, frame->payload);
           break;
         case net::FrameType::kPing:
-          handle_ping(conn, *frame);
+          handle_ping(conn, frame->payload);
           break;
         case net::FrameType::kMetricsScrape:
           send_metrics(conn);
@@ -134,9 +130,6 @@ void ClusterWorker::reader_loop(Connection& conn) {
           break;
         case net::FrameType::kSwapAbort:
           handle_swap_abort(conn, frame->payload);
-          break;
-        case net::FrameType::kStats:
-          send_stats(conn);
           break;
         case net::FrameType::kShutdown: {
           SCWC_LOG_INFO("cluster worker shard "
@@ -204,9 +197,7 @@ void ClusterWorker::responder_loop(Connection& conn) {
       shed_.fetch_add(1);
     }
     const net::VerdictFrame verdict = make_verdict(pending, result);
-    if (!send(conn, net::FrameType::kVerdict,
-              net::encode_verdict(verdict, pending.wire_version),
-              pending.wire_version)) {
+    if (!send(conn, net::FrameType::kVerdict, net::encode_verdict(verdict))) {
       // Peer gone: keep draining so queued futures are still consumed.
       continue;
     }
@@ -214,9 +205,9 @@ void ClusterWorker::responder_loop(Connection& conn) {
 }
 
 bool ClusterWorker::send(Connection& conn, net::FrameType type,
-                         std::string_view payload, std::uint16_t version) {
+                         std::string_view payload) {
   LockGuard lock(conn.write_mutex);
-  return net::write_frame(conn.sock, type, payload, version);
+  return net::write_frame(conn.sock, type, payload);
 }
 
 void ClusterWorker::enqueue(Connection& conn, PendingVerdict pending) {
@@ -228,20 +219,12 @@ void ClusterWorker::enqueue(Connection& conn, PendingVerdict pending) {
   conn.queue_cv.notify_one();
 }
 
-void ClusterWorker::handle_submit(Connection& conn,
-                                  const net::Frame& wire_frame) {
-  net::SubmitWindowFrame frame =
-      net::decode_submit_window(wire_frame.payload, wire_frame.version);
+void ClusterWorker::handle_submit(Connection& conn, std::string_view payload) {
+  net::SubmitWindowFrame frame = net::decode_submit_window(payload);
   submitted_.fetch_add(1);
-  if (frame.trace_id == 0) {
-    // v1 router (or an untraced v2 submit): serve normally under a local
-    // trace id — degraded to untraced operation, counted, never an error.
-    obs_untraced_submits_.inc();
-  }
   PendingVerdict pending;
   pending.request_id = frame.request_id;
   pending.job_id = frame.job_id;
-  pending.wire_version = wire_frame.version;
   pending.submitted_at = std::chrono::steady_clock::now();
   auto deadline = std::chrono::steady_clock::time_point::max();
   if (frame.deadline_ns > 0) {
@@ -259,39 +242,14 @@ void ClusterWorker::handle_submit(Connection& conn,
   enqueue(conn, std::move(pending));
 }
 
-void ClusterWorker::handle_telemetry(Connection& conn,
-                                     std::string_view payload) {
-  const net::TelemetryRowFrame frame = net::decode_telemetry_row(payload);
-  std::vector<serve::PendingWindow> windows =
-      service_->ingest(frame.job_id, frame.values);
-  for (serve::PendingWindow& w : windows) {
-    submitted_.fetch_add(1);
-    PendingVerdict pending;
-    // Stream-driven windows have no router request id; the high bit marks
-    // them so the router can route these verdicts to its stream sink.
-    pending.request_id = (1ULL << 63) | conn.stream_seq++;
-    pending.job_id = w.job_id;
-    pending.submitted_at = std::chrono::steady_clock::now();
-    pending.result = std::move(w.result);
-    enqueue(conn, std::move(pending));
-  }
-}
-
-void ClusterWorker::handle_ping(Connection& conn,
-                                const net::Frame& wire_frame) {
-  if (wire_frame.version < 2) {
-    // v1 contract: the pong payload is the ping payload, verbatim.
-    send(conn, net::FrameType::kPong, wire_frame.payload, wire_frame.version);
-    return;
-  }
-  const net::PingFrame ping = net::decode_ping(wire_frame.payload);
+void ClusterWorker::handle_ping(Connection& conn, std::string_view payload) {
+  const net::PingFrame ping = net::decode_ping(payload);
   net::PongFrame pong;
   pong.nonce = ping.nonce;
   // Our monotonic clock, stamped as late as possible so the router's
   // NTP-style offset estimate sees minimal serialization delay.
   pong.t_mono_ns = obs::steady_ns();
-  send(conn, net::FrameType::kPong,
-       net::encode_pong(pong, wire_frame.version), wire_frame.version);
+  send(conn, net::FrameType::kPong, net::encode_pong(pong));
 }
 
 void ClusterWorker::handle_swap_begin(Connection& conn,
@@ -372,19 +330,6 @@ void ClusterWorker::handle_swap_abort(Connection& conn,
   send(conn, net::FrameType::kSwapAck, net::encode_swap_ack(ack));
 }
 
-void ClusterWorker::send_stats(Connection& conn) {
-  net::StatsReplyFrame stats;
-  stats.submitted = submitted_.load();
-  stats.answered = answered_.load();
-  stats.abstained = abstained_.load();
-  stats.shed = shed_.load();
-  stats.swaps = swaps_.load();
-  if (const auto bundle = registry_.current()) {
-    stats.model_version = bundle->version();
-  }
-  send(conn, net::FrameType::kStatsReply, net::encode_stats_reply(stats));
-}
-
 void ClusterWorker::send_metrics(Connection& conn) {
   // Condense the process-wide registry snapshot: counters and gauges
   // verbatim, rolling histograms as quantile summaries (the router
@@ -435,7 +380,7 @@ net::VerdictFrame ClusterWorker::make_verdict(
   v.repaired_values =
       static_cast<std::uint32_t>(result.prediction.report.repaired_values);
   v.model_version = result.model_version;
-  // v2 phase breakdown for the router's cross-process trace: everything
+  // Phase breakdown for the router's cross-process trace: everything
   // spent waiting inside this worker folds into worker_queue.
   v.worker_queue_s = result.phases.admission_s + result.phases.queue_s +
                      result.phases.batch_wait_s;

@@ -2,7 +2,7 @@
 //
 // Wraps a ClassificationService behind the SCWCWIRE protocol: a listener
 // thread accepts router connections; each connection gets a reader thread
-// (decodes frames, submits windows, handles swaps/pings/stats) and a
+// (decodes frames, submits windows, handles swaps/pings/scrapes) and a
 // responder thread (drains the FIFO of pending futures and writes verdict
 // frames back). The split keeps the read path non-blocking: slow inference
 // never stalls frame intake, and verdicts always leave in submission order
@@ -32,7 +32,6 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/socket.hpp"
-#include "obs/metrics.hpp"
 #include "serve/service.hpp"
 
 namespace scwc::cluster {
@@ -90,9 +89,6 @@ class ClusterWorker {
   struct PendingVerdict {
     std::uint64_t request_id = 0;
     std::int64_t job_id = 0;
-    /// Protocol version of the submit frame; the verdict answers at the
-    /// same version, so a v1 router never sees v2 payload fields.
-    std::uint16_t wire_version = net::kWireVersion;
     std::chrono::steady_clock::time_point submitted_at;
     std::future<serve::ServeResult> result;
   };
@@ -117,7 +113,6 @@ class ClusterWorker {
     std::uint64_t swap_total = 0;  // scwc-lint: allow(guarded-field-coverage)
     std::string swap_buffer;  // scwc-lint: allow(guarded-field-coverage)
     bool swap_active = false;  // scwc-lint: allow(guarded-field-coverage)
-    std::uint64_t stream_seq = 0;  // scwc-lint: allow(guarded-field-coverage)
     // Joined by stop() after the sockets are shut down; set once at spawn.
     std::thread reader;  // scwc-lint: allow(guarded-field-coverage)
     std::thread responder;  // scwc-lint: allow(guarded-field-coverage)
@@ -127,17 +122,14 @@ class ClusterWorker {
   void reader_loop(Connection& conn);
   void responder_loop(Connection& conn);
   /// Serializes + writes one frame under the connection's write mutex.
-  bool send(Connection& conn, net::FrameType type, std::string_view payload,
-            std::uint16_t version = net::kWireVersion);
+  bool send(Connection& conn, net::FrameType type, std::string_view payload);
   void enqueue(Connection& conn, PendingVerdict pending);
-  void handle_submit(Connection& conn, const net::Frame& frame);
-  void handle_telemetry(Connection& conn, std::string_view payload);
-  void handle_ping(Connection& conn, const net::Frame& frame);
+  void handle_submit(Connection& conn, std::string_view payload);
+  void handle_ping(Connection& conn, std::string_view payload);
   void handle_swap_begin(Connection& conn, std::string_view payload);
   void handle_swap_chunk(Connection& conn, std::string_view payload);
   void handle_swap_commit(Connection& conn, std::string_view payload);
   void handle_swap_abort(Connection& conn, std::string_view payload);
-  void send_stats(Connection& conn);
   void send_metrics(Connection& conn);
   [[nodiscard]] net::VerdictFrame make_verdict(
       const PendingVerdict& pending, const serve::ServeResult& result) const;
@@ -163,10 +155,6 @@ class ClusterWorker {
   std::atomic<std::uint64_t> abstained_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> swaps_{0};
-
-  /// Submits that arrived without a trace context (v1 router) — the typed
-  /// "degraded to untraced operation" signal the compat tests assert on.
-  obs::CounterHandle obs_untraced_submits_;
 };
 
 }  // namespace scwc::cluster

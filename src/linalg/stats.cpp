@@ -1,5 +1,6 @@
 #include "linalg/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -32,6 +33,15 @@ double sample_stddev(std::span<const double> v) noexcept {
     s += d * d;
   }
   return std::sqrt(s / static_cast<double>(v.size() - 1));
+}
+
+double quantile_sorted(std::span<const double> sorted, double q) noexcept {
+  if (sorted.empty()) return 0.0;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 Vector column_means(const Matrix& m) {

@@ -16,6 +16,10 @@ double variance(std::span<const double> v) noexcept;
 /// Sample standard deviation with Bessel correction (0 for n < 2).
 double sample_stddev(std::span<const double> v) noexcept;
 
+/// The q-quantile (q in [0, 1]) of an ascending-sorted span, linearly
+/// interpolated between the two nearest ranks (0 for empty input).
+double quantile_sorted(std::span<const double> sorted, double q) noexcept;
+
 /// Per-column means of a matrix (length = cols).
 Vector column_means(const Matrix& m);
 

@@ -167,9 +167,8 @@ Socket connect_loopback(std::uint16_t port, double deadline_s) {
   }
 }
 
-bool write_frame(Socket& sock, FrameType type, std::string_view payload,
-                 std::uint16_t version) {
-  return sock.send_all(encode_frame(type, payload, version));
+bool write_frame(Socket& sock, FrameType type, std::string_view payload) {
+  return sock.send_all(encode_frame(type, payload));
 }
 
 std::optional<Frame> read_frame(Socket& sock) {

@@ -88,15 +88,14 @@ class TcpListener {
 /// invalid Socket on timeout.
 [[nodiscard]] Socket connect_loopback(std::uint16_t port, double deadline_s);
 
-/// Sends one SCWCWIRE frame at `version` (the peer's negotiated protocol
-/// version; defaults to ours). False when the peer is gone.
+/// Sends one SCWCWIRE frame. False when the peer is gone.
 [[nodiscard]] bool write_frame(Socket& sock, FrameType type,
-                               std::string_view payload,
-                               std::uint16_t version = kWireVersion);
+                               std::string_view payload);
 
 /// Reads one frame. nullopt on clean EOF / peer gone / shutdown; throws
-/// scwc::Error on protocol violations (bad magic, CRC mismatch, oversized
-/// payload) — a corrupt peer must be surfaced, not silently dropped.
+/// scwc::Error on protocol violations (bad magic, version mismatch, CRC
+/// mismatch, oversized payload) — a corrupt peer must be surfaced, not
+/// silently dropped.
 [[nodiscard]] std::optional<Frame> read_frame(Socket& sock);
 
 }  // namespace scwc::net

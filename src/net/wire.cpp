@@ -129,12 +129,24 @@ std::array<std::uint32_t, 256> make_crc_table() {
 }
 
 bool known_frame_type(std::uint16_t t) noexcept {
-  return t >= static_cast<std::uint16_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint16_t>(FrameType::kMetricsReply);
-}
-
-bool supported_version(std::uint16_t v) noexcept {
-  return v >= kWireVersionMin && v <= kWireVersion;
+  switch (static_cast<FrameType>(t)) {
+    case FrameType::kHello:
+    case FrameType::kSubmitWindow:
+    case FrameType::kVerdict:
+    case FrameType::kPing:
+    case FrameType::kPong:
+    case FrameType::kSwapBegin:
+    case FrameType::kSwapChunk:
+    case FrameType::kSwapCommit:
+    case FrameType::kSwapAck:
+    case FrameType::kSwapAbort:
+    case FrameType::kShutdown:
+    case FrameType::kError:
+    case FrameType::kMetricsScrape:
+    case FrameType::kMetricsReply:
+      return true;
+  }
+  return false;  // unassigned, or retired (4, 13, 14)
 }
 
 }  // namespace
@@ -144,7 +156,6 @@ const char* frame_type_name(FrameType type) noexcept {
     case FrameType::kHello: return "hello";
     case FrameType::kSubmitWindow: return "submit_window";
     case FrameType::kVerdict: return "verdict";
-    case FrameType::kTelemetryRow: return "telemetry_row";
     case FrameType::kPing: return "ping";
     case FrameType::kPong: return "pong";
     case FrameType::kSwapBegin: return "swap_begin";
@@ -153,8 +164,6 @@ const char* frame_type_name(FrameType type) noexcept {
     case FrameType::kSwapAck: return "swap_ack";
     case FrameType::kSwapAbort: return "swap_abort";
     case FrameType::kShutdown: return "shutdown";
-    case FrameType::kStats: return "stats";
-    case FrameType::kStatsReply: return "stats_reply";
     case FrameType::kError: return "error";
     case FrameType::kMetricsScrape: return "metrics_scrape";
     case FrameType::kMetricsReply: return "metrics_reply";
@@ -171,15 +180,12 @@ std::uint32_t crc32(std::string_view data) noexcept {
   return c ^ 0xFFFFFFFFU;
 }
 
-std::string encode_frame(FrameType type, std::string_view payload,
-                         std::uint16_t version) {
+std::string encode_frame(FrameType type, std::string_view payload) {
   SCWC_REQUIRE(payload.size() <= kMaxPayloadBytes,
                "wire encode: payload exceeds kMaxPayloadBytes");
-  SCWC_REQUIRE(supported_version(version),
-               "wire encode: unsupported protocol version");
   Writer w;
   w.u64(kWireMagic);
-  w.u16(version);
+  w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(type));
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u32(crc32(payload));
@@ -193,14 +199,12 @@ FrameHeader decode_header(std::string_view header) {
                "wire decode: header must be exactly 24 bytes");
   Reader r(header);
   SCWC_REQUIRE(r.u64() == kWireMagic, "wire decode: bad magic");
-  const std::uint16_t version = r.u16();
-  SCWC_REQUIRE(supported_version(version),
+  SCWC_REQUIRE(r.u16() == kWireVersion,
                "wire decode: unsupported protocol version");
   const std::uint16_t type = r.u16();
   SCWC_REQUIRE(known_frame_type(type), "wire decode: unknown frame type");
   FrameHeader h;
   h.type = static_cast<FrameType>(type);
-  h.version = version;
   h.payload_len = r.u32();
   SCWC_REQUIRE(h.payload_len <= kMaxPayloadBytes,
                "wire decode: payload length exceeds cap");
@@ -214,7 +218,7 @@ Frame assemble_frame(const FrameHeader& header, std::string payload) {
                "wire decode: payload length mismatch");
   SCWC_REQUIRE(crc32(payload) == header.payload_crc,
                "wire decode: payload CRC mismatch");
-  return Frame{header.type, header.version, std::move(payload)};
+  return Frame{header.type, std::move(payload)};
 }
 
 Frame decode_frame(std::string_view bytes) {
@@ -249,10 +253,7 @@ HelloFrame decode_hello(std::string_view payload) {
   return f;
 }
 
-std::string encode_submit_window(const SubmitWindowFrame& f,
-                                 std::uint16_t version) {
-  SCWC_REQUIRE(supported_version(version),
-               "wire encode: unsupported protocol version");
+std::string encode_submit_window(const SubmitWindowFrame& f) {
   SCWC_REQUIRE(f.values.size() <= kMaxWindowValues,
                "wire encode: window exceeds kMaxWindowValues");
   Writer w;
@@ -262,17 +263,12 @@ std::string encode_submit_window(const SubmitWindowFrame& f,
   w.u32(f.steps);
   w.u32(f.sensors);
   w.f64_span(f.values);
-  if (version >= 2) {
-    w.u64(f.trace_id);
-    w.u8(f.trace_sampled ? 1 : 0);
-  }
+  w.u64(f.trace_id);
+  w.u8(f.trace_sampled ? 1 : 0);
   return w.take();
 }
 
-SubmitWindowFrame decode_submit_window(std::string_view payload,
-                                       std::uint16_t version) {
-  SCWC_REQUIRE(supported_version(version),
-               "wire decode: unsupported protocol version");
+SubmitWindowFrame decode_submit_window(std::string_view payload) {
   Reader r(payload);
   SubmitWindowFrame f;
   f.request_id = r.u64();
@@ -289,39 +285,15 @@ SubmitWindowFrame decode_submit_window(std::string_view payload,
   SCWC_REQUIRE(f.values.size() ==
                    static_cast<std::size_t>(f.steps) * f.sensors,
                "wire decode: window value count != steps*sensors");
-  if (version >= 2) {
-    f.trace_id = r.u64();
-    const std::uint8_t sampled = r.u8();
-    SCWC_REQUIRE(sampled <= 1, "wire decode: trace sampled not boolean");
-    f.trace_sampled = sampled != 0;
-  }
+  f.trace_id = r.u64();
+  const std::uint8_t sampled = r.u8();
+  SCWC_REQUIRE(sampled <= 1, "wire decode: trace sampled not boolean");
+  f.trace_sampled = sampled != 0;
   r.expect_end();
   return f;
 }
 
-std::string encode_telemetry_row(const TelemetryRowFrame& f) {
-  SCWC_REQUIRE(f.values.size() <= kMaxSensors,
-               "wire encode: row exceeds kMaxSensors");
-  Writer w;
-  w.i64(f.job_id);
-  w.u64(f.step);
-  w.f64_span(f.values);
-  return w.take();
-}
-
-TelemetryRowFrame decode_telemetry_row(std::string_view payload) {
-  Reader r(payload);
-  TelemetryRowFrame f;
-  f.job_id = r.i64();
-  f.step = r.u64();
-  f.values = r.f64_span(kMaxSensors);
-  r.expect_end();
-  return f;
-}
-
-std::string encode_verdict(const VerdictFrame& f, std::uint16_t version) {
-  SCWC_REQUIRE(supported_version(version),
-               "wire encode: unsupported protocol version");
+std::string encode_verdict(const VerdictFrame& f) {
   Writer w;
   w.u64(f.request_id);
   w.u64(f.trace_id);
@@ -338,17 +310,13 @@ std::string encode_verdict(const VerdictFrame& f, std::uint16_t version) {
   w.u32(f.missing_values);
   w.u32(f.repaired_values);
   w.string(f.model_version);
-  if (version >= 2) {
-    w.f64(f.worker_queue_s);
-    w.f64(f.worker_transform_s);
-    w.f64(f.worker_predict_s);
-  }
+  w.f64(f.worker_queue_s);
+  w.f64(f.worker_transform_s);
+  w.f64(f.worker_predict_s);
   return w.take();
 }
 
-VerdictFrame decode_verdict(std::string_view payload, std::uint16_t version) {
-  SCWC_REQUIRE(supported_version(version),
-               "wire decode: unsupported protocol version");
+VerdictFrame decode_verdict(std::string_view payload) {
   Reader r(payload);
   VerdictFrame f;
   f.request_id = r.u64();
@@ -378,17 +346,15 @@ VerdictFrame decode_verdict(std::string_view payload, std::uint16_t version) {
   f.missing_values = r.u32();
   f.repaired_values = r.u32();
   f.model_version = r.string();
-  if (version >= 2) {
-    f.worker_queue_s = r.f64();
-    f.worker_transform_s = r.f64();
-    f.worker_predict_s = r.f64();
-    SCWC_REQUIRE(std::isfinite(f.worker_queue_s) && f.worker_queue_s >= 0.0 &&
-                     std::isfinite(f.worker_transform_s) &&
-                     f.worker_transform_s >= 0.0 &&
-                     std::isfinite(f.worker_predict_s) &&
-                     f.worker_predict_s >= 0.0,
-                 "wire decode: negative/non-finite worker phase");
-  }
+  f.worker_queue_s = r.f64();
+  f.worker_transform_s = r.f64();
+  f.worker_predict_s = r.f64();
+  SCWC_REQUIRE(std::isfinite(f.worker_queue_s) && f.worker_queue_s >= 0.0 &&
+                   std::isfinite(f.worker_transform_s) &&
+                   f.worker_transform_s >= 0.0 &&
+                   std::isfinite(f.worker_predict_s) &&
+                   f.worker_predict_s >= 0.0,
+               "wire decode: negative/non-finite worker phase");
   r.expect_end();
   return f;
 }
@@ -407,22 +373,18 @@ PingFrame decode_ping(std::string_view payload) {
   return f;
 }
 
-std::string encode_pong(const PongFrame& f, std::uint16_t version) {
-  SCWC_REQUIRE(supported_version(version),
-               "wire encode: unsupported protocol version");
+std::string encode_pong(const PongFrame& f) {
   Writer w;
   w.u64(f.nonce);
-  if (version >= 2) w.u64(f.t_mono_ns);
+  w.u64(f.t_mono_ns);
   return w.take();
 }
 
-PongFrame decode_pong(std::string_view payload, std::uint16_t version) {
-  SCWC_REQUIRE(supported_version(version),
-               "wire decode: unsupported protocol version");
+PongFrame decode_pong(std::string_view payload) {
   Reader r(payload);
   PongFrame f;
   f.nonce = r.u64();
-  if (version >= 2) f.t_mono_ns = r.u64();
+  f.t_mono_ns = r.u64();
   r.expect_end();
   return f;
 }
@@ -514,30 +476,6 @@ SwapAbortFrame decode_swap_abort(std::string_view payload) {
   Reader r(payload);
   SwapAbortFrame f;
   f.reason = r.string();
-  r.expect_end();
-  return f;
-}
-
-std::string encode_stats_reply(const StatsReplyFrame& f) {
-  Writer w;
-  w.u64(f.submitted);
-  w.u64(f.answered);
-  w.u64(f.abstained);
-  w.u64(f.shed);
-  w.u64(f.swaps);
-  w.string(f.model_version);
-  return w.take();
-}
-
-StatsReplyFrame decode_stats_reply(std::string_view payload) {
-  Reader r(payload);
-  StatsReplyFrame f;
-  f.submitted = r.u64();
-  f.answered = r.u64();
-  f.abstained = r.u64();
-  f.shed = r.u64();
-  f.swaps = r.u64();
-  f.model_version = r.string();
   r.expect_end();
   return f;
 }

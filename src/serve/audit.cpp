@@ -195,4 +195,66 @@ bool AuditLogger::ok() const {
   return ok_;
 }
 
+void record_verdict(obs::RequestTracer& tracer, AuditLogger* audit,
+                    std::uint64_t trace_id, bool sampled, std::int64_t job_id,
+                    std::chrono::steady_clock::time_point started,
+                    const ServeResult& result,
+                    std::optional<std::uint32_t> shard_id,
+                    std::optional<double> deadline_slack_s) {
+  if (!sampled && audit == nullptr) return;
+
+  std::string event;
+  if (!result.accepted) {
+    event = "shed";
+  } else if (result.prediction.abstained) {
+    event = "abstain";
+  } else {
+    event = "answer";
+  }
+
+  if (sampled) {
+    obs::RequestTraceRecord rec;
+    rec.trace_id = trace_id;
+    rec.job_id = job_id;
+    rec.start_s = tracer.since_epoch(started);
+    rec.phases = result.phases;
+    rec.outcome = event;
+    if (event == "shed") {
+      rec.outcome += std::string(":") + reject_reason_name(result.reject_reason);
+    } else if (event == "abstain") {
+      rec.outcome +=
+          std::string(":") + robust::abstain_reason_name(result.prediction.reason);
+    }
+    rec.model_version = result.model_version;
+    rec.batch_size = result.batch_size;
+    rec.degrade_level = result.degrade_level;
+    tracer.record(std::move(rec));
+  }
+
+  if (audit != nullptr) {
+    AuditRecord rec;
+    rec.trace_id = trace_id;
+    rec.job_id = job_id;
+    rec.event = event;
+    rec.model_version = result.model_version;
+    rec.label = result.prediction.label;
+    rec.degrade_level = result.degrade_level;
+    rec.batch_size = result.batch_size;
+    if (event == "abstain") {
+      rec.abstain_reason = robust::abstain_reason_name(result.prediction.reason);
+    }
+    if (event == "shed") {
+      rec.reject_reason = reject_reason_name(result.reject_reason);
+    } else {
+      rec.quality = result.prediction.report.quality();
+      rec.missing_values = result.prediction.report.missing_values;
+      rec.repaired_values = result.prediction.report.repaired_values;
+    }
+    rec.phases = result.phases;
+    rec.deadline_slack_s = deadline_slack_s;
+    rec.shard_id = shard_id;
+    audit->log(rec);
+  }
+}
+
 }  // namespace scwc::serve

@@ -36,6 +36,7 @@
 // destruction/flush(), not per record.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <optional>
@@ -46,6 +47,7 @@
 
 #include "obs/json.hpp"
 #include "obs/request_trace.hpp"
+#include "serve/serve_types.hpp"
 
 namespace scwc::serve {
 
@@ -97,5 +99,17 @@ class AuditLogger {
   std::uint64_t written_ SCWC_GUARDED_BY(mutex_) = 0;
   bool ok_ SCWC_GUARDED_BY(mutex_) = true;
 };
+
+/// The verdict tap shared by ClassificationService and ShardRouter: writes
+/// one finished request into `tracer` when `sampled` and into `audit` when
+/// it is non-null, so in-process and routed records have the same shape.
+/// `shard_id` is set iff a router served the request over SCWCWIRE;
+/// `deadline_slack_s` is set iff the request had a deadline.
+void record_verdict(obs::RequestTracer& tracer, AuditLogger* audit,
+                    std::uint64_t trace_id, bool sampled, std::int64_t job_id,
+                    std::chrono::steady_clock::time_point started,
+                    const ServeResult& result,
+                    std::optional<std::uint32_t> shard_id,
+                    std::optional<double> deadline_slack_s);
 
 }  // namespace scwc::serve

@@ -72,64 +72,13 @@ ClassificationService::~ClassificationService() { stop(); }
 void ClassificationService::note_verdict(
     const BatchRequest& request, const ServeResult& result,
     std::chrono::steady_clock::time_point done) {
-  const bool want_trace = request.trace_sampled;
-  const bool want_audit = config_.audit != nullptr;
-  if (!want_trace && !want_audit) return;
-
-  std::string event;
-  if (!result.accepted) {
-    event = "shed";
-  } else if (result.prediction.abstained) {
-    event = "abstain";
-  } else {
-    event = "answer";
+  std::optional<double> slack;
+  if (request.deadline != kNoDeadline) {
+    slack = obs::signed_seconds_between(done, request.deadline);
   }
-
-  if (want_trace) {
-    obs::RequestTraceRecord rec;
-    rec.trace_id = request.trace_id;
-    rec.job_id = request.job_id;
-    rec.start_s = tracer_.since_epoch(request.submitted);
-    rec.phases = result.phases;
-    rec.outcome = event;
-    if (event == "shed") {
-      rec.outcome += std::string(":") + reject_reason_name(result.reject_reason);
-    } else if (event == "abstain") {
-      rec.outcome +=
-          std::string(":") + robust::abstain_reason_name(result.prediction.reason);
-    }
-    rec.model_version = result.model_version;
-    rec.batch_size = result.batch_size;
-    rec.degrade_level = result.degrade_level;
-    tracer_.record(std::move(rec));
-  }
-
-  if (want_audit) {
-    AuditRecord rec;
-    rec.trace_id = request.trace_id;
-    rec.job_id = request.job_id;
-    rec.event = event;
-    rec.model_version = result.model_version;
-    rec.label = result.prediction.label;
-    rec.degrade_level = result.degrade_level;
-    rec.batch_size = result.batch_size;
-    if (event == "abstain") {
-      rec.abstain_reason = robust::abstain_reason_name(result.prediction.reason);
-    }
-    if (event == "shed") {
-      rec.reject_reason = reject_reason_name(result.reject_reason);
-    } else {
-      rec.quality = result.prediction.report.quality();
-      rec.missing_values = result.prediction.report.missing_values;
-      rec.repaired_values = result.prediction.report.repaired_values;
-    }
-    rec.phases = result.phases;
-    if (request.deadline != kNoDeadline) {
-      rec.deadline_slack_s =
-          obs::signed_seconds_between(done, request.deadline);
-    }
-    config_.audit->log(rec);
-  }
+  record_verdict(tracer_, config_.audit, request.trace_id,
+                 request.trace_sampled, request.job_id, request.submitted,
+                 result, std::nullopt, slack);
 }
 
 void ClassificationService::shed(BatchRequest& request, RejectReason reason) {

@@ -99,7 +99,7 @@ class ClassificationService {
   /// Cluster entry: submit under an externally-issued trace identity (the
   /// router's trace id + sampling verdict, propagated over SCWCWIRE) so
   /// worker-side phases land under the same trace as the router's record.
-  /// trace_id 0 falls back to a locally-issued id (untraced v1 peer).
+  /// trace_id 0 falls back to a locally-issued id.
   [[nodiscard]] std::future<ServeResult> submit_with_trace(
       std::vector<double> window, std::size_t steps, std::size_t sensors,
       std::chrono::steady_clock::time_point deadline, std::uint64_t trace_id,

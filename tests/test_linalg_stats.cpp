@@ -27,6 +27,23 @@ TEST(Stats, SampleStddev) {
   EXPECT_DOUBLE_EQ(sample_stddev(std::vector<double>{5.0}), 0.0);
 }
 
+TEST(Stats, QuantileSorted) {
+  EXPECT_DOUBLE_EQ(quantile_sorted(std::vector<double>{}, 0.5), 0.0);
+  // A single element is every quantile.
+  const std::vector<double> one{7.0};
+  EXPECT_DOUBLE_EQ(quantile_sorted(one, 0.0), 7.0);
+  EXPECT_DOUBLE_EQ(quantile_sorted(one, 0.99), 7.0);
+  EXPECT_DOUBLE_EQ(quantile_sorted(one, 1.0), 7.0);
+  // Positions q*(n-1) = 0, 2 and 4 land exactly on a rank.
+  const std::vector<double> v{10, 20, 30, 40, 50};
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.5), 30.0);
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 1.0), 50.0);
+  // Between ranks: linear interpolation (position 0.4 → 14, 3.96 → 49.6).
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.1), 14.0);
+  EXPECT_DOUBLE_EQ(quantile_sorted(v, 0.99), 49.6);
+}
+
 TEST(Stats, ColumnMeansAndStddevs) {
   const Matrix m{{1, 10}, {3, 30}};
   const Vector means = column_means(m);

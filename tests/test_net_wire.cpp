@@ -1,7 +1,6 @@
 // SCWCWIRE codec tests: round-trips for every frame type, header
-// validation, v1↔v2 version compatibility (a v1 peer degrades to untraced
-// operation, never a decode error), and the byte-level fuzz pass the wire
-// header promises — every single-byte corruption and every truncation of
+// validation (including the strict version check and the retired frame
+// types), and the byte-level fuzz pass the wire header promises — every single-byte corruption and every truncation of
 // every frame type either decodes (the flip hit a don't-care byte) or
 // throws a typed scwc::Error. Nothing may crash, hang, or allocate
 // unbounded memory.
@@ -54,17 +53,6 @@ TEST(WireCodec, SubmitWindowRoundTrip) {
   EXPECT_EQ(back.values, f.values);
   EXPECT_EQ(back.trace_id, f.trace_id);
   EXPECT_EQ(back.trace_sampled, f.trace_sampled);
-}
-
-TEST(WireCodec, TelemetryRowRoundTrip) {
-  TelemetryRowFrame f;
-  f.job_id = 99;
-  f.step = 12;
-  f.values = {0.25, -3.5, 7.0};
-  const TelemetryRowFrame back = decode_telemetry_row(encode_telemetry_row(f));
-  EXPECT_EQ(back.job_id, f.job_id);
-  EXPECT_EQ(back.step, f.step);
-  EXPECT_EQ(back.values, f.values);
 }
 
 TEST(WireCodec, VerdictRoundTrip) {
@@ -154,20 +142,6 @@ TEST(WireCodec, SmallFramesRoundTrip) {
   EXPECT_EQ(pong_back.nonce, pong.nonce);
   EXPECT_EQ(pong_back.t_mono_ns, pong.t_mono_ns);
 
-  StatsReplyFrame stats;
-  stats.submitted = 100;
-  stats.answered = 90;
-  stats.abstained = 5;
-  stats.shed = 10;
-  stats.swaps = 2;
-  stats.model_version = "rf-cov-v1";
-  const StatsReplyFrame stats_back =
-      decode_stats_reply(encode_stats_reply(stats));
-  EXPECT_EQ(stats_back.submitted, stats.submitted);
-  EXPECT_EQ(stats_back.answered, stats.answered);
-  EXPECT_EQ(stats_back.swaps, stats.swaps);
-  EXPECT_EQ(stats_back.model_version, stats.model_version);
-
   ErrorFrame err;
   err.code = 400;
   err.message = "malformed frame";
@@ -217,95 +191,6 @@ TEST(WireCodec, MetricsReplyRejectsOverCapEntryCounts) {
   EXPECT_THROW((void)decode_metrics_reply(payload), Error);
 }
 
-// ---------------------------------------------------- v1 ↔ v2 compatibility
-//
-// The contract: both versions stay decodable, and a v1 peer loses the v2
-// fields (trace context, worker phases, pong timestamp) — it never causes
-// a decode error. The header's version drives the codec, so mixing a
-// payload with the wrong version IS an error (strict expect_end both ways).
-
-TEST(WireCompat, V1SubmitCarriesNoTraceContext) {
-  SubmitWindowFrame f;
-  f.request_id = 9;
-  f.steps = 1;
-  f.sensors = 1;
-  f.values = {1.0};
-  f.trace_id = 0xdeadULL;  // set, but v1 has nowhere to put it
-  f.trace_sampled = true;
-  const std::string v1 = encode_submit_window(f, 1);
-  const std::string v2 = encode_submit_window(f, 2);
-  EXPECT_EQ(v2.size(), v1.size() + 9);  // u64 trace id + u8 sampled bit
-  const SubmitWindowFrame back = decode_submit_window(v1, 1);
-  EXPECT_EQ(back.request_id, f.request_id);
-  EXPECT_EQ(back.values, f.values);
-  EXPECT_EQ(back.trace_id, 0u);  // degraded to untraced, not an error
-  EXPECT_FALSE(back.trace_sampled);
-  // Version mismatch between header and codec is a typed error, both ways.
-  EXPECT_THROW((void)decode_submit_window(v2, 1), Error);
-  EXPECT_THROW((void)decode_submit_window(v1, 2), Error);
-}
-
-TEST(WireCompat, V1VerdictCarriesNoWorkerPhases) {
-  VerdictFrame f;
-  f.request_id = 4;
-  f.accepted = true;
-  f.label = 1;
-  f.model_version = "v1";
-  f.worker_queue_s = 0.5;  // set, but v1 has nowhere to put it
-  f.worker_predict_s = 0.25;
-  const std::string v1 = encode_verdict(f, 1);
-  const VerdictFrame back = decode_verdict(v1, 1);
-  EXPECT_EQ(back.request_id, f.request_id);
-  EXPECT_EQ(back.model_version, f.model_version);
-  EXPECT_DOUBLE_EQ(back.worker_queue_s, 0.0);  // phases degrade to zero
-  EXPECT_DOUBLE_EQ(back.worker_transform_s, 0.0);
-  EXPECT_DOUBLE_EQ(back.worker_predict_s, 0.0);
-  EXPECT_THROW((void)decode_verdict(encode_verdict(f, 2), 1), Error);
-  EXPECT_THROW((void)decode_verdict(v1, 2), Error);
-}
-
-TEST(WireCompat, V1PongCarriesNoTimestamp) {
-  PongFrame f;
-  f.nonce = 11;
-  f.t_mono_ns = 999;
-  const PongFrame back = decode_pong(encode_pong(f, 1), 1);
-  EXPECT_EQ(back.nonce, f.nonce);
-  EXPECT_EQ(back.t_mono_ns, 0u);  // no clock handshake on a v1 link
-  EXPECT_THROW((void)decode_pong(encode_pong(f, 2), 1), Error);
-}
-
-TEST(WireCompat, FrameHeaderCarriesTheVersionThroughDecode) {
-  // The frame layer is how a reader learns which codec variant to run:
-  // the header version must survive into the decoded Frame for BOTH
-  // supported versions, and the matching decode must then succeed.
-  SubmitWindowFrame f;
-  f.request_id = 1;
-  f.steps = 1;
-  f.sensors = 1;
-  f.values = {2.0};
-  f.trace_id = 77;
-  f.trace_sampled = true;
-  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
-    const Frame frame = decode_frame(encode_frame(
-        FrameType::kSubmitWindow, encode_submit_window(f, version), version));
-    EXPECT_EQ(frame.version, version);
-    const SubmitWindowFrame back =
-        decode_submit_window(frame.payload, frame.version);
-    EXPECT_EQ(back.trace_id, version >= 2 ? 77u : 0u);
-  }
-}
-
-TEST(WireCompat, RejectsVersionsOutsideTheSupportedRange) {
-  const std::string payload = encode_ping(PingFrame{1});
-  EXPECT_THROW((void)encode_frame(FrameType::kPing, payload, 0), Error);
-  EXPECT_THROW(
-      (void)encode_frame(FrameType::kPing, payload,
-                         static_cast<std::uint16_t>(kWireVersion + 1)),
-      Error);
-  EXPECT_THROW((void)decode_submit_window("", 0), Error);
-  EXPECT_THROW((void)encode_submit_window(SubmitWindowFrame{}, 3), Error);
-}
-
 // -------------------------------------------------------- frame validation
 
 TEST(WireCodec, FrameRoundTripAndCrc) {
@@ -331,10 +216,23 @@ TEST(WireCodec, RejectsBadMagicVersionTypeReserved) {
     bad[8] = static_cast<char>(bad[8] ^ 0xff);  // version
     EXPECT_THROW((void)decode_frame(bad), Error);
   }
+  // One wire version: the neighbours of kWireVersion are rejected, too.
+  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{3}}) {
+    std::string bad = good;
+    std::memcpy(bad.data() + 8, &version, sizeof(version));
+    EXPECT_THROW((void)decode_frame(bad), Error) << "version " << version;
+  }
   {
     std::string bad = good;
     bad[10] = static_cast<char>(0xee);  // unknown type
     EXPECT_THROW((void)decode_frame(bad), Error);
+  }
+  // Retired types (telemetry row, stats, stats reply) stay unassigned.
+  for (const std::uint16_t type :
+       {std::uint16_t{4}, std::uint16_t{13}, std::uint16_t{14}}) {
+    std::string bad = good;
+    std::memcpy(bad.data() + 10, &type, sizeof(type));
+    EXPECT_THROW((void)decode_frame(bad), Error) << "type " << type;
   }
   {
     std::string bad = good;
@@ -425,12 +323,6 @@ std::vector<std::pair<std::string, std::string>> corpus() {
   add("submit_window", FrameType::kSubmitWindow,
       encode_submit_window(submit));
 
-  TelemetryRowFrame row;
-  row.job_id = 17;
-  row.step = 3;
-  row.values = {1.0, 2.0, 3.0};
-  add("telemetry_row", FrameType::kTelemetryRow, encode_telemetry_row(row));
-
   VerdictFrame verdict;
   verdict.request_id = 42;
   verdict.accepted = true;
@@ -464,13 +356,6 @@ std::vector<std::pair<std::string, std::string>> corpus() {
   add("swap_abort", FrameType::kSwapAbort,
       encode_swap_abort(SwapAbortFrame{"sibling refused"}));
   add("shutdown", FrameType::kShutdown, "");
-  add("stats", FrameType::kStats, "");
-
-  StatsReplyFrame stats;
-  stats.submitted = 10;
-  stats.model_version = "v1";
-  add("stats_reply", FrameType::kStatsReply, encode_stats_reply(stats));
-
   add("error", FrameType::kError,
       encode_error(ErrorFrame{1, "decode failed"}));
   add("metrics_scrape", FrameType::kMetricsScrape, "");
@@ -487,25 +372,12 @@ std::vector<std::pair<std::string, std::string>> corpus() {
   metrics.rolling = {rolling};
   add("metrics_reply", FrameType::kMetricsReply,
       encode_metrics_reply(metrics));
-
-  // The same traffic on a v1 link: the fuzz promise (typed error or clean
-  // decode, nothing else) holds for both protocol versions on the wire.
-  SubmitWindowFrame v1_submit = submit;
-  frames.emplace_back("submit_window_v1",
-                      encode_frame(FrameType::kSubmitWindow,
-                                   encode_submit_window(v1_submit, 1), 1));
-  frames.emplace_back(
-      "verdict_v1",
-      encode_frame(FrameType::kVerdict, encode_verdict(verdict, 1), 1));
-  frames.emplace_back(
-      "pong_v1",
-      encode_frame(FrameType::kPong, encode_pong(PongFrame{7, 0}, 1), 1));
   return frames;
 }
 
-/// Full decode: frame layer + the payload codec for the decoded type, at
-/// the version the header carried (exactly what a real reader does). Any
-/// input must either fully decode or throw scwc::Error — nothing else.
+/// Full decode: frame layer + the payload codec for the decoded type
+/// (exactly what a real reader does). Any input must either fully decode
+/// or throw scwc::Error — nothing else.
 bool decode_fully(const std::string& bytes) {
   const Frame frame = decode_frame(bytes);
   switch (frame.type) {
@@ -513,19 +385,16 @@ bool decode_fully(const std::string& bytes) {
       (void)decode_hello(frame.payload);
       break;
     case FrameType::kSubmitWindow:
-      (void)decode_submit_window(frame.payload, frame.version);
-      break;
-    case FrameType::kTelemetryRow:
-      (void)decode_telemetry_row(frame.payload);
+      (void)decode_submit_window(frame.payload);
       break;
     case FrameType::kVerdict:
-      (void)decode_verdict(frame.payload, frame.version);
+      (void)decode_verdict(frame.payload);
       break;
     case FrameType::kPing:
       (void)decode_ping(frame.payload);
       break;
     case FrameType::kPong:
-      (void)decode_pong(frame.payload, frame.version);
+      (void)decode_pong(frame.payload);
       break;
     case FrameType::kSwapBegin:
       (void)decode_swap_begin(frame.payload);
@@ -543,16 +412,11 @@ bool decode_fully(const std::string& bytes) {
       (void)decode_swap_abort(frame.payload);
       break;
     case FrameType::kShutdown:
-    case FrameType::kStats:
+    case FrameType::kMetricsScrape:
       break;  // empty payloads; the frame layer already validated length
-    case FrameType::kStatsReply:
-      (void)decode_stats_reply(frame.payload);
-      break;
     case FrameType::kError:
       (void)decode_error(frame.payload);
       break;
-    case FrameType::kMetricsScrape:
-      break;  // empty payload, like kStats
     case FrameType::kMetricsReply:
       (void)decode_metrics_reply(frame.payload);
       break;

@@ -9,7 +9,7 @@
 // Cluster observability (ISSUE 10): --listen serves the AGGREGATED fleet
 // view — /metrics re-exports every worker's wire-scraped series under a
 // shard="N" label next to the router's own counters, /shards is a JSON
-// health view with negotiated wire versions and clock offsets. --trace-out
+// health view with per-shard liveness and clock offsets. --trace-out
 // writes the router-side request traces (with per-shard clock offsets in
 // scwcMeta, ready for scwc_tracemerge); --audit-out appends scwc.audit/v1
 // records that carry shard_id; --metrics-out snapshots the aggregated
@@ -28,6 +28,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -55,6 +56,16 @@ std::vector<std::uint16_t> parse_ports(const std::string& list) {
     }
   }
   return ports;
+}
+
+/// Sum of every counter in `reply` whose name starts with `prefix`.
+std::uint64_t counter_sum(const scwc::net::MetricsReplyFrame& reply,
+                          std::string_view prefix) {
+  std::uint64_t total = 0;
+  for (const auto& [name, value] : reply.counters) {
+    if (name.starts_with(prefix)) total += value;
+  }
+  return total;
 }
 
 }  // namespace
@@ -205,15 +216,19 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Per-shard serving counters, read from each worker's metrics reply.
     for (const auto& status : router.shards()) {
-      if (const auto stats = router.fetch_stats(status.shard_id)) {
-        std::cout << "shard " << status.shard_id << ": submitted "
-                  << stats->submitted << ", answered " << stats->answered
-                  << ", abstained " << stats->abstained << ", shed "
-                  << stats->shed << ", swaps " << stats->swaps
-                  << ", model '" << stats->model_version << "' (wire v"
-                  << status.wire_version << ", clock offset "
-                  << status.clock_offset_ns << "ns)\n";
+      if (const auto metrics = router.fetch_metrics(status.shard_id)) {
+        std::cout << "shard " << status.shard_id << ": requests "
+                  << counter_sum(*metrics, "scwc_serve_requests_total")
+                  << ", answered "
+                  << counter_sum(*metrics, "scwc_robust_guard_answered_total")
+                  << ", abstained "
+                  << counter_sum(*metrics, "scwc_robust_guard_abstain_")
+                  << ", shed " << counter_sum(*metrics, "scwc_serve_shed_")
+                  << ", bundle activations "
+                  << counter_sum(*metrics, "scwc_serve_registry_swaps_total")
+                  << " (clock offset " << status.clock_offset_ns << "ns)\n";
       }
     }
 
