@@ -1,6 +1,6 @@
 // M1 — google-benchmark micro-benchmarks for the heavy kernels backing the
-// reproduction: GEMM, covariance reduction, PCA fit, forest fit, SMO SVM,
-// boosted trees, LSTM step and telemetry synthesis.
+// reproduction: GEMM, covariance reduction, PCA fit, forest fit and
+// predict, SMO SVM, boosted trees, LSTM step and telemetry synthesis.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -16,6 +16,7 @@
 #include "nn/lstm.hpp"
 #include "preprocess/covariance_features.hpp"
 #include "preprocess/pca.hpp"
+#include "preprocess/pipeline.hpp"
 #include "preprocess/scaler.hpp"
 #include "telemetry/gpu_synth.hpp"
 
@@ -78,7 +79,27 @@ void BM_CovarianceFeatures(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trials));
 }
-BENCHMARK(BM_CovarianceFeatures)->Arg(128)->Arg(512);
+// parallel_for splits the trials across the pool, so CPU time on the
+// calling thread alone would overstate the rate; report wall time.
+BENCHMARK(BM_CovarianceFeatures)->Arg(128)->Arg(512)->UseRealTime();
+
+// The serve geometry: a fitted covariance pipeline standardising and
+// reducing a batch of 64 windows of 60 steps × 7 sensors (the fused path).
+void BM_CovariancePipelineTransform(benchmark::State& state) {
+  Rng rng(12);
+  data::Tensor3 train(256, 60, 7);
+  for (double& v : train.raw()) v = rng.normal();
+  data::Tensor3 batch(64, 60, 7);
+  for (double& v : batch.raw()) v = rng.normal();
+  preprocess::FeaturePipeline pipeline(
+      {preprocess::Reduction::kCovariance, 0});
+  pipeline.fit(train);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipeline.transform(batch));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_CovariancePipelineTransform)->UseRealTime();
 
 void BM_ScalerFitTransform(benchmark::State& state) {
   const Matrix x = random_matrix(1024, 630, 6);
@@ -111,6 +132,29 @@ void BM_RandomForestFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomForestFit);
+
+// Served-model geometry: 100 trees over 28 covariance features and 26
+// classes, predicting a batch of 1 or 64 rows.
+void BM_RandomForestPredict(benchmark::State& state) {
+  static const ml::RandomForest forest = [] {
+    Matrix x;
+    std::vector<int> y;
+    blob_data(800, 28, 26, x, y);
+    ml::RandomForestConfig config;
+    config.n_estimators = 100;
+    ml::RandomForest out(config);
+    out.fit(x, y);
+    return out;
+  }();
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const Matrix batch = random_matrix(rows, 28, 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest.predict_proba(batch));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_RandomForestPredict)->Arg(1)->Arg(64)->UseRealTime();
 
 void BM_SvmFit(benchmark::State& state) {
   Matrix x;

@@ -30,24 +30,37 @@ ThreadPool::ThreadPool(std::size_t threads)
   }
 }
 
-ThreadPool::~ThreadPool() { stop(); }
+ThreadPool::~ThreadPool() {
+  stop();
+  // Another thread's stop() may still be between its join phase and its
+  // return; freeing the pool under it would hand it a dead join_mutex_.
+  const LockGuard lock(mutex_);
+  while (stops_in_flight_ != 0) cv_.wait(mutex_);
+}
 
 void ThreadPool::stop() {
   {
     const LockGuard lock(mutex_);
     stop_ = true;
+    ++stops_in_flight_;
   }
   cv_.notify_all();
   // No early-out on a repeated stop(): every caller must pass through the
   // join phase so it cannot return while another thread is still joining
-  // workers (the destructor relies on this — returning early would let it
-  // destroy the pool under live workers). join_mutex_ serialises the
-  // std::thread::join calls themselves, which are not concurrency-safe on
-  // the same thread object; joinable() makes the second pass a no-op.
-  const LockGuard join_lock(join_mutex_);
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
+  // workers. join_mutex_ serialises the std::thread::join calls themselves,
+  // which are not concurrency-safe on the same thread object; joinable()
+  // makes the second pass a no-op.
+  {
+    const LockGuard join_lock(join_mutex_);
+    for (auto& w : workers_) {
+      if (w.joinable()) w.join();
+    }
   }
+  // Notify under the lock: once the destructor sees zero it frees cv_, and
+  // it cannot see zero before this thread lets go of mutex_.
+  const LockGuard lock(mutex_);
+  --stops_in_flight_;
+  cv_.notify_all();
 }
 
 bool ThreadPool::stopped() const {

@@ -76,10 +76,9 @@ class ThreadPool {
 
   /// Drains queued tasks, then joins all workers. Idempotent and safe to
   /// call from several threads at once: EVERY call — including a second,
-  /// concurrent one — returns only after all workers have exited. (An
-  /// earlier version let a second caller return while the first was still
-  /// joining, so a destructor racing another thread's stop() could free the
-  /// pool under live workers.) Called by the destructor. After stop() the
+  /// concurrent one — returns only after all workers have exited. Called by
+  /// the destructor, which also waits for every stop() already underway on
+  /// another thread to return before it frees the pool. After stop() the
   /// pool permanently rejects submissions.
   void stop();
 
@@ -100,6 +99,9 @@ class ThreadPool {
   std::deque<std::packaged_task<void()>> queue_ SCWC_GUARDED_BY(mutex_);
   CondVar cv_;
   bool stop_ SCWC_GUARDED_BY(mutex_) = false;
+  // stop() calls that have set stop_ and not yet returned; the destructor
+  // waits on cv_ for zero.
+  std::size_t stops_in_flight_ SCWC_GUARDED_BY(mutex_) = 0;
 
   // Observability (scwc_common_pool_*). Handles are acquired per pool at
   // construction so a pool created after obs::set_enabled(true) reports;

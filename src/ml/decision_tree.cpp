@@ -275,7 +275,11 @@ void DecisionTree::load(std::istream& is) {
   const std::uint64_t count = detail::read_u64_le(is);
   SCWC_REQUIRE(count < (1ULL << 20), "model: unreasonable node count");
   nodes_.assign(count, Node{});
-  for (Node& node : nodes_) {
+  // Every node but the root has exactly one parent, placed before it, so
+  // descend() terminates and the forest compiler sees a tree, not a DAG.
+  std::vector<bool> has_parent(count, false);
+  for (std::size_t i = 0; i < count; ++i) {
+    Node& node = nodes_[i];
     node.feature = static_cast<std::int32_t>(
         static_cast<std::int64_t>(detail::read_u64_le(is)));
     node.threshold = detail::read_f64_le(is);
@@ -285,17 +289,19 @@ void DecisionTree::load(std::istream& is) {
         static_cast<std::int64_t>(detail::read_u64_le(is)));
     node.majority = static_cast<std::int32_t>(detail::read_u64_le(is));
     const std::uint64_t fractions = detail::read_u64_le(is);
-    SCWC_REQUIRE(fractions <= num_classes_ + 1,
+    SCWC_REQUIRE(fractions == (node.feature < 0 ? num_classes_ : 0),
                  "model: malformed leaf distribution");
     node.class_fraction.resize(fractions);
     for (double& f : node.class_fraction) f = detail::read_f64_le(is);
-    // Structural sanity: child indices stay inside the node array.
-    if (node.feature >= 0) {
-      SCWC_REQUIRE(node.left >= 0 &&
-                       static_cast<std::uint64_t>(node.left) < count &&
-                       node.right >= 0 &&
-                       static_cast<std::uint64_t>(node.right) < count,
+    if (node.feature < 0) continue;
+    for (const std::int32_t child : {node.left, node.right}) {
+      SCWC_REQUIRE(child >= 0 && static_cast<std::uint64_t>(child) < count,
                    "model: child index out of range");
+      SCWC_REQUIRE(static_cast<std::size_t>(child) > i,
+                   "model: child index not after its parent");
+      SCWC_REQUIRE(!has_parent[static_cast<std::size_t>(child)],
+                   "model: node has two parents");
+      has_parent[static_cast<std::size_t>(child)] = true;
     }
   }
   SCWC_REQUIRE(!nodes_.empty(), "model: empty tree");

@@ -60,12 +60,15 @@ class DecisionTree final : public Classifier {
 
   /// Serialises the fitted tree (little-endian binary).
   void save(std::ostream& os) const;
-  /// Restores a tree saved with save(). Throws on malformed input.
+  /// Restores a tree saved with save(). Throws on malformed input: a leaf
+  /// distribution that is not exactly num_classes() wide, a child index
+  /// out of range or not after its parent, or a node with two parents.
   void load(std::istream& is);
 
- private:
+  /// One node in build order (pre-order: parent, left subtree, right
+  /// subtree). Internal nodes have feature ≥ 0 and no distribution; leaves
+  /// have feature < 0 and num_classes() fractions.
   struct Node {
-    // Internal node: feature/threshold and children; leaf: distribution.
     std::int32_t feature = -1;
     double threshold = 0.0;
     std::int32_t left = -1;
@@ -73,7 +76,12 @@ class DecisionTree final : public Classifier {
     std::vector<double> class_fraction;  // populated for leaves
     std::int32_t majority = 0;
   };
+  /// The fitted nodes, root first — what RandomForest compiles.
+  [[nodiscard]] std::span<const Node> nodes() const noexcept {
+    return nodes_;
+  }
 
+ private:
   std::int32_t build(const linalg::Matrix& x, std::span<const int> y,
                      std::vector<std::size_t>& rows, std::size_t lo,
                      std::size_t hi, std::size_t depth, Rng& rng);

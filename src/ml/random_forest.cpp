@@ -1,15 +1,73 @@
 #include "ml/random_forest.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <fstream>
+#include <limits>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace scwc::ml {
+
+// Defined in decision_tree.cpp.
+namespace detail {
+void write_u64_le(std::ostream& os, std::uint64_t v);
+std::uint64_t read_u64_le(std::istream& is);
+void write_f64_le(std::ostream& os, double v);
+}  // namespace detail
+
+namespace {
+constexpr std::uint64_t kForestMagic = 0x534357435F524631ULL;  // "SCWC_RF1"
+// Rows one predict_proba task owns; smaller calls (every serve batch) run
+// inline with no task machinery at all.
+constexpr std::size_t kRowBlock = 64;
+}  // namespace
+
+void RandomForest::Table::append(const DecisionTree& tree) {
+  SCWC_REQUIRE(tree.num_classes() == num_classes,
+               "model: tree class count differs from the forest header");
+  const std::span<const DecisionTree::Node> src = tree.nodes();
+  SCWC_REQUIRE(nodes.size() + src.size() <
+                   std::numeric_limits<std::uint32_t>::max(),
+               "model: forest too large to compile");
+  const auto root = static_cast<std::uint32_t>(nodes.size());
+  roots.push_back(root);
+  depths.push_back(tree.depth());
+  // Breadth-first relayout: compiled node root + k is source node order[k],
+  // and an internal node's two children are appended to `order` together.
+  std::vector<std::size_t> order{0};
+  order.reserve(src.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const DecisionTree::Node& s = src[order[k]];
+    const auto self = static_cast<std::uint32_t>(root + k);
+    Node n;
+    if (s.feature < 0) {
+      n.threshold = std::numeric_limits<double>::quiet_NaN();
+      n.feature = 0;
+      n.child = self - 1U;
+      for (std::size_t c = 0; c < s.class_fraction.size(); ++c) {
+        if (s.class_fraction[c] == 0.0) continue;
+        leaf_class.push_back(static_cast<std::uint32_t>(c));
+        leaf_fraction.push_back(s.class_fraction[c]);
+      }
+    } else {
+      n.threshold = s.threshold;
+      n.feature = s.feature;
+      n.child = static_cast<std::uint32_t>(root + order.size());
+      order.push_back(static_cast<std::size_t>(s.left));
+      order.push_back(static_cast<std::size_t>(s.right));
+      input_width =
+          std::max(input_width, static_cast<std::size_t>(s.feature) + 1);
+    }
+    nodes.push_back(n);
+    majority.push_back(s.majority);
+    leaf_begin.push_back(static_cast<std::uint32_t>(leaf_class.size()));
+  }
+}
 
 void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
   SCWC_REQUIRE(x.rows() == y.size(), "RandomForest: X/y length mismatch");
@@ -18,10 +76,10 @@ void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
 
   int max_label = 0;
   for (const int label : y) max_label = std::max(max_label, label);
-  num_classes_ = static_cast<std::size_t>(max_label) + 1;
+  const std::size_t num_classes = static_cast<std::size_t>(max_label) + 1;
 
   DecisionTreeConfig tree_config = config_.tree;
-  tree_config.num_classes = num_classes_;
+  tree_config.num_classes = num_classes;
   if (tree_config.max_features == 0) {
     tree_config.max_features = static_cast<std::size_t>(
         std::ceil(std::sqrt(static_cast<double>(x.cols()))));
@@ -36,7 +94,8 @@ void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
     bootstrap_seeds[t] = root.next_u64();
   }
 
-  trees_.assign(config_.n_estimators, DecisionTree(tree_config));
+  std::vector<DecisionTree> trees(config_.n_estimators,
+                                  DecisionTree(tree_config));
   const std::size_t n = x.rows();
   const obs::TraceSpan fit_span("rf.fit");
   const obs::CounterHandle trees_total =
@@ -44,39 +103,106 @@ void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
   parallel_for(
       0, config_.n_estimators,
       [&](std::size_t t) {
-        trees_[t] = DecisionTree(tree_config, tree_seeds[t]);
+        trees[t] = DecisionTree(tree_config, tree_seeds[t]);
         if (config_.bootstrap) {
           Rng boot(bootstrap_seeds[t]);
           std::vector<std::size_t> rows(n);
           for (std::size_t i = 0; i < n; ++i) {
             rows[i] = static_cast<std::size_t>(boot.uniform_index(n));
           }
-          trees_[t].fit_on_rows(x, y, rows);
+          trees[t].fit_on_rows(x, y, rows);
         } else {
-          trees_[t].fit(x, y);
+          trees[t].fit(x, y);
         }
         trees_total.inc();
       },
       1);
+
+  Table table;
+  table.num_classes = num_classes;
+  for (const DecisionTree& tree : trees) table.append(tree);
+  table_ = std::move(table);
+}
+
+template <std::size_t G>
+void RandomForest::accumulate_group(const linalg::Matrix& x, std::size_t lo,
+                                    std::size_t hi, Lane& lane,
+                                    linalg::Matrix& proba) const {
+  const Node* nodes = table_.nodes.data();
+  std::array<const double*, G> values;
+  std::array<double*, G> sums;
+  std::array<std::uint32_t, G> at;
+  for (std::size_t g = 0; g < G; ++g) {
+    values[g] = x.row(lane.row).data();
+    sums[g] = proba.row(lane.row).data();
+    at[g] = table_.roots[lane.tree];
+    if (++lane.row == hi) {
+      lane.row = lo;
+      ++lane.tree;
+    }
+  }
+  // One branch-free step per lane per level; a lane already on a leaf
+  // steps onto itself, so the walk is over when a step moves no lane.
+  for (;;) {
+    std::uint32_t moved = 0;
+    for (std::size_t g = 0; g < G; ++g) {
+      const Node& node = nodes[at[g]];
+      const bool right = !(values[g][node.feature] <= node.threshold);
+      const std::uint32_t next = node.child + static_cast<std::uint32_t>(right);
+      moved |= next ^ at[g];
+      at[g] = next;
+    }
+    if (moved == 0) break;
+  }
+  // Lanes are tree-major, so each row still receives its trees in order.
+  for (std::size_t g = 0; g < G; ++g) {
+    for (std::uint32_t e = table_.leaf_begin[at[g]];
+         e < table_.leaf_begin[at[g] + 1]; ++e) {
+      sums[g][table_.leaf_class[e]] += table_.leaf_fraction[e];
+    }
+  }
+}
+
+void RandomForest::accumulate_rows(const linalg::Matrix& x, std::size_t lo,
+                                   std::size_t hi,
+                                   linalg::Matrix& proba) const {
+  // The (tree, row) lanes in tree-major order — trees outer, rows inner —
+  // walked in lockstep groups of 8: a block of 64 rows descends 8 rows of
+  // one tree together, a single row descends 8 trees together. The short
+  // tail runs in narrower groups rather than padding with repeated lanes.
+  std::size_t left = table_.roots.size() * (hi - lo);
+  Lane lane{0, lo};
+  for (; left >= 8; left -= 8) accumulate_group<8>(x, lo, hi, lane, proba);
+  if (left >= 4) {
+    accumulate_group<4>(x, lo, hi, lane, proba);
+    left -= 4;
+  }
+  if (left >= 2) {
+    accumulate_group<2>(x, lo, hi, lane, proba);
+    left -= 2;
+  }
+  if (left == 1) accumulate_group<1>(x, lo, hi, lane, proba);
+  const double scale = 1.0 / static_cast<double>(table_.roots.size());
+  for (std::size_t r = lo; r < hi; ++r) {
+    for (double& p : proba.row(r)) p *= scale;
+  }
 }
 
 linalg::Matrix RandomForest::predict_proba(const linalg::Matrix& x) const {
-  SCWC_REQUIRE(!trees_.empty(), "RandomForest::predict before fit");
-  linalg::Matrix proba(x.rows(), num_classes_);
-  // Soft voting: average leaf class distributions across trees.
-  Mutex merge_mutex{"rf.merge"};
-  parallel_for_blocked(
-      0, trees_.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        linalg::Matrix local(x.rows(), num_classes_);
-        for (std::size_t t = lo; t < hi; ++t) {
-          local += trees_[t].predict_proba(x);
-        }
-        const LockGuard lock(merge_mutex);
-        proba += local;
-      },
-      1);
-  proba *= 1.0 / static_cast<double>(trees_.size());
+  SCWC_REQUIRE(!table_.roots.empty(), "RandomForest::predict before fit");
+  SCWC_REQUIRE(x.cols() >= table_.input_width,
+               "RandomForest::predict: " + std::to_string(x.cols()) +
+                   " feature columns, the forest splits on " +
+                   std::to_string(table_.input_width));
+  linalg::Matrix proba(x.rows(), table_.num_classes);
+  const auto body = [&](std::size_t lo, std::size_t hi) {
+    accumulate_rows(x, lo, hi, proba);
+  };
+  if (x.rows() <= kRowBlock) {
+    body(0, x.rows());
+  } else {
+    parallel_for_blocked(0, x.rows(), body, kRowBlock);
+  }
   return proba;
 }
 
@@ -86,7 +212,7 @@ std::vector<int> RandomForest::predict(const linalg::Matrix& x) const {
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto row = proba.row(r);
     std::size_t best = 0;
-    for (std::size_t c = 1; c < num_classes_; ++c) {
+    for (std::size_t c = 1; c < table_.num_classes; ++c) {
       if (row[c] > row[best]) best = c;
     }
     out[r] = static_cast<int>(best);
@@ -94,39 +220,63 @@ std::vector<int> RandomForest::predict(const linalg::Matrix& x) const {
   return out;
 }
 
-}  // namespace scwc::ml
-
-#include <fstream>
-
-namespace scwc::ml {
-
-// Defined in decision_tree.cpp.
-namespace detail {
-void write_u64_le(std::ostream& os, std::uint64_t v);
-std::uint64_t read_u64_le(std::istream& is);
-}  // namespace detail
-
-namespace {
-constexpr std::uint64_t kForestMagic = 0x534357435F524631ULL;  // "SCWC_RF1"
-}
-
 void RandomForest::save(std::ostream& os) const {
-  SCWC_REQUIRE(!trees_.empty(), "RandomForest::save before fit");
+  SCWC_REQUIRE(!table_.roots.empty(), "RandomForest::save before fit");
+  const auto write_i64 = [&os](std::int64_t v) {
+    detail::write_u64_le(os, static_cast<std::uint64_t>(v));
+  };
+  const std::size_t trees = table_.roots.size();
   detail::write_u64_le(os, kForestMagic);
-  detail::write_u64_le(os, num_classes_);
-  detail::write_u64_le(os, trees_.size());
-  for (const DecisionTree& tree : trees_) tree.save(os);
+  detail::write_u64_le(os, table_.num_classes);
+  detail::write_u64_le(os, trees);
+  // Each tree in DecisionTree::save's layout, nodes in compiled order with
+  // tree-local indices; leaves are written canonically (feature, left and
+  // right −1, threshold 0) with their zero fractions restored.
+  for (std::size_t t = 0; t < trees; ++t) {
+    const std::uint32_t root = table_.roots[t];
+    const std::size_t end =
+        t + 1 < trees ? table_.roots[t + 1] : table_.nodes.size();
+    detail::write_u64_le(os, table_.num_classes);
+    detail::write_u64_le(os, table_.depths[t]);
+    detail::write_u64_le(os, end - root);
+    for (auto i = static_cast<std::uint32_t>(root); i < end; ++i) {
+      const Node& node = table_.nodes[i];
+      const bool leaf = table_.is_leaf(i);
+      write_i64(leaf ? -1 : node.feature);
+      detail::write_f64_le(os, leaf ? 0.0 : node.threshold);
+      write_i64(leaf ? -1 : static_cast<std::int64_t>(node.child - root));
+      write_i64(leaf ? -1 : static_cast<std::int64_t>(node.child + 1 - root));
+      write_i64(table_.majority[i]);
+      if (!leaf) {
+        detail::write_u64_le(os, 0);
+        continue;
+      }
+      detail::write_u64_le(os, table_.num_classes);
+      std::uint32_t e = table_.leaf_begin[i];
+      for (std::size_t c = 0; c < table_.num_classes; ++c) {
+        const bool stored =
+            e < table_.leaf_begin[i + 1] && table_.leaf_class[e] == c;
+        detail::write_f64_le(os, stored ? table_.leaf_fraction[e++] : 0.0);
+      }
+    }
+  }
+  SCWC_REQUIRE(os.good(), "model: forest write failed");
 }
 
 void RandomForest::load(std::istream& is) {
   SCWC_REQUIRE(detail::read_u64_le(is) == kForestMagic,
                "RandomForest::load: bad magic");
-  num_classes_ = detail::read_u64_le(is);
+  Table table;
+  table.num_classes = detail::read_u64_le(is);
   const std::uint64_t count = detail::read_u64_le(is);
   SCWC_REQUIRE(count >= 1 && count < (1ULL << 20),
                "RandomForest::load: unreasonable tree count");
-  trees_.assign(count, DecisionTree());
-  for (DecisionTree& tree : trees_) tree.load(is);
+  for (std::uint64_t t = 0; t < count; ++t) {
+    DecisionTree tree;
+    tree.load(is);
+    table.append(tree);
+  }
+  table_ = std::move(table);
 }
 
 void RandomForest::save_file(const std::string& path) const {

@@ -5,6 +5,12 @@
 // set, sqrt(d) features per split, soft (probability-averaged) voting.
 // Trees are grown in parallel, each from a forked RNG stream, so results
 // are independent of the thread count.
+//
+// fit() and load() compile the trees into one flat table (DESIGN.md §5) and
+// keep only that: paired-sibling 16-byte nodes, sparse (class, fraction)
+// leaves, and a batch-major predict_proba whose sums are bit-identical to
+// adding each DecisionTree's distribution in tree order. Up to one 64-row
+// block (every serve batch) it runs inline and allocates only its output.
 #pragma once
 
 #include <cstdint>
@@ -30,26 +36,89 @@ class RandomForest final : public Classifier {
 
   void fit(const linalg::Matrix& x, std::span<const int> y) override;
   [[nodiscard]] std::vector<int> predict(const linalg::Matrix& x) const override;
+  /// Mean leaf distribution over the trees, rows×classes. Each row sums its
+  /// trees in order 0..T−1 and is then scaled by 1/T, so the result does not
+  /// depend on the thread count or on which rows share the call.
   [[nodiscard]] linalg::Matrix predict_proba(const linalg::Matrix& x) const;
   [[nodiscard]] std::string name() const override { return "RandomForest"; }
 
-  [[nodiscard]] std::size_t tree_count() const noexcept { return trees_.size(); }
+  [[nodiscard]] std::size_t tree_count() const noexcept {
+    return table_.roots.size();
+  }
+  /// Columns predict reads: one past the largest split feature (at least
+  /// 1). predict_proba requires x.cols() ≥ input_width().
+  [[nodiscard]] std::size_t input_width() const noexcept {
+    return table_.input_width;
+  }
   [[nodiscard]] const RandomForestConfig& config() const noexcept {
     return config_;
   }
 
-  /// Serialises the fitted forest so a deployed monitor (see
-  /// examples/live_monitor.cpp) can load it without retraining.
+  /// Serialises the fitted forest (format SCWC_RF1) so a deployed monitor
+  /// (see examples/live_monitor.cpp) can load it without retraining.
   void save(std::ostream& os) const;
+  /// Restores a forest saved with save(); throws scwc::Error on a malformed
+  /// stream and leaves the forest unchanged.
   void load(std::istream& is);
   /// File-path convenience wrappers.
   void save_file(const std::string& path) const;
   void load_file(const std::string& path);
 
  private:
+  /// One compiled node. An internal node sends row value v to `child` when
+  /// v <= threshold (NaN fails, so it goes right) and to `child` + 1
+  /// otherwise. A leaf is a fixed point of the same step: threshold NaN,
+  /// feature 0 and child = its own index − 1 (mod 2³²).
+  struct Node {
+    double threshold = 0.0;
+    std::int32_t feature = 0;
+    std::uint32_t child = 0;
+  };
+
+  /// Every tree's nodes in one table: tree t occupies [roots[t],
+  /// roots[t+1]) in breadth-first order, so siblings are adjacent.
+  struct Table {
+    std::size_t num_classes = 0;
+    std::size_t input_width = 1;
+    std::vector<Node> nodes;
+    std::vector<std::uint32_t> roots;
+    /// Leaf distributions in CSR form over node index: node i owns entries
+    /// [leaf_begin[i], leaf_begin[i+1]) (empty for internal nodes). Zero
+    /// fractions are dropped — adding +0.0 changes no sum.
+    std::vector<std::uint32_t> leaf_begin{0};
+    std::vector<std::uint32_t> leaf_class;
+    std::vector<double> leaf_fraction;
+    /// Carried only so save() can write SCWC_RF1 back out.
+    std::vector<std::uint64_t> depths;
+    std::vector<std::int32_t> majority;
+
+    /// Appends one tree; throws if its class count differs from
+    /// num_classes.
+    void append(const DecisionTree& tree);
+    [[nodiscard]] bool is_leaf(std::uint32_t i) const noexcept {
+      return nodes[i].child + 1 == i;
+    }
+  };
+
+  /// Next (tree, row) pair a lockstep group takes.
+  struct Lane {
+    std::size_t tree;
+    std::size_t row;
+  };
+
+  /// Sums every tree's leaf distribution into proba rows [lo, hi), then
+  /// scales them by 1/T.
+  void accumulate_rows(const linalg::Matrix& x, std::size_t lo,
+                       std::size_t hi, linalg::Matrix& proba) const;
+  /// Descends the next G lanes of rows [lo, hi) in lockstep and adds the
+  /// reached leaves into proba.
+  template <std::size_t G>
+  void accumulate_group(const linalg::Matrix& x, std::size_t lo,
+                        std::size_t hi, Lane& lane,
+                        linalg::Matrix& proba) const;
+
   RandomForestConfig config_;
-  std::vector<DecisionTree> trees_;
-  std::size_t num_classes_ = 0;
+  Table table_;
 };
 
 }  // namespace scwc::ml

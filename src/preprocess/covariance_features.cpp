@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -82,6 +83,26 @@ linalg::Matrix covariance_features_flat(const linalg::Matrix& flat,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           reduce_block(flat.row(i), steps, sensors, out.row(i));
+          require_finite_features(out.row(i), i);
+        }
+      },
+      32);
+  return out;
+}
+
+linalg::Matrix standardized_covariance_features(const data::Tensor3& x,
+                                                const StandardScaler& scaler) {
+  const std::size_t width = x.steps() * x.sensors();
+  SCWC_REQUIRE(scaler.fitted() && scaler.means().size() == width,
+               "scaler width must be steps*sensors");
+  linalg::Matrix out(x.trials(), covariance_feature_count(x.sensors()));
+  parallel_for_blocked(
+      0, x.trials(),
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<double> scaled(width);
+        for (std::size_t i = lo; i < hi; ++i) {
+          scaler.transform_row(x.trial(i), scaled);
+          reduce_block(scaled, x.steps(), x.sensors(), out.row(i));
           require_finite_features(out.row(i), i);
         }
       },

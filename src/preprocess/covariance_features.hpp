@@ -15,6 +15,7 @@
 
 #include "data/tensor3.hpp"
 #include "linalg/matrix.hpp"
+#include "preprocess/scaler.hpp"
 
 namespace scwc::preprocess {
 
@@ -37,6 +38,14 @@ linalg::Matrix covariance_features(const data::Tensor3& x);
 linalg::Matrix covariance_features_flat(const linalg::Matrix& flat,
                                         std::size_t steps,
                                         std::size_t sensors);
+
+/// The pipeline's standardise → covariance step fused per trial: each
+/// trial is scaled by `scaler` into a per-block scratch buffer and reduced
+/// from there, so no flattened or scaled copy of the batch is made. Same
+/// formula and summation order as covariance_features_flat(
+/// scaler.transform(x.flatten()), …), hence bit-identical features.
+linalg::Matrix standardized_covariance_features(const data::Tensor3& x,
+                                                const StandardScaler& scaler);
 
 /// Human-readable name of covariance feature i for s sensors, e.g.
 /// "var(utilization_gpu_pct)" or "cov(utilization_gpu_pct, power_draw_W)".

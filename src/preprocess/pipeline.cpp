@@ -46,23 +46,20 @@ linalg::Matrix FeaturePipeline::transform(const data::Tensor3& x) const {
   obs::MetricsRegistry::global()
       .counter("scwc_preprocess_transforms_total")
       .inc();
+  if (config_.reduction == Reduction::kCovariance) {
+    // Scale and reduce per trial: no flattened or scaled batch copy.
+    const obs::TraceSpan reduce_span("pipeline.covariance");
+    return standardized_covariance_features(x, scaler_);
+  }
   const linalg::Matrix scaled = [&] {
     const obs::TraceSpan scale_span("pipeline.scale");
     return scaler_.transform(x.flatten());
   }();
-  switch (config_.reduction) {
-    case Reduction::kPca: {
-      const obs::TraceSpan reduce_span("pipeline.pca_project");
-      return pca_->transform(scaled);
-    }
-    case Reduction::kCovariance: {
-      const obs::TraceSpan reduce_span("pipeline.covariance");
-      return covariance_features_flat(scaled, steps_, sensors_);
-    }
-    case Reduction::kNone:
-      return scaled;
+  if (config_.reduction == Reduction::kPca) {
+    const obs::TraceSpan reduce_span("pipeline.pca_project");
+    return pca_->transform(scaled);
   }
-  SCWC_FAIL("unhandled reduction");
+  return scaled;
 }
 
 FeaturePipeline FeaturePipeline::restore(FeaturePipelineConfig config,

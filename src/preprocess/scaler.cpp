@@ -54,15 +54,18 @@ linalg::Matrix StandardScaler::transform(const linalg::Matrix& x) const {
       0, x.rows(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t r = lo; r < hi; ++r) {
-          const auto src = x.row(r);
-          auto dst = out.row(r);
-          for (std::size_t c = 0; c < x.cols(); ++c) {
-            dst[c] = (src[c] - means_[c]) / scales_[c];
-          }
+          transform_row(x.row(r), out.row(r));
         }
       },
       256);
   return out;
+}
+
+void StandardScaler::transform_row(std::span<const double> src,
+                                   std::span<double> dst) const {
+  for (std::size_t c = 0; c < means_.size(); ++c) {
+    dst[c] = (src[c] - means_[c]) / scales_[c];
+  }
 }
 
 linalg::Matrix StandardScaler::fit_transform(const linalg::Matrix& x) {

@@ -21,6 +21,10 @@ class StandardScaler {
   /// (x - mean) / std, column-wise. Requires fit() and matching width.
   [[nodiscard]] linalg::Matrix transform(const linalg::Matrix& x) const;
 
+  /// (x - mean) / std for one row of width means().size() into `dst` — the
+  /// formula transform() applies, shared with the fused covariance path.
+  void transform_row(std::span<const double> src, std::span<double> dst) const;
+
   /// fit() then transform() on the same matrix.
   [[nodiscard]] linalg::Matrix fit_transform(const linalg::Matrix& x);
 

@@ -219,14 +219,14 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
   try {
     // 3. One featurise + one predict for every survivor. Each window's
     // features depend only on its own values, so row r of the batch equals
-    // the features a batch-of-one would produce for that window.
-    data::Tensor3 packed(survivors.size(), steps, sensors);
-    for (std::size_t j = 0; j < survivors.size(); ++j) {
-      const std::span<const double> src = repaired.trial(survivors[j]);
-      std::copy(src.begin(), src.end(), packed.trial(j).begin());
-    }
+    // the features a batch-of-one would produce for that window. When every
+    // window survived, `repaired` already is the packed batch.
+    const bool all_survived = survivors.size() == count;
+    const data::Tensor3 packed =
+        all_survived ? data::Tensor3() : repaired.gather(survivors);
     const auto t0 = std::chrono::steady_clock::now();
-    const linalg::Matrix features = pipeline_.transform(packed);
+    const linalg::Matrix features =
+        pipeline_.transform(all_survived ? repaired : packed);
     const auto t1 = std::chrono::steady_clock::now();
     const std::vector<int> predicted = model_.predict(features);
     if (timings != nullptr) {

@@ -192,6 +192,9 @@ std::shared_ptr<const ModelBundle> load_bundle(std::istream& is) {
                "load_bundle: unsupported model tag: " + tag);
   auto forest = std::make_unique<ml::RandomForest>();
   forest->load(is);
+  SCWC_REQUIRE(forest->input_width() <= pipeline.output_dim(),
+               "load_bundle: forest splits on a feature the pipeline does "
+               "not produce");
 
   SCWC_REQUIRE(guard.window_steps == steps && guard.sensors == sensors,
                "load_bundle: guard/pipeline geometry mismatch");

@@ -1,7 +1,9 @@
 // Tests for trained-model persistence (tree + forest save/load).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -118,6 +120,129 @@ TEST(Persistence, RejectsTruncatedStream) {
   std::stringstream cut(full.substr(0, full.size() / 2));
   RandomForest restored;
   EXPECT_THROW(restored.load(cut), Error);
+}
+
+// ---------------------------------------------- crafted SCWC_RF1 streams
+
+/// One node as DecisionTree::save writes it.
+struct RawNode {
+  std::int64_t feature = -1;
+  double threshold = 0.0;
+  std::int64_t left = -1;
+  std::int64_t right = -1;
+  std::vector<double> fractions;
+};
+
+struct RawTree {
+  std::uint64_t classes = 2;
+  std::vector<RawNode> nodes;
+};
+
+void put_u64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+void put_f64(std::string& out, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  put_u64(out, bits);
+}
+
+std::string forest_stream(std::uint64_t classes,
+                          const std::vector<RawTree>& trees) {
+  std::string out;
+  put_u64(out, 0x534357435F524631ULL);  // "SCWC_RF1"
+  put_u64(out, classes);
+  put_u64(out, trees.size());
+  for (const RawTree& tree : trees) {
+    put_u64(out, tree.classes);
+    put_u64(out, 1);  // depth
+    put_u64(out, tree.nodes.size());
+    for (const RawNode& node : tree.nodes) {
+      put_u64(out, static_cast<std::uint64_t>(node.feature));
+      put_f64(out, node.threshold);
+      put_u64(out, static_cast<std::uint64_t>(node.left));
+      put_u64(out, static_cast<std::uint64_t>(node.right));
+      put_u64(out, 0);  // majority
+      put_u64(out, node.fractions.size());
+      for (const double f : node.fractions) put_f64(out, f);
+    }
+  }
+  return out;
+}
+
+/// A two-class stump splitting feature `feature` at 0.5.
+RawTree stump(std::int64_t feature = 0) {
+  RawTree tree;
+  tree.nodes = {{feature, 0.5, 1, 2, {}},
+                {-1, 0.0, -1, -1, {1.0, 0.0}},
+                {-1, 0.0, -1, -1, {0.0, 1.0}}};
+  return tree;
+}
+
+TEST(Persistence, CraftedStumpLoadsAndPredicts) {
+  RandomForest forest;
+  std::stringstream in(forest_stream(2, {stump()}));
+  forest.load(in);
+  Matrix x(3, 1);
+  x(0, 0) = 0.0;
+  x(1, 0) = 1.0;
+  x(2, 0) = std::numeric_limits<double>::quiet_NaN();  // NaN goes right
+  EXPECT_EQ(forest.predict(x), (std::vector<int>{0, 1, 1}));
+}
+
+TEST(Persistence, RejectsLeafNarrowerThanTheClassCount) {
+  RawTree tree = stump();
+  tree.nodes[2].fractions = {1.0};  // predict would read class 1 past it
+  RandomForest forest;
+  std::stringstream in(forest_stream(2, {tree}));
+  EXPECT_THROW(forest.load(in), Error);
+}
+
+TEST(Persistence, RejectsChildIndexNotAfterItsParent) {
+  // Node 2 lists itself as its left child: a row reaching it with a value
+  // <= 0.5 would descend forever.
+  RawTree tree;
+  tree.nodes = {{0, 0.5, 1, 2, {}},
+                {-1, 0.0, -1, -1, {1.0, 0.0}},
+                {0, 0.5, 2, 3, {}},
+                {-1, 0.0, -1, -1, {0.0, 1.0}}};
+  RandomForest forest;
+  std::stringstream in(forest_stream(2, {tree}));
+  EXPECT_THROW(forest.load(in), Error);
+}
+
+TEST(Persistence, RejectsNodeWithTwoParents) {
+  RawTree tree;
+  tree.nodes = {{0, 0.5, 1, 2, {}},
+                {0, 0.2, 3, 4, {}},
+                {0, 0.8, 3, 4, {}},
+                {-1, 0.0, -1, -1, {1.0, 0.0}},
+                {-1, 0.0, -1, -1, {0.0, 1.0}}};
+  RandomForest forest;
+  std::stringstream in(forest_stream(2, {tree}));
+  EXPECT_THROW(forest.load(in), Error);
+}
+
+TEST(Persistence, RejectsTreeClassCountDifferentFromTheHeader) {
+  RawTree wide = stump();
+  wide.classes = 3;
+  for (RawNode& node : wide.nodes) {
+    if (node.feature < 0) node.fractions.push_back(0.0);
+  }
+  RandomForest forest;
+  std::stringstream in(forest_stream(2, {stump(), wide}));
+  EXPECT_THROW(forest.load(in), Error);
+}
+
+TEST(Persistence, PredictRejectsRowsNarrowerThanTheSplitFeatures) {
+  RandomForest forest;
+  std::stringstream in(forest_stream(2, {stump(), stump(5)}));
+  forest.load(in);
+  EXPECT_THROW((void)forest.predict_proba(Matrix(2, 5)), Error);
+  EXPECT_EQ(forest.predict_proba(Matrix(2, 6)).rows(), 2u);
 }
 
 TEST(Persistence, SaveBeforeFitThrows) {

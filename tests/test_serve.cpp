@@ -364,6 +364,9 @@ std::string tiny_serialized_bundle() {
 TEST(BundleIo, FuzzByteFlipAtEveryOffsetFailsTypedOrLoadsClean) {
   const std::string full = tiny_serialized_bundle();
   ASSERT_FALSE(full.empty());
+  data::Tensor3 window(1, kSteps, kSensors);
+  const auto first = tiny_world().x.trial(0);
+  std::copy(first.begin(), first.end(), window.trial(0).begin());
   std::size_t rejected = 0;
   for (std::size_t offset = 0; offset < full.size(); ++offset) {
     std::string corrupted = full;
@@ -377,6 +380,10 @@ TEST(BundleIo, FuzzByteFlipAtEveryOffsetFailsTypedOrLoadsClean) {
     try {
       const auto bundle = serve::load_bundle(in);
       ASSERT_NE(bundle, nullptr) << "offset " << offset;
+      // A bundle that loads must also serve a window: any out-of-bounds
+      // read the load let through shows up here under ASan.
+      EXPECT_EQ(bundle->guard().classify_batch(window).size(), 1u)
+          << "offset " << offset;
     } catch (const Error&) {
       ++rejected;
     }
@@ -384,6 +391,32 @@ TEST(BundleIo, FuzzByteFlipAtEveryOffsetFailsTypedOrLoadsClean) {
   // The structural prefix (magic, lengths, enums, geometry) must actually
   // reject; if nothing ever threw the checks are dead code.
   EXPECT_GT(rejected, 0u);
+}
+
+TEST(BundleIo, RejectsForestWiderThanThePipelineOutput) {
+  // A forest that splits on feature 6+ next to a pipeline producing 6
+  // covariance features would read past every feature row it is given.
+  const auto& base = *tiny_world().bundle;
+  constexpr std::size_t kWide = 10;
+  linalg::Matrix x(60, kWide);  // columns below 6 constant: never split on
+  std::vector<int> y(60);
+  Rng rng(17);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    y[r] = static_cast<int>(r % 3);
+    for (std::size_t c = 6; c < kWide; ++c) {
+      x(r, c) = static_cast<double>(y[r]) + rng.normal(0.0, 0.3);
+    }
+  }
+  ml::RandomForestConfig config;
+  config.n_estimators = 4;
+  auto forest = std::make_unique<ml::RandomForest>(config);
+  forest->fit(x, y);
+  ASSERT_GT(forest->input_width(), base.pipeline().output_dim());
+  const serve::ModelBundle wide("wide-v1", base.pipeline(), std::move(forest),
+                                base.guard_config());
+  std::stringstream stream;
+  serve::save_bundle(wide, stream);
+  EXPECT_THROW((void)serve::load_bundle(stream), Error);
 }
 
 TEST(BundleIo, FuzzTruncationAtEveryOffsetThrowsTyped) {
