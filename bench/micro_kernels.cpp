@@ -1,8 +1,10 @@
 // M1 — google-benchmark micro-benchmarks for the heavy kernels backing the
 // reproduction: GEMM, covariance reduction, PCA fit, forest fit and
-// predict, SMO SVM, boosted trees, LSTM step and telemetry synthesis.
+// predict, SMO SVM, boosted trees, LSTM step, telemetry synthesis and the
+// SCWCWIRE codec of the sharded serving path.
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
@@ -13,6 +15,7 @@
 #include "ml/gbt.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/svm.hpp"
+#include "net/wire.hpp"
 #include "nn/lstm.hpp"
 #include "preprocess/covariance_features.hpp"
 #include "preprocess/pca.hpp"
@@ -365,5 +368,52 @@ void BM_ObsTracerRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsTracerRecord);
+
+// ---------------------------------------------------------- SCWCWIRE codec
+// One served 60×7 window as the router ships it: a 3,405-byte
+// SubmitWindow payload inside a 24-byte frame header.
+
+net::SubmitWindowFrame served_window_frame() {
+  net::SubmitWindowFrame f;
+  f.request_id = 1;
+  f.job_id = 17;
+  f.steps = 60;
+  f.sensors = 7;
+  const Matrix window = random_matrix(60, 7, 5);
+  f.values.assign(window.flat().begin(), window.flat().end());
+  return f;
+}
+
+void BM_WireSubmitWindowEncode(benchmark::State& state) {
+  const net::SubmitWindowFrame f = served_window_frame();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::encode_frame(
+        net::FrameType::kSubmitWindow, net::encode_submit_window(f)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WireSubmitWindowEncode);
+
+void BM_WireSubmitWindowDecode(benchmark::State& state) {
+  const std::string frame =
+      net::encode_frame(net::FrameType::kSubmitWindow,
+                        net::encode_submit_window(served_window_frame()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net::decode_submit_window(net::decode_frame(frame).payload));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WireSubmitWindowDecode);
+
+void BM_WireCrc32(benchmark::State& state) {
+  const std::string payload = net::encode_submit_window(served_window_frame());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_WireCrc32);
 
 }  // namespace

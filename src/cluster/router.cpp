@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "net/wire.hpp"
@@ -68,7 +69,10 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   // Bound the handshake, then hand the reader a fully blocking socket —
   // a reader-side receive timeout would be indistinguishable from EOF.
   sock.set_io_timeout(config_.hello_timeout_s);
-  std::optional<net::Frame> frame = net::read_frame(sock);
+  // The connection's one receive buffer: it serves the handshake, then
+  // moves into the reader thread with whatever it already holds.
+  net::FrameReader frames;
+  std::optional<net::Frame> frame = frames.next(sock);
   SCWC_REQUIRE(frame.has_value() && frame->type == net::FrameType::kHello,
                "router: worker on port " + std::to_string(port) +
                    " did not complete the hello handshake");
@@ -80,7 +84,7 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   if (config_.clock_sync_pings > 0) {
     // Clock handshake while the socket is still exclusively ours and the
     // hello io timeout still bounds each round trip.
-    sync_clock(*conn);
+    sync_clock(*conn, frames);
   }
   conn->sock.set_io_timeout(0);
   conn->rolling_latency = obs::MetricsRegistry::global().rolling_histogram(
@@ -96,7 +100,10 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
     conns_.emplace(hello.shard_id, conn);
     obs_ring_size_.set(static_cast<double>(ring_.shard_count()));
   }
-  conn->reader = std::thread([this, conn] { reader_loop(conn); });
+  conn->reader =
+      std::thread([this, conn, frames = std::move(frames)]() mutable {
+        reader_loop(conn, frames);
+      });
   SCWC_LOG_INFO("cluster router: shard "
                 << hello.shard_id << " joined from port " << port
                 << " (model '" << hello.model_version << "', "
@@ -105,7 +112,7 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   return hello.shard_id;
 }
 
-void ShardRouter::sync_clock(ShardConn& conn) {
+void ShardRouter::sync_clock(ShardConn& conn, net::FrameReader& frames) {
   // NTP-style minimum-RTT filter: of N ping/pong rounds, trust the one
   // with the smallest round trip — queueing delay only ever inflates the
   // estimate. offset = worker_clock − midpoint(send, recv), so adding the
@@ -119,7 +126,7 @@ void ShardRouter::sync_clock(ShardConn& conn) {
                           net::encode_ping(ping))) {
       break;
     }
-    std::optional<net::Frame> reply = net::read_frame(conn.sock);
+    std::optional<net::Frame> reply = frames.next(conn.sock);
     const std::uint64_t t1 = obs::steady_ns();
     if (!reply.has_value() || reply->type != net::FrameType::kPong) break;
     const net::PongFrame pong = net::decode_pong(reply->payload);
@@ -505,9 +512,10 @@ void ShardRouter::stop() {
   }
 }
 
-void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
+void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn,
+                              net::FrameReader& frames) {
   try {
-    while (std::optional<net::Frame> frame = net::read_frame(conn->sock)) {
+    while (std::optional<net::Frame> frame = frames.next(conn->sock)) {
       obs_wire_rx_frames_.inc();
       obs_wire_rx_bytes_.inc(frame->payload.size() + net::kHeaderBytes);
       switch (frame->type) {
@@ -731,7 +739,7 @@ SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
     }
   }
   net::SwapCommitFrame commit;
-  commit.crc32 = net::crc32(bundle_bytes);
+  commit.crc32 = crc32(bundle_bytes);
   if (!send(conn, net::FrameType::kSwapCommit,
             net::encode_swap_commit(commit))) {
     outcome.message = "commit send failed";

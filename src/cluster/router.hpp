@@ -232,7 +232,8 @@ class ShardRouter {
     std::thread reader;  // scwc-lint: allow(guarded-field-coverage)
   };
 
-  void reader_loop(const std::shared_ptr<ShardConn>& conn);
+  void reader_loop(const std::shared_ptr<ShardConn>& conn,
+                   net::FrameReader& frames);
   /// Marks a shard dead: out of the ring, pending requests failed with
   /// `reason`, control waiters woken. Safe to call repeatedly.
   void mark_down(ShardConn& conn, serve::RejectReason reason);
@@ -255,7 +256,7 @@ class ShardRouter {
   bool send(ShardConn& conn, net::FrameType type, std::string_view payload);
   /// Min-RTT ping/pong clock handshake on a not-yet-published connection
   /// (the socket is exclusively owned and its io timeout still active).
-  void sync_clock(ShardConn& conn);
+  void sync_clock(ShardConn& conn, net::FrameReader& frames);
   void metrics_poll_loop(double period_s);
 
   const RouterConfig config_;

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "net/wire.hpp"
@@ -107,8 +108,9 @@ void ClusterWorker::accept_loop() {
 }
 
 void ClusterWorker::reader_loop(Connection& conn) {
+  net::FrameReader frames;
   try {
-    while (std::optional<net::Frame> frame = net::read_frame(conn.sock)) {
+    while (std::optional<net::Frame> frame = frames.next(conn.sock)) {
       switch (frame->type) {
         case net::FrameType::kSubmitWindow:
           handle_submit(conn, frame->payload);
@@ -168,46 +170,81 @@ void ClusterWorker::reader_loop(Connection& conn) {
 }
 
 void ClusterWorker::responder_loop(Connection& conn) {
+  // Byte-stream coalescing: once the head verdict is ready, every queued
+  // verdict that is ready too is framed into the same buffer and leaves in
+  // one write; the router's FrameReader splits it back into frames.
+  std::string out;
+  std::optional<PendingVerdict> carried;  // popped, but was not ready yet
   while (true) {
-    PendingVerdict pending;
-    {
+    PendingVerdict head;
+    if (carried.has_value()) {
+      head = std::move(*carried);
+      carried.reset();
+    } else {
       LockGuard lock(conn.queue_mutex);
       while (conn.queue.empty() && !conn.closing) {
         conn.queue_cv.wait(conn.queue_mutex);
       }
       if (conn.queue.empty()) return;  // closing, fully drained
-      pending = std::move(conn.queue.front());
+      head = std::move(conn.queue.front());
       conn.queue.pop_front();
     }
-    serve::ServeResult result;
-    std::optional<serve::ServeResult> ready =
-        serve::get_within(pending.result, config_.verdict_wait_s);
-    if (ready.has_value()) {
-      result = std::move(*ready);
-    } else {
-      // The promise side is wedged or lost — answer with a typed shed so
-      // the router never waits on a verdict that will not come.
-      result.accepted = false;
-      result.reject_reason = serve::RejectReason::kInternal;
+    out.clear();
+    append_verdict(out, head,
+                   serve::get_within(head.result, config_.verdict_wait_s));
+    while (true) {
+      PendingVerdict next;
+      {
+        LockGuard lock(conn.queue_mutex);
+        if (conn.queue.empty()) break;
+        next = std::move(conn.queue.front());
+        conn.queue.pop_front();
+      }
+      // Readiness is polled with the queue lock released.
+      std::optional<serve::ServeResult> ready =
+          serve::get_within(next.result, 0.0);
+      if (!ready.has_value()) {
+        carried = std::move(next);
+        break;
+      }
+      append_verdict(out, next, std::move(ready));
     }
-    if (result.accepted) {
-      answered_.fetch_add(1);
-      if (result.prediction.abstained) abstained_.fetch_add(1);
-    } else {
-      shed_.fetch_add(1);
-    }
-    const net::VerdictFrame verdict = make_verdict(pending, result);
-    if (!send(conn, net::FrameType::kVerdict, net::encode_verdict(verdict))) {
-      // Peer gone: keep draining so queued futures are still consumed.
-      continue;
-    }
+    // A gone peer fails the write; keep draining so queued futures are
+    // still consumed.
+    (void)send_bytes(conn, out);
   }
+}
+
+void ClusterWorker::append_verdict(std::string& out,
+                                   const PendingVerdict& pending,
+                                   std::optional<serve::ServeResult> ready) {
+  serve::ServeResult result;
+  if (ready.has_value()) {
+    result = std::move(*ready);
+  } else {
+    // The promise side is wedged or lost — answer with a typed shed so
+    // the router never waits on a verdict that will not come.
+    result.accepted = false;
+    result.reject_reason = serve::RejectReason::kInternal;
+  }
+  if (result.accepted) {
+    answered_.fetch_add(1);
+    if (result.prediction.abstained) abstained_.fetch_add(1);
+  } else {
+    shed_.fetch_add(1);
+  }
+  net::append_frame(out, net::FrameType::kVerdict,
+                    net::encode_verdict(make_verdict(pending, result)));
 }
 
 bool ClusterWorker::send(Connection& conn, net::FrameType type,
                          std::string_view payload) {
+  return send_bytes(conn, net::encode_frame(type, payload));
+}
+
+bool ClusterWorker::send_bytes(Connection& conn, std::string_view bytes) {
   LockGuard lock(conn.write_mutex);
-  return net::write_frame(conn.sock, type, payload);
+  return conn.sock.send_all(bytes);
 }
 
 void ClusterWorker::enqueue(Connection& conn, PendingVerdict pending) {
@@ -283,7 +320,7 @@ void ClusterWorker::handle_swap_commit(Connection& conn,
     ack.message = "no swap in progress";
   } else if (conn.swap_buffer.size() != conn.swap_total) {
     ack.message = "incomplete bundle stream";
-  } else if (net::crc32(conn.swap_buffer) != frame.crc32) {
+  } else if (crc32(conn.swap_buffer) != frame.crc32) {
     ack.message = "bundle CRC mismatch";
   } else {
     std::istringstream is(conn.swap_buffer);

@@ -4,9 +4,10 @@
 // thread accepts router connections; each connection gets a reader thread
 // (decodes frames, submits windows, handles swaps/pings/scrapes) and a
 // responder thread (drains the FIFO of pending futures and writes verdict
-// frames back). The split keeps the read path non-blocking: slow inference
-// never stalls frame intake, and verdicts always leave in submission order
-// per connection, so the router can rely on FIFO completion per shard.
+// frames back, every verdict already ready by then in the same write). The
+// split keeps the read path non-blocking: slow inference never stalls
+// frame intake, and verdicts always leave in submission order per
+// connection, so the router can rely on FIFO completion per shard.
 //
 // Model-bundle distribution (DESIGN.md §13): the router streams a bundle as
 // SwapBegin/SwapChunk*/SwapCommit. The worker assembles the bytes, verifies
@@ -25,6 +26,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,6 +125,12 @@ class ClusterWorker {
   void responder_loop(Connection& conn);
   /// Serializes + writes one frame under the connection's write mutex.
   bool send(Connection& conn, net::FrameType type, std::string_view payload);
+  /// Writes already-framed bytes under the connection's write mutex.
+  bool send_bytes(Connection& conn, std::string_view bytes);
+  /// Frames the verdict for `pending` onto `out`; `ready` is its result,
+  /// or nullopt when the wait timed out (answered as a kInternal shed).
+  void append_verdict(std::string& out, const PendingVerdict& pending,
+                      std::optional<serve::ServeResult> ready);
   void enqueue(Connection& conn, PendingVerdict pending);
   void handle_submit(Connection& conn, std::string_view payload);
   void handle_ping(Connection& conn, std::string_view payload);

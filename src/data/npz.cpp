@@ -1,11 +1,11 @@
 #include "data/npz.hpp"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,18 +13,6 @@
 namespace scwc::data {
 
 namespace {
-
-std::array<std::uint32_t, 256> build_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xFF));
@@ -44,15 +32,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 }
 
 }  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = build_crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) {
-    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 std::vector<std::uint8_t> npy_encode(const std::string& descr,
                                      const std::vector<std::size_t>& shape,

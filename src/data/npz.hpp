@@ -22,11 +22,6 @@
 
 namespace scwc::data {
 
-/// CRC-32 (IEEE 802.3, as required by the ZIP format) of a byte buffer.
-/// `seed` allows incremental computation: pass the previous result.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes,
-                    std::uint32_t seed = 0);
-
 /// Serialises one array into NPY v1.0 bytes.
 /// `descr` is the numpy dtype string (e.g. "<f8", "<i8", "<U32") and
 /// `shape` the dimensions; `payload` must already be in the dtype's wire

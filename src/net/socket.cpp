@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -67,20 +68,13 @@ bool Socket::send_all(std::string_view data) noexcept {
   return true;
 }
 
-bool Socket::recv_exact(std::size_t n, std::string* out) noexcept {
-  out->clear();
-  out->reserve(n);
-  char buf[4096];
-  while (out->size() < n) {
-    const std::size_t want = std::min(sizeof(buf), n - out->size());
-    const ssize_t got = ::recv(fd_, buf, want, 0);
-    if (got <= 0) {
-      if (got < 0 && errno == EINTR) continue;
-      return false;  // EOF, timeout, or peer reset
-    }
-    out->append(buf, static_cast<std::size_t>(got));
+std::size_t Socket::recv_some(char* buf, std::size_t cap) noexcept {
+  while (true) {
+    const ssize_t got = ::recv(fd_, buf, cap, 0);
+    if (got > 0) return static_cast<std::size_t>(got);
+    if (got < 0 && errno == EINTR) continue;
+    return 0;  // EOF, timeout, or peer reset
   }
-  return true;
 }
 
 void Socket::shutdown_now() noexcept {
@@ -171,13 +165,41 @@ bool write_frame(Socket& sock, FrameType type, std::string_view payload) {
   return sock.send_all(encode_frame(type, payload));
 }
 
-std::optional<Frame> read_frame(Socket& sock) {
-  std::string header;
-  if (!sock.recv_exact(kHeaderBytes, &header)) return std::nullopt;
-  const FrameHeader h = decode_header(header);
-  std::string payload;
-  if (!sock.recv_exact(h.payload_len, &payload)) return std::nullopt;
+std::optional<Frame> FrameReader::next(Socket& sock) {
+  if (!fill(sock, kHeaderBytes)) return std::nullopt;
+  // The header is validated (payload_len against its cap included) before
+  // fill() may grow the buffer to hold the payload.
+  const FrameHeader h =
+      decode_header(std::string_view(buf_).substr(begin_, kHeaderBytes));
+  const std::size_t frame_bytes = kHeaderBytes + h.payload_len;
+  if (!fill(sock, frame_bytes)) return std::nullopt;
+  std::string payload(buf_, begin_ + kHeaderBytes, h.payload_len);
+  begin_ += frame_bytes;
+  if (begin_ == end_ && buf_.size() > kRecvChunkBytes) {
+    // Give back what one oversized frame (a bundle chunk) made us grow.
+    buf_ = std::string();
+    begin_ = end_ = 0;
+  }
   return assemble_frame(h, std::move(payload));
+}
+
+bool FrameReader::fill(Socket& sock, std::size_t need) {
+  while (end_ - begin_ < need) {
+    // Slide the unread bytes (less than one frame) to the front so the
+    // buffer can hold the whole frame and the recv gets the widest window.
+    if (begin_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    const std::size_t size = std::max(need, kRecvChunkBytes);
+    if (buf_.size() < size) buf_.resize(size);
+    const std::size_t got =
+        sock.recv_some(buf_.data() + end_, buf_.size() - end_);
+    if (got == 0) return false;
+    end_ += got;
+  }
+  return true;
 }
 
 }  // namespace scwc::net

@@ -3,7 +3,7 @@
 // This file (with obs/scrape.*) is the ONLY place raw socket syscalls are
 // allowed — the `no-raw-socket-calls` lint rule enforces it. Everything
 // above (router, worker, tools, benches) talks in SCWCWIRE frames through
-// read_frame/write_frame and never sees a file descriptor.
+// FrameReader/write_frame and never sees a file descriptor.
 //
 // Security posture matches the scrape endpoint (DESIGN.md §7): the
 // listener binds 127.0.0.1 only — the wire protocol carries operational
@@ -39,9 +39,9 @@ class Socket {
   /// Writes all of `data`; false when the peer is gone or times out.
   [[nodiscard]] bool send_all(std::string_view data) noexcept;
 
-  /// Reads exactly `n` bytes into `out` (resized). False on EOF/error
-  /// before `n` bytes arrived; `out` then holds the partial prefix.
-  [[nodiscard]] bool recv_exact(std::size_t n, std::string* out) noexcept;
+  /// One recv of up to `cap` bytes into `buf`: the byte count, or 0 on
+  /// EOF, timeout or error.
+  [[nodiscard]] std::size_t recv_some(char* buf, std::size_t cap) noexcept;
 
   /// Half-closes both directions, unblocking any thread inside recv/send
   /// on this socket (used for cross-thread shutdown; close() follows once
@@ -92,10 +92,30 @@ class TcpListener {
 [[nodiscard]] bool write_frame(Socket& sock, FrameType type,
                                std::string_view payload);
 
-/// Reads one frame. nullopt on clean EOF / peer gone / shutdown; throws
-/// scwc::Error on protocol violations (bad magic, version mismatch, CRC
-/// mismatch, oversized payload) — a corrupt peer must be surfaced, not
-/// silently dropped.
-[[nodiscard]] std::optional<Frame> read_frame(Socket& sock);
+/// The receive side of one connection: a buffer that a single recv of up
+/// to 64 KiB fills with as many frames as the peer has written, so a
+/// coalesced write is read back in few syscalls. Every byte of a
+/// connection must pass through its one FrameReader — bytes it buffered
+/// past a frame belong to the next one.
+class FrameReader {
+ public:
+  /// The next frame from `sock`. nullopt on EOF (mid-frame included), peer
+  /// gone, receive timeout or shutdown. Throws scwc::Error on protocol
+  /// violations — bad magic, version or type and an over-cap payload_len
+  /// from the header alone, before any payload is awaited or allocated;
+  /// a CRC mismatch once the payload is in — a corrupt peer must be
+  /// surfaced, not silently dropped.
+  [[nodiscard]] std::optional<Frame> next(Socket& sock);
+
+ private:
+  static constexpr std::size_t kRecvChunkBytes = 64 * 1024;
+
+  /// Receives until `need` unconsumed bytes are buffered; false on EOF.
+  bool fill(Socket& sock, std::size_t need);
+
+  std::string buf_;  ///< bytes [begin_, end_) are received, unread
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
 
 }  // namespace scwc::net

@@ -1,9 +1,10 @@
 #include "net/wire.hpp"
 
-#include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace scwc::net {
@@ -12,9 +13,22 @@ namespace {
 
 // ------------------------------------------------------------- primitives
 
-/// Append-only little-endian encoder.
+// On a little-endian host the in-memory bytes of an integer or double ARE
+// its wire bytes, so both codec directions move them with memcpy; the
+// byte loops are the portable big-endian fallback.
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
+
+/// Length-prefixed string: u32 length + bytes.
+constexpr std::size_t string_bytes(std::string_view s) { return 4 + s.size(); }
+
+/// Append-only little-endian encoder. Callers pass the exact encoded size
+/// so the buffer is allocated once.
 class Writer {
  public:
+  explicit Writer(std::size_t size) { buf_.reserve(size); }
+  /// Appends to `prefix` (already reserved by the caller).
+  explicit Writer(std::string&& prefix) : buf_(std::move(prefix)) {}
+
   void u8(std::uint8_t v) { buf_ += static_cast<char>(v); }
   void u16(std::uint16_t v) { raw(v); }
   void u32(std::uint32_t v) { raw(v); }
@@ -34,7 +48,12 @@ class Writer {
 
   void f64_span(std::span<const double> values) {
     u32(static_cast<std::uint32_t>(values.size()));
-    for (const double v : values) f64(v);
+    if constexpr (kLittleEndianHost) {
+      buf_.append(reinterpret_cast<const char*>(values.data()),
+                  values.size() * sizeof(double));
+    } else {
+      for (const double v : values) f64(v);
+    }
   }
 
   [[nodiscard]] std::string take() { return std::move(buf_); }
@@ -42,8 +61,12 @@ class Writer {
  private:
   template <typename T>
   void raw(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_ += static_cast<char>((v >> (8 * i)) & 0xffU);
+    if constexpr (kLittleEndianHost) {
+      buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        buf_ += static_cast<char>((v >> (8 * i)) & 0xffU);
+      }
     }
   }
 
@@ -80,7 +103,12 @@ class Reader {
     SCWC_REQUIRE(remaining() >= static_cast<std::size_t>(n) * 8,
                  "wire decode: truncated value array");
     std::vector<double> out(n);
-    for (double& v : out) v = f64();
+    if constexpr (kLittleEndianHost) {
+      const std::string_view s = take(out.size() * sizeof(double));
+      if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());
+    } else {
+      for (double& v : out) v = f64();
+    }
     return out;
   }
 
@@ -106,8 +134,12 @@ class Reader {
   T raw() {
     const std::string_view s = take(sizeof(T));
     T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<unsigned char>(s[i])) << (8 * i);
+    if constexpr (kLittleEndianHost) {
+      std::memcpy(&v, s.data(), sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(static_cast<unsigned char>(s[i])) << (8 * i);
+      }
     }
     return v;
   }
@@ -115,18 +147,6 @@ class Reader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 bool known_frame_type(std::uint16_t t) noexcept {
   switch (static_cast<FrameType>(t)) {
@@ -171,19 +191,11 @@ const char* frame_type_name(FrameType type) noexcept {
   return "?";
 }
 
-std::uint32_t crc32(std::string_view data) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFU;
-  for (const char ch : data) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffU] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFU;
-}
-
-std::string encode_frame(FrameType type, std::string_view payload) {
+void append_frame(std::string& out, FrameType type, std::string_view payload) {
   SCWC_REQUIRE(payload.size() <= kMaxPayloadBytes,
                "wire encode: payload exceeds kMaxPayloadBytes");
-  Writer w;
+  out.reserve(out.size() + kHeaderBytes + payload.size());
+  Writer w(std::move(out));
   w.u64(kWireMagic);
   w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(type));
@@ -191,7 +203,13 @@ std::string encode_frame(FrameType type, std::string_view payload) {
   w.u32(crc32(payload));
   w.u32(0);  // reserved
   w.bytes(payload);
-  return w.take();
+  out = w.take();
+}
+
+std::string encode_frame(FrameType type, std::string_view payload) {
+  std::string out;
+  append_frame(out, type, payload);
+  return out;
 }
 
 FrameHeader decode_header(std::string_view header) {
@@ -232,7 +250,7 @@ Frame decode_frame(std::string_view bytes) {
 // --------------------------------------------------------------- per-type
 
 std::string encode_hello(const HelloFrame& f) {
-  Writer w;
+  Writer w(3 * 4 + string_bytes(f.model_version));
   w.u32(f.shard_id);
   w.u32(f.window_steps);
   w.u32(f.sensors);
@@ -256,7 +274,7 @@ HelloFrame decode_hello(std::string_view payload) {
 std::string encode_submit_window(const SubmitWindowFrame& f) {
   SCWC_REQUIRE(f.values.size() <= kMaxWindowValues,
                "wire encode: window exceeds kMaxWindowValues");
-  Writer w;
+  Writer w(3 * 8 + 2 * 4 + 4 + f.values.size() * 8 + 8 + 1);
   w.u64(f.request_id);
   w.i64(f.job_id);
   w.u64(f.deadline_ns);
@@ -294,7 +312,8 @@ SubmitWindowFrame decode_submit_window(std::string_view payload) {
 }
 
 std::string encode_verdict(const VerdictFrame& f) {
-  Writer w;
+  Writer w(3 * 8 + 5 * 1 + 2 * 4 + 2 * 8 + 2 * 4 +
+           string_bytes(f.model_version) + 3 * 8);
   w.u64(f.request_id);
   w.u64(f.trace_id);
   w.i64(f.job_id);
@@ -360,7 +379,7 @@ VerdictFrame decode_verdict(std::string_view payload) {
 }
 
 std::string encode_ping(const PingFrame& f) {
-  Writer w;
+  Writer w(8);
   w.u64(f.nonce);
   return w.take();
 }
@@ -374,7 +393,7 @@ PingFrame decode_ping(std::string_view payload) {
 }
 
 std::string encode_pong(const PongFrame& f) {
-  Writer w;
+  Writer w(2 * 8);
   w.u64(f.nonce);
   w.u64(f.t_mono_ns);
   return w.take();
@@ -392,7 +411,7 @@ PongFrame decode_pong(std::string_view payload) {
 std::string encode_swap_begin(const SwapBeginFrame& f) {
   SCWC_REQUIRE(f.total_bytes <= kMaxSwapBytes,
                "wire encode: bundle exceeds kMaxSwapBytes");
-  Writer w;
+  Writer w(string_bytes(f.version) + 8);
   w.string(f.version);
   w.u64(f.total_bytes);
   return w.take();
@@ -412,7 +431,7 @@ SwapBeginFrame decode_swap_begin(std::string_view payload) {
 std::string encode_swap_chunk(const SwapChunkFrame& f) {
   SCWC_REQUIRE(f.bytes.size() <= kMaxSwapChunkBytes,
                "wire encode: swap chunk exceeds cap");
-  Writer w;
+  Writer w(8 + 4 + f.bytes.size());
   w.u64(f.offset);
   w.u32(static_cast<std::uint32_t>(f.bytes.size()));
   w.bytes(f.bytes);
@@ -433,7 +452,7 @@ SwapChunkFrame decode_swap_chunk(std::string_view payload) {
 }
 
 std::string encode_swap_commit(const SwapCommitFrame& f) {
-  Writer w;
+  Writer w(4);
   w.u32(f.crc32);
   return w.take();
 }
@@ -447,7 +466,7 @@ SwapCommitFrame decode_swap_commit(std::string_view payload) {
 }
 
 std::string encode_swap_ack(const SwapAckFrame& f) {
-  Writer w;
+  Writer w(1 + string_bytes(f.active_version) + string_bytes(f.message));
   w.u8(f.ok ? 1 : 0);
   w.string(f.active_version);
   w.string(f.message);
@@ -467,7 +486,7 @@ SwapAckFrame decode_swap_ack(std::string_view payload) {
 }
 
 std::string encode_swap_abort(const SwapAbortFrame& f) {
-  Writer w;
+  Writer w(string_bytes(f.reason));
   w.string(f.reason);
   return w.take();
 }
@@ -481,7 +500,7 @@ SwapAbortFrame decode_swap_abort(std::string_view payload) {
 }
 
 std::string encode_error(const ErrorFrame& f) {
-  Writer w;
+  Writer w(2 + string_bytes(f.message));
   w.u16(f.code);
   w.string(f.message);
   return w.take();
@@ -501,7 +520,13 @@ std::string encode_metrics_reply(const MetricsReplyFrame& f) {
                    f.gauges.size() <= kMaxMetricsEntries &&
                    f.rolling.size() <= kMaxMetricsEntries,
                "wire encode: metrics reply exceeds kMaxMetricsEntries");
-  Writer w;
+  std::size_t size = 3 * 4;
+  for (const auto& [name, value] : f.counters) size += string_bytes(name) + 8;
+  for (const auto& [name, value] : f.gauges) size += string_bytes(name) + 8;
+  for (const MetricsRollingEntry& e : f.rolling) {
+    size += string_bytes(e.name) + 4 * 8;
+  }
+  Writer w(size);
   w.u32(static_cast<std::uint32_t>(f.counters.size()));
   for (const auto& [name, value] : f.counters) {
     w.string(name);

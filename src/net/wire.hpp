@@ -201,13 +201,16 @@ struct MetricsReplyFrame {
 
 // ------------------------------------------------------------------ codec
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) over `data`.
-[[nodiscard]] std::uint32_t crc32(std::string_view data) noexcept;
-
 /// Frames `payload` under `type`: header (magic, kWireVersion, type,
-/// length, CRC) + payload. Throws scwc::Error when payload exceeds the cap.
+/// length, CRC-32 of the payload — common/crc32.hpp) + payload, in one
+/// allocation. Throws scwc::Error when payload exceeds the cap.
 [[nodiscard]] std::string encode_frame(FrameType type,
                                        std::string_view payload);
+
+/// encode_frame appended to `out`: several frames built into one buffer
+/// leave in one write, and the reader sees the same byte stream as if
+/// each had been written alone.
+void append_frame(std::string& out, FrameType type, std::string_view payload);
 
 /// Validated header of a frame still awaiting its payload bytes.
 struct FrameHeader {

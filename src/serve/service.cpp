@@ -347,6 +347,7 @@ void ClassificationService::execute_batch(
     std::chrono::steady_clock::time_point cut) {
   const std::shared_ptr<const ModelBundle>& bundle = route.bundle;
   std::size_t model_errors = 0;
+  bool probe_judged = false;
   try {
     const obs::TraceSpan span("serve.predict_batch");
     if (config_.chaos != nullptr) config_.chaos->on_predict_start();
@@ -377,6 +378,35 @@ void ClassificationService::execute_batch(
       packed_out = bundle->guard().classify_batch(windows, &batch_timings);
     }
 
+    // Resolves one answered request: deadline checkpoint, latency
+    // instruments, then the promise.
+    const auto resolve = [&](BatchRequest& request, ServeResult result) {
+      const auto done = std::chrono::steady_clock::now();
+      // Post-predict deadline checkpoint: a late answer is a stale answer —
+      // the caller promised its own consumer a bound, so report the miss
+      // instead of pretending the result arrived in time.
+      if (request.deadline <= done) {
+        shed(request, RejectReason::kDeadlineExceeded);
+        return;
+      }
+      result.total_latency_s = seconds_between(request.enqueued, done);
+      result.phases.total_s = seconds_between(request.submitted, done);
+      obs_request_seconds_.observe(result.total_latency_s);
+      obs_request_seconds_rolling_.observe(result.total_latency_s);
+      // Feed the SLO sensor from FULL-PATH traffic only (probes judge
+      // themselves; degraded answers would poison the abstain rate).
+      if (monitor_ != nullptr && route.level == 0 && !route.probe) {
+        monitor_->record_accepted(
+            result.total_latency_s, result.prediction.abstained,
+            result.prediction.reason == robust::AbstainReason::kModelError);
+      }
+      note_verdict(request, result, done);
+      request.promise.set_value(std::move(result));
+    };
+    // A probe batch is judged before any of its promises resolves, so a
+    // caller that sees a probe's answer also sees the breaker move on it.
+    // Every other batch resolves each request as soon as it is predicted.
+    std::vector<ServeResult> probe_results;
     std::size_t next_packed = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       BatchRequest& request = batch[i];
@@ -403,30 +433,14 @@ void ClassificationService::execute_batch(
         result.prediction = bundle->guard().classify(
             request.window, request.steps, request.sensors);
       }
-      const auto done = std::chrono::steady_clock::now();
       if (result.prediction.reason == robust::AbstainReason::kModelError) {
         ++model_errors;
       }
-      // Post-predict deadline checkpoint: a late answer is a stale answer —
-      // the caller promised its own consumer a bound, so report the miss
-      // instead of pretending the result arrived in time.
-      if (request.deadline <= done) {
-        shed(request, RejectReason::kDeadlineExceeded);
-        continue;
+      if (route.probe) {
+        probe_results.push_back(std::move(result));
+      } else {
+        resolve(request, std::move(result));
       }
-      result.total_latency_s = seconds_between(request.enqueued, done);
-      result.phases.total_s = seconds_between(request.submitted, done);
-      obs_request_seconds_.observe(result.total_latency_s);
-      obs_request_seconds_rolling_.observe(result.total_latency_s);
-      // Feed the SLO sensor from FULL-PATH traffic only (probes judge
-      // themselves; degraded answers would poison the abstain rate).
-      if (monitor_ != nullptr && route.level == 0 && !route.probe) {
-        monitor_->record_accepted(
-            result.total_latency_s, result.prediction.abstained,
-            result.prediction.reason == robust::AbstainReason::kModelError);
-      }
-      note_verdict(request, result, done);
-      request.promise.set_value(std::move(result));
     }
     const auto exec_s = seconds_between(exec_start,
                                         std::chrono::steady_clock::now());
@@ -437,6 +451,10 @@ void ClassificationService::execute_batch(
       const bool healthy =
           model_errors == 0 && exec_s <= config_.health.max_p99_s;
       chain_->on_probe_outcome(healthy, std::chrono::steady_clock::now());
+      probe_judged = true;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        resolve(batch[i], std::move(probe_results[i]));
+      }
     }
   } catch (...) {
     // Defensive net: the guard never throws, but if anything here does
@@ -449,7 +467,7 @@ void ClassificationService::execute_batch(
         // already resolved before the throw — exactly what we want
       }
     }
-    if (route.probe) {
+    if (route.probe && !probe_judged) {
       chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
     }
     SCWC_LOG_ERROR("serve batch execution failed; shed with kInternal");

@@ -207,8 +207,9 @@ TEST(Cluster, InflightBoundShedsAsQueueFull) {
     hello.sensors = kSensors;
     (void)net::write_frame(sock, net::FrameType::kHello,
                            net::encode_hello(hello));
+    net::FrameReader frames;
     try {
-      while (net::read_frame(sock).has_value()) {
+      while (frames.next(sock).has_value()) {
       }  // swallow frames, never reply
     } catch (const Error&) {
     }

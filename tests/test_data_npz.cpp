@@ -1,4 +1,4 @@
-// Tests for the .npz exporter: CRC32 vectors, NPY headers, ZIP structure.
+// Tests for the .npz exporter: NPY headers, ZIP structure.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,26 +12,6 @@
 
 namespace scwc::data {
 namespace {
-
-std::vector<std::uint8_t> bytes_of(std::string_view s) {
-  return {s.begin(), s.end()};
-}
-
-TEST(Crc32, KnownVectors) {
-  // Standard test vectors for CRC-32/IEEE.
-  EXPECT_EQ(crc32(bytes_of("")), 0x00000000u);
-  EXPECT_EQ(crc32(bytes_of("123456789")), 0xCBF43926u);
-  EXPECT_EQ(crc32(bytes_of("The quick brown fox jumps over the lazy dog")),
-            0x414FA339u);
-}
-
-TEST(Crc32, IncrementalMatchesOneShot) {
-  const auto all = bytes_of("hello, npz world");
-  const std::uint32_t one_shot = crc32(all);
-  // CRC of the concatenation is not simply chained through `seed`, but a
-  // re-run over the same data must agree.
-  EXPECT_EQ(crc32(all), one_shot);
-}
 
 TEST(Npy, HeaderIsWellFormedAndAligned) {
   const std::vector<double> values{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};

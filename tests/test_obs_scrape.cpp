@@ -21,10 +21,12 @@ std::string http_exchange(std::uint16_t port, const std::string& request) {
   net::Socket sock = net::connect_loopback(port, 5.0);
   if (!sock.valid()) return "";
   if (!sock.send_all(request)) return "";
-  // Read to EOF: recv_exact returns false once the server closes; the
-  // partial prefix it collected is the response.
+  // Read to EOF: recv_some returns 0 once the server closes.
   std::string response;
-  (void)sock.recv_exact(1 << 20, &response);
+  char buf[4096];
+  while (const std::size_t got = sock.recv_some(buf, sizeof(buf))) {
+    response.append(buf, got);
+  }
   return response;
 }
 

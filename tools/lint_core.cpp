@@ -930,7 +930,7 @@ std::vector<Finding> lint_source(std::string_view rel_path,
             report(i, "no-raw-socket-calls",
                    "raw '::" + std::string(syscall) +
                        "()' outside src/net//src/obs/scrape.* — speak "
-                       "frames through net::Socket / read_frame / "
+                       "frames through net::Socket / FrameReader / "
                        "write_frame (src/net/socket.hpp)");
             fired = true;
             break;

@@ -26,7 +26,7 @@
 //                     global-scope socket syscalls (::socket, ::bind,
 //                     ::connect, ::send, ::recv, …) outside src/net/ and
 //                     src/obs/scrape.* — everything else must speak frames
-//                     through net::Socket / read_frame / write_frame so fd
+//                     through net::Socket / FrameReader / write_frame so fd
 //                     lifecycle and timeout handling live in one place
 //   no-raw-std-mutex  std::mutex / condition_variable / lock_guard /
 //                     unique_lock / … in library code bypass the annotated
