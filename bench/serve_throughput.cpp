@@ -119,8 +119,9 @@ int main(int argc, char** argv) {
               << " training trials, " << steps << "×" << sensors
               << " windows\n";
 
-    // 2) Batching invariant: one classify_batch call must produce the same
-    // labels as per-window classify at the same version.
+    // 2) Batching invariant: classify() is a batch of one, so this checks
+    // that batch composition does not change a row's verdict — a batch of
+    // k must give the same labels as k batches of one at the same version.
     {
       const obs::TraceSpan span("serve_bench.batch_identity");
       const std::size_t k = std::min<std::size_t>(32, ds.test_trials());

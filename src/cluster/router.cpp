@@ -646,25 +646,14 @@ void ShardRouter::mark_down(ShardConn& conn, serve::RejectReason reason) {
   }
   for (auto& [id, req] : orphaned) {
     conn.inflight.fetch_sub(1);
-    serve::ServeResult result;
-    result.accepted = false;
-    result.reject_reason = reason;
-    result.trace_id = req.trace_id;
-    const auto now = std::chrono::steady_clock::now();
-    result.total_latency_s = obs::seconds_between(req.submitted_at, now);
-    result.phases.admission_s = req.admission_s;
-    result.phases.route_s = req.route_s;
-    result.phases.wire_send_s = req.wire_send_s;
-    result.phases.total_s = result.total_latency_s;
-    if (reason == serve::RejectReason::kShardDown) {
-      obs_shed_shard_down_.inc();
-    } else {
-      obs_shed_shutdown_.inc();
-    }
-    serve::record_verdict(tracer_, config_.audit, req.trace_id,
-                          req.trace_sampled, req.job_id, req.submitted_at,
-                          result, conn.shard_id, std::nullopt);
-    req.promise.set_value(std::move(result));
+    obs::RequestPhases phases;
+    phases.admission_s = req.admission_s;
+    phases.route_s = req.route_s;
+    phases.wire_send_s = req.wire_send_s;
+    phases.total_s = obs::seconds_between(req.submitted_at,
+                                          std::chrono::steady_clock::now());
+    resolve_shed(req.promise, reason, req.trace_id, req.trace_sampled,
+                 req.job_id, conn.shard_id, req.submitted_at, phases);
   }
   {
     LockGuard lock(conn.control_mutex);
@@ -683,6 +672,20 @@ std::future<serve::ServeResult> ShardRouter::shed(
     std::int64_t job_id, std::optional<std::uint32_t> shard_id,
     std::chrono::steady_clock::time_point started,
     const obs::RequestPhases& phases) {
+  std::promise<serve::ServeResult> promise;
+  std::future<serve::ServeResult> future = promise.get_future();
+  resolve_shed(promise, reason, trace_id, sampled, job_id, shard_id, started,
+               phases);
+  return future;
+}
+
+void ShardRouter::resolve_shed(std::promise<serve::ServeResult>& promise,
+                               serve::RejectReason reason,
+                               std::uint64_t trace_id, bool sampled,
+                               std::int64_t job_id,
+                               std::optional<std::uint32_t> shard_id,
+                               std::chrono::steady_clock::time_point started,
+                               const obs::RequestPhases& phases) {
   switch (reason) {
     case serve::RejectReason::kQueueFull:
       obs_shed_queue_full_.inc();
@@ -696,7 +699,6 @@ std::future<serve::ServeResult> ShardRouter::shed(
     default:
       break;
   }
-  std::promise<serve::ServeResult> promise;
   serve::ServeResult result;
   result.accepted = false;
   result.reject_reason = reason;
@@ -706,7 +708,6 @@ std::future<serve::ServeResult> ShardRouter::shed(
   serve::record_verdict(tracer_, config_.audit, trace_id, sampled, job_id,
                         started, result, shard_id, std::nullopt);
   promise.set_value(std::move(result));
-  return promise.get_future();
 }
 
 SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,

@@ -237,13 +237,22 @@ class ShardRouter {
   /// Marks a shard dead: out of the ring, pending requests failed with
   /// `reason`, control waiters woken. Safe to call repeatedly.
   void mark_down(ShardConn& conn, serve::RejectReason reason);
-  /// A ready future carrying a typed shed (also counts it and writes the
-  /// tracer/audit record; `shard_id` names the owner if one was chosen).
+  /// A ready future carrying a typed shed (see resolve_shed).
   [[nodiscard]] std::future<serve::ServeResult> shed(
       serve::RejectReason reason, std::uint64_t trace_id, bool sampled,
       std::int64_t job_id, std::optional<std::uint32_t> shard_id,
       std::chrono::steady_clock::time_point started,
       const obs::RequestPhases& phases);
+  /// The one router shed builder, shared by submit-time sheds and the
+  /// requests orphaned by mark_down: counts the shed per reason, writes the
+  /// tracer/audit record and fulfils `promise`. `phases.total_s` is the
+  /// verdict's total latency; `shard_id` names the owner if one was chosen.
+  void resolve_shed(std::promise<serve::ServeResult>& promise,
+                    serve::RejectReason reason, std::uint64_t trace_id,
+                    bool sampled, std::int64_t job_id,
+                    std::optional<std::uint32_t> shard_id,
+                    std::chrono::steady_clock::time_point started,
+                    const obs::RequestPhases& phases);
   /// Streams one bundle push to one shard and waits for its ack.
   [[nodiscard]] SwapOutcome push_to_shard(ShardConn& conn,
                                           const std::string& bundle_bytes,

@@ -4,8 +4,10 @@
 // per-thread stack of held locks and a global lock-order graph keyed by the
 // mutex *name* (its lock class, not the instance address), so two threads
 // nesting "a" inside "b" and "b" inside "a" are caught even when the runs
-// never overlap — cycle detection finds the ABBA shape structurally, which
-// is exactly what TSan's happened-before race detection cannot do.
+// never overlap and even when they lock different instances of the two
+// classes. TSan's deadlock detector sees the first case but only on the
+// same instances; the class-level inversion across instances is the shape
+// only this tracker reports.
 //
 // Violations are collected in a queryable list (tests assert on it) and
 // reported once per lock-class pair to stderr; the process is NOT aborted,

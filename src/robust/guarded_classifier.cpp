@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 
+#include "linalg/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 
@@ -93,8 +94,7 @@ GuardedPrediction GuardedClassifier::abstain(AbstainReason reason,
 namespace {
 
 /// Counts non-finite values / fully-missing steps / dead sensors of a
-/// steps×sensors window into `report`, then repairs it in place. Shared by
-/// the single and batched classify paths so both see identical windows.
+/// steps×sensors window into `report`, then repairs it in place.
 void account_and_impute(std::span<double> window, std::size_t steps,
                         std::size_t sensors, const ImputationConfig& config,
                         QualityReport& report) {
@@ -119,56 +119,34 @@ void account_and_impute(std::span<double> window, std::size_t steps,
 
 }  // namespace
 
-GuardedPrediction GuardedClassifier::classify(std::span<const double> window,
-                                              std::size_t steps,
-                                              std::size_t sensors) const {
+bool GuardedClassifier::fits(std::size_t steps,
+                             std::size_t sensors) const noexcept {
+  return steps == config_.window_steps && sensors == config_.sensors &&
+         steps != 0 && sensors != 0;
+}
+
+GuardedPrediction GuardedClassifier::shape_abstain(std::size_t steps,
+                                                   std::size_t sensors) const {
   QualityReport report;
   report.steps = steps;
   report.sensors = sensors;
-  guard_counters().classified.inc();
-
-  // 1. Shape gate: the model was fitted for exactly one window geometry.
-  if (steps != config_.window_steps || sensors != config_.sensors ||
-      steps == 0 || sensors == 0 || window.size() != steps * sensors) {
-    report.shape_ok = false;
-    return abstain(AbstainReason::kShape, report);
-  }
-
-  try {
-    // 2. Finiteness accounting + repair through the robust ingestion path.
-    std::vector<double> repaired(window.begin(), window.end());
-    account_and_impute(repaired, steps, sensors, config_.imputation, report);
-
-    // 3. Quality gate: don't consult the model on garbage.
-    if (!report.usable(config_.min_quality)) {
-      return abstain(AbstainReason::kQuality, report);
-    }
-
-    // 4. Featurise + predict on the repaired window.
-    data::Tensor3 one(1, steps, sensors);
-    std::copy(repaired.begin(), repaired.end(), one.trial(0).begin());
-    const linalg::Matrix features = pipeline_.transform(one);
-    const std::vector<int> predicted = model_.predict(features);
-    if (predicted.size() != 1) {
-      return abstain(AbstainReason::kModelError, report);
-    }
-
-    GuardedPrediction out;
-    out.label = predicted.front();
-    out.abstained = false;
-    out.report = report;
-    guard_counters().answered.inc();
-    return out;
-  } catch (...) {
-    // Anything the pipeline or model rejects becomes an abstention — the
-    // guarded path never propagates exceptions to the serving loop.
-    return abstain(AbstainReason::kModelError, report);
-  }
+  report.shape_ok = false;
+  return abstain(AbstainReason::kShape, report);
 }
 
-GuardedPrediction GuardedClassifier::classify(
-    const linalg::Matrix& window) const {
-  return classify(window.flat(), window.rows(), window.cols());
+GuardedPrediction GuardedClassifier::classify(std::span<const double> window,
+                                              std::size_t steps,
+                                              std::size_t sensors) const {
+  // Only the geometry is checked here: a window that fits the declared
+  // shape becomes a batch of one, so single == batch by construction.
+  if (!fits(steps, sensors) || window.size() != steps * sensors) {
+    guard_counters().classified.inc();
+    return shape_abstain(steps, sensors);
+  }
+  data::Tensor3 one(1, steps, sensors);
+  std::copy(window.begin(), window.end(), one.trial(0).begin());
+  std::vector<GuardedPrediction> out = classify_batch(one);
+  return std::move(out.front());
 }
 
 std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
@@ -183,20 +161,14 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
 
   // 1. Shape gate — the tensor fixes one geometry for the whole batch, so
   // a mismatch abstains every window (the serving layer routes odd-shaped
-  // requests through the single-window path instead of packing them).
-  if (steps != config_.window_steps || sensors != config_.sensors ||
-      steps == 0 || sensors == 0) {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i].report.steps = steps;
-      out[i].report.sensors = sensors;
-      out[i].report.shape_ok = false;
-      out[i] = abstain(AbstainReason::kShape, out[i].report);
-    }
+  // requests through classify(), which abstains them before packing).
+  if (!fits(steps, sensors)) {
+    for (GuardedPrediction& p : out) p = shape_abstain(steps, sensors);
     return out;
   }
 
-  // 2. Per-window accounting, repair and quality gating — identical to the
-  // single-window path. Survivors are packed densely for the model.
+  // 2. Per-window accounting, repair and quality gating. Survivors are
+  // packed densely for the model.
   std::vector<std::size_t> survivors;
   survivors.reserve(count);
   data::Tensor3 repaired(count, steps, sensors);
@@ -219,8 +191,9 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
   try {
     // 3. One featurise + one predict for every survivor. Each window's
     // features depend only on its own values, so row r of the batch equals
-    // the features a batch-of-one would produce for that window. When every
-    // window survived, `repaired` already is the packed batch.
+    // the features a batch of one (classify()) would produce for that
+    // window. When every window survived, `repaired` already is the packed
+    // batch.
     const bool all_survived = survivors.size() == count;
     const data::Tensor3 packed =
         all_survived ? data::Tensor3() : repaired.gather(survivors);
@@ -249,7 +222,7 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
     guard_counters().answered.inc(survivors.size());
     return out;
   } catch (...) {
-    // Same contract as classify(): the guarded path never throws.
+    // The guarded path never throws.
     for (const std::size_t i : survivors) {
       out[i] = abstain(AbstainReason::kModelError, out[i].report);
     }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "data/tensor3.hpp"
-#include "linalg/matrix.hpp"
 #include "ml/classifier.hpp"
 #include "preprocess/pipeline.hpp"
 #include "robust/quality.hpp"
@@ -88,30 +87,36 @@ class GuardedClassifier {
 
   /// Classifies one row-major steps×sensors window. Never throws: wrong
   /// shape, empty input, all-NaN windows and internal pipeline failures all
-  /// surface as an abstain result with a populated QualityReport.
+  /// surface as an abstain result with a populated QualityReport. Only the
+  /// geometry (declared shape vs. config, window.size() == steps*sensors,
+  /// non-zero dims) is checked here; a window that passes is classified as
+  /// a batch of one through classify_batch, so a window's verdict is the
+  /// same whether it arrives alone or inside a batch.
   [[nodiscard]] GuardedPrediction classify(std::span<const double> window,
                                            std::size_t steps,
                                            std::size_t sensors) const;
 
-  /// Matrix convenience overload (rows = steps, cols = sensors).
-  [[nodiscard]] GuardedPrediction classify(const linalg::Matrix& window) const;
-
   /// Classifies every trial of `windows` in one batched model call — the
-  /// serving fast path (serve::MicroBatcher coalesces concurrent requests
-  /// into one of these). Per-window validation, imputation and quality
-  /// gating are identical to classify(); the surviving windows share one
-  /// pipeline transform and one Classifier::predict matrix call, whose
-  /// per-row results are the same as a batch-of-one (both paths featurise
-  /// each window independently), so batched labels match single-request
-  /// labels. Never throws; a pipeline/model failure abstains every window
-  /// that reached the model with kModelError. When `timings` is non-null
-  /// it receives the transform/predict wall times of this call (zeros when
-  /// no window survived the quality gate).
+  /// one classify path (serve::MicroBatcher coalesces concurrent requests
+  /// into one of these; classify() is a batch of one). Each window is
+  /// validated, imputed and quality-gated on its own; the surviving windows
+  /// share one pipeline transform and one Classifier::predict matrix call,
+  /// whose per-row results depend only on that row's window. Never throws;
+  /// a pipeline/model failure abstains every window that reached the model
+  /// with kModelError. When `timings` is non-null it receives the
+  /// transform/predict wall times of this call (zeros when no window
+  /// survived the quality gate).
   [[nodiscard]] std::vector<GuardedPrediction> classify_batch(
       const data::Tensor3& windows, BatchPhaseTimings* timings = nullptr) const;
 
  private:
+  /// True when steps×sensors is the non-empty geometry the model was
+  /// fitted for.
+  [[nodiscard]] bool fits(std::size_t steps,
+                          std::size_t sensors) const noexcept;
   GuardedPrediction abstain(AbstainReason reason, QualityReport report) const;
+  /// A kShape abstention whose report records the offending geometry.
+  GuardedPrediction shape_abstain(std::size_t steps, std::size_t sensors) const;
 
   const preprocess::FeaturePipeline& pipeline_;
   const ml::Classifier& model_;

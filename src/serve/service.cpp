@@ -69,9 +69,14 @@ ClassificationService::ClassificationService(ModelRegistry& registry,
 
 ClassificationService::~ClassificationService() { stop(); }
 
-void ClassificationService::note_verdict(
-    const BatchRequest& request, const ServeResult& result,
+void ClassificationService::resolve(
+    BatchRequest& request, ServeResult result,
     std::chrono::steady_clock::time_point done) {
+  result.trace_id = request.trace_id;
+  result.phases.admission_s =
+      seconds_between(request.submitted, request.enqueued);
+  result.phases.total_s = seconds_between(request.submitted, done);
+  result.total_latency_s = seconds_between(request.enqueued, done);
   std::optional<double> slack;
   if (request.deadline != kNoDeadline) {
     slack = obs::signed_seconds_between(done, request.deadline);
@@ -79,6 +84,7 @@ void ClassificationService::note_verdict(
   record_verdict(tracer_, config_.audit, request.trace_id,
                  request.trace_sampled, request.job_id, request.submitted,
                  result, std::nullopt, slack);
+  request.promise.set_value(std::move(result));
 }
 
 void ClassificationService::shed(BatchRequest& request, RejectReason reason) {
@@ -89,13 +95,8 @@ void ClassificationService::shed(BatchRequest& request, RejectReason reason) {
   ServeResult result;
   result.accepted = false;
   result.reject_reason = reason;
-  result.total_latency_s = seconds_between(request.enqueued, now);
-  result.trace_id = request.trace_id;
-  result.phases.admission_s = seconds_between(request.submitted, request.enqueued);
   result.phases.queue_s = seconds_between(request.enqueued, now);
-  result.phases.total_s = seconds_between(request.submitted, now);
-  note_verdict(request, result, now);
-  request.promise.set_value(std::move(result));
+  resolve(request, std::move(result), now);
 }
 
 std::future<ServeResult> ClassificationService::submit(
@@ -165,32 +166,18 @@ std::future<ServeResult> ClassificationService::submit_traced(
   return future;
 }
 
-std::vector<PendingWindow> ClassificationService::ingest(
-    std::int64_t job_id, std::span<const double> sample) {
-  return ingest_block(job_id, sample);
-}
-
 std::vector<PendingWindow> ClassificationService::ingest_block(
     std::int64_t job_id, std::span<const double> block) {
-  std::vector<AssembledWindow> closed = assembler_.push_block(job_id, block);
-  std::vector<PendingWindow> out;
-  out.reserve(closed.size());
-  for (AssembledWindow& window : closed) {
-    PendingWindow pending;
-    pending.job_id = window.job_id;
-    pending.start_step = window.start_step;
-    pending.result = submit_traced(
-        std::move(window.values), config_.assembler.window_steps,
-        config_.assembler.sensors,
-        deadline_from(config_.default_deadline_s), window.job_id);
-    out.push_back(std::move(pending));
-  }
-  return out;
+  return submit_closed(assembler_.push_block(job_id, block));
 }
 
 std::vector<PendingWindow> ClassificationService::finish_job(
     std::int64_t job_id) {
-  std::vector<AssembledWindow> closed = assembler_.finish(job_id);
+  return submit_closed(assembler_.finish(job_id));
+}
+
+std::vector<PendingWindow> ClassificationService::submit_closed(
+    std::vector<AssembledWindow> closed) {
   std::vector<PendingWindow> out;
   out.reserve(closed.size());
   for (AssembledWindow& window : closed) {
@@ -249,15 +236,8 @@ void ClassificationService::answer_degraded(
     result.prediction.abstained = true;
     result.prediction.reason = robust::AbstainReason::kDegraded;
     result.queue_delay_s = seconds_between(request.enqueued, now);
-    result.total_latency_s =
-        seconds_between(request.enqueued, std::chrono::steady_clock::now());
-    result.trace_id = request.trace_id;
-    result.phases.admission_s =
-        seconds_between(request.submitted, request.enqueued);
-    result.phases.queue_s = seconds_between(request.enqueued, now);
-    result.phases.total_s = seconds_between(request.submitted, now);
-    note_verdict(request, result, now);
-    request.promise.set_value(std::move(result));
+    result.phases.queue_s = result.queue_delay_s;
+    resolve(request, std::move(result), now);
   }
 }
 
@@ -357,7 +337,7 @@ void ClassificationService::execute_batch(
     const std::size_t sensors = guard.sensors;
 
     // Pack every well-shaped request into one tensor; odd-geometry requests
-    // take the single-window path (and abstain there with kShape).
+    // go through classify(), which abstains them with kShape.
     std::vector<std::size_t> packed_index;
     packed_index.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -378,9 +358,9 @@ void ClassificationService::execute_batch(
       packed_out = bundle->guard().classify_batch(windows, &batch_timings);
     }
 
-    // Resolves one answered request: deadline checkpoint, latency
-    // instruments, then the promise.
-    const auto resolve = [&](BatchRequest& request, ServeResult result) {
+    // Answers one request: deadline checkpoint, latency instruments, then
+    // the shared verdict builder.
+    const auto answer = [&](BatchRequest& request, ServeResult result) {
       const auto done = std::chrono::steady_clock::now();
       // Post-predict deadline checkpoint: a late answer is a stale answer —
       // the caller promised its own consumer a bound, so report the miss
@@ -389,19 +369,17 @@ void ClassificationService::execute_batch(
         shed(request, RejectReason::kDeadlineExceeded);
         return;
       }
-      result.total_latency_s = seconds_between(request.enqueued, done);
-      result.phases.total_s = seconds_between(request.submitted, done);
-      obs_request_seconds_.observe(result.total_latency_s);
-      obs_request_seconds_rolling_.observe(result.total_latency_s);
+      const double latency_s = seconds_between(request.enqueued, done);
+      obs_request_seconds_.observe(latency_s);
+      obs_request_seconds_rolling_.observe(latency_s);
       // Feed the SLO sensor from FULL-PATH traffic only (probes judge
       // themselves; degraded answers would poison the abstain rate).
       if (monitor_ != nullptr && route.level == 0 && !route.probe) {
         monitor_->record_accepted(
-            result.total_latency_s, result.prediction.abstained,
+            latency_s, result.prediction.abstained,
             result.prediction.reason == robust::AbstainReason::kModelError);
       }
-      note_verdict(request, result, done);
-      request.promise.set_value(std::move(result));
+      resolve(request, std::move(result), done);
     };
     // A probe batch is judged before any of its promises resolves, so a
     // caller that sees a probe's answer also sees the breaker move on it.
@@ -416,9 +394,6 @@ void ClassificationService::execute_batch(
       result.batch_size = batch.size();
       result.degrade_level = route.level;
       result.queue_delay_s = seconds_between(request.enqueued, exec_start);
-      result.trace_id = request.trace_id;
-      result.phases.admission_s =
-          seconds_between(request.submitted, request.enqueued);
       result.phases.queue_s = seconds_between(request.enqueued, cut);
       result.phases.batch_wait_s = seconds_between(cut, exec_start);
       // Transform/predict are batch-level stages — every request of the
@@ -439,7 +414,7 @@ void ClassificationService::execute_batch(
       if (route.probe) {
         probe_results.push_back(std::move(result));
       } else {
-        resolve(request, std::move(result));
+        answer(request, std::move(result));
       }
     }
     const auto exec_s = seconds_between(exec_start,
@@ -453,7 +428,7 @@ void ClassificationService::execute_batch(
       chain_->on_probe_outcome(healthy, std::chrono::steady_clock::now());
       probe_judged = true;
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        resolve(batch[i], std::move(probe_results[i]));
+        answer(batch[i], std::move(probe_results[i]));
       }
     }
   } catch (...) {

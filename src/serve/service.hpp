@@ -2,11 +2,13 @@
 //
 // Wires the serve components into one request path:
 //
-//   ingest/submit → AdmissionController (bounded queue, typed shedding)
-//                 → MicroBatcher (deadline/size flush)
-//                 → ThreadPool task (one GuardedClassifier::classify_batch
-//                   on the ModelRegistry bundle captured at batch cut)
-//                 → per-request promise fulfilment
+//   ingest_block/submit → AdmissionController (bounded queue, typed
+//                         shedding)
+//                       → MicroBatcher (deadline/size flush)
+//                       → ThreadPool task (one
+//                         GuardedClassifier::classify_batch on the
+//                         ModelRegistry bundle captured at batch cut)
+//                       → resolve(): one verdict builder for every promise
 //
 // Threading model: callers submit from any thread; the batcher's flusher
 // thread cuts batches and hands them to the shared ThreadPool, so flushing
@@ -105,11 +107,9 @@ class ClassificationService {
       std::chrono::steady_clock::time_point deadline, std::uint64_t trace_id,
       bool trace_sampled);
 
-  /// Streaming front door: feeds one sample row (or several with
-  /// ingest_block) into the WindowAssembler and submits every window that
-  /// closed. Returns the pending results (usually 0 or 1 per call).
-  [[nodiscard]] std::vector<PendingWindow> ingest(
-      std::int64_t job_id, std::span<const double> sample);
+  /// Streaming front door: feeds one or more whole sample rows into the
+  /// WindowAssembler and submits every window that closed. Returns the
+  /// pending results (usually 0 or 1 per row).
   [[nodiscard]] std::vector<PendingWindow> ingest_block(
       std::int64_t job_id, std::span<const double> block);
 
@@ -150,10 +150,18 @@ class ClassificationService {
       std::vector<double> window, std::size_t steps, std::size_t sensors,
       std::chrono::steady_clock::time_point deadline, std::int64_t job_id,
       std::uint64_t trace_id = 0, bool trace_sampled = false);
-  /// Tracing/audit tap, called once per verdict just before the promise
-  /// is fulfilled. `done` is the verdict timestamp.
-  void note_verdict(const BatchRequest& request, const ServeResult& result,
-                    std::chrono::steady_clock::time_point done);
+  /// Submits the windows the assembler closed (ingest_block, finish_job),
+  /// each attributed to its job under the default deadline.
+  [[nodiscard]] std::vector<PendingWindow> submit_closed(
+      std::vector<AssembledWindow> closed);
+  /// The one verdict builder. Callers fill only what differs between
+  /// verdicts (reject reason, prediction, batch fields, queue/batch-wait);
+  /// this stamps trace_id, phases.admission_s, phases.total_s and
+  /// total_latency_s — all measured to `done`, so total_s ==
+  /// admission_s + total_latency_s — writes the trace/audit record and
+  /// fulfils the promise.
+  void resolve(BatchRequest& request, ServeResult result,
+               std::chrono::steady_clock::time_point done);
   /// Runs on the flusher thread: evaluates health, routes the batch through
   /// the fallback chain (or straight to the current bundle) and dispatches
   /// it to the pool. During drain (after stop() closed admission) the batch
@@ -171,7 +179,7 @@ class ClassificationService {
                      std::chrono::steady_clock::time_point cut);
   /// Resolves every request of an abstain-only (level 2) batch inline.
   void answer_degraded(std::vector<BatchRequest>& batch);
-  /// Fulfils a request's promise with a typed rejection (and counts it).
+  /// Resolves a request with a typed rejection (and counts it).
   void shed(BatchRequest& request, RejectReason reason);
 
   ModelRegistry& registry_;

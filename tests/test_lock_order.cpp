@@ -14,11 +14,12 @@
 #include <string>
 #include <vector>
 
-// The deliberate-inversion tests below nest real std::mutexes both ways,
-// which TSan's own lock-order-inversion detector (rightly) reports as a
-// potential deadlock and — with halt_on_error=1 — aborts. Those tests run
-// under the asan preset instead, which also compiles the tracker in; under
-// TSan they SKIP and only the clean-hierarchy tests execute.
+// The same-instance deliberate-inversion tests below nest the same two
+// std::mutexes both ways, which TSan's own lock-order-inversion detector
+// (rightly) reports as a potential deadlock and — with halt_on_error=1 —
+// aborts. Those tests run under the asan preset instead, which also
+// compiles the tracker in; under TSan they SKIP. The cross-instance
+// inversion test runs under both: TSan cannot see it, the tracker can.
 #if defined(__SANITIZE_THREAD__)
 #define SCWC_UNDER_TSAN 1
 #elif defined(__has_feature)
@@ -101,6 +102,35 @@ TEST(LockOrder, AbbaNestingProducesNamedReport) {
   EXPECT_NE(v[0].message.find("test.abba.A"), std::string::npos);
   EXPECT_NE(v[0].message.find("test.abba.B"), std::string::npos);
   EXPECT_NE(v[0].message.find("ABBA"), std::string::npos);
+  EXPECT_FALSE(lock_order::acyclic());
+  lock_order::clear();
+}
+
+// The case the tracker exists for. TSan's own lock-order-inversion
+// detector works on mutex instances: it reports the same-instance ABBA
+// above (which is why those tests skip under TSan) but stays silent when
+// the two orders are taken on different instances of the same lock
+// classes. The tracker keys its graph by class name, so it catches the
+// inversion anyway — and this test runs under TSan too.
+TEST(LockOrder, CrossInstanceAbbaIsCaughtByLockClass) {
+  if (!lock_order::enabled()) GTEST_SKIP() << "tracker compiled out";
+  lock_order::clear();
+  Mutex a1{"test.xabba.A"};
+  Mutex b1{"test.xabba.B"};
+  Mutex a2{"test.xabba.A"};
+  Mutex b2{"test.xabba.B"};
+  {  // A1 -> B1 establishes class order A -> B
+    const LockGuard first(a1);
+    const LockGuard second(b1);
+  }
+  {  // B2 -> A2: no instance is shared, but the class order is inverted
+    const LockGuard first(b2);
+    const LockGuard second(a2);
+  }
+  const std::vector<lock_order::Violation> v = lock_order::violations();
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].first, "test.xabba.B");
+  EXPECT_EQ(v[0].second, "test.xabba.A");
   EXPECT_FALSE(lock_order::acyclic());
   lock_order::clear();
 }
@@ -226,7 +256,7 @@ TEST(LockOrder, ServeStressRecordsAcyclicHierarchy) {
       for (std::int64_t job = 1; job <= 3; ++job) {
         std::vector<double> row(kSensors);
         for (double& v : row) v = rng.normal(0.0, 1.0);
-        auto out = service.ingest(job, row);
+        auto out = service.ingest_block(job, row);
         for (auto& w : out) pending.push_back(std::move(w));
       }
       if (t == 2 * kSteps) {

@@ -416,9 +416,9 @@ TEST(GuardedClassifier, NeverThrowsOnMalformedInput) {
   EXPECT_NO_THROW(p = guarded.classify(infs, w.ds.steps(), w.ds.sensors()));
   EXPECT_TRUE(p.abstained);
 
-  // Matrix overload with a wrong-shape matrix.
+  // A wrong-shape 2×2 matrix, passed as its row-major values.
   const linalg::Matrix tiny(2, 2);
-  EXPECT_NO_THROW(p = guarded.classify(tiny));
+  EXPECT_NO_THROW(p = guarded.classify(tiny.flat(), tiny.rows(), tiny.cols()));
   EXPECT_TRUE(p.abstained);
 }
 

@@ -641,7 +641,7 @@ TEST(ClassificationService, StreamingIngestClassifiesClosedWindows) {
   const auto src = w.x.trial(4);
   std::vector<serve::PendingWindow> pending;
   for (std::size_t t = 0; t < kSteps; ++t) {
-    auto out = service.ingest(
+    auto out = service.ingest_block(
         42, std::span<const double>(src).subspan(t * kSensors, kSensors));
     for (auto& p : out) pending.push_back(std::move(p));
   }

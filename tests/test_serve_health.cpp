@@ -560,6 +560,73 @@ TEST(SelfHealingService, NoRollbackTargetDegradesToAbstainOnly) {
   service.stop();
 }
 
+/// Every verdict's phases close: the total phase is exactly admission plus
+/// the submit-to-verdict latency, all measured to one verdict timestamp.
+void expect_phases_close(const serve::ServeResult& result, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_NE(result.trace_id, 0u);
+  EXPECT_NEAR(result.phases.total_s,
+              result.phases.admission_s + result.total_latency_s, 1e-12);
+}
+
+TEST(SelfHealingService, EveryVerdictPathClosesItsPhases) {
+  const std::vector<double> window = make_window(1);
+  {
+    serve::ModelRegistry registry;
+    registry.register_bundle(health_world().bundle);
+    serve::ServiceConfig config = tiny_service_config();
+    config.batcher.max_delay_s = 0.25;  // an un-full batch waits this long
+    serve::ClassificationService service(registry, config);
+
+    // Shed at enqueue: the deadline has already passed.
+    const serve::ServeResult at_enqueue =
+        service
+            .submit(window, kSteps, kSensors,
+                    steady_clock::now() - std::chrono::milliseconds(1))
+            .get();
+    ASSERT_EQ(at_enqueue.reject_reason,
+              serve::RejectReason::kDeadlineExceeded);
+    expect_phases_close(at_enqueue, "enqueue shed");
+
+    // Shed in the queue: the deadline expires long before the flush.
+    const serve::ServeResult in_queue =
+        service
+            .submit(window, kSteps, kSensors,
+                    steady_clock::now() + std::chrono::milliseconds(5))
+            .get();
+    ASSERT_EQ(in_queue.reject_reason, serve::RejectReason::kDeadlineExceeded);
+    expect_phases_close(in_queue, "in-queue deadline shed");
+
+    // Answered by the model.
+    const serve::ServeResult answered =
+        service.submit(window, kSteps, kSensors).get();
+    ASSERT_TRUE(answered.accepted);
+    EXPECT_EQ(answered.degrade_level, 0);
+    expect_phases_close(answered, "answered");
+    service.stop();
+  }
+  {
+    // Abstain-only degraded answer: a broken bundle with no rollback target.
+    serve::ModelRegistry registry;
+    registry.register_bundle(make_faulty_bundle("bad-only"), true);
+    serve::ServiceConfig config = tiny_service_config();
+    config.health = tiny_health_config();
+    config.health.min_samples = 4;
+    config.health.max_p99_s = 1e9;
+    config.health.max_abstain_rate = 1.1;
+    config.health.max_shed_rate = 1.1;
+    config.health.open_cooldown_s = 30.0;
+    serve::ClassificationService service(registry, config);
+    serve::ServeResult degraded;
+    for (int i = 0; i < 40 && degraded.degrade_level != 2; ++i) {
+      degraded = service.submit(make_window(i % 3), kSteps, kSensors).get();
+    }
+    ASSERT_EQ(degraded.degrade_level, 2);
+    expect_phases_close(degraded, "degraded answer");
+    service.stop();
+  }
+}
+
 TEST(SelfHealingService, BreakerRecoversAfterHotSwapFixesTheModel) {
   serve::ModelRegistry registry;
   registry.register_bundle(make_faulty_bundle("bad-v2"), true);
