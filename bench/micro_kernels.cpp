@@ -1,7 +1,7 @@
 // M1 — google-benchmark micro-benchmarks for the heavy kernels backing the
-// reproduction: GEMM, covariance reduction, PCA fit, forest fit and
-// predict, SMO SVM, boosted trees, LSTM step, telemetry synthesis and the
-// SCWCWIRE codec of the sharded serving path.
+// reproduction: GEMM, covariance reduction, gap accounting and repair, PCA
+// fit, forest fit and predict, SMO SVM, boosted trees, LSTM step,
+// telemetry synthesis and the SCWCWIRE codec of the sharded serving path.
 #include <benchmark/benchmark.h>
 
 #include "common/crc32.hpp"
@@ -21,6 +21,8 @@
 #include "preprocess/pca.hpp"
 #include "preprocess/pipeline.hpp"
 #include "preprocess/scaler.hpp"
+#include "robust/fault.hpp"
+#include "robust/robust_window.hpp"
 #include "telemetry/gpu_synth.hpp"
 
 namespace {
@@ -103,6 +105,48 @@ void BM_CovariancePipelineTransform(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_CovariancePipelineTransform)->UseRealTime();
+
+// The guard's repair step: one WindowRepairer accounting and repairing a
+// batch of 64 windows of range(0) steps × 7 sensors, damaged by
+// FaultInjector at severity 0.5, under Imputation policy range(1). Restoring
+// the damaged batch between iterations is not timed.
+void BM_AccountAndImpute(benchmark::State& state) {
+  constexpr std::size_t kWindows = 64, kSensors = 7;
+  const auto steps = static_cast<std::size_t>(state.range(0));
+  const robust::FaultInjector injector(robust::FaultProfile::at_severity(0.5));
+  Rng rng(13);
+  data::Tensor3 damaged(kWindows, steps, kSensors);
+  for (std::size_t i = 0; i < kWindows; ++i) {
+    telemetry::TimeSeries series;
+    series.values = random_matrix(steps, kSensors, 100 + i);
+    injector.corrupt(series, rng);
+    (void)robust::robust_extract_window(series, 0, steps, damaged.trial(i));
+  }
+  robust::ImputationConfig config;
+  config.policy = static_cast<robust::Imputation>(state.range(1));
+  config.sensor_prior_means.assign(kSensors, 0.5);
+  data::Tensor3 batch = damaged;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::copy(damaged.raw().begin(), damaged.raw().end(), batch.raw().begin());
+    state.ResumeTiming();
+    robust::WindowRepairer repairer(kSensors, config);
+    for (std::size_t i = 0; i < kWindows; ++i) {
+      robust::QualityReport report;
+      repairer.account_and_repair(batch.trial(i), steps, report);
+      benchmark::DoNotOptimize(report);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kWindows));
+}
+BENCHMARK(BM_AccountAndImpute)
+    ->ArgsProduct({{540, 60},
+                   {static_cast<int>(robust::Imputation::kForwardFill),
+                    static_cast<int>(robust::Imputation::kLinear),
+                    static_cast<int>(robust::Imputation::kPriorMean)}})
+    ->UseRealTime();
 
 void BM_ScalerFitTransform(benchmark::State& state) {
   const Matrix x = random_matrix(1024, 630, 6);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 
 #include "linalg/matrix.hpp"
@@ -91,34 +90,6 @@ GuardedPrediction GuardedClassifier::abstain(AbstainReason reason,
   return out;
 }
 
-namespace {
-
-/// Counts non-finite values / fully-missing steps / dead sensors of a
-/// steps×sensors window into `report`, then repairs it in place.
-void account_and_impute(std::span<double> window, std::size_t steps,
-                        std::size_t sensors, const ImputationConfig& config,
-                        QualityReport& report) {
-  std::vector<std::size_t> finite_per_sensor(sensors, 0);
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::size_t missing_here = 0;
-    for (std::size_t s = 0; s < sensors; ++s) {
-      if (std::isfinite(window[t * sensors + s])) {
-        ++finite_per_sensor[s];
-      } else {
-        ++missing_here;
-      }
-    }
-    report.missing_values += missing_here;
-    if (missing_here == sensors) ++report.missing_steps;
-  }
-  for (std::size_t s = 0; s < sensors; ++s) {
-    if (finite_per_sensor[s] == 0) ++report.dead_sensors;
-  }
-  impute_window(window, steps, sensors, config, report);
-}
-
-}  // namespace
-
 bool GuardedClassifier::fits(std::size_t steps,
                              std::size_t sensors) const noexcept {
   return steps == config_.window_steps && sensors == config_.sensors &&
@@ -145,12 +116,12 @@ GuardedPrediction GuardedClassifier::classify(std::span<const double> window,
   }
   data::Tensor3 one(1, steps, sensors);
   std::copy(window.begin(), window.end(), one.trial(0).begin());
-  std::vector<GuardedPrediction> out = classify_batch(one);
+  std::vector<GuardedPrediction> out = classify_batch(std::move(one));
   return std::move(out.front());
 }
 
 std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
-    const data::Tensor3& windows, BatchPhaseTimings* timings) const {
+    data::Tensor3 windows, BatchPhaseTimings* timings) const {
   if (timings != nullptr) *timings = BatchPhaseTimings{};
   const std::size_t count = windows.trials();
   std::vector<GuardedPrediction> out(count);
@@ -167,24 +138,25 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
     return out;
   }
 
-  // 2. Per-window accounting, repair and quality gating. Survivors are
-  // packed densely for the model.
+  // 2. Per-window accounting, repair in place and quality gating.
   std::vector<std::size_t> survivors;
   survivors.reserve(count);
-  data::Tensor3 repaired(count, steps, sensors);
+  WindowRepairer repairer(sensors, config_.imputation);
+  const auto r0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < count; ++i) {
     QualityReport& report = out[i].report;
     report.steps = steps;
     report.sensors = sensors;
-    const std::span<const double> src = windows.trial(i);
-    const std::span<double> dst = repaired.trial(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-    account_and_impute(dst, steps, sensors, config_.imputation, report);
+    repairer.account_and_repair(windows.trial(i), steps, report);
     if (report.usable(config_.min_quality)) {
       survivors.push_back(i);
     } else {
       out[i] = abstain(AbstainReason::kQuality, report);
     }
+  }
+  if (timings != nullptr) {
+    timings->impute_s =
+        obs::seconds_between(r0, std::chrono::steady_clock::now());
   }
   if (survivors.empty()) return out;
 
@@ -192,14 +164,11 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
     // 3. One featurise + one predict for every survivor. Each window's
     // features depend only on its own values, so row r of the batch equals
     // the features a batch of one (classify()) would produce for that
-    // window. When every window survived, `repaired` already is the packed
+    // window. When every window survived, `windows` already is the packed
     // batch.
-    const bool all_survived = survivors.size() == count;
-    const data::Tensor3 packed =
-        all_survived ? data::Tensor3() : repaired.gather(survivors);
+    if (survivors.size() != count) windows = windows.gather(survivors);
     const auto t0 = std::chrono::steady_clock::now();
-    const linalg::Matrix features =
-        pipeline_.transform(all_survived ? repaired : packed);
+    const linalg::Matrix features = pipeline_.transform(windows);
     const auto t1 = std::chrono::steady_clock::now();
     const std::vector<int> predicted = model_.predict(features);
     if (timings != nullptr) {

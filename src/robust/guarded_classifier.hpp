@@ -64,10 +64,11 @@ struct GuardedPrediction {
 /// GuardedConfig::kNoLabel on empty input.
 int majority_label(std::span<const int> labels);
 
-/// Where a batched classify spent its model-facing time. Both are
-/// batch-level wall times (the serve layer attributes them to every
-/// request in the batch when building per-request phase breakdowns).
+/// Where a batched classify spent its time. All are batch-level wall times
+/// (the serve layer attributes transform and predict to every request in
+/// the batch when building per-request phase breakdowns).
 struct BatchPhaseTimings {
+  double impute_s = 0.0;     ///< accounting + repair of every window
   double transform_s = 0.0;  ///< FeaturePipeline::transform on survivors
   double predict_s = 0.0;    ///< Classifier::predict on survivors
 };
@@ -104,10 +105,15 @@ class GuardedClassifier {
   /// whose per-row results depend only on that row's window. Never throws;
   /// a pipeline/model failure abstains every window that reached the model
   /// with kModelError. When `timings` is non-null it receives the
-  /// transform/predict wall times of this call (zeros when no window
-  /// survived the quality gate).
+  /// impute/transform/predict wall times of this call (transform and
+  /// predict are zero when no window survived the quality gate; all are
+  /// zero for an empty batch).
+  ///
+  /// `windows` is taken by value and repaired in place: a caller that
+  /// std::moves its tensor in gives it up and pays no copy; a const lvalue
+  /// is copied once and is left unchanged.
   [[nodiscard]] std::vector<GuardedPrediction> classify_batch(
-      const data::Tensor3& windows, BatchPhaseTimings* timings = nullptr) const;
+      data::Tensor3 windows, BatchPhaseTimings* timings = nullptr) const;
 
  private:
   /// True when steps×sensors is the non-empty geometry the model was

@@ -8,6 +8,7 @@
 // bit-for-bit identical to data::extract_window's output.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,10 +54,44 @@ QualityReport robust_extract_window(const telemetry::TimeSeries& series,
                                     std::size_t window_steps,
                                     std::span<double> dest);
 
+/// One-pass accounting and repair of row-major steps×sensors windows, in
+/// place. One row-major walk counts what is missing and, per sensor, keeps
+/// where its open gap started; the gap is filled when the sensor's next
+/// finite reading arrives (trailing gaps and dead sensors after the last
+/// row). Anchors are always *originally* finite readings, so the result is
+/// the same as repairing each sensor column on its own. The per-sensor
+/// scratch and resolved priors are sized once here, so repairing a batch
+/// allocates nothing per window.
+class WindowRepairer {
+ public:
+  WindowRepairer(std::size_t sensors, const ImputationConfig& config);
+
+  /// Adds missing_values, missing_steps, dead_sensors and repaired_values
+  /// of `window` to `report` and repairs it in place: afterwards it holds
+  /// only finite values, and a window with nothing missing is untouched
+  /// (bit-for-bit). Requires window.size() == steps * the constructor's
+  /// sensor count.
+  void account_and_repair(std::span<double> window, std::size_t steps,
+                          QualityReport& report) noexcept;
+
+ private:
+  /// The pass for rows of `sensors` readings (a std::size_t, or a
+  /// std::integral_constant when the width is fixed at compile time).
+  template <typename Width>
+  void repair(std::span<double> window, std::size_t steps, Width sensors,
+              QualityReport& report) noexcept;
+
+  Imputation policy_;
+  std::vector<double> prior_;            ///< resolved fill prior per sensor
+  std::vector<std::size_t> gap_start_;   ///< open gap's first step per sensor
+  std::vector<std::uint64_t> open_;      ///< open-gap bits, 64 sensors a word
+};
+
 /// Repairs every non-finite value of a row-major steps×sensors window in
-/// place and adds the repair count to `report`. After the call the window
-/// contains only finite values. A window with no missing values is left
-/// untouched (bit-for-bit).
+/// place and adds the repair count (only that) to `report`. After the call
+/// the window contains only finite values. A window with no missing values
+/// is left untouched (bit-for-bit). Sizes a WindowRepairer per call; repair
+/// many windows through one WindowRepairer instead.
 void impute_window(std::span<double> window, std::size_t steps,
                    std::size_t sensors, const ImputationConfig& config,
                    QualityReport& report);

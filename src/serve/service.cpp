@@ -355,7 +355,8 @@ void ClassificationService::execute_batch(
         const std::vector<double>& src = batch[packed_index[j]].window;
         std::copy(src.begin(), src.end(), windows.trial(j).begin());
       }
-      packed_out = bundle->guard().classify_batch(windows, &batch_timings);
+      packed_out =
+          bundle->guard().classify_batch(std::move(windows), &batch_timings);
     }
 
     // Answers one request: deadline checkpoint, latency instruments, then

@@ -3,10 +3,14 @@
 // their references — DecisionTree::predict_proba summed in tree order, and
 // StandardScaler::transform followed by covariance_features_flat — with ==
 // on every double, on a seeded corpus at FaultInjector severities {0, 0.5,
-// 1} after imputation, plus rows carrying NaN and ±inf features.
+// 1} after imputation, plus rows carrying NaN and ±inf features. The
+// one-pass repair (WindowRepairer) is checked bit for bit, QualityReport
+// included, against the column-by-column repair it replaced.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -19,6 +23,7 @@
 #include "preprocess/covariance_features.hpp"
 #include "preprocess/pipeline.hpp"
 #include "robust/fault.hpp"
+#include "robust/guarded_classifier.hpp"
 #include "robust/robust_window.hpp"
 
 namespace scwc {
@@ -219,6 +224,352 @@ TEST(InferenceOracle, ProbabilitiesDoNotDependOnTheCallingThread) {
     std::copy(p.row(0).begin(), p.row(0).end(), one_by_one.row(r).begin());
   }
   EXPECT_EQ(mismatches(from_main, one_by_one), 0u);
+}
+
+// ------------------------------------------------------------------ repair
+
+/// The column-by-column repair and its separate counting pass, as the
+/// guard ran them before the one-pass WindowRepairer: each sensor column is
+/// walked at stride `sensors` and repaired from the list of its finite
+/// steps.
+namespace column_repair {
+
+double prior_for(const robust::ImputationConfig& config, std::size_t sensor) {
+  if (sensor < config.sensor_prior_means.size()) {
+    const double m = config.sensor_prior_means[sensor];
+    if (std::isfinite(m)) return m;
+  }
+  return 0.0;
+}
+
+template <typename Get, typename Set>
+void repair_column(std::size_t steps, const std::vector<std::size_t>& finite,
+                   robust::Imputation policy, double prior, const Get& value,
+                   const Set& set) {
+  if (finite.empty()) {
+    for (std::size_t t = 0; t < steps; ++t) set(t, prior);
+    return;
+  }
+  if (policy == robust::Imputation::kPriorMean) {
+    for (std::size_t t = 0; t < steps; ++t) {
+      if (!std::isfinite(value(t))) set(t, prior);
+    }
+    return;
+  }
+  std::size_t next_idx = 0;
+  bool have_prev = false;
+  std::size_t prev = 0;
+  for (std::size_t t = 0; t < steps; ++t) {
+    if (next_idx < finite.size() && finite[next_idx] == t) {
+      prev = t;
+      have_prev = true;
+      ++next_idx;
+      continue;
+    }
+    if (!have_prev) {
+      set(t, value(finite.front()));
+    } else if (next_idx >= finite.size()) {
+      set(t, value(prev));
+    } else if (policy == robust::Imputation::kForwardFill) {
+      set(t, value(prev));
+    } else {
+      const std::size_t next = finite[next_idx];
+      const double lo_v = value(prev);
+      const double hi_v = value(next);
+      const double frac = static_cast<double>(t - prev) /
+                          static_cast<double>(next - prev);
+      set(t, lo_v + (hi_v - lo_v) * frac);
+    }
+  }
+}
+
+void impute_window(std::span<double> window, std::size_t steps,
+                   std::size_t sensors, const robust::ImputationConfig& config,
+                   robust::QualityReport& report) {
+  for (std::size_t s = 0; s < sensors; ++s) {
+    std::vector<std::size_t> finite;
+    std::size_t missing = 0;
+    for (std::size_t t = 0; t < steps; ++t) {
+      if (std::isfinite(window[t * sensors + s])) {
+        finite.push_back(t);
+      } else {
+        ++missing;
+      }
+    }
+    if (missing == 0) continue;
+    repair_column(
+        steps, finite, config.policy, prior_for(config, s),
+        [&](std::size_t t) { return window[t * sensors + s]; },
+        [&](std::size_t t, double v) {
+          window[t * sensors + s] = v;
+          ++report.repaired_values;
+        });
+  }
+}
+
+/// Missing values, fully-missing steps and dead sensors.
+void account(std::span<const double> window, std::size_t steps,
+             std::size_t sensors, robust::QualityReport& report) {
+  std::vector<std::size_t> finite_per_sensor(sensors, 0);
+  for (std::size_t t = 0; t < steps; ++t) {
+    std::size_t missing_here = 0;
+    for (std::size_t s = 0; s < sensors; ++s) {
+      if (std::isfinite(window[t * sensors + s])) {
+        ++finite_per_sensor[s];
+      } else {
+        ++missing_here;
+      }
+    }
+    report.missing_values += missing_here;
+    if (missing_here == sensors) ++report.missing_steps;
+  }
+  for (std::size_t s = 0; s < sensors; ++s) {
+    if (finite_per_sensor[s] == 0) ++report.dead_sensors;
+  }
+}
+
+}  // namespace column_repair
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr robust::Imputation kPolicies[] = {robust::Imputation::kForwardFill,
+                                            robust::Imputation::kLinear,
+                                            robust::Imputation::kPriorMean};
+
+void expect_same_report(const robust::QualityReport& got,
+                        const robust::QualityReport& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.steps, want.steps) << what;
+  EXPECT_EQ(got.sensors, want.sensors) << what;
+  EXPECT_EQ(got.missing_values, want.missing_values) << what;
+  EXPECT_EQ(got.missing_steps, want.missing_steps) << what;
+  EXPECT_EQ(got.dead_sensors, want.dead_sensors) << what;
+  EXPECT_EQ(got.truncated_steps, want.truncated_steps) << what;
+  EXPECT_EQ(got.repaired_values, want.repaired_values) << what;
+  EXPECT_EQ(got.shape_ok, want.shape_ok) << what;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Priors for `sensors` sensors, deliberately partial (the last sensor has
+/// none, so it falls back to 0) and with one non-finite entry.
+std::vector<double> test_priors(std::size_t sensors) {
+  std::vector<double> priors(sensors > 0 ? sensors - 1 : 0);
+  for (std::size_t s = 0; s < priors.size(); ++s) {
+    priors[s] = 3.25 * static_cast<double>(s) - 1.5;
+  }
+  if (priors.size() > 2) priors[2] = kNaN;
+  return priors;
+}
+
+/// Repairs `raw` (steps×sensors) under every policy through the one-pass
+/// WindowRepairer and through impute_window, and checks both against the
+/// column-by-column reference bit for bit.
+void expect_repair_matches(std::span<const double> raw, std::size_t steps,
+                           std::size_t sensors, const std::string& what) {
+  for (const robust::Imputation policy : kPolicies) {
+    const std::string label = what + " / " + robust::imputation_name(policy);
+    robust::ImputationConfig config;
+    config.policy = policy;
+    config.sensor_prior_means = test_priors(sensors);
+
+    std::vector<double> want(raw.begin(), raw.end());
+    robust::QualityReport want_report;
+    column_repair::account(want, steps, sensors, want_report);
+    column_repair::impute_window(want, steps, sensors, config, want_report);
+
+    std::vector<double> got(raw.begin(), raw.end());
+    robust::QualityReport got_report;
+    robust::WindowRepairer repairer(sensors, config);
+    repairer.account_and_repair(got, steps, got_report);
+    EXPECT_TRUE(same_bits(got, want)) << label;
+    expect_same_report(got_report, want_report, label);
+
+    // The same repairer is reusable: its scratch is clean after a window.
+    std::vector<double> again(raw.begin(), raw.end());
+    robust::QualityReport again_report;
+    repairer.account_and_repair(again, steps, again_report);
+    EXPECT_TRUE(same_bits(again, want)) << label << " (reused)";
+    expect_same_report(again_report, want_report, label + " (reused)");
+
+    // impute_window is the same kernel and adds only repaired_values.
+    std::vector<double> imputed(raw.begin(), raw.end());
+    robust::QualityReport only_repairs;
+    robust::impute_window(imputed, steps, sensors, config, only_repairs);
+    robust::QualityReport want_repairs;
+    want_repairs.repaired_values = want_report.repaired_values;
+    EXPECT_TRUE(same_bits(imputed, want)) << label << " (impute_window)";
+    expect_same_report(only_repairs, want_repairs, label + " (impute_window)");
+  }
+}
+
+/// `steps`×`sensors` readings of a synthetic series, corrupted by
+/// FaultInjector at `severity` and extracted through robust_extract_window
+/// (so truncated tails arrive NaN-padded). Checks the extraction's counts
+/// against the reference counting pass.
+std::vector<double> faulted_window(std::size_t steps, std::size_t sensors,
+                                   double severity, std::uint64_t seed) {
+  telemetry::TimeSeries series;
+  series.sample_hz = 1.0;
+  series.values = Matrix(steps, sensors);
+  Rng rng(seed);
+  for (std::size_t t = 0; t < steps; ++t) {
+    for (std::size_t s = 0; s < sensors; ++s) {
+      series.values(t, s) = 10.0 * static_cast<double>(s) + rng.normal();
+    }
+  }
+  const robust::FaultInjector injector(
+      robust::FaultProfile::at_severity(severity));
+  injector.corrupt(series, rng);
+  std::vector<double> window(steps * sensors);
+  const robust::QualityReport extracted =
+      robust::robust_extract_window(series, 0, steps, window);
+  robust::QualityReport want;
+  want.steps = steps;
+  want.sensors = sensors;
+  want.truncated_steps = steps - std::min(steps, series.steps());
+  column_repair::account(window, steps, sensors, want);
+  expect_same_report(extracted, want, "robust_extract_window");
+  return window;
+}
+
+TEST(InferenceOracle, OnePassRepairMatchesColumnRepairUnderFaults) {
+  struct Geometry {
+    std::size_t steps, sensors, windows;
+  };
+  for (const Geometry g : {Geometry{540, 7, 24}, Geometry{60, 7, 48},
+                           Geometry{45, 70, 8}}) {
+    for (const double severity : {0.0, 0.25, 0.5, 1.0}) {
+      for (std::size_t i = 0; i < g.windows; ++i) {
+        const std::string what = std::to_string(g.steps) + "x" +
+                                 std::to_string(g.sensors) + " severity " +
+                                 std::to_string(severity) + " window " +
+                                 std::to_string(i);
+        const std::vector<double> raw =
+            faulted_window(g.steps, g.sensors, severity, 0xFA17ULL + 97 * i);
+        expect_repair_matches(raw, g.steps, g.sensors, what);
+      }
+    }
+  }
+}
+
+TEST(InferenceOracle, OnePassRepairMatchesColumnRepairOnEdgeCases) {
+  // 6 steps × 3 sensors, one row per line.
+  const std::vector<std::vector<double>> cases = {
+      // dead sensor 1
+      {1, kNaN, 2, 3, kNaN, 4, 5, kNaN, 6, 7, kNaN, 8, 9, kNaN, 1, 2, kNaN, 3},
+      // leading gaps of different lengths, trailing gaps, interior gaps
+      {kNaN, kNaN, 1, kNaN, 2, 3, 4, 5, kNaN, kNaN, 6, kNaN, 7, kNaN, kNaN, 8,
+       9, kNaN},
+      // ±inf count as missing and never anchor a repair
+      {kInf, 1, -kInf, 2, kInf, 3, -kInf, kNaN, 4, 5, 6, kInf, kNaN, -kInf, 7,
+       8, 9, -kInf},
+      // one finite reading per sensor: first step, last step, middle
+      {1, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, 3, kNaN, kNaN, kNaN, kNaN,
+       kNaN, kNaN, kNaN, 2, kNaN},
+      // NaN-padded truncated tail
+      {1, 2, 3, 4, kNaN, 6, 7, 8, 9, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN,
+       kNaN, kNaN},
+      // all NaN
+      std::vector<double>(18, kNaN),
+      // nothing missing
+      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    expect_repair_matches(cases[c], 6, 3, "case " + std::to_string(c));
+  }
+  // 1-step windows: a lone finite value cannot anchor across steps.
+  expect_repair_matches(std::vector<double>{kNaN, 1.0, -kInf}, 1, 3, "1 step");
+  expect_repair_matches(std::vector<double>(3, kNaN), 1, 3, "1 step, all NaN");
+  expect_repair_matches(std::vector<double>{1.0, 2.0, 3.0}, 1, 3,
+                        "1 step, clean");
+  // 70 sensors: more than one 64-bit word of per-sensor state. Sensor s is
+  // missing on steps where (t + s) % (s % 5 + 2) == 0; sensors 64 and 69
+  // are dead.
+  constexpr std::size_t kSteps = 12, kSensors = 70;
+  std::vector<double> wide(kSteps * kSensors);
+  for (std::size_t t = 0; t < kSteps; ++t) {
+    for (std::size_t s = 0; s < kSensors; ++s) {
+      const bool missing =
+          s == 64 || s == 69 || (t + s) % (s % 5 + 2) == 0;
+      wide[t * kSensors + s] =
+          missing ? kNaN : static_cast<double>(t * 100 + s) / 7.0;
+    }
+  }
+  expect_repair_matches(wide, kSteps, kSensors, "70 sensors");
+}
+
+TEST(InferenceOracle, ClassifyBatchRepairsAsTheColumnRepairAndKeepsConstInput) {
+  const OracleWorld& w = world();
+  const data::ChallengeDataset& ds = w.ds;
+  robust::GuardedConfig config;
+  config.window_steps = ds.steps();
+  config.sensors = ds.sensors();
+  config.min_quality = 0.6;
+  config.imputation.sensor_prior_means = w.priors;
+  const robust::GuardedClassifier guard(w.pipeline, w.forest, config);
+
+  for (const double severity : {0.0, 0.25, 0.5, 1.0}) {
+    const robust::FaultInjector injector(
+        robust::FaultProfile::at_severity(severity));
+    data::Tensor3 damaged(ds.test_trials(), ds.steps(), ds.sensors());
+    for (std::size_t i = 0; i < ds.test_trials(); ++i) {
+      telemetry::TimeSeries series;
+      series.sample_hz = 0.75;
+      series.values = ds.x_test.trial_matrix(i);
+      Rng rng(0xBADULL + 13 * i);
+      injector.corrupt(series, rng);
+      (void)robust::robust_extract_window(series, 0, ds.steps(),
+                                          damaged.trial(i));
+    }
+    const data::Tensor3& input = damaged;
+    const std::vector<double> before(input.raw().begin(), input.raw().end());
+    const std::vector<robust::GuardedPrediction> from_const =
+        guard.classify_batch(input);
+    EXPECT_TRUE(same_bits(input.raw(), before))
+        << "classify_batch changed a const tensor, severity " << severity;
+
+    data::Tensor3 moved = damaged;
+    const std::vector<robust::GuardedPrediction> from_moved =
+        guard.classify_batch(std::move(moved));
+    ASSERT_EQ(from_const.size(), ds.test_trials());
+    ASSERT_EQ(from_moved.size(), ds.test_trials());
+    // The reference: column repair, quality gate, then the model on the
+    // survivors.
+    data::Tensor3 repaired = damaged;
+    std::vector<robust::QualityReport> want(ds.test_trials());
+    std::vector<std::size_t> survivors;
+    for (std::size_t i = 0; i < ds.test_trials(); ++i) {
+      want[i].steps = ds.steps();
+      want[i].sensors = ds.sensors();
+      column_repair::account(repaired.trial(i), ds.steps(), ds.sensors(),
+                             want[i]);
+      column_repair::impute_window(repaired.trial(i), ds.steps(),
+                                   ds.sensors(), config.imputation, want[i]);
+      if (want[i].usable(config.min_quality)) survivors.push_back(i);
+    }
+    const std::vector<int> labels =
+        survivors.empty() ? std::vector<int>{}
+                          : w.forest.predict(w.pipeline.transform(
+                                repaired.gather(survivors)));
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < ds.test_trials(); ++i) {
+      const std::string what = "severity " + std::to_string(severity) +
+                               " window " + std::to_string(i);
+      const bool answered = next < survivors.size() && survivors[next] == i;
+      EXPECT_EQ(from_const[i].abstained, !answered) << what;
+      if (answered) {
+        EXPECT_EQ(from_const[i].label, labels[next++]) << what;
+      }
+      expect_same_report(from_const[i].report, want[i], what);
+      expect_same_report(from_moved[i].report, want[i], what + " (moved)");
+      EXPECT_EQ(from_const[i].label, from_moved[i].label) << what;
+      EXPECT_EQ(from_const[i].reason, from_moved[i].reason) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // the end-to-end degradation bound on 60-random-1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -459,6 +460,41 @@ TEST(GuardedClassifier, AbstainsBelowQualityThreshold) {
   EXPECT_TRUE(p.abstained);
   EXPECT_EQ(p.label, config.fallback_label);
   EXPECT_GT(p.report.missing_values, 0u);
+}
+
+TEST(GuardedClassifier, BatchTimingsIncludeRepairTime) {
+  const RobustWorld& w = world();
+  GuardedConfig config;
+  config.window_steps = w.ds.steps();
+  config.sensors = w.ds.sensors();
+  config.imputation.sensor_prior_means = w.priors;
+  const GuardedClassifier guarded(w.pipeline, w.forest, config);
+
+  // Every window of the batch loses a run of values in sensor 0.
+  const std::size_t count = std::min<std::size_t>(w.ds.test_trials(), 8);
+  data::Tensor3 batch(count, w.ds.steps(), w.ds.sensors());
+  for (std::size_t i = 0; i < count; ++i) {
+    std::copy(w.ds.x_test.trial(i).begin(), w.ds.x_test.trial(i).end(),
+              batch.trial(i).begin());
+    for (std::size_t t = 3; t < 9; ++t) {
+      batch.trial(i)[t * batch.sensors()] = kNaN;
+    }
+  }
+  BatchPhaseTimings timings;
+  const std::vector<GuardedPrediction> out =
+      guarded.classify_batch(std::move(batch), &timings);
+  ASSERT_EQ(out.size(), count);
+  EXPECT_EQ(out.front().report.repaired_values, 6u);
+  EXPECT_GT(timings.impute_s, 0.0);
+  EXPECT_GT(timings.transform_s, 0.0);
+  EXPECT_GT(timings.predict_s, 0.0);
+
+  BatchPhaseTimings empty{1.0, 1.0, 1.0};
+  const data::Tensor3 none(0, w.ds.steps(), w.ds.sensors());
+  EXPECT_TRUE(guarded.classify_batch(none, &empty).empty());
+  EXPECT_DOUBLE_EQ(empty.impute_s, 0.0);
+  EXPECT_DOUBLE_EQ(empty.transform_s, 0.0);
+  EXPECT_DOUBLE_EQ(empty.predict_s, 0.0);
 }
 
 }  // namespace
