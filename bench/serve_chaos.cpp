@@ -46,6 +46,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
+#include "openloop.hpp"
 #include "serve/bundle_io.hpp"
 #include "serve/chaos.hpp"
 #include "serve/retry.hpp"
@@ -436,7 +437,9 @@ int main(int argc, char** argv) {
   }
 
   obs::Json results;
-  results["schema"] = "scwc.bench_chaos/v1";
+  results["schema"] = "scwc.bench_chaos/v2";
+  results["provenance"] =
+      perfbench::provenance("serve_chaos", seed, SCWC_GIT_DESCRIBE);
   results["config"] = obs::Json::Object{
       {"severity", obs::Json(severity)},
       {"warmup_s", obs::Json(warmup_s)},

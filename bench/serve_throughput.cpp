@@ -1,30 +1,29 @@
-// Serve-layer load test — open-loop throughput and latency of scwc_serve.
+// Serve-layer load test — capacity and latency of scwc_serve.
 //
-// Trains a RandomForest + covariance bundle, registers it, then drives the
-// ClassificationService with an open-loop Poisson arrival stream (arrivals
-// do not wait for completions — the honest way to measure a service, since
-// closed-loop load generators hide queueing collapse). Reports sustained
-// windows/sec, p50/p99 end-to-end latency, batch-size distribution and the
-// per-reason shed counts, and writes them to a tracked JSON artifact
-// (BENCH_serve.json) so serving regressions show up in review diffs.
+// Trains a RandomForest + covariance bundle, registers it, then measures
+// the ClassificationService with perfbench's load harness: its saturated
+// capacity (a closed loop of four full batches in flight), then open-loop
+// Poisson phases at fixed fractions of that capacity, each reporting
+// p50/p99 latency timed from the due time, shed fraction and generator
+// lag. Results go to a tracked JSON artifact (BENCH_serve.json) so serving
+// regressions show up in review diffs. A full run fails unless the phase
+// at half capacity meets the deadline at p99 with at most 1% shed.
 //
-// Before the load phase the bench proves the batching invariant: labels
+// Before the load phases the bench proves the batching invariant: labels
 // from one classify_batch call must equal the per-window classify labels
 // at the same model version — a mismatch fails the run.
 //
-// SCWC_SMOKE=1 shrinks the run (lower rate, sub-second duration) — same
-// code path, seconds of wall time, used by the serve-smoke ctest.
+// SCWC_SMOKE=1 shortens every phase — same code path, seconds of wall
+// time, used by the serve-smoke ctest; it reports the throughput gate but
+// does not enforce it.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <future>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -33,12 +32,12 @@
 #include "common/stopwatch.hpp"
 #include "core/challenge.hpp"
 #include "core/report.hpp"
-#include "linalg/stats.hpp"
+#include "load_phase.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace.hpp"
+#include "openloop.hpp"
 #include "serve/bundle_io.hpp"
 #include "serve/retry.hpp"
 #include "serve/service.hpp"
@@ -47,19 +46,20 @@
 namespace {
 
 using namespace scwc;
-using linalg::quantile_sorted;
+
+constexpr std::size_t kMaxPending = 4096;
+/// Open-loop load, as fractions of the measured capacity.
+constexpr double kFractions[] = {0.25, bench::kGateFraction, 0.75, 0.9};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("Open-loop Poisson load test of the online serving layer.");
+  CliParser cli("Capacity and open-loop latency of the online serving layer.");
   cli.add_flag("scale", "", "scale profile (default: SCWC_SCALE or tiny)");
-  cli.add_flag("rate", "20000", "offered load, windows/second");
-  cli.add_flag("seconds", "3", "load duration in seconds");
+  cli.add_flag("seconds", "3",
+               "duration of the capacity phase and of each load phase");
   cli.add_flag("deadline-ms", "20",
                "latency budget; batcher max_delay is a quarter of this");
-  cli.add_flag("max-batch", "64", "micro-batch size bound");
-  cli.add_flag("max-pending", "4096", "admission bound on queued requests");
   cli.add_flag("out", "BENCH_serve.json", "result artifact path");
   cli.add_flag("trace-sample", "0.01",
                "request head-sampling rate; the default 1% runs in every "
@@ -75,22 +75,23 @@ int main(int argc, char** argv) {
   const ScaleProfile profile = scale_flag.empty()
                                    ? ScaleProfile::from_env("tiny")
                                    : ScaleProfile::named(scale_flag);
-  double rate = cli.get_double("rate");
   double seconds = cli.get_double("seconds");
   if (smoke) {
-    rate = std::min(rate, 2000.0);
-    seconds = std::min(seconds, 0.4);
-    std::cout << "SCWC_SMOKE: rate " << rate << "/s for " << seconds
-              << " s\n";
+    seconds = std::min(seconds, 0.2);
+    std::cout << "SCWC_SMOKE: " << seconds << " s phases\n";
   }
   const double deadline_s = cli.get_double("deadline-ms") / 1000.0;
+  const auto deadline = std::chrono::duration_cast<perfbench::Clock::duration>(
+      std::chrono::duration<double>(deadline_s));
 
   core::print_profile_banner(
       std::cout, profile,
-      "Serve throughput — open-loop load on the online inference service");
+      "Serve throughput — capacity and open-loop load on the online "
+      "inference service");
 
   const Stopwatch wall;
   obs::Json results;
+  bool slo_ok = false;
   {
     const obs::TraceSpan run_span("bench.serve_throughput");
 
@@ -153,11 +154,9 @@ int main(int argc, char** argv) {
     serve::ServiceConfig service_config;
     service_config.assembler.window_steps = steps;
     service_config.assembler.sensors = sensors;
-    service_config.batcher.max_batch =
-        static_cast<std::size_t>(cli.get_int("max-batch"));
+    service_config.batcher.max_batch = bench::kMaxBatch;
     service_config.batcher.max_delay_s = deadline_s / 4.0;
-    service_config.admission.max_pending =
-        static_cast<std::size_t>(cli.get_int("max-pending"));
+    service_config.admission.max_pending = kMaxPending;
     // Deadline enforcement: a request that cannot be answered inside the
     // budget is shed with kDeadlineExceeded instead of answered late.
     service_config.default_deadline_s = deadline_s;
@@ -172,86 +171,63 @@ int main(int argc, char** argv) {
       const auto src = ds.x_test.trial(i);
       payload.emplace_back(src.begin(), src.end());
     }
+    const auto submit_now = [&](std::size_t i) {
+      return service.submit(payload[i % payload.size()], steps, sensors);
+    };
 
-    // 4) Warm-up (populate caches, spin up pool workers) — not measured.
+    // 4) Capacity: a short unmeasured burst warms caches and pool workers,
+    // then the closed loop keeps four full batches in flight.
+    double capacity = 0.0;
     {
-      std::vector<std::future<serve::ServeResult>> warm;
-      const std::size_t n = smoke ? 64 : 256;
-      warm.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        warm.push_back(
-            service.submit(payload[i % payload.size()], steps, sensors));
-      }
-      for (auto& f : warm) (void)f.get();
+      const obs::TraceSpan span("serve_bench.capacity");
+      (void)bench::saturated_wps(std::min(seconds, 0.1), submit_now);
+      capacity = bench::saturated_wps(seconds, submit_now);
     }
+    std::cout << std::fixed << std::setprecision(2);
+    std::cout << "\nsaturated capacity: " << capacity << " windows/s ("
+              << bench::kSaturationWindow << " in flight)\n";
 
-    // 5) Open-loop Poisson load: the next arrival time never depends on
-    // completions, so queue growth under overload is visible, not hidden.
-    using clock = std::chrono::steady_clock;
+    // 5) Open-loop Poisson phases at fixed fractions of that capacity:
+    // arrivals never wait for completions, so queue growth shows as
+    // latency, and each request is timed from when it was due.
     Rng rng(cfg.seed ^ 0x5e12e0adULL);
-    std::vector<std::future<serve::ServeResult>> futures;
-    futures.reserve(static_cast<std::size_t>(rate * seconds * 1.25) + 16);
-    const auto load_start = clock::now();
-    const auto load_end =
-        load_start + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double>(seconds));
-    auto next_arrival = load_start;
-    std::size_t submitted = 0;
-    {
-      const obs::TraceSpan span("serve_bench.load");
-      while (clock::now() < load_end) {
-        while (clock::now() < next_arrival) {
-          std::this_thread::yield();
-        }
-        futures.push_back(
-            service.submit(payload[submitted % payload.size()], steps,
-                           sensors));
-        ++submitted;
-        next_arrival += std::chrono::duration_cast<clock::duration>(
-            std::chrono::duration<double>(rng.exponential(rate)));
-      }
-    }
-    const double load_elapsed =
-        std::chrono::duration<double>(clock::now() - load_start).count();
-
-    // 6) Collect every result (futures always become ready).
-    std::size_t answered = 0;
-    std::size_t abstained = 0;
-    std::map<std::string, std::size_t> shed;
     std::vector<std::size_t> retry_payloads;  // submission order of sheds
-    std::vector<double> latencies;
-    latencies.reserve(futures.size());
-    std::vector<double> queue_delays;
-    queue_delays.reserve(futures.size());
-    double batch_size_sum = 0.0;
-    {
-      const obs::TraceSpan span("serve_bench.collect");
-      std::size_t index = 0;
-      for (auto& f : futures) {
-        const serve::ServeResult r = f.get();
-        ++index;
-        if (!r.accepted) {
-          ++shed[serve::reject_reason_name(r.reject_reason)];
-          if (serve::retryable(r.reject_reason)) {
-            retry_payloads.push_back((index - 1) % payload.size());
-          }
-          continue;
-        }
-        latencies.push_back(r.total_latency_s);
-        queue_delays.push_back(r.queue_delay_s);
-        batch_size_sum += static_cast<double>(r.batch_size);
-        if (r.prediction.abstained) {
-          ++abstained;
-        } else {
-          ++answered;
-        }
+    obs::Json::Array curve;
+    std::cout << "fraction  rate/s      p50 ms  p99 ms  shed %  lag p99 ms\n";
+    for (const double fraction : kFractions) {
+      const obs::TraceSpan span("serve_bench.load");
+      const perfbench::Schedule schedule = perfbench::poisson_schedule(
+          fraction * capacity, seconds, payload.size(), rng);
+      bench::Phase phase;
+      phase.rate = schedule.rate;
+      (void)perfbench::drive(
+          schedule,
+          [&](std::size_t i, perfbench::Clock::time_point due) {
+            return service.submit(payload[schedule.payload[i]], steps,
+                                  sensors, due + deadline);
+          },
+          [&](std::size_t i, perfbench::Issued&& r) { phase.add(i, r); });
+      for (const std::size_t i : phase.retryable) {
+        retry_payloads.push_back(schedule.payload[i]);
       }
+      std::cout << std::setw(8) << fraction << "  " << std::setw(10)
+                << phase.rate << "  " << std::setw(6) << phase.latency_ms(0.5)
+                << "  " << std::setw(6) << phase.latency_ms(0.99) << "  "
+                << std::setw(6) << phase.shed_frac() * 100.0 << "  "
+                << std::setw(10)
+                << perfbench::quantile(phase.lag_s, 0.99) * 1000.0 << '\n';
+      if (fraction == bench::kGateFraction) {
+        slo_ok = phase.meets_slo(deadline_s);
+      }
+      obs::Json row = phase.to_json();
+      row["fraction"] = fraction;
+      curve.push_back(std::move(row));
     }
 
-    // 6b) Retry pass: resubmit every retryable shed through the shared
-    // jittered-backoff helper. Kept OUT of the open-loop stats above — the
-    // load phase must report what the offered rate actually got — and
-    // reported separately as the recovery the client path would see.
+    // 5b) Retry pass: resubmit every retryable shed through the shared
+    // jittered-backoff helper. Kept OUT of the open-loop stats above — each
+    // phase reports what its rate actually got — and reported separately
+    // as the recovery the client path would see.
     std::size_t retry_recovered = 0;
     if (!retry_payloads.empty()) {
       const obs::TraceSpan span("serve_bench.retry");
@@ -262,65 +238,34 @@ int main(int argc, char** argv) {
             service, payload[p], steps, sensors, retry_policy, retry_rng);
         if (r.accepted) ++retry_recovered;
       }
-    }
-    service.stop();
-
-    std::sort(latencies.begin(), latencies.end());
-    std::sort(queue_delays.begin(), queue_delays.end());
-    const std::size_t accepted = latencies.size();
-    const double throughput =
-        static_cast<double>(accepted) / std::max(load_elapsed, 1e-9);
-    const double p50 = quantile_sorted(latencies, 0.50);
-    const double p99 = quantile_sorted(latencies, 0.99);
-    const double mean_batch =
-        accepted > 0 ? batch_size_sum / static_cast<double>(accepted) : 0.0;
-
-    std::cout << std::fixed << std::setprecision(2);
-    std::cout << "\noffered " << rate << " windows/s for " << load_elapsed
-              << " s → " << submitted << " submitted, " << accepted
-              << " accepted (" << answered << " answered, " << abstained
-              << " abstained)\n";
-    std::cout << "sustained throughput: " << throughput << " windows/s\n";
-    std::cout << "latency p50/p99: " << p50 * 1000.0 << " / " << p99 * 1000.0
-              << " ms (budget " << deadline_s * 1000.0 << " ms)\n";
-    std::cout << "queue delay p99: "
-              << quantile_sorted(queue_delays, 0.99) * 1000.0
-              << " ms, mean batch size " << mean_batch << '\n';
-    for (const auto& [reason, count] : shed) {
-      std::cout << "shed[" << reason << "]: " << count << '\n';
-    }
-    if (!retry_payloads.empty()) {
       std::cout << "retry pass: " << retry_payloads.size()
                 << " retryable sheds resubmitted, " << retry_recovered
                 << " recovered\n";
     }
-    const bool rate_ok = throughput >= 10000.0;
-    const bool latency_ok = p99 <= deadline_s;
-    std::cout << "targets: ≥10k windows/s "
-              << (rate_ok ? "PASS" : (smoke ? "skip (smoke)" : "MISS"))
-              << ", p99 ≤ deadline "
-              << (latency_ok ? "PASS" : (smoke ? "skip (smoke)" : "MISS"))
+    service.stop();
+
+    std::cout << "target: p99 ≤ " << deadline_s * 1000.0 << " ms and shed ≤ "
+              << bench::kGateMaxShed * 100.0 << "% at "
+              << bench::kGateFraction << "× capacity "
+              << (slo_ok ? "PASS" : (smoke ? "skip (smoke)" : "MISS"))
               << '\n';
 
-    results["schema"] = "scwc.bench_serve/v1";
+    results["schema"] = "scwc.bench_serve/v2";
+    results["provenance"] = perfbench::provenance(
+        "serve_throughput", cfg.seed, SCWC_GIT_DESCRIBE);
     results["profile"] = profile.name;
     results["model_version"] = bundle->version();
     results["window"] = obs::Json::Object{
         {"steps", obs::Json(static_cast<double>(steps))},
         {"sensors", obs::Json(static_cast<double>(sensors))}};
     results["config"] = obs::Json::Object{
-        {"rate_per_s", obs::Json(rate)},
         {"seconds", obs::Json(seconds)},
         {"deadline_ms", obs::Json(deadline_s * 1000.0)},
-        {"max_batch",
-         obs::Json(static_cast<double>(service_config.batcher.max_batch))},
-        {"max_pending",
-         obs::Json(static_cast<double>(service_config.admission.max_pending))},
+        {"max_batch", obs::Json(static_cast<double>(bench::kMaxBatch))},
+        {"max_pending", obs::Json(static_cast<double>(kMaxPending))},
+        {"saturation_window",
+         obs::Json(static_cast<double>(bench::kSaturationWindow))},
         {"smoke", obs::Json(smoke)}};
-    obs::Json::Object shed_json;
-    for (const auto& [reason, count] : shed) {
-      shed_json[reason] = obs::Json(static_cast<double>(count));
-    }
     // Sampled request traces: drained after stop() so every verdict has
     // been recorded; written before the artifact so a failed write fails
     // the run visibly.
@@ -343,21 +288,15 @@ int main(int argc, char** argv) {
          obs::Json(static_cast<double>(trace_records.size()))},
         {"dropped_records",
          obs::Json(static_cast<double>(service.tracer().dropped()))}};
-    results["results"] = obs::Json::Object{
-        {"submitted", obs::Json(static_cast<double>(submitted))},
-        {"accepted", obs::Json(static_cast<double>(accepted))},
-        {"answered", obs::Json(static_cast<double>(answered))},
-        {"abstained", obs::Json(static_cast<double>(abstained))},
-        {"throughput_windows_per_s", obs::Json(throughput)},
-        {"latency_p50_ms", obs::Json(p50 * 1000.0)},
-        {"latency_p99_ms", obs::Json(p99 * 1000.0)},
-        {"queue_delay_p99_ms",
-         obs::Json(quantile_sorted(queue_delays, 0.99) * 1000.0)},
-        {"mean_batch_size", obs::Json(mean_batch)},
-        {"shed", obs::Json(std::move(shed_json))},
+    results["saturated_capacity_wps"] = capacity;
+    results["curve"] = obs::Json(std::move(curve));
+    results["slo_gate"] = obs::Json::Object{
+        {"fraction", obs::Json(bench::kGateFraction)},
+        {"max_shed_frac", obs::Json(bench::kGateMaxShed)},
+        {"pass", obs::Json(slo_ok)}};
+    results["retry"] = obs::Json::Object{
         {"retried", obs::Json(static_cast<double>(retry_payloads.size()))},
-        {"retry_recovered",
-         obs::Json(static_cast<double>(retry_recovered))}};
+        {"recovered", obs::Json(static_cast<double>(retry_recovered))}};
   }
 
   const std::string out_path = cli.get_string("out");
@@ -375,13 +314,13 @@ int main(int argc, char** argv) {
 
   obs::RunReport report;
   report.run_id = "serve_throughput";
-  report.title = "Serve throughput — open-loop load test";
+  report.title = "Serve throughput — capacity and open-loop load test";
   report.profile = profile.name;
-  report.config = {{"rate", cli.get_string("rate")},
+  report.config = {{"seconds", cli.get_string("seconds")},
                    {"deadline_ms", cli.get_string("deadline-ms")},
                    {"smoke", smoke ? "1" : "0"}};
   report.wall_seconds = wall.seconds();
   const auto path = obs::write_run_report(report);
   if (!path.empty()) std::cout << "run report: " << path.string() << '\n';
-  return 0;
+  return slo_ok || smoke ? 0 : 1;
 }

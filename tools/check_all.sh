@@ -66,8 +66,11 @@ release_gate() {
 run_gate release release_gate
 
 # -- serve-smoke -----------------------------------------------------------
-# Low-rate run of the serving load test; the bench fails its own exit code
-# when batched labels diverge from single-request labels or a future hangs.
+# Shortened run of the serving load test (capacity, then 0.2 s open-loop
+# phases); the bench fails its own exit code when batched labels diverge
+# from single-request labels or a future hangs. The throughput gate (p99 ≤
+# deadline and shed ≤ 1% at 0.5× capacity) is timing-based and enforced
+# only by the full run.
 echo "==> gate: serve-smoke"
 if [ -x build/bench/serve_throughput ]; then
   if env SCWC_SMOKE=1 SCWC_SCALE=tiny build/bench/serve_throughput \
@@ -100,10 +103,13 @@ fi
 
 # -- cluster-smoke ---------------------------------------------------------
 # Shortened run of the sharded-serving bench: forks a real 2-worker fleet,
-# drives it over loopback TCP, SIGKILLs one shard mid-load (availability
-# gate ≥0.95 stays enforced even in smoke mode) and pushes a good + a
-# corrupt bundle fleet-wide (commit-everywhere / rollback-everywhere gates
-# also enforced). The full run writes the tracked BENCH_cluster.json.
+# drives it over loopback TCP, SIGKILLs one shard mid-load and pushes a
+# good + a corrupt bundle fleet-wide. Enforced here: the dead shard leaves
+# the ring, v2 commits on every live shard, the corrupt push rolls back
+# everywhere, zero downtime during the swaps. Reported only (enforced by
+# the full run, which writes the tracked BENCH_cluster.json): the
+# throughput gate at 0.5× fleet capacity and availability ≥ 0.95 across
+# the shard kill.
 echo "==> gate: cluster-smoke"
 if [ -x build/bench/cluster_throughput ] && [ -x build/tools/scwc_worker ]; then
   if env SCWC_SMOKE=1 SCWC_SCALE=tiny build/bench/cluster_throughput \
