@@ -216,9 +216,11 @@ int main(int argc, char** argv) {
       const auto src = ds.x_test.trial(i);
       payload.emplace_back(src.begin(), src.end());
     }
+    const auto route = [&](std::size_t i, std::size_t p) {
+      return router.submit(job_of(i), payload[p], steps, sensors);
+    };
     const auto submit_now = [&](std::size_t i) {
-      return router.submit(job_of(i), payload[i % payload.size()], steps,
-                           sensors);
+      return route(i, i % payload.size());
     };
     Rng rng(cfg.seed ^ 0xc1a51e7ULL);
 
@@ -237,8 +239,7 @@ int main(int argc, char** argv) {
     (void)perfbench::drive(
         schedule_a,
         [&](std::size_t i, perfbench::Clock::time_point /*due*/) {
-          return router.submit(job_of(i), payload[schedule_a.payload[i]],
-                               steps, sensors);
+          return route(i, schedule_a.payload[i]);
         },
         [&](std::size_t i, perfbench::Issued&& r) {
           a.add(i, r);
@@ -309,8 +310,7 @@ int main(int argc, char** argv) {
             ::kill(victim.pid, SIGKILL);
             killed = true;
           }
-          return router.submit(job_of(i), payload[schedule_b.payload[i]],
-                               steps, sensors);
+          return route(i, schedule_b.payload[i]);
         },
         [&](std::size_t i, perfbench::Issued&& r) { b.add(i, r); });
     std::size_t recovered = 0;
