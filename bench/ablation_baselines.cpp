@@ -59,8 +59,9 @@ int main() {
       {"SVM (rbf)", [] { return std::make_unique<ml::Svm>(); }},
       {"RF (100)",
        [] {
-         return std::make_unique<ml::RandomForest>(
-             ml::RandomForestConfig{.n_estimators = 100});
+         ml::RandomForestConfig forest_config;
+         forest_config.n_estimators = 100;
+         return std::make_unique<ml::RandomForest>(forest_config);
        }},
       {"XGB (40)",
        [] {

@@ -34,7 +34,9 @@ linalg::Matrix take_block(const linalg::Matrix& m, std::size_t col_lo,
 
 double rf_accuracy(const linalg::Matrix& train, std::span<const int> y_train,
                    const linalg::Matrix& test, std::span<const int> y_test) {
-  ml::RandomForest forest({.n_estimators = 100});
+  ml::RandomForestConfig forest_config;
+  forest_config.n_estimators = 100;
+  ml::RandomForest forest(forest_config);
   forest.fit(train, y_train);
   return ml::accuracy(y_test, forest.predict(test));
 }

@@ -54,7 +54,9 @@ int main() {
     const linalg::Matrix test = pipeline.transform(ds.x_test);
     const double reduce_s = timer.lap();
 
-    ml::RandomForest forest({.n_estimators = 100});
+    ml::RandomForestConfig forest_config;
+    forest_config.n_estimators = 100;
+    ml::RandomForest forest(forest_config);
     forest.fit(train, ds.y_train);
     const double train_s = timer.lap();
 

@@ -25,7 +25,9 @@ double rf_cov_accuracy(const scwc::data::ChallengeDataset& ds) {
       {preprocess::Reduction::kCovariance, 0});
   const linalg::Matrix train = pipeline.fit_transform(ds.x_train);
   const linalg::Matrix test = pipeline.transform(ds.x_test);
-  ml::RandomForest forest({.n_estimators = 100});
+  ml::RandomForestConfig forest_config;
+  forest_config.n_estimators = 100;
+  ml::RandomForest forest(forest_config);
   forest.fit(train, ds.y_train);
   return ml::accuracy(ds.y_test, forest.predict(test));
 }

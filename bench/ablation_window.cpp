@@ -95,7 +95,9 @@ int main() {
         {preprocess::Reduction::kCovariance, 0});
     const linalg::Matrix train = pipeline.fit_transform(ds.x_train);
     const linalg::Matrix test = pipeline.transform(ds.x_test);
-    ml::RandomForest forest({.n_estimators = 100});
+    ml::RandomForestConfig forest_config;
+    forest_config.n_estimators = 100;
+    ml::RandomForest forest(forest_config);
     forest.fit(train, y_train);
     const double acc = ml::accuracy(y_test, forest.predict(test));
     table.add_row({format_fixed(frac, 1), format_fixed(acc * 100.0, 2)});

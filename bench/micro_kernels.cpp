@@ -89,12 +89,14 @@ void BM_CovarianceFeatures(benchmark::State& state) {
 BENCHMARK(BM_CovarianceFeatures)->Arg(128)->Arg(512)->UseRealTime();
 
 // The serve geometry: a fitted covariance pipeline standardising and
-// reducing a batch of 64 windows of 60 steps × 7 sensors (the fused path).
+// reducing a batch of 64 windows of range(0) steps × 7 sensors (the fused
+// path) — 60 for the short windows, 540 for the paper's trials.
 void BM_CovariancePipelineTransform(benchmark::State& state) {
+  const auto steps = static_cast<std::size_t>(state.range(0));
   Rng rng(12);
-  data::Tensor3 train(256, 60, 7);
+  data::Tensor3 train(256, steps, 7);
   for (double& v : train.raw()) v = rng.normal();
-  data::Tensor3 batch(64, 60, 7);
+  data::Tensor3 batch(64, steps, 7);
   for (double& v : batch.raw()) v = rng.normal();
   preprocess::FeaturePipeline pipeline(
       {preprocess::Reduction::kCovariance, 0});
@@ -104,7 +106,7 @@ void BM_CovariancePipelineTransform(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
-BENCHMARK(BM_CovariancePipelineTransform)->UseRealTime();
+BENCHMARK(BM_CovariancePipelineTransform)->Arg(60)->Arg(540)->UseRealTime();
 
 // The guard's repair step: one WindowRepairer accounting and repairing a
 // batch of 64 windows of range(0) steps × 7 sensors, damaged by
@@ -173,7 +175,9 @@ void BM_RandomForestFit(benchmark::State& state) {
   std::vector<int> y;
   blob_data(800, 28, 26, x, y);
   for (auto _ : state) {
-    ml::RandomForest forest({.n_estimators = 50});
+    ml::RandomForestConfig forest_config;
+    forest_config.n_estimators = 50;
+    ml::RandomForest forest(forest_config);
     forest.fit(x, y);
     benchmark::DoNotOptimize(forest.tree_count());
   }

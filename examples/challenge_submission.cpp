@@ -56,7 +56,9 @@ int main(int argc, char** argv) {
       {preprocess::Reduction::kCovariance, 0});
   const linalg::Matrix train_features = pipeline.fit_transform(loaded.x_train);
   const linalg::Matrix test_features = pipeline.transform(loaded.x_test);
-  ml::RandomForest forest({.n_estimators = 250});
+  ml::RandomForestConfig forest_config;
+  forest_config.n_estimators = 250;
+  ml::RandomForest forest(forest_config);
   forest.fit(train_features, loaded.y_train);
   const std::vector<int> predictions = forest.predict(test_features);
 

@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
       {preprocess::Reduction::kCovariance, 0});
   const linalg::Matrix train_features = pipeline.fit_transform(ds.x_train);
   const linalg::Matrix test_features = pipeline.transform(ds.x_test);
-  ml::RandomForest forest({.n_estimators = 100});
+  ml::RandomForestConfig forest_config;
+  forest_config.n_estimators = 100;
+  ml::RandomForest forest(forest_config);
   forest.fit(train_features, ds.y_train);
   const std::vector<int> pred = forest.predict(test_features);
   const ml::ClassReport report =

@@ -29,7 +29,8 @@ std::string dataset_column(const std::string& name) {
   if (name.find("start") != std::string::npos) return "Start";
   if (name.find("middle") != std::string::npos) return "Middle";
   const auto dash = name.rfind('-');
-  return "R" + name.substr(dash + 1);
+  // append, not "R" + substr: GCC 12 reports a false -Wrestrict for that.
+  return std::string("R").append(name, dash + 1);
 }
 
 }  // namespace

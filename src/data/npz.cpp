@@ -53,12 +53,10 @@ std::vector<std::uint8_t> npy_encode(const std::string& descr,
   h += '\n';
   SCWC_CHECK(h.size() <= 65535, "npy: header too long for v1.0");
 
-  std::vector<std::uint8_t> out;
+  // Magic and version 1.0 as the initial contents: GCC 12 reports a false
+  // -Wstringop-overflow for a range insert into a reserved, empty vector.
+  std::vector<std::uint8_t> out = {0x93, 'N', 'U', 'M', 'P', 'Y', 1, 0};
   out.reserve(base + h.size() + payload.size());
-  const char magic[6] = {'\x93', 'N', 'U', 'M', 'P', 'Y'};
-  out.insert(out.end(), magic, magic + 6);
-  out.push_back(1);  // major
-  out.push_back(0);  // minor
   put_u16(out, static_cast<std::uint16_t>(h.size()));
   out.insert(out.end(), h.begin(), h.end());
   out.insert(out.end(), payload.begin(), payload.end());

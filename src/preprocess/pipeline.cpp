@@ -20,9 +20,9 @@ std::string reduction_name(Reduction reduction) {
 
 void FeaturePipeline::fit(const data::Tensor3& x_train) {
   const obs::TraceSpan fit_span("pipeline.fit");
-  obs::MetricsRegistry::global()
-      .counter("scwc_preprocess_fits_total")
-      .inc();
+  static const obs::CounterHandle fits =
+      obs::MetricsRegistry::global().counter("scwc_preprocess_fits_total");
+  fits.inc();
   steps_ = x_train.steps();
   sensors_ = x_train.sensors();
   const linalg::Matrix flat = x_train.flatten();
@@ -43,9 +43,11 @@ linalg::Matrix FeaturePipeline::transform(const data::Tensor3& x) const {
   SCWC_REQUIRE(x.steps() == steps_ && x.sensors() == sensors_,
                "tensor shape differs from the fitted shape");
   const obs::TraceSpan transform_span("pipeline.transform");
-  obs::MetricsRegistry::global()
-      .counter("scwc_preprocess_transforms_total")
-      .inc();
+  // Looked up once: a by-name lookup takes the registry's lock every batch.
+  static const obs::CounterHandle transforms =
+      obs::MetricsRegistry::global().counter(
+          "scwc_preprocess_transforms_total");
+  transforms.inc();
   if (config_.reduction == Reduction::kCovariance) {
     // Scale and reduce per trial: no flattened or scaled batch copy.
     const obs::TraceSpan reduce_span("pipeline.covariance");

@@ -119,8 +119,8 @@ TEST(Cli, TypeErrorsThrow) {
   cli.add_flag("n", "abc", "not a number");
   const char* argv[] = {"prog"};
   cli.parse(1, argv);
-  EXPECT_THROW(cli.get_int("n"), Error);
-  EXPECT_THROW(cli.get_bool("n"), Error);
+  EXPECT_THROW((void)cli.get_int("n"), Error);
+  EXPECT_THROW((void)cli.get_bool("n"), Error);
 }
 
 TEST(Cli, DuplicateFlagRegistrationThrows) {
@@ -187,7 +187,7 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(t0, 0.0);
   // Burn a little CPU.
   volatile double x = 0.0;
-  for (int i = 0; i < 100000; ++i) x += static_cast<double>(i);
+  for (int i = 0; i < 100000; ++i) x = x + static_cast<double>(i);
   EXPECT_GE(sw.seconds(), t0);
   sw.reset();
   EXPECT_LT(sw.seconds(), 1.0);
@@ -196,7 +196,7 @@ TEST(Stopwatch, MeasuresElapsedTime) {
 TEST(Stopwatch, LapReadsAndRestarts) {
   Stopwatch sw;
   volatile double x = 0.0;
-  for (int i = 0; i < 100000; ++i) x += static_cast<double>(i);
+  for (int i = 0; i < 100000; ++i) x = x + static_cast<double>(i);
   const double first = sw.lap();
   EXPECT_GT(first, 0.0);
   // lap() restarted the clock: an immediate read is near zero and the next

@@ -76,7 +76,9 @@ TEST(Fusion, CpuBlockAloneIsInformative) {
       cpu_test(r, c) = fused.x_test(r, fused.gpu_features + c);
     }
   }
-  ml::RandomForest forest({.n_estimators = 40});
+  ml::RandomForestConfig forest_config;
+  forest_config.n_estimators = 40;
+  ml::RandomForest forest(forest_config);
   forest.fit(cpu_train, fused.y_train);
   const double acc =
       ml::accuracy(fused.y_test, forest.predict(cpu_test));
@@ -98,12 +100,16 @@ TEST(Fusion, FusedAtLeastMatchesGpuOnly) {
       gpu_test(r, c) = fused.x_test(r, c);
     }
   }
-  ml::RandomForest gpu_forest({.n_estimators = 60});
+  ml::RandomForestConfig gpu_forest_config;
+  gpu_forest_config.n_estimators = 60;
+  ml::RandomForest gpu_forest(gpu_forest_config);
   gpu_forest.fit(gpu_train, fused.y_train);
   const double gpu_acc =
       ml::accuracy(fused.y_test, gpu_forest.predict(gpu_test));
 
-  ml::RandomForest fused_forest({.n_estimators = 60});
+  ml::RandomForestConfig fused_forest_config;
+  fused_forest_config.n_estimators = 60;
+  ml::RandomForest fused_forest(fused_forest_config);
   fused_forest.fit(fused.x_train, fused.y_train);
   const double fused_acc =
       ml::accuracy(fused.y_test, fused_forest.predict(fused.x_test));

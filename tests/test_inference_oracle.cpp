@@ -5,13 +5,15 @@
 // on every double, on a seeded corpus at FaultInjector severities {0, 0.5,
 // 1} after imputation, plus rows carrying NaN and ±inf features. The
 // one-pass repair (WindowRepairer) is checked bit for bit, QualityReport
-// included, against the column-by-column repair it replaced.
+// included, against the column-by-column repair it replaced, and the lane
+// covariance kernel against the pair-by-pair loop it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -178,6 +180,164 @@ TEST(InferenceOracle, FusedTransformAndCompiledForestMatchReferences) {
   loaded.load(in);
   EXPECT_EQ(mismatches(loaded.predict_proba(x), expected), 0u);
   EXPECT_EQ(saved(loaded), stream) << "save(load(save(f))) must be stable";
+}
+
+/// The pair-by-pair loop the lane kernel replaced, kept as its reference:
+/// one scalar sum per upper-triangle pair (i ≤ j, row-major triangle
+/// order), steps added in order from +0.0.
+std::vector<double> pairwise_covariance(std::span<const double> block,
+                                        std::size_t steps,
+                                        std::size_t sensors) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < sensors; ++i) {
+    for (std::size_t j = i; j < sensors; ++j) {
+      double s = 0.0;
+      const double* p = block.data();
+      for (std::size_t t = 0; t < steps; ++t, p += sensors) {
+        s += p[i] * p[j];
+      }
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+/// Cells of `row` whose bits differ from `expected` (== plus the sign of
+/// zero; every value here is finite).
+std::size_t bit_mismatches(std::span<const double> row,
+                           const std::vector<double>& expected) {
+  EXPECT_EQ(row.size(), expected.size());
+  if (row.size() != expected.size()) return row.size() + expected.size();
+  std::size_t bad = 0;
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    if (!(row[k] == expected[k]) ||
+        std::signbit(row[k]) != std::signbit(expected[k])) {
+      ++bad;
+    }
+  }
+  return bad;
+}
+
+/// Unit normals, with about one value in four replaced by −0.0, +0.0, a
+/// subnormal or a magnitude up to 1e150 (products stay below 1e300, so 540
+/// of them still sum to a finite value).
+double awkward_value(Rng& rng) {
+  const double v = rng.normal();
+  switch (rng.uniform_index(16)) {
+    case 0:
+      return -0.0;
+    case 1:
+      return 0.0;
+    case 2:
+      return v * std::numeric_limits<double>::denorm_min() * 1e3;
+    case 3:
+      return v * 1e150;
+    default:
+      return v;
+  }
+}
+
+TEST(InferenceOracle, LaneKernelMatchesPairByPairLoop) {
+  Rng rng(0x1A7E5ULL);
+  for (const std::size_t sensors : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 70u}) {
+    for (const std::size_t steps : {0u, 1u, 2u, 60u, 540u}) {
+      SCOPED_TRACE(testing::Message() << sensors << " sensors, " << steps
+                                      << " steps");
+      data::Tensor3 x(3, steps, sensors);
+      for (double& v : x.raw()) v = awkward_value(rng);
+      const Matrix tensor = preprocess::covariance_features(x);
+      const Matrix flat =
+          preprocess::covariance_features_flat(x.flatten(), steps, sensors);
+      std::vector<double> one(preprocess::covariance_feature_count(sensors));
+      for (std::size_t i = 0; i < x.trials(); ++i) {
+        const std::vector<double> expected =
+            pairwise_covariance(x.trial(i), steps, sensors);
+        EXPECT_EQ(bit_mismatches(tensor.row(i), expected), 0u);
+        EXPECT_EQ(bit_mismatches(flat.row(i), expected), 0u);
+        preprocess::covariance_features_of_trial(x.trial_matrix(i), one);
+        EXPECT_EQ(bit_mismatches(one, expected), 0u);
+      }
+      if (steps == 0) continue;  // a scaler needs at least one column
+      linalg::Vector means(steps * sensors), scales(steps * sensors);
+      for (double& m : means) m = rng.normal();
+      for (double& s : scales) s = rng.uniform(0.5, 2.0);
+      const auto scaler = preprocess::StandardScaler::restore(means, scales);
+      const Matrix fused =
+          preprocess::standardized_covariance_features(x, scaler);
+      std::vector<double> scaled(steps * sensors);
+      for (std::size_t i = 0; i < x.trials(); ++i) {
+        scaler.transform_row(x.trial(i), scaled);
+        EXPECT_EQ(bit_mismatches(fused.row(i),
+                                 pairwise_covariance(scaled, steps, sensors)),
+                  0u);
+      }
+    }
+  }
+}
+
+TEST(InferenceOracle, LaneKernelMatchesPairByPairLoopOnRepairedWindows) {
+  const OracleWorld& w = world();
+  for (const double severity : {0.0, 0.5, 1.0}) {
+    SCOPED_TRACE(testing::Message() << "severity " << severity);
+    const data::Tensor3 windows = repaired_test_set(w, severity);
+    const std::size_t steps = windows.steps(), sensors = windows.sensors();
+    const Matrix raw = preprocess::covariance_features(windows);
+    const Matrix served = w.pipeline.transform(windows);
+    std::vector<double> scaled(steps * sensors);
+    for (std::size_t i = 0; i < windows.trials(); ++i) {
+      EXPECT_EQ(bit_mismatches(raw.row(i), pairwise_covariance(
+                                               windows.trial(i), steps,
+                                               sensors)),
+                0u);
+      w.pipeline.scaler().transform_row(windows.trial(i), scaled);
+      EXPECT_EQ(bit_mismatches(served.row(i),
+                               pairwise_covariance(scaled, steps, sensors)),
+                0u);
+    }
+  }
+}
+
+TEST(InferenceOracle, LaneKernelRefusesEveryNonFiniteInputPosition) {
+  constexpr std::size_t kTrials = 3, kSteps = 5, kSensors = 7, kBad = 1;
+  Rng rng(0xBADULL);
+  data::Tensor3 clean(kTrials, kSteps, kSensors);
+  for (double& v : clean.raw()) v = rng.normal();
+  linalg::Vector ones(kSteps * kSensors, 1.0);
+  const auto scaler = preprocess::StandardScaler::restore(ones, ones);
+  const std::string names_trial = "for trial " + std::to_string(kBad) + " ";
+  const auto expect_refused = [&](const auto& call, const char* entry) {
+    try {
+      (void)call();
+      ADD_FAILURE() << entry << " accepted a non-finite input";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(names_trial), std::string::npos)
+          << entry << ": " << e.what();
+    }
+  };
+  for (const double special : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t cell = 0; cell < kSteps * kSensors; ++cell) {
+      SCOPED_TRACE(testing::Message() << special << " at step "
+                                      << cell / kSensors << ", sensor "
+                                      << cell % kSensors);
+      data::Tensor3 x = clean;
+      x.trial(kBad)[cell] = special;
+      expect_refused([&] { return preprocess::covariance_features(x); },
+                     "covariance_features");
+      expect_refused(
+          [&] {
+            return preprocess::covariance_features_flat(x.flatten(), kSteps,
+                                                        kSensors);
+          },
+          "covariance_features_flat");
+      expect_refused(
+          [&] {
+            return preprocess::standardized_covariance_features(x, scaler);
+          },
+          "standardized_covariance_features");
+    }
+  }
 }
 
 TEST(InferenceOracle, BuildOrderStreamCompilesToTheSamePredictions) {

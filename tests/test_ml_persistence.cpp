@@ -56,7 +56,9 @@ TEST(Persistence, ForestRoundTripsThroughMemory) {
   Matrix x;
   std::vector<int> y;
   make_blobs(25, 4, 5, x, y, 2);
-  RandomForest forest({.n_estimators = 12});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 12;
+  RandomForest forest(forest_config);
   forest.fit(x, y);
 
   std::stringstream buffer;
@@ -74,7 +76,9 @@ TEST(Persistence, ForestRoundTripsThroughFile) {
   Matrix x;
   std::vector<int> y;
   make_blobs(20, 3, 3, x, y, 3);
-  RandomForest forest({.n_estimators = 8});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 8;
+  RandomForest forest(forest_config);
   forest.fit(x, y);
   const auto path =
       (std::filesystem::temp_directory_path() / "scwc_forest.bin").string();
@@ -92,7 +96,9 @@ TEST(Persistence, LoadedForestGeneralisesLikeTheOriginal) {
   Matrix x_test;
   std::vector<int> y_test;
   make_blobs(15, 3, 4, x_test, y_test, 5);
-  RandomForest forest({.n_estimators = 20});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 20;
+  RandomForest forest(forest_config);
   forest.fit(x_train, y_train);
   std::stringstream buffer;
   forest.save(buffer);
@@ -112,7 +118,9 @@ TEST(Persistence, RejectsTruncatedStream) {
   Matrix x;
   std::vector<int> y;
   make_blobs(15, 2, 3, x, y, 6);
-  RandomForest forest({.n_estimators = 4});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 4;
+  RandomForest forest(forest_config);
   forest.fit(x, y);
   std::stringstream buffer;
   forest.save(buffer);

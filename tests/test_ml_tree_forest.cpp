@@ -151,7 +151,9 @@ TEST(RandomForest, FitsBlobsWellOnHeldOut) {
   Matrix x_test;
   std::vector<int> y_test;
   make_blobs(20, 4, 6, 1.8, x_test, y_test, 8);
-  RandomForest forest({.n_estimators = 40});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 40;
+  RandomForest forest(forest_config);
   forest.fit(x_train, y_train);
   EXPECT_GT(accuracy(y_test, forest.predict(x_test)), 0.9);
 }
@@ -166,7 +168,9 @@ TEST(RandomForest, BeatsSingleTreeOnNoisyData) {
 
   DecisionTree tree;
   tree.fit(x_train, y_train);
-  RandomForest forest({.n_estimators = 60});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 60;
+  RandomForest forest(forest_config);
   forest.fit(x_train, y_train);
   const double tree_acc = accuracy(y_test, tree.predict(x_test));
   const double forest_acc = accuracy(y_test, forest.predict(x_test));
@@ -177,7 +181,9 @@ TEST(RandomForest, ProbaAveragesToDistribution) {
   Matrix x;
   std::vector<int> y;
   make_blobs(30, 3, 4, 1.0, x, y);
-  RandomForest forest({.n_estimators = 10});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 10;
+  RandomForest forest(forest_config);
   forest.fit(x, y);
   const Matrix proba = forest.predict_proba(x);
   for (std::size_t r = 0; r < proba.rows(); ++r) {
@@ -205,7 +211,9 @@ TEST(RandomForest, TreeCountMatchesConfig) {
   Matrix x;
   std::vector<int> y;
   make_blobs(10, 2, 2, 1.0, x, y);
-  RandomForest forest({.n_estimators = 7});
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 7;
+  RandomForest forest(forest_config);
   forest.fit(x, y);
   EXPECT_EQ(forest.tree_count(), 7u);
 }

@@ -18,7 +18,7 @@
 // Usage:
 //   scwc_router --ports 9101,9102 --windows 200 --jobs 16
 //   scwc_router --ports 9101,9102 --swap model_v2.scwcbndl
-//   scwc_router --ports 9101,9102 --listen 0 --trace-out router_trace.json \
+//   scwc_router --ports 9101,9102 --listen 0 --trace-out router_trace.json
 //               --trace-sample 1.0 --audit-out audit.jsonl --halt
 #include <chrono>
 #include <fstream>

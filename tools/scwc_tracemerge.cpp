@@ -25,8 +25,8 @@
 // cluster-telemetry-smoke gate runs with it).
 //
 // Usage:
-//   scwc_tracemerge --router router_trace.json \
-//                   --workers shard0.json,shard1.json \
+//   scwc_tracemerge --router router_trace.json
+//                   --workers shard0.json,shard1.json
 //                   --out merged.json [--require-joined true]
 #include <cmath>
 #include <fstream>
