@@ -14,6 +14,13 @@ linalg::Matrix Tensor3::trial_matrix(std::size_t i) const {
   return m;
 }
 
+std::vector<std::span<const double>> Tensor3::trial_views() const {
+  std::vector<std::span<const double>> out;
+  out.reserve(trials_);
+  for (std::size_t i = 0; i < trials_; ++i) out.push_back(trial(i));
+  return out;
+}
+
 linalg::Matrix Tensor3::flatten() const {
   linalg::Matrix m(trials_, steps_ * sensors_);
   std::copy(data_.begin(), data_.end(), m.flat().begin());

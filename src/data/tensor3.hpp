@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 
@@ -45,6 +46,11 @@ class Tensor3 {
   [[nodiscard]] std::span<double> trial(std::size_t i) noexcept {
     return {data_.data() + i * steps_ * sensors_, steps_ * sensors_};
   }
+
+  /// One read-only view per trial, in order — the batch form the feature
+  /// pipeline takes, so a tensor and a list of separately owned windows go
+  /// through the same code.
+  [[nodiscard]] std::vector<std::span<const double>> trial_views() const;
 
   /// Copies trial i into a steps×sensors matrix.
   [[nodiscard]] linalg::Matrix trial_matrix(std::size_t i) const;

@@ -190,19 +190,23 @@ linalg::Matrix covariance_features_flat(const linalg::Matrix& flat,
   return out;
 }
 
-linalg::Matrix standardized_covariance_features(const data::Tensor3& x,
-                                                const StandardScaler& scaler) {
-  const std::size_t width = x.steps() * x.sensors();
+linalg::Matrix standardized_covariance_features(
+    std::span<const std::span<const double>> windows, std::size_t steps,
+    std::size_t sensors, const StandardScaler& scaler) {
+  const std::size_t width = steps * sensors;
   SCWC_REQUIRE(scaler.fitted() && scaler.means().size() == width,
                "scaler width must be steps*sensors");
-  linalg::Matrix out(x.trials(), covariance_feature_count(x.sensors()));
+  for (const std::span<const double> window : windows) {
+    SCWC_REQUIRE(window.size() == width, "window width must be steps*sensors");
+  }
+  linalg::Matrix out(windows.size(), covariance_feature_count(sensors));
   parallel_for_blocked(
-      0, x.trials(),
+      0, windows.size(),
       [&](std::size_t lo, std::size_t hi) {
         std::vector<double> scaled(width);
         for (std::size_t i = lo; i < hi; ++i) {
-          scaler.transform_row(x.trial(i), scaled);
-          upper_triangle(scaled, x.steps(), x.sensors(), out.row(i));
+          scaler.transform_row(windows[i], scaled);
+          upper_triangle(scaled, steps, sensors, out.row(i));
           require_finite_features(out.row(i), i);
         }
       },

@@ -10,6 +10,7 @@
 // feature-importance analysis of §IV-B can report them by name.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,13 +40,16 @@ linalg::Matrix covariance_features_flat(const linalg::Matrix& flat,
                                         std::size_t steps,
                                         std::size_t sensors);
 
-/// The pipeline's standardise → covariance step fused per trial: each
-/// trial is scaled by `scaler` into a per-block scratch buffer and reduced
-/// from there, so no flattened or scaled copy of the batch is made. Same
-/// formula and summation order as covariance_features_flat(
-/// scaler.transform(x.flatten()), …), hence bit-identical features.
-linalg::Matrix standardized_covariance_features(const data::Tensor3& x,
-                                                const StandardScaler& scaler);
+/// The pipeline's standardise → covariance step fused per window: each of
+/// `windows` (row-major steps×sensors, wherever it lives) is scaled by
+/// `scaler` into a per-block scratch buffer and reduced from there, so no
+/// packed, flattened or scaled copy of the batch is made. Same formula and
+/// summation order as covariance_features_flat(scaler.transform(flat), …),
+/// hence bit-identical features. Row i of the result belongs to windows[i];
+/// a non-finite input throws scwc::Error naming trial i.
+linalg::Matrix standardized_covariance_features(
+    std::span<const std::span<const double>> windows, std::size_t steps,
+    std::size_t sensors, const StandardScaler& scaler);
 
 /// Human-readable name of covariance feature i for s sensors, e.g.
 /// "var(utilization_gpu_pct)" or "cov(utilization_gpu_pct, power_draw_W)".

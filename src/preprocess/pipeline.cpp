@@ -1,6 +1,7 @@
 #include "preprocess/pipeline.hpp"
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -38,10 +39,9 @@ void FeaturePipeline::fit(const data::Tensor3& x_train) {
   }
 }
 
-linalg::Matrix FeaturePipeline::transform(const data::Tensor3& x) const {
+linalg::Matrix FeaturePipeline::transform(
+    std::span<const std::span<const double>> windows) const {
   SCWC_REQUIRE(scaler_.fitted(), "FeaturePipeline used before fit()");
-  SCWC_REQUIRE(x.steps() == steps_ && x.sensors() == sensors_,
-               "tensor shape differs from the fitted shape");
   const obs::TraceSpan transform_span("pipeline.transform");
   // Looked up once: a by-name lookup takes the registry's lock every batch.
   static const obs::CounterHandle transforms =
@@ -49,19 +49,40 @@ linalg::Matrix FeaturePipeline::transform(const data::Tensor3& x) const {
           "scwc_preprocess_transforms_total");
   transforms.inc();
   if (config_.reduction == Reduction::kCovariance) {
-    // Scale and reduce per trial: no flattened or scaled batch copy.
+    // Scale and reduce per window: no flattened or scaled batch copy.
     const obs::TraceSpan reduce_span("pipeline.covariance");
-    return standardized_covariance_features(x, scaler_);
+    return standardized_covariance_features(windows, steps_, sensors_,
+                                            scaler_);
   }
-  const linalg::Matrix scaled = [&] {
+  const std::size_t width = steps_ * sensors_;
+  for (const std::span<const double> window : windows) {
+    SCWC_REQUIRE(window.size() == width,
+                 "window width differs from the fitted steps × sensors");
+  }
+  linalg::Matrix scaled(windows.size(), width);
+  {
     const obs::TraceSpan scale_span("pipeline.scale");
-    return scaler_.transform(x.flatten());
-  }();
+    parallel_for_blocked(
+        0, windows.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t r = lo; r < hi; ++r) {
+            scaler_.transform_row(windows[r], scaled.row(r));
+          }
+        },
+        256);
+  }
   if (config_.reduction == Reduction::kPca) {
     const obs::TraceSpan reduce_span("pipeline.pca_project");
     return pca_->transform(scaled);
   }
   return scaled;
+}
+
+linalg::Matrix FeaturePipeline::transform(const data::Tensor3& x) const {
+  SCWC_REQUIRE(scaler_.fitted(), "FeaturePipeline used before fit()");
+  SCWC_REQUIRE(x.steps() == steps_ && x.sensors() == sensors_,
+               "tensor shape differs from the fitted shape");
+  return transform(x.trial_views());
 }
 
 FeaturePipeline FeaturePipeline::restore(FeaturePipelineConfig config,

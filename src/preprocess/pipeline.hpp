@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "data/tensor3.hpp"
@@ -27,12 +28,23 @@ struct FeaturePipelineConfig {
 };
 
 /// Stateful pipeline: fit() learns scaler (and PCA basis) from the training
-/// tensor; transform() featurises any tensor of the same shape.
+/// tensor; transform() featurises windows of the same shape.
 class FeaturePipeline {
  public:
   explicit FeaturePipeline(FeaturePipelineConfig config) : config_(config) {}
 
   void fit(const data::Tensor3& x_train);
+  /// Featurises `windows`, each a row-major steps()×sensors() window
+  /// wherever it lives (a request's own buffer, a tensor's trial); row i
+  /// of the result belongs to windows[i]. kCovariance scales each window
+  /// into per-block scratch and reduces it there; kPca and kNone scale
+  /// each window straight into its row of the steps·sensors-wide matrix.
+  /// Either way the result is bit-identical to reducing
+  /// scaler().transform() of the flattened windows. kCovariance refuses a
+  /// non-finite window with a scwc::Error naming its index.
+  [[nodiscard]] linalg::Matrix transform(
+      std::span<const std::span<const double>> windows) const;
+  /// The same over every trial of `x`, whose shape must be the fitted one.
   [[nodiscard]] linalg::Matrix transform(const data::Tensor3& x) const;
   [[nodiscard]] linalg::Matrix fit_transform(const data::Tensor3& x_train);
 

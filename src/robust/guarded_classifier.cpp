@@ -1,6 +1,5 @@
 #include "robust/guarded_classifier.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 
@@ -114,42 +113,58 @@ GuardedPrediction GuardedClassifier::classify(std::span<const double> window,
     guard_counters().classified.inc();
     return shape_abstain(steps, sensors);
   }
-  data::Tensor3 one(1, steps, sensors);
-  std::copy(window.begin(), window.end(), one.trial(0).begin());
-  std::vector<GuardedPrediction> out = classify_batch(std::move(one));
-  return std::move(out.front());
+  std::vector<double> owned(window.begin(), window.end());
+  const std::span<double> view(owned);
+  return std::move(classify_batch({&view, 1}, steps, sensors).front());
 }
 
 std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
     data::Tensor3 windows, BatchPhaseTimings* timings) const {
+  std::vector<std::span<double>> views;
+  views.reserve(windows.trials());
+  for (std::size_t i = 0; i < windows.trials(); ++i) {
+    views.push_back(windows.trial(i));
+  }
+  return classify_batch(views, windows.steps(), windows.sensors(), timings);
+}
+
+std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
+    std::span<const std::span<double>> windows, std::size_t steps,
+    std::size_t sensors, BatchPhaseTimings* timings) const {
   if (timings != nullptr) *timings = BatchPhaseTimings{};
-  const std::size_t count = windows.trials();
+  const std::size_t count = windows.size();
   std::vector<GuardedPrediction> out(count);
   if (count == 0) return out;
-  const std::size_t steps = windows.steps();
-  const std::size_t sensors = windows.sensors();
   guard_counters().classified.inc(count);
 
-  // 1. Shape gate — the tensor fixes one geometry for the whole batch, so
-  // a mismatch abstains every window (the serving layer routes odd-shaped
-  // requests through classify(), which abstains them before packing).
+  // 1. Shape gate — the batch declares one geometry, so a mismatch
+  // abstains every window (the serving layer routes odd-shaped requests
+  // through classify(), which abstains them before batching).
   if (!fits(steps, sensors)) {
     for (GuardedPrediction& p : out) p = shape_abstain(steps, sensors);
     return out;
   }
 
-  // 2. Per-window accounting, repair in place and quality gating.
+  // 2. Per-window accounting, repair in place and quality gating. The
+  // survivors go on to the pipeline as views of the caller's buffers.
   std::vector<std::size_t> survivors;
+  std::vector<std::span<const double>> kept;
   survivors.reserve(count);
+  kept.reserve(count);
   WindowRepairer repairer(sensors, config_.imputation);
   const auto r0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < count; ++i) {
+    if (windows[i].size() != steps * sensors) {
+      out[i] = shape_abstain(steps, sensors);
+      continue;
+    }
     QualityReport& report = out[i].report;
     report.steps = steps;
     report.sensors = sensors;
-    repairer.account_and_repair(windows.trial(i), steps, report);
+    repairer.account_and_repair(windows[i], steps, report);
     if (report.usable(config_.min_quality)) {
       survivors.push_back(i);
+      kept.push_back(windows[i]);
     } else {
       out[i] = abstain(AbstainReason::kQuality, report);
     }
@@ -164,11 +179,9 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
     // 3. One featurise + one predict for every survivor. Each window's
     // features depend only on its own values, so row r of the batch equals
     // the features a batch of one (classify()) would produce for that
-    // window. When every window survived, `windows` already is the packed
-    // batch.
-    if (survivors.size() != count) windows = windows.gather(survivors);
+    // window.
     const auto t0 = std::chrono::steady_clock::now();
-    const linalg::Matrix features = pipeline_.transform(windows);
+    const linalg::Matrix features = pipeline_.transform(kept);
     const auto t1 = std::chrono::steady_clock::now();
     const std::vector<int> predicted = model_.predict(features);
     if (timings != nullptr) {

@@ -90,28 +90,33 @@ class GuardedClassifier {
   /// shape, empty input, all-NaN windows and internal pipeline failures all
   /// surface as an abstain result with a populated QualityReport. Only the
   /// geometry (declared shape vs. config, window.size() == steps*sensors,
-  /// non-zero dims) is checked here; a window that passes is classified as
-  /// a batch of one through classify_batch, so a window's verdict is the
-  /// same whether it arrives alone or inside a batch.
+  /// non-zero dims) is checked here; a window that passes is copied once
+  /// and classified as a batch of one through classify_batch, so a window's
+  /// verdict is the same whether it arrives alone or inside a batch.
   [[nodiscard]] GuardedPrediction classify(std::span<const double> window,
                                            std::size_t steps,
                                            std::size_t sensors) const;
 
-  /// Classifies every trial of `windows` in one batched model call — the
-  /// one classify path (serve::MicroBatcher coalesces concurrent requests
-  /// into one of these; classify() is a batch of one). Each window is
-  /// validated, imputed and quality-gated on its own; the surviving windows
-  /// share one pipeline transform and one Classifier::predict matrix call,
-  /// whose per-row results depend only on that row's window. Never throws;
-  /// a pipeline/model failure abstains every window that reached the model
-  /// with kModelError. When `timings` is non-null it receives the
-  /// impute/transform/predict wall times of this call (transform and
-  /// predict are zero when no window survived the quality gate; all are
-  /// zero for an empty batch).
-  ///
-  /// `windows` is taken by value and repaired in place: a caller that
-  /// std::moves its tensor in gives it up and pays no copy; a const lvalue
-  /// is copied once and is left unchanged.
+  /// Classifies every window of `windows` (each row-major steps×sensors,
+  /// wherever it lives) in one batched model call — the one classify path
+  /// (serve::MicroBatcher coalesces concurrent requests into one of these;
+  /// classify() is a batch of one). Each window is validated, repaired IN
+  /// PLACE in the caller's buffer and quality-gated on its own; views of
+  /// the surviving windows share one pipeline transform and one
+  /// Classifier::predict matrix call, whose per-row results depend only on
+  /// that row's window. A view whose size is not steps*sensors abstains
+  /// with kShape. Never throws; a pipeline/model failure abstains every
+  /// window that reached the model with kModelError. When `timings` is
+  /// non-null it receives the impute/transform/predict wall times of this
+  /// call (transform and predict are zero when no window survived the
+  /// quality gate; all are zero for an empty batch).
+  [[nodiscard]] std::vector<GuardedPrediction> classify_batch(
+      std::span<const std::span<double>> windows, std::size_t steps,
+      std::size_t sensors, BatchPhaseTimings* timings = nullptr) const;
+
+  /// The same over every trial of `windows`, which is taken by value and
+  /// repaired in place: a caller that std::moves its tensor in gives it up
+  /// and pays no copy; a const lvalue is copied once and is left unchanged.
   [[nodiscard]] std::vector<GuardedPrediction> classify_batch(
       data::Tensor3 windows, BatchPhaseTimings* timings = nullptr) const;
 

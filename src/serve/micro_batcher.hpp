@@ -42,7 +42,9 @@ struct MicroBatcherConfig {
 
 /// One queued classification request.
 struct BatchRequest {
-  std::vector<double> window;  ///< row-major steps × sensors
+  /// Row-major steps × sensors. Execution classifies this buffer in place:
+  /// afterwards it holds the repaired values, and nothing reads it again.
+  std::vector<double> window;
   std::size_t steps = 0;
   std::size_t sensors = 0;
   /// Request-trace identity (service-stamped; see obs/request_trace.hpp).

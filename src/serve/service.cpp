@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -336,27 +335,27 @@ void ClassificationService::execute_batch(
     const std::size_t steps = guard.window_steps;
     const std::size_t sensors = guard.sensors;
 
-    // Pack every well-shaped request into one tensor; odd-geometry requests
-    // go through classify(), which abstains them with kShape.
-    std::vector<std::size_t> packed_index;
-    packed_index.reserve(batch.size());
+    // Every well-shaped request is classified where it arrived: the guard
+    // repairs and featurises views of the requests' own buffers.
+    // Odd-geometry requests go through classify(), which abstains them
+    // with kShape.
+    std::vector<std::size_t> shaped_index;
+    std::vector<std::span<double>> shaped;
+    shaped_index.reserve(batch.size());
+    shaped.reserve(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const BatchRequest& r = batch[i];
+      BatchRequest& r = batch[i];
       if (r.steps == steps && r.sensors == sensors &&
           r.window.size() == steps * sensors) {
-        packed_index.push_back(i);
+        shaped_index.push_back(i);
+        shaped.emplace_back(r.window);
       }
     }
-    std::vector<robust::GuardedPrediction> packed_out;
+    std::vector<robust::GuardedPrediction> shaped_out;
     robust::BatchPhaseTimings batch_timings;
-    if (!packed_index.empty()) {
-      data::Tensor3 windows(packed_index.size(), steps, sensors);
-      for (std::size_t j = 0; j < packed_index.size(); ++j) {
-        const std::vector<double>& src = batch[packed_index[j]].window;
-        std::copy(src.begin(), src.end(), windows.trial(j).begin());
-      }
-      packed_out =
-          bundle->guard().classify_batch(std::move(windows), &batch_timings);
+    if (!shaped.empty()) {
+      shaped_out = bundle->guard().classify_batch(shaped, steps, sensors,
+                                                  &batch_timings);
     }
 
     // Answers one request: deadline checkpoint, latency instruments, then
@@ -386,7 +385,7 @@ void ClassificationService::execute_batch(
     // caller that sees a probe's answer also sees the breaker move on it.
     // Every other batch resolves each request as soon as it is predicted.
     std::vector<ServeResult> probe_results;
-    std::size_t next_packed = 0;
+    std::size_t next_shaped = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       BatchRequest& request = batch[i];
       ServeResult result;
@@ -401,10 +400,10 @@ void ClassificationService::execute_batch(
       // batch spent that wall time in them, so each carries the full value.
       result.phases.transform_s = batch_timings.transform_s;
       result.phases.predict_s = batch_timings.predict_s;
-      if (next_packed < packed_index.size() &&
-          packed_index[next_packed] == i) {
-        result.prediction = std::move(packed_out[next_packed]);
-        ++next_packed;
+      if (next_shaped < shaped_index.size() &&
+          shaped_index[next_shaped] == i) {
+        result.prediction = std::move(shaped_out[next_shaped]);
+        ++next_shaped;
       } else {
         result.prediction = bundle->guard().classify(
             request.window, request.steps, request.sensors);

@@ -6,7 +6,9 @@
 // 1} after imputation, plus rows carrying NaN and ±inf features. The
 // one-pass repair (WindowRepairer) is checked bit for bit, QualityReport
 // included, against the column-by-column repair it replaced, and the lane
-// covariance kernel against the pair-by-pair loop it replaced.
+// covariance kernel against the pair-by-pair loop it replaced. The view
+// entries — a batch of separately owned windows, as the service holds its
+// requests — are checked against the tensor entries and the references.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -160,15 +162,72 @@ Matrix reference_proba(const std::string& stream, const Matrix& x) {
   return sum;
 }
 
+/// Every trial of `x` copied into its own vector, as served windows arrive.
+std::vector<std::vector<double>> owned_windows(const data::Tensor3& x) {
+  std::vector<std::vector<double>> out;
+  for (std::size_t i = 0; i < x.trials(); ++i) {
+    out.emplace_back(x.trial(i).begin(), x.trial(i).end());
+  }
+  return out;
+}
+
 TEST(InferenceOracle, FusedTransformAndCompiledForestMatchReferences) {
   const OracleWorld& w = world();
-  for (const double severity : {0.0, 0.5, 1.0}) {
-    const data::Tensor3 windows = repaired_test_set(w, severity);
-    const Matrix fused = w.pipeline.transform(windows);
-    const Matrix reference = preprocess::covariance_features_flat(
-        w.pipeline.scaler().transform(windows.flatten()), windows.steps(),
-        windows.sensors());
-    EXPECT_EQ(mismatches(fused, reference), 0u) << "severity " << severity;
+  // The reference for every reduction: scale the flattened batch, then
+  // reduce it.
+  const auto reference = [](const preprocess::FeaturePipeline& pipeline,
+                            const data::Tensor3& x) {
+    const Matrix scaled = pipeline.scaler().transform(x.flatten());
+    switch (pipeline.config().reduction) {
+      case preprocess::Reduction::kCovariance:
+        return preprocess::covariance_features_flat(scaled, x.steps(),
+                                                    x.sensors());
+      case preprocess::Reduction::kPca:
+        return pipeline.pca()->transform(scaled);
+      case preprocess::Reduction::kNone:
+        break;
+    }
+    return scaled;
+  };
+  std::vector<preprocess::FeaturePipeline> pipelines = {
+      w.pipeline,
+      preprocess::FeaturePipeline({preprocess::Reduction::kPca, 6}),
+      preprocess::FeaturePipeline({preprocess::Reduction::kNone, 0})};
+  pipelines[1].fit(w.ds.x_train);
+  pipelines[2].fit(w.ds.x_train);
+  for (const preprocess::FeaturePipeline& pipeline : pipelines) {
+    for (const double severity : {0.0, 0.5, 1.0}) {
+      SCOPED_TRACE(testing::Message()
+                   << preprocess::reduction_name(pipeline.config().reduction)
+                   << ", severity " << severity);
+      const data::Tensor3 windows = repaired_test_set(w, severity);
+      const Matrix fused = pipeline.transform(windows);
+      EXPECT_EQ(mismatches(fused, reference(pipeline, windows)), 0u);
+      // Separately owned windows through the view entry.
+      const std::vector<std::vector<double>> owned = owned_windows(windows);
+      const std::vector<std::span<const double>> views(owned.begin(),
+                                                       owned.end());
+      EXPECT_EQ(mismatches(pipeline.transform(views), fused), 0u);
+    }
+  }
+
+  // A NaN in view k is refused, naming trial k.
+  const std::vector<std::vector<double>> clean =
+      owned_windows(repaired_test_set(w, 0.0));
+  for (const std::size_t k : {std::size_t{0}, clean.size() / 2,
+                              clean.size() - 1}) {
+    std::vector<std::vector<double>> bad = clean;
+    bad[k][bad[k].size() / 3] = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<std::span<const double>> views(bad.begin(), bad.end());
+    try {
+      (void)w.pipeline.transform(views);
+      ADD_FAILURE() << "a NaN in view " << k << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("for trial " + std::to_string(k) +
+                                           " "),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   const Matrix x = oracle_features(w);
@@ -262,8 +321,8 @@ TEST(InferenceOracle, LaneKernelMatchesPairByPairLoop) {
       for (double& m : means) m = rng.normal();
       for (double& s : scales) s = rng.uniform(0.5, 2.0);
       const auto scaler = preprocess::StandardScaler::restore(means, scales);
-      const Matrix fused =
-          preprocess::standardized_covariance_features(x, scaler);
+      const Matrix fused = preprocess::standardized_covariance_features(
+          x.trial_views(), steps, sensors, scaler);
       std::vector<double> scaled(steps * sensors);
       for (std::size_t i = 0; i < x.trials(); ++i) {
         scaler.transform_row(x.trial(i), scaled);
@@ -333,7 +392,8 @@ TEST(InferenceOracle, LaneKernelRefusesEveryNonFiniteInputPosition) {
           "covariance_features_flat");
       expect_refused(
           [&] {
-            return preprocess::standardized_covariance_features(x, scaler);
+            return preprocess::standardized_covariance_features(
+                x.trial_views(), kSteps, kSensors, scaler);
           },
           "standardized_covariance_features");
     }
@@ -672,6 +732,7 @@ TEST(InferenceOracle, ClassifyBatchRepairsAsTheColumnRepairAndKeepsConstInput) {
   config.imputation.sensor_prior_means = w.priors;
   const robust::GuardedClassifier guard(w.pipeline, w.forest, config);
 
+  std::size_t gated_batches = 0;  // batches where survivors != count
   for (const double severity : {0.0, 0.25, 0.5, 1.0}) {
     const robust::FaultInjector injector(
         robust::FaultProfile::at_severity(severity));
@@ -695,8 +756,14 @@ TEST(InferenceOracle, ClassifyBatchRepairsAsTheColumnRepairAndKeepsConstInput) {
     data::Tensor3 moved = damaged;
     const std::vector<robust::GuardedPrediction> from_moved =
         guard.classify_batch(std::move(moved));
+    // The view entry, each window in its own vector as a request holds it.
+    std::vector<std::vector<double>> owned = owned_windows(damaged);
+    const std::vector<std::span<double>> views(owned.begin(), owned.end());
+    const std::vector<robust::GuardedPrediction> from_views =
+        guard.classify_batch(views, ds.steps(), ds.sensors());
     ASSERT_EQ(from_const.size(), ds.test_trials());
     ASSERT_EQ(from_moved.size(), ds.test_trials());
+    ASSERT_EQ(from_views.size(), ds.test_trials());
     // The reference: column repair, quality gate, then the model on the
     // survivors.
     data::Tensor3 repaired = damaged;
@@ -711,6 +778,7 @@ TEST(InferenceOracle, ClassifyBatchRepairsAsTheColumnRepairAndKeepsConstInput) {
                                    ds.sensors(), config.imputation, want[i]);
       if (want[i].usable(config.min_quality)) survivors.push_back(i);
     }
+    if (survivors.size() != ds.test_trials()) ++gated_batches;
     const std::vector<int> labels =
         survivors.empty() ? std::vector<int>{}
                           : w.forest.predict(w.pipeline.transform(
@@ -726,10 +794,17 @@ TEST(InferenceOracle, ClassifyBatchRepairsAsTheColumnRepairAndKeepsConstInput) {
       }
       expect_same_report(from_const[i].report, want[i], what);
       expect_same_report(from_moved[i].report, want[i], what + " (moved)");
+      expect_same_report(from_views[i].report, want[i], what + " (views)");
       EXPECT_EQ(from_const[i].label, from_moved[i].label) << what;
       EXPECT_EQ(from_const[i].reason, from_moved[i].reason) << what;
+      EXPECT_EQ(from_views[i].label, from_const[i].label) << what;
+      EXPECT_EQ(from_views[i].abstained, !answered) << what;
+      EXPECT_EQ(from_views[i].reason, from_const[i].reason) << what;
+      // The view entry repaired each caller's buffer in place.
+      EXPECT_TRUE(same_bits(owned[i], repaired.trial(i))) << what;
     }
   }
+  EXPECT_GT(gated_batches, 0u) << "no batch exercised the quality gate";
 }
 
 }  // namespace

@@ -421,6 +421,31 @@ TEST(GuardedClassifier, NeverThrowsOnMalformedInput) {
   const linalg::Matrix tiny(2, 2);
   EXPECT_NO_THROW(p = guarded.classify(tiny.flat(), tiny.rows(), tiny.cols()));
   EXPECT_TRUE(p.abstained);
+
+  // A view batch whose middle view is too short: that window abstains with
+  // kShape, untouched; its neighbours are classified as on their own.
+  std::vector<double> first(w.ds.x_test.trial(0).begin(),
+                            w.ds.x_test.trial(0).end());
+  std::vector<double> last(w.ds.x_test.trial(1).begin(),
+                           w.ds.x_test.trial(1).end());
+  std::vector<double> cut(n / 2, kNaN);
+  const std::vector<std::span<double>> views = {first, cut, last};
+  std::vector<GuardedPrediction> batch;
+  EXPECT_NO_THROW(batch = guarded.classify_batch(views, w.ds.steps(),
+                                                 w.ds.sensors()));
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[1].reason, AbstainReason::kShape);
+  EXPECT_FALSE(batch[1].report.shape_ok);
+  EXPECT_TRUE(std::isnan(cut.front()));
+  const auto expect_alone = [&](const GuardedPrediction& got,
+                                std::size_t trial) {
+    const GuardedPrediction alone = guarded.classify(
+        w.ds.x_test.trial(trial), w.ds.steps(), w.ds.sensors());
+    EXPECT_EQ(got.label, alone.label) << "trial " << trial;
+    EXPECT_EQ(got.reason, alone.reason) << "trial " << trial;
+  };
+  expect_alone(batch[0], 0);
+  expect_alone(batch[2], 1);
 }
 
 TEST(GuardedClassifier, CleanWindowMatchesDirectPipeline) {

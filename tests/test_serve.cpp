@@ -17,6 +17,8 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "data/window.hpp"
+#include "robust/fault.hpp"
+#include "robust/robust_window.hpp"
 #include "serve/bundle_io.hpp"
 #include "serve/service.hpp"
 
@@ -539,26 +541,64 @@ TEST(ClassificationService, BatchedResultsEqualSingleRequestResults) {
   registry.register_bundle(w.bundle);
   serve::ClassificationService service(registry, tiny_service_config());
 
-  // Burst-submit so the batcher actually coalesces, then compare every
-  // result against the direct single-window guarded path.
-  std::vector<std::future<serve::ServeResult>> futures;
-  const std::size_t n = 48;
-  for (std::size_t i = 0; i < n; ++i) {
+  // Clean windows, FaultInjector-damaged windows at severities 0.5 and 1
+  // and one odd-geometry request, in one burst so the batcher coalesces
+  // them. Execution repairs each request's buffer in place, so the
+  // originals are kept here for the single-window reference.
+  struct Sent {
+    std::vector<double> window;
+    std::size_t steps = kSteps;
+    std::size_t sensors = kSensors;
+  };
+  std::vector<Sent> sent;
+  for (std::size_t i = 0; i < 48; ++i) {
     const auto src = w.x.trial(i % w.x.trials());
-    futures.push_back(service.submit({src.begin(), src.end()}, kSteps,
-                                     kSensors));
+    sent.push_back({{src.begin(), src.end()}});
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const double severity : {0.5, 1.0}) {
+    const robust::FaultInjector injector(
+        robust::FaultProfile::at_severity(severity));
+    for (std::size_t i = 0; i < 24; ++i) {
+      telemetry::TimeSeries series;
+      series.sample_hz = 1.0;
+      series.values = w.x.trial_matrix(i);
+      Rng rng(0xDA3AULL + 7 * i);
+      injector.corrupt(series, rng);
+      Sent damaged;
+      damaged.window.resize(kSteps * kSensors);
+      (void)robust::robust_extract_window(series, 0, kSteps, damaged.window);
+      sent.insert(sent.begin() + static_cast<std::ptrdiff_t>(3 * i + 1),
+                  std::move(damaged));
+    }
+  }
+  sent.insert(sent.begin() + 20, Sent{std::vector<double>(5 * 2, 1.0), 5, 2});
+
+  std::vector<std::future<serve::ServeResult>> futures;
+  for (const Sent& request : sent) {
+    futures.push_back(
+        service.submit(request.window, request.steps, request.sensors));
+  }
+  std::size_t repaired = 0, shape = 0;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
     const serve::ServeResult result = futures[i].get();
-    ASSERT_TRUE(result.accepted);
+    ASSERT_TRUE(result.accepted) << "request " << i;
     EXPECT_EQ(result.model_version, "tiny-v1");
     EXPECT_GE(result.batch_size, 1u);
-    const auto src = w.x.trial(i % w.x.trials());
-    const robust::GuardedPrediction single =
-        w.bundle->guard().classify(src, kSteps, kSensors);
-    EXPECT_EQ(result.prediction.label, single.label);
-    EXPECT_EQ(result.prediction.abstained, single.abstained);
+    const robust::GuardedPrediction single = w.bundle->guard().classify(
+        sent[i].window, sent[i].steps, sent[i].sensors);
+    const robust::GuardedPrediction& got = result.prediction;
+    EXPECT_EQ(got.label, single.label) << "request " << i;
+    EXPECT_EQ(got.abstained, single.abstained) << "request " << i;
+    EXPECT_EQ(got.reason, single.reason) << "request " << i;
+    EXPECT_EQ(got.report.missing_values, single.report.missing_values)
+        << "request " << i;
+    EXPECT_EQ(got.report.repaired_values, single.report.repaired_values)
+        << "request " << i;
+    if (got.report.repaired_values > 0) ++repaired;
+    if (got.reason == robust::AbstainReason::kShape) ++shape;
   }
+  EXPECT_GT(repaired, 0u) << "the burst must carry damaged windows";
+  EXPECT_EQ(shape, 1u);
   service.stop();
 }
 
