@@ -21,6 +21,7 @@ MicroBatcher::MicroBatcher(MicroBatcherConfig config, BatchRunner runner,
   auto& reg = obs::MetricsRegistry::global();
   obs_flush_size_ = reg.counter("scwc_serve_batch_flush_size_total");
   obs_flush_deadline_ = reg.counter("scwc_serve_batch_flush_deadline_total");
+  obs_flusher_wakeups_ = reg.counter("scwc_serve_batch_flusher_wakeups_total");
   obs_queue_depth_ = reg.gauge("scwc_serve_batch_queue_depth");
   obs_batch_size_ = reg.histogram(
       "scwc_serve_batch_size",
@@ -32,13 +33,19 @@ MicroBatcher::~MicroBatcher() { stop(); }
 
 bool MicroBatcher::submit(BatchRequest&& request) {
   request.enqueued = std::chrono::steady_clock::now();
+  bool wake = false;
   {
     const scwc::LockGuard lock(mutex_);
     if (stop_) return false;
+    // Only these pushes can end the flusher's wait: the first request (it
+    // parks until the queue is non-empty), the one that fills the batch,
+    // and a deadline earlier than the flush time it waits for.
+    wake = pending_.empty() || pending_.size() + 1 >= config_.max_batch ||
+           request.deadline < flush_at_;
     pending_.push_back(std::move(request));
     obs_queue_depth_.set(static_cast<double>(pending_.size()));
   }
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
   return true;
 }
 
@@ -83,7 +90,10 @@ void MicroBatcher::flusher_loop() {
   for (;;) {
     // Explicit wait loops (not the predicate overloads): clang's analysis
     // does not look inside predicate lambdas, this form it checks.
-    while (!stop_ && pending_.empty()) cv_.wait(mutex_);
+    while (!stop_ && pending_.empty()) {
+      cv_.wait(mutex_);
+      obs_flusher_wakeups_.inc();
+    }
     if (pending_.empty()) {
       if (stop_) return;
       continue;
@@ -92,13 +102,16 @@ void MicroBatcher::flusher_loop() {
     // batch fills (or stop) first. wait_until re-checks under the lock, so
     // a submit racing the deadline either makes this batch or the next.
     // The wait is also bounded by the earliest per-request deadline so an
-    // expired request is shed promptly instead of riding a late batch.
-    const auto flush_at = std::min(pending_.front().enqueued + max_delay,
-                                   min_deadline_locked());
+    // expired request is shed promptly instead of riding a late batch;
+    // flush_at_ is recomputed after every wake because a request with an
+    // earlier deadline may have arrived (submit wakes us for exactly that).
     bool filled = stop_ || pending_.size() >= config_.max_batch;
     while (!filled) {
+      flush_at_ = std::min(pending_.front().enqueued + max_delay,
+                           min_deadline_locked());
       const bool timed_out =
-          cv_.wait_until(mutex_, flush_at) == std::cv_status::timeout;
+          cv_.wait_until(mutex_, flush_at_) == std::cv_status::timeout;
+      obs_flusher_wakeups_.inc();
       filled = stop_ || pending_.size() >= config_.max_batch;
       if (timed_out) break;
     }

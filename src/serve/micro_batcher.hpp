@@ -11,6 +11,16 @@
 // (which typically hops onto the shared ThreadPool through the
 // AdmissionController). Each request carries a promise; whatever happens —
 // flush, shutdown, runner failure — the promise is fulfilled exactly once.
+//
+// The flusher thread sleeps until the queue is non-empty, then until the
+// flush time: the oldest request's enqueue + max_delay_s, or the earliest
+// per-request deadline if sooner. submit() wakes it only when that wait can
+// end — the push that makes the queue non-empty, the push that brings it
+// to max_batch, or a request whose deadline is earlier than the flush time
+// — not once per request; stop() wakes it too. After every wake the flusher
+// re-reads the earliest deadline, so a request arriving mid-wait with a
+// nearer deadline is shed on time. `scwc_serve_batch_flusher_wakeups_total`
+// counts the wakes.
 #pragma once
 
 #include <chrono>
@@ -119,6 +129,11 @@ class MicroBatcher {
   mutable Mutex mutex_{"serve.batcher.queue"};
   CondVar cv_;
   std::deque<BatchRequest> pending_ SCWC_GUARDED_BY(mutex_);
+  /// When the flusher's current timed wait ends: the oldest request's
+  /// enqueue + max_delay, or the earliest deadline if sooner. submit()
+  /// wakes the flusher for a deadline before it.
+  std::chrono::steady_clock::time_point flush_at_ SCWC_GUARDED_BY(mutex_) =
+      std::chrono::steady_clock::time_point::max();
   bool stop_ SCWC_GUARDED_BY(mutex_) = false;
   // Serialises the join phase of stop(); distinct from mutex_ because the
   // flusher takes mutex_ while draining.
@@ -127,6 +142,7 @@ class MicroBatcher {
 
   obs::CounterHandle obs_flush_size_;      ///< flushes triggered by max_batch
   obs::CounterHandle obs_flush_deadline_;  ///< flushes triggered by max_delay
+  obs::CounterHandle obs_flusher_wakeups_;  ///< returns from either wait
   obs::GaugeHandle obs_queue_depth_;
   obs::HistogramHandle obs_batch_size_;
 };

@@ -11,12 +11,14 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "data/window.hpp"
+#include "obs/metrics.hpp"
 #include "robust/fault.hpp"
 #include "robust/robust_window.hpp"
 #include "serve/bundle_io.hpp"
@@ -268,6 +270,69 @@ TEST(MicroBatcher, StopFlushesQueuedRequestsAndRejectsNewOnes) {
   for (auto& f : futures) (void)f.get();
   serve::BatchRequest late;
   EXPECT_FALSE(batcher.submit(std::move(late)));
+}
+
+TEST(MicroBatcher, EarlierDeadlineArrivingMidWaitIsShedOnTime) {
+  // A arrives first with no deadline, so the flusher waits out max_delay_s
+  // (500 ms). B arrives mid-wait with a 20 ms deadline; the flusher must
+  // wake for it and shed it near 20 ms, not after A's 500 ms.
+  using Clock = std::chrono::steady_clock;
+  serve::MicroBatcherConfig config;
+  config.max_batch = 100;
+  config.max_delay_s = 0.5;
+  serve::MicroBatcher batcher(
+      config,
+      [](std::vector<serve::BatchRequest>&& batch) {
+        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+      },
+      [](serve::BatchRequest&& request) {
+        serve::ServeResult shed;
+        shed.reject_reason = serve::RejectReason::kDeadlineExceeded;
+        request.promise.set_value(shed);
+      });
+  serve::BatchRequest a;
+  std::future<serve::ServeResult> fa = a.promise.get_future();
+  ASSERT_TRUE(batcher.submit(std::move(a)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  serve::BatchRequest b;
+  b.deadline = Clock::now() + std::chrono::milliseconds(20);
+  std::future<serve::ServeResult> fb = b.promise.get_future();
+  ASSERT_TRUE(batcher.submit(std::move(b)));
+  ASSERT_EQ(fb.wait_for(std::chrono::milliseconds(250)),
+            std::future_status::ready);
+  EXPECT_EQ(fb.get().reject_reason, serve::RejectReason::kDeadlineExceeded);
+  (void)fa.get();
+  batcher.stop();
+}
+
+TEST(MicroBatcher, OneSubmitterWakesTheFlusherAtMostTwicePerBatch) {
+  // The flusher needs two wakes per batch: the first request and the one
+  // that fills it. Waking it on every submit would give about 16.
+  const auto wakeups = [] {
+    return obs::counter_value(obs::MetricsRegistry::global().snapshot(),
+                              "scwc_serve_batch_flusher_wakeups_total");
+  };
+  serve::MicroBatcherConfig config;
+  config.max_batch = 16;
+  config.max_delay_s = 60.0;  // only the size bound flushes
+  serve::MicroBatcher batcher(
+      config, [](std::vector<serve::BatchRequest>&& batch) {
+        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+      });
+  const std::uint64_t before = wakeups();
+  std::vector<std::future<serve::ServeResult>> futures;
+  std::thread submitter([&] {
+    for (std::size_t i = 0; i < config.max_batch; ++i) {
+      serve::BatchRequest request;
+      futures.push_back(request.promise.get_future());
+      ASSERT_TRUE(batcher.submit(std::move(request)));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  submitter.join();
+  for (auto& f : futures) (void)f.get();
+  EXPECT_LE(wakeups() - before, 3u);
+  batcher.stop();
 }
 
 // -------------------------------------------------------------- ModelRegistry
