@@ -38,7 +38,8 @@ int main() {
   std::cout << "paper (full scale): 14,590/3,648 … 14,193/3,549 trials of "
                "540 samples x 7 sensors\n";
   std::cout << "built all seven datasets in " << build_s << " s ("
-            << corpus.total_gpu_series() << " GPU series synthesised once, "
-            << "seven windows cut per series)\n";
+            << corpus.total_gpu_series() << " GPU series; each eligible one "
+            << "synthesised once, up to the end of the last of its seven "
+            << "windows)\n";
   return 0;
 }

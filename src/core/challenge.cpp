@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -17,20 +18,24 @@ namespace {
 
 using data::WindowPolicy;
 
-/// One dataset to cut: policy plus the index of the random draw.
+/// One dataset to cut: its Table-IV name, policy, the index of the random
+/// draw and the salt of its train/test split.
 struct WindowSpec {
   std::string name;
   WindowPolicy policy;
   std::size_t random_index;
+  std::uint64_t split_salt;
 };
 
+/// Table-IV order: start, middle, random 1..random_draws. A spec's split
+/// salt is its position in this list plus one.
 std::vector<WindowSpec> window_specs(std::size_t random_draws) {
   std::vector<WindowSpec> specs;
-  specs.push_back({"60-start-1", WindowPolicy::kStart, 0});
-  specs.push_back({"60-middle-1", WindowPolicy::kMiddle, 0});
+  specs.push_back({"60-start-1", WindowPolicy::kStart, 0, 1});
+  specs.push_back({"60-middle-1", WindowPolicy::kMiddle, 0, 2});
   for (std::size_t r = 0; r < random_draws; ++r) {
     specs.push_back({"60-random-" + std::to_string(r + 1),
-                     WindowPolicy::kRandom, r});
+                     WindowPolicy::kRandom, r, 3 + r});
   }
   return specs;
 }
@@ -64,51 +69,99 @@ std::vector<telemetry::JobSpec> eligible_jobs(const telemetry::Corpus& corpus,
   return jobs;
 }
 
-/// Trial bookkeeping shared by the builders.
-struct TrialIndex {
-  std::vector<std::size_t> job_offset;  ///< first trial of each job
-  std::size_t total_trials = 0;
-};
-
-TrialIndex index_trials(const std::vector<telemetry::JobSpec>& jobs) {
-  TrialIndex idx;
-  idx.job_offset.reserve(jobs.size());
+/// Builds one dataset per spec. Labels and job ids come from the job list,
+/// so every split is drawn before any sample exists. Each GPU series is
+/// then synthesised once, only up to the end of the latest window any spec
+/// cuts from it, and each window is copied straight into its train or test
+/// row.
+std::vector<data::ChallengeDataset> build_datasets(
+    const telemetry::Corpus& corpus, const ChallengeConfig& config,
+    const std::vector<WindowSpec>& specs) {
+  const std::vector<telemetry::JobSpec> jobs = eligible_jobs(corpus, config);
+  SCWC_REQUIRE(!jobs.empty(), "no jobs long enough for the window");
+  // Trials are GPU series, job by job: trial job_offset[j] + g is GPU g.
+  std::vector<std::size_t> job_offset;
+  std::vector<int> labels;
+  std::vector<std::int64_t> job_ids;
+  job_offset.reserve(jobs.size());
   for (const auto& job : jobs) {
-    idx.job_offset.push_back(idx.total_trials);
-    idx.total_trials += static_cast<std::size_t>(job.num_gpus);
+    job_offset.push_back(labels.size());
+    const auto gpus = static_cast<std::size_t>(job.num_gpus);
+    labels.insert(labels.end(), gpus, job.class_id);
+    job_ids.insert(job_ids.end(), gpus, job.job_id);
   }
-  return idx;
-}
+  const std::size_t trials = labels.size();
+  const std::size_t sensors = telemetry::kNumGpuSensors;
+  SCWC_LOG_INFO("challenge builder: " << jobs.size() << " jobs, " << trials
+                                      << " GPU trials, " << specs.size()
+                                      << " datasets");
 
-data::ChallengeDataset assemble_split(
-    const std::string& name, WindowPolicy policy, data::Tensor3&& x,
-    std::vector<int>&& labels, std::vector<std::int64_t>&& job_ids,
-    const ChallengeConfig& config, std::uint64_t split_salt) {
-  Rng split_rng(config.seed ^ (split_salt * 0x94d049bb133111ebULL));
-  const data::SplitIndices split = data::stratified_split(
-      labels, job_ids, config.test_fraction, config.split_unit, split_rng);
+  std::vector<data::ChallengeDataset> datasets(specs.size());
+  // rows[s][trial]: the train or test row that takes spec s's window.
+  std::vector<std::vector<std::span<double>>> rows(specs.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    Rng split_rng(config.seed ^
+                  (specs[s].split_salt * 0x94d049bb133111ebULL));
+    const data::SplitIndices split = data::stratified_split(
+        labels, job_ids, config.test_fraction, config.split_unit, split_rng);
+    data::ChallengeDataset& ds = datasets[s];
+    ds.name = specs[s].name;
+    ds.policy = specs[s].policy;
+    rows[s].resize(trials);
+    const auto fill = [&](const std::vector<std::size_t>& side,
+                          data::Tensor3& x, std::vector<int>& y,
+                          std::vector<std::string>& models,
+                          std::vector<std::int64_t>& side_jobs) {
+      x = data::Tensor3(side.size(), config.window_steps, sensors);
+      y.reserve(side.size());
+      models.reserve(side.size());
+      side_jobs.reserve(side.size());
+      for (std::size_t k = 0; k < side.size(); ++k) {
+        const std::size_t trial = side[k];
+        rows[s][trial] = x.trial(k);
+        y.push_back(labels[trial]);
+        models.push_back(telemetry::architecture(labels[trial]).name);
+        side_jobs.push_back(job_ids[trial]);
+      }
+    };
+    fill(split.train, ds.x_train, ds.y_train, ds.model_train, ds.job_train);
+    fill(split.test, ds.x_test, ds.y_test, ds.model_test, ds.job_test);
+  }
 
-  data::ChallengeDataset out;
-  out.name = name;
-  out.policy = policy;
-  out.x_train = x.gather(split.train);
-  out.x_test = x.gather(split.test);
-  const auto fill = [&](const std::vector<std::size_t>& rows,
-                        std::vector<int>& y, std::vector<std::string>& models,
-                        std::vector<std::int64_t>& jobs) {
-    y.reserve(rows.size());
-    models.reserve(rows.size());
-    jobs.reserve(rows.size());
-    for (const std::size_t r : rows) {
-      y.push_back(labels[r]);
-      models.push_back(telemetry::architecture(labels[r]).name);
-      jobs.push_back(job_ids[r]);
-    }
-  };
-  fill(split.train, out.y_train, out.model_train, out.job_train);
-  fill(split.test, out.y_test, out.model_test, out.job_test);
-  out.validate();
-  return out;
+  parallel_for(
+      0, jobs.size(),
+      [&](std::size_t j) {
+        const telemetry::JobSpec& job = jobs[j];
+        const std::size_t series_steps =
+            telemetry::gpu_series_steps(job, config.sample_hz);
+        std::vector<std::size_t> offsets(specs.size());
+        for (int g = 0; g < job.num_gpus; ++g) {
+          std::size_t end = 0;
+          for (std::size_t s = 0; s < specs.size(); ++s) {
+            Rng rng = window_rng(config.seed, specs[s].random_index, job.seed,
+                                 g);
+            const auto offset = data::choose_window_offset(
+                series_steps, config.window_steps, specs[s].policy, rng);
+            SCWC_CHECK(offset.has_value(),
+                       "eligible job produced a too-short series");
+            offsets[s] = *offset;
+            end = std::max(end, *offset + config.window_steps);
+          }
+          const telemetry::TimeSeries series =
+              telemetry::synthesize_gpu_series_prefix(job, g, config.sample_hz,
+                                                      end);
+          const std::size_t trial =
+              job_offset[j] + static_cast<std::size_t>(g);
+          for (std::size_t s = 0; s < specs.size(); ++s) {
+            data::extract_window(series, offsets[s], config.window_steps,
+                                 rows[s][trial]);
+          }
+        }
+      },
+      1);
+
+  for (const auto& ds : datasets) ds.validate();
+  return datasets;
 }
 
 }  // namespace
@@ -130,59 +183,7 @@ ChallengeConfig ChallengeConfig::from_profile(const ScaleProfile& profile,
 
 std::vector<data::ChallengeDataset> build_challenge_datasets(
     const telemetry::Corpus& corpus, const ChallengeConfig& config) {
-  const std::vector<WindowSpec> specs = window_specs(config.random_draws);
-  const std::vector<telemetry::JobSpec> jobs = eligible_jobs(corpus, config);
-  SCWC_REQUIRE(!jobs.empty(), "no jobs long enough for the window");
-  const TrialIndex idx = index_trials(jobs);
-  SCWC_LOG_INFO("challenge builder: " << jobs.size() << " jobs, "
-                                      << idx.total_trials << " GPU trials, "
-                                      << specs.size() << " datasets");
-
-  const std::size_t sensors = telemetry::kNumGpuSensors;
-  std::vector<data::Tensor3> tensors;
-  tensors.reserve(specs.size());
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    tensors.emplace_back(idx.total_trials, config.window_steps, sensors);
-  }
-  std::vector<int> labels(idx.total_trials, 0);
-  std::vector<std::int64_t> job_ids(idx.total_trials, 0);
-
-  // Synthesise every GPU series once; cut all windows from it.
-  parallel_for(
-      0, jobs.size(),
-      [&](std::size_t j) {
-        const telemetry::JobSpec& job = jobs[j];
-        for (int g = 0; g < job.num_gpus; ++g) {
-          const std::size_t trial =
-              idx.job_offset[j] + static_cast<std::size_t>(g);
-          labels[trial] = job.class_id;
-          job_ids[trial] = job.job_id;
-          const telemetry::TimeSeries series =
-              telemetry::synthesize_gpu_series(job, g, config.sample_hz);
-          for (std::size_t s = 0; s < specs.size(); ++s) {
-            Rng rng = window_rng(config.seed, specs[s].random_index, job.seed,
-                                 g);
-            const auto offset = data::choose_window_offset(
-                series.steps(), config.window_steps, specs[s].policy, rng);
-            SCWC_CHECK(offset.has_value(),
-                       "eligible job produced a too-short series");
-            data::extract_window(series, *offset, config.window_steps,
-                                 tensors[s].trial(trial));
-          }
-        }
-      },
-      1);
-
-  std::vector<data::ChallengeDataset> datasets;
-  datasets.reserve(specs.size());
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    std::vector<int> y = labels;
-    std::vector<std::int64_t> jids = job_ids;
-    datasets.push_back(assemble_split(specs[s].name, specs[s].policy,
-                                      std::move(tensors[s]), std::move(y),
-                                      std::move(jids), config, s + 1));
-  }
-  return datasets;
+  return build_datasets(corpus, config, window_specs(config.random_draws));
 }
 
 data::ChallengeDataset build_challenge_dataset(const telemetry::Corpus& corpus,
@@ -190,59 +191,13 @@ data::ChallengeDataset build_challenge_dataset(const telemetry::Corpus& corpus,
                                                data::WindowPolicy policy,
                                                std::size_t random_index) {
   const obs::TraceSpan span("core.build_challenge_dataset");
-  const std::vector<telemetry::JobSpec> jobs = eligible_jobs(corpus, config);
-  SCWC_REQUIRE(!jobs.empty(), "no jobs long enough for the window");
-  const TrialIndex idx = index_trials(jobs);
-
-  data::Tensor3 x(idx.total_trials, config.window_steps,
-                  telemetry::kNumGpuSensors);
-  std::vector<int> labels(idx.total_trials, 0);
-  std::vector<std::int64_t> job_ids(idx.total_trials, 0);
-
-  parallel_for(
-      0, jobs.size(),
-      [&](std::size_t j) {
-        const telemetry::JobSpec& job = jobs[j];
-        for (int g = 0; g < job.num_gpus; ++g) {
-          const std::size_t trial =
-              idx.job_offset[j] + static_cast<std::size_t>(g);
-          labels[trial] = job.class_id;
-          job_ids[trial] = job.job_id;
-          // Start windows only need the prefix — skip the tail of long jobs.
-          const telemetry::TimeSeries series =
-              policy == data::WindowPolicy::kStart
-                  ? telemetry::synthesize_gpu_series_prefix(
-                        job, g, config.sample_hz, config.window_steps)
-                  : telemetry::synthesize_gpu_series(job, g, config.sample_hz);
-          Rng rng = window_rng(config.seed, random_index, job.seed, g);
-          const auto offset = data::choose_window_offset(
-              series.steps(), config.window_steps, policy, rng);
-          SCWC_CHECK(offset.has_value(),
-                     "eligible job produced a too-short series");
-          data::extract_window(series, *offset, config.window_steps,
-                               x.trial(trial));
-        }
-      },
-      1);
-
-  std::string name;
-  std::uint64_t salt = 1;
-  switch (policy) {
-    case data::WindowPolicy::kStart:
-      name = "60-start-1";
-      salt = 1;
-      break;
-    case data::WindowPolicy::kMiddle:
-      name = "60-middle-1";
-      salt = 2;
-      break;
-    case data::WindowPolicy::kRandom:
-      name = "60-random-" + std::to_string(random_index + 1);
-      salt = 3 + random_index;
-      break;
-  }
-  return assemble_split(name, policy, std::move(x), std::move(labels),
-                        std::move(job_ids), config, salt);
+  // The spec this policy has in the Table-IV list that runs up to this
+  // random draw, so the name and split salt come from one formula.
+  const std::vector<WindowSpec> specs = window_specs(random_index + 1);
+  const WindowSpec& spec = policy == WindowPolicy::kStart    ? specs.front()
+                           : policy == WindowPolicy::kMiddle ? specs[1]
+                                                             : specs.back();
+  return std::move(build_datasets(corpus, config, {spec}).front());
 }
 
 }  // namespace scwc::core

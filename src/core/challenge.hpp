@@ -1,10 +1,12 @@
 // The Workload Classification Challenge dataset builder.
 //
-// Builds the seven Table-IV datasets from a labelled corpus in one pass:
-// every GPU series is synthesised once, and all seven 60-second windows
-// (start, middle, random×5) are cut from it. Trials are GPU series — a job
-// with eight GPUs contributes eight labelled trials, as in the released
-// npz files.
+// Builds the seven Table-IV datasets (or any one of them) from a labelled
+// corpus in one pass. Each train/test split is drawn from the job list
+// before any sample is synthesised; each GPU series is then synthesised
+// once, only up to the end of the latest of its 60-second windows (start,
+// middle, random×5), and each window is written straight into its split.
+// Trials are GPU series — a job with eight GPUs contributes eight labelled
+// trials, as in the released npz files.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,8 @@ std::vector<data::ChallengeDataset> build_challenge_datasets(
     const telemetry::Corpus& corpus, const ChallengeConfig& config);
 
 /// Builds a single dataset for one policy (random_index selects which of
-/// the independent random draws, 0-based; ignored for start/middle).
+/// the independent random draws, 0-based; ignored for start/middle). It
+/// equals the same-named dataset of build_challenge_datasets byte for byte.
 data::ChallengeDataset build_challenge_dataset(
     const telemetry::Corpus& corpus, const ChallengeConfig& config,
     data::WindowPolicy policy, std::size_t random_index = 0);

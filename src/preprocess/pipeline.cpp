@@ -27,15 +27,16 @@ void FeaturePipeline::fit(const data::Tensor3& x_train) {
   steps_ = x_train.steps();
   sensors_ = x_train.sensors();
   const linalg::Matrix flat = x_train.flatten();
-  const linalg::Matrix scaled = [&] {
+  {
     const obs::TraceSpan scale_span("pipeline.scale");
     scaler_.fit(flat);
-    return scaler_.transform(flat);
-  }();
+  }
   if (config_.reduction == Reduction::kPca) {
+    // Only PCA is fitted on scaled rows; the other reductions scale per
+    // window at transform time, so no scaled copy of the split is made.
     const obs::TraceSpan pca_span("pipeline.pca_fit");
     pca_.emplace(config_.pca_components);
-    pca_->fit(scaled);
+    pca_->fit(scaler_.transform(flat));
   }
 }
 

@@ -25,6 +25,11 @@ double clamp01pct(double v) { return std::clamp(v, 0.0, 100.0); }
 
 }  // namespace
 
+std::size_t gpu_series_steps(const JobSpec& job, double sample_hz) {
+  SCWC_REQUIRE(sample_hz > 0.0, "sample_hz must be positive");
+  return static_cast<std::size_t>(std::floor(job.duration_s * sample_hz));
+}
+
 TimeSeries synthesize_gpu_series_prefix(const JobSpec& job, int gpu_index,
                                         double sample_hz,
                                         std::size_t max_steps) {
@@ -57,9 +62,8 @@ TimeSeries synthesize_gpu_series_prefix(const JobSpec& job, int gpu_index,
                  std::exp(rng.normal(0.0, 0.10));
 
   const double dt = 1.0 / sample_hz;
-  const std::size_t total_steps = static_cast<std::size_t>(
-      std::floor(job.duration_s * sample_hz));
-  const std::size_t steps = std::min(total_steps, max_steps);
+  const std::size_t steps =
+      std::min(gpu_series_steps(job, sample_hz), max_steps);
 
   TimeSeries out;
   out.sample_hz = sample_hz;

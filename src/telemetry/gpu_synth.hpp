@@ -36,8 +36,15 @@ struct TimeSeries {
 TimeSeries synthesize_gpu_series(const JobSpec& job, int gpu_index,
                                  double sample_hz);
 
-/// Cheaper variant that stops the simulation after `max_steps` samples
-/// (used when only a prefix window is required).
+/// Number of samples in the full series of any GPU of `job` at
+/// `sample_hz`: floor(duration_s × sample_hz). This is steps() of
+/// synthesize_gpu_series, known without synthesising anything.
+std::size_t gpu_series_steps(const JobSpec& job, double sample_hz);
+
+/// The first min(max_steps, gpu_series_steps) samples of the full series,
+/// bit for bit, without simulating the rest. The challenge builder cuts
+/// every window from one of these, synthesised up to the end of the last
+/// window it needs.
 TimeSeries synthesize_gpu_series_prefix(const JobSpec& job, int gpu_index,
                                         double sample_hz,
                                         std::size_t max_steps);

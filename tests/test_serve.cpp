@@ -385,16 +385,56 @@ TEST(BundleIo, RoundTripPreservesVersionConfigAndPredictions) {
   EXPECT_EQ(loaded->guard_config().fallback_label,
             w.bundle->guard_config().fallback_label);
 
-  // Every training window classifies identically through both bundles.
+  // Every training window, and FaultInjector-damaged copies of the first
+  // 24 at severities 0 to 1 (fixed seeds), classifies identically through
+  // both bundles: the same verdict, abstain reason and quality report.
+  std::vector<std::vector<double>> windows;
+  for (std::size_t i = 0; i < w.x.trials(); ++i) {
+    windows.emplace_back(w.x.trial(i).begin(), w.x.trial(i).end());
+  }
+  for (const double severity : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    const robust::FaultInjector injector(
+        robust::FaultProfile::at_severity(severity));
+    for (std::size_t i = 0; i < 24; ++i) {
+      telemetry::TimeSeries series;
+      series.sample_hz = 1.0;
+      series.values = w.x.trial_matrix(i);
+      Rng rng(0xB0D1EULL + 7 * i);
+      injector.corrupt(series, rng);
+      std::vector<double> damaged(kSteps * kSensors);
+      (void)robust::robust_extract_window(series, 0, kSteps, damaged);
+      windows.push_back(std::move(damaged));
+    }
+  }
+  data::Tensor3 batch(windows.size(), kSteps, kSensors);
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    std::copy(windows[i].begin(), windows[i].end(), batch.trial(i).begin());
+  }
   const std::vector<robust::GuardedPrediction> a =
-      w.bundle->guard().classify_batch(w.x);
+      w.bundle->guard().classify_batch(batch);
   const std::vector<robust::GuardedPrediction> b =
-      loaded->guard().classify_batch(w.x);
+      loaded->guard().classify_batch(batch);
+  ASSERT_EQ(a.size(), windows.size());
   ASSERT_EQ(a.size(), b.size());
+  std::size_t damaged = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
     EXPECT_EQ(a[i].label, b[i].label);
     EXPECT_EQ(a[i].abstained, b[i].abstained);
+    EXPECT_EQ(a[i].reason, b[i].reason);
+    const robust::QualityReport& ra = a[i].report;
+    const robust::QualityReport& rb = b[i].report;
+    EXPECT_EQ(ra.steps, rb.steps);
+    EXPECT_EQ(ra.sensors, rb.sensors);
+    EXPECT_EQ(ra.missing_values, rb.missing_values);
+    EXPECT_EQ(ra.missing_steps, rb.missing_steps);
+    EXPECT_EQ(ra.dead_sensors, rb.dead_sensors);
+    EXPECT_EQ(ra.truncated_steps, rb.truncated_steps);
+    EXPECT_EQ(ra.repaired_values, rb.repaired_values);
+    EXPECT_EQ(ra.shape_ok, rb.shape_ok);
+    if (ra.missing_values > 0) ++damaged;
   }
+  EXPECT_GT(damaged, 0u) << "the faulted windows must carry damage";
 }
 
 TEST(BundleIo, RejectsGarbageAndTruncation) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "linalg/stats.hpp"
+#include "telemetry/corpus.hpp"
 #include "telemetry/cpu_synth.hpp"
 #include "telemetry/gpu_synth.hpp"
 #include "telemetry/signature.hpp"
@@ -57,6 +58,34 @@ TEST(GpuSynth, PrefixMatchesFullSeriesPrefix) {
       EXPECT_DOUBLE_EQ(prefix.values(t, s), full.values(t, s));
     }
   }
+}
+
+TEST(GpuSynth, SeriesStepsIsTheSynthesisedLength) {
+  CorpusConfig config;
+  config.jobs_per_class_scale = 0.01;  // the challenge tests' micro corpus
+  config.min_jobs_per_class = 3;
+  config.seed = 11;
+  const Corpus corpus = generate_corpus(config);
+  std::size_t fractional = 0;
+  for (const JobSpec& job : corpus.jobs()) {
+    for (const double hz : {0.5, 1.0, 2.0, 9.0}) {
+      const std::size_t steps = gpu_series_steps(job, hz);
+      // Every sample period ends inside the job and one more would not:
+      // steps ≤ duration × hz < steps + 1, i.e. the floor.
+      const double samples = job.duration_s * hz;
+      EXPECT_LE(static_cast<double>(steps), samples) << "job " << job.job_id;
+      EXPECT_LT(samples, static_cast<double>(steps + 1))
+          << "job " << job.job_id;
+      if (samples != std::floor(samples)) ++fractional;
+      // First, last and one middle GPU of every job.
+      for (const int g : {0, job.num_gpus / 2, job.num_gpus - 1}) {
+        EXPECT_EQ(steps, synthesize_gpu_series(job, g, hz).steps())
+            << "job " << job.job_id << " gpu " << g << " at " << hz << " Hz";
+      }
+    }
+  }
+  // Durations with a fractional sample count are what tell floor from ceil.
+  EXPECT_GT(fractional, 0u);
 }
 
 class GpuPhysicalInvariants : public ::testing::TestWithParam<int> {};
