@@ -38,8 +38,9 @@ int main() {
   std::cout << "paper (full scale): 14,590/3,648 … 14,193/3,549 trials of "
                "540 samples x 7 sensors\n";
   std::cout << "built all seven datasets in " << build_s << " s ("
-            << corpus.total_gpu_series() << " GPU series; each eligible one "
-            << "synthesised once, up to the end of the last of its seven "
-            << "windows)\n";
+            << datasets[0].train_trials() + datasets[0].test_trials()
+            << " GPU series long enough for a window, of the corpus's "
+            << corpus.total_gpu_series() << "; each synthesised once, up to "
+            << "the end of the last of its seven windows)\n";
   return 0;
 }

@@ -1,7 +1,6 @@
 // Tests for the challenge dataset builder (Table IV pipeline).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <set>
 
@@ -89,19 +88,10 @@ data::ChallengeDataset reference_dataset(const telemetry::Corpus& corpus,
                                          data::WindowPolicy policy,
                                          std::size_t random_index,
                                          std::uint64_t split_salt) {
-  std::vector<telemetry::JobSpec> jobs = corpus.jobs_running_at_least(
+  EXPECT_EQ(config.max_jobs, 0u) << "the reference does not thin jobs";
+  const std::vector<telemetry::JobSpec> jobs = corpus.jobs_running_at_least(
       static_cast<double>(config.window_steps) / config.sample_hz +
       1.0 / config.sample_hz);
-  if (config.max_jobs > 0 && jobs.size() > config.max_jobs) {
-    std::vector<telemetry::JobSpec> kept;
-    const double stride = static_cast<double>(jobs.size()) /
-                          static_cast<double>(config.max_jobs);
-    for (std::size_t k = 0; k < config.max_jobs; ++k) {
-      kept.push_back(jobs[static_cast<std::size_t>(
-          std::floor(static_cast<double>(k) * stride))]);
-    }
-    jobs = std::move(kept);
-  }
   std::size_t trials = 0;
   for (const auto& job : jobs) trials += static_cast<std::size_t>(job.num_gpus);
   data::Tensor3 x(trials, config.window_steps, telemetry::kNumGpuSensors);
@@ -276,10 +266,10 @@ std::uint64_t fnv1a(const data::ChallengeDataset& ds) {
 }
 
 TEST(Challenge, MicroCorpusDatasetsHashToPinnedValues) {
-  // Computed with the builder that synthesised every full series and
-  // gathered train/test out of a whole-trial tensor (the reference_dataset
-  // algorithm above), so any change to a window, label, name or the
-  // train/test order of any Table-IV dataset shows here.
+  // Computed at commit b129141, whose builders still synthesised every
+  // full series and gathered train/test out of a whole-trial tensor (the
+  // reference_dataset algorithm above), so any change to a window, label,
+  // name or the train/test order of any Table-IV dataset shows here.
   const std::uint64_t pinned[7] = {
       0xc2c67b36f5424267ULL,  // 60-start-1
       0x7e0dfc3295e5dfecULL,  // 60-middle-1
