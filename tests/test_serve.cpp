@@ -388,11 +388,12 @@ TEST(BundleIo, RoundTripPreservesVersionConfigAndPredictions) {
   // Every training window, and FaultInjector-damaged copies of the first
   // 24 at severities 0 to 1 (fixed seeds), classifies identically through
   // both bundles: the same verdict, abstain reason and quality report.
-  std::vector<std::vector<double>> windows;
-  for (std::size_t i = 0; i < w.x.trials(); ++i) {
-    windows.emplace_back(w.x.trial(i).begin(), w.x.trial(i).end());
-  }
-  for (const double severity : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+  const std::vector<double> severities = {0.0, 0.25, 0.5, 0.75, 1.0};
+  data::Tensor3 batch(w.x.trials() + 24 * severities.size(), kSteps,
+                      kSensors);
+  std::copy(w.x.raw().begin(), w.x.raw().end(), batch.raw().begin());
+  std::size_t row = w.x.trials();
+  for (const double severity : severities) {
     const robust::FaultInjector injector(
         robust::FaultProfile::at_severity(severity));
     for (std::size_t i = 0; i < 24; ++i) {
@@ -401,20 +402,15 @@ TEST(BundleIo, RoundTripPreservesVersionConfigAndPredictions) {
       series.values = w.x.trial_matrix(i);
       Rng rng(0xB0D1EULL + 7 * i);
       injector.corrupt(series, rng);
-      std::vector<double> damaged(kSteps * kSensors);
-      (void)robust::robust_extract_window(series, 0, kSteps, damaged);
-      windows.push_back(std::move(damaged));
+      (void)robust::robust_extract_window(series, 0, kSteps,
+                                          batch.trial(row++));
     }
-  }
-  data::Tensor3 batch(windows.size(), kSteps, kSensors);
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    std::copy(windows[i].begin(), windows[i].end(), batch.trial(i).begin());
   }
   const std::vector<robust::GuardedPrediction> a =
       w.bundle->guard().classify_batch(batch);
   const std::vector<robust::GuardedPrediction> b =
       loaded->guard().classify_batch(batch);
-  ASSERT_EQ(a.size(), windows.size());
+  ASSERT_EQ(a.size(), batch.trials());
   ASSERT_EQ(a.size(), b.size());
   std::size_t damaged = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
