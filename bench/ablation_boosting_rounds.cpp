@@ -13,8 +13,7 @@
 #include "core/report.hpp"
 #include "ml/gbt.hpp"
 #include "ml/metrics.hpp"
-#include "preprocess/covariance_features.hpp"
-#include "preprocess/scaler.hpp"
+#include "preprocess/pipeline.hpp"
 #include "telemetry/corpus.hpp"
 
 int main() {
@@ -31,14 +30,10 @@ int main() {
       corpus, core::ChallengeConfig::from_profile(profile),
       data::WindowPolicy::kRandom, 0);
 
-  preprocess::StandardScaler scaler;
-  const linalg::Matrix train =
-      scaler.fit_transform(ds.x_train.flatten());
-  const linalg::Matrix test = scaler.transform(ds.x_test.flatten());
-  const linalg::Matrix train_f =
-      preprocess::covariance_features_flat(train, ds.steps(), ds.sensors());
-  const linalg::Matrix test_f =
-      preprocess::covariance_features_flat(test, ds.steps(), ds.sensors());
+  preprocess::FeaturePipeline pipeline(
+      {preprocess::Reduction::kCovariance, 0});
+  const linalg::Matrix train_f = pipeline.fit_transform(ds.x_train);
+  const linalg::Matrix test_f = pipeline.transform(ds.x_test);
 
   // One long run gives the train curve; separate fits give test points
   // (each prefix of rounds is a valid model, but we refit to keep the

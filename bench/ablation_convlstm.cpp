@@ -20,7 +20,6 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/scheduler.hpp"
-#include "preprocess/scaler.hpp"
 #include "telemetry/corpus.hpp"
 
 namespace {
@@ -107,28 +106,8 @@ int main() {
 
   // Shared preprocessing and caps with the Table-VI protocol.
   const core::RnnRunConfig run = core::RnnRunConfig::from_profile(profile);
-  std::vector<std::size_t> rows;
-  const std::size_t cap = run.max_train_trials == 0
-                              ? ds.train_trials()
-                              : std::min(ds.train_trials(),
-                                         run.max_train_trials);
-  const double stride =
-      static_cast<double>(ds.train_trials()) / static_cast<double>(cap);
-  for (std::size_t k = 0; k < cap; ++k) {
-    rows.push_back(static_cast<std::size_t>(static_cast<double>(k) * stride));
-  }
-  const data::Tensor3 x_train_raw = ds.x_train.gather(rows);
-  std::vector<int> y_train(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) y_train[i] = ds.y_train[rows[i]];
-
-  preprocess::StandardScaler scaler;
-  const linalg::Matrix train_scaled =
-      scaler.fit_transform(x_train_raw.flatten());
-  const linalg::Matrix val_scaled = scaler.transform(ds.x_test.flatten());
-  const data::Tensor3 x_train =
-      data::Tensor3::from_flat(train_scaled, ds.steps(), ds.sensors());
-  const data::Tensor3 x_val =
-      data::Tensor3::from_flat(val_scaled, ds.steps(), ds.sensors());
+  const core::RnnSplits splits =
+      core::prepare_rnn_splits(ds, run.max_train_trials);
 
   TextTable table("ConvLSTM vs BiLSTM on 60-middle-1 (best val acc, %)");
   table.set_header({"Model", "Params", "Best val acc (%)", "Time (s)"});
@@ -144,9 +123,9 @@ int main() {
     config.dropout = 0.5;
     nn::ConvLstmClassifier model(config);
     const Stopwatch timer;
-    const double best = train_convlstm(model, x_train, y_train, x_val,
-                                       ds.y_test, run.trainer.max_epochs,
-                                       run.trainer.patience);
+    const double best = train_convlstm(
+        model, splits.x_train, splits.y_train, splits.x_val, ds.y_test,
+        run.trainer.max_epochs, run.trainer.patience);
     table.add_row({"ConvLSTM", std::to_string(model.parameter_count()),
                    format_fixed(best * 100.0, 2),
                    format_fixed(timer.seconds(), 1)});

@@ -17,7 +17,6 @@
 #include "ml/svm.hpp"
 #include "net/wire.hpp"
 #include "nn/lstm.hpp"
-#include "preprocess/covariance_features.hpp"
 #include "preprocess/pca.hpp"
 #include "preprocess/pipeline.hpp"
 #include "preprocess/scaler.hpp"
@@ -73,30 +72,19 @@ void BM_GemmTransposed(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmTransposed)->Arg(128);
 
-void BM_CovarianceFeatures(benchmark::State& state) {
-  const auto trials = static_cast<std::size_t>(state.range(0));
-  data::Tensor3 x(trials, 540, 7);
-  Rng rng(5);
-  for (double& v : x.raw()) v = rng.normal();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(preprocess::covariance_features(x));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trials));
-}
-// parallel_for splits the trials across the pool, so CPU time on the
+// The one standardise → covariance path: a fitted covariance pipeline
+// scaling and reducing a batch of range(1) windows of range(0) steps × 7
+// sensors. 60×64 and 540×64 are the serve geometry (short windows, the
+// paper's trials); 540×128 and 540×512 are split-sized batches.
+// parallel_for splits the windows across the pool, so CPU time on the
 // calling thread alone would overstate the rate; report wall time.
-BENCHMARK(BM_CovarianceFeatures)->Arg(128)->Arg(512)->UseRealTime();
-
-// The serve geometry: a fitted covariance pipeline standardising and
-// reducing a batch of 64 windows of range(0) steps × 7 sensors (the fused
-// path) — 60 for the short windows, 540 for the paper's trials.
 void BM_CovariancePipelineTransform(benchmark::State& state) {
   const auto steps = static_cast<std::size_t>(state.range(0));
+  const auto windows = static_cast<std::size_t>(state.range(1));
   Rng rng(12);
   data::Tensor3 train(256, steps, 7);
   for (double& v : train.raw()) v = rng.normal();
-  data::Tensor3 batch(64, steps, 7);
+  data::Tensor3 batch(windows, steps, 7);
   for (double& v : batch.raw()) v = rng.normal();
   preprocess::FeaturePipeline pipeline(
       {preprocess::Reduction::kCovariance, 0});
@@ -104,9 +92,15 @@ void BM_CovariancePipelineTransform(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.transform(batch));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(windows));
 }
-BENCHMARK(BM_CovariancePipelineTransform)->Arg(60)->Arg(540)->UseRealTime();
+BENCHMARK(BM_CovariancePipelineTransform)
+    ->Args({60, 64})
+    ->Args({540, 64})
+    ->Args({540, 128})
+    ->Args({540, 512})
+    ->UseRealTime();
 
 // The guard's repair step: one WindowRepairer accounting and repairing a
 // batch of 64 windows of range(0) steps × 7 sensors, damaged by
@@ -154,11 +148,21 @@ BENCHMARK(BM_AccountAndImpute)
                    {50, 0}})
     ->UseRealTime();
 
+// Fit from row views, then scale every row: what FeaturePipeline::fit and
+// a kNone transform do to a split.
 void BM_ScalerFitTransform(benchmark::State& state) {
   const Matrix x = random_matrix(1024, 630, 6);
+  std::vector<std::span<const double>> rows;
+  for (std::size_t r = 0; r < x.rows(); ++r) rows.push_back(x.row(r));
+  Matrix out(x.rows(), x.cols());
   for (auto _ : state) {
     preprocess::StandardScaler scaler;
-    benchmark::DoNotOptimize(scaler.fit_transform(x));
+    scaler.fit(rows);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      scaler.transform_row(rows[r], out.row(r));
+    }
+    benchmark::DoNotOptimize(out.flat().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ScalerFitTransform);

@@ -12,32 +12,13 @@
 #include "ml/svm.hpp"
 #include "preprocess/covariance_features.hpp"
 #include "preprocess/pca.hpp"
-#include "preprocess/scaler.hpp"
+#include "preprocess/pipeline.hpp"
 
 namespace scwc::core {
 
 namespace {
 
 using linalg::Matrix;
-
-/// Stratified-ish row cap: uniform thinning keeps the class mix because
-/// trials arrive grouped by class from the corpus order, then shuffled by
-/// the split — uniform striding over the shuffled order is near-stratified.
-std::vector<std::size_t> capped_rows(std::size_t n, std::size_t cap) {
-  std::vector<std::size_t> rows;
-  if (cap == 0 || n <= cap) {
-    rows.resize(n);
-    for (std::size_t i = 0; i < n; ++i) rows[i] = i;
-    return rows;
-  }
-  rows.reserve(cap);
-  const double stride = static_cast<double>(n) / static_cast<double>(cap);
-  for (std::size_t k = 0; k < cap; ++k) {
-    rows.push_back(static_cast<std::size_t>(
-        static_cast<double>(k) * stride));
-  }
-  return rows;
-}
 
 ml::ClassifierFactory make_factory(const ClassicalConfig& config,
                                    double svm_c, std::size_t rf_trees,
@@ -93,18 +74,6 @@ ClassicalOutcome run_classical_experiment(const data::ChallengeDataset& ds,
   outcome.model_label = config.label();
   outcome.dataset = ds.name;
 
-  // Standardise once on the training split (the paper applies the scaler
-  // before either reduction).
-  preprocess::StandardScaler scaler;
-  const Matrix train_flat = ds.x_train.flatten();
-  const Matrix test_flat = ds.x_test.flatten();
-  const Matrix train_scaled = [&] {
-    preprocess::StandardScaler& s = scaler;
-    s.fit(train_flat);
-    return s.transform(train_flat);
-  }();
-  const Matrix test_scaled = scaler.transform(test_flat);
-
   // Hyper-parameter axis for the classifier itself.
   const std::vector<double>& c_grid = config.svm_c_grid;
   const std::vector<std::size_t>& trees_grid = config.rf_trees_grid;
@@ -113,8 +82,10 @@ ClassicalOutcome run_classical_experiment(const data::ChallengeDataset& ds,
                                      : trees_grid.size();
 
   // Candidate feature matrices: one per PCA width, or the single covariance
-  // reduction. PCA is fit on the full training split (transform-only inside
-  // CV), matching the paper's pipeline ordering at a fraction of the cost.
+  // reduction, each standardised on the training split first (the paper
+  // applies the scaler before either reduction). PCA is fit on the full
+  // training split (transform-only inside CV), matching the paper's
+  // pipeline ordering at a fraction of the cost.
   struct FeatureSet {
     std::string tag;
     Matrix train;
@@ -122,14 +93,18 @@ ClassicalOutcome run_classical_experiment(const data::ChallengeDataset& ds,
   };
   std::vector<FeatureSet> feature_sets;
   if (config.reduction == preprocess::Reduction::kCovariance) {
+    preprocess::FeaturePipeline pipeline(
+        {preprocess::Reduction::kCovariance, 0});
     FeatureSet fs;
     fs.tag = "cov28";
-    fs.train = preprocess::covariance_features_flat(train_scaled, ds.steps(),
-                                                    ds.sensors());
-    fs.test = preprocess::covariance_features_flat(test_scaled, ds.steps(),
-                                                   ds.sensors());
+    fs.train = pipeline.fit_transform(ds.x_train);
+    fs.test = pipeline.transform(ds.x_test);
     feature_sets.push_back(std::move(fs));
   } else {
+    // kNone is the scaler alone: the scaled steps·sensors-wide rows.
+    preprocess::FeaturePipeline scaler({preprocess::Reduction::kNone, 0});
+    const Matrix train_scaled = scaler.fit_transform(ds.x_train);
+    const Matrix test_scaled = scaler.transform(ds.x_test);
     const std::size_t max_k =
         std::min(train_scaled.rows() - 1, train_scaled.cols());
     std::vector<std::size_t> widths;
@@ -167,7 +142,7 @@ ClassicalOutcome run_classical_experiment(const data::ChallengeDataset& ds,
   // Full grid: feature set × model hyper-parameter.
   const std::size_t n_configs = feature_sets.size() * model_axis;
   const std::vector<std::size_t> cv_rows =
-      capped_rows(ds.train_trials(), config.grid_row_cap);
+      ml::capped_rows(ds.train_trials(), config.grid_row_cap);
   std::vector<Matrix> cv_features;
   cv_features.reserve(feature_sets.size());
   for (const auto& fs : feature_sets) {
@@ -209,7 +184,7 @@ ClassicalOutcome run_classical_experiment(const data::ChallengeDataset& ds,
   if (config.model == ClassicalModel::kSvm && config.svm_train_cap > 0 &&
       ds.train_trials() > config.svm_train_cap) {
     const std::vector<std::size_t> rows =
-        capped_rows(ds.train_trials(), config.svm_train_cap);
+        ml::capped_rows(ds.train_trials(), config.svm_train_cap);
     const Matrix x_fit = ml::take_rows(feature_sets[best_fs].train, rows);
     const std::vector<int> y_fit = ml::take_labels(ds.y_train, rows);
     model->fit(x_fit, y_fit);
@@ -249,16 +224,14 @@ XgbOutcome run_xgboost_experiment(const data::ChallengeDataset& ds,
   XgbOutcome outcome;
   outcome.dataset = ds.name;
 
-  preprocess::StandardScaler scaler;
+  preprocess::FeaturePipeline pipeline(
+      {preprocess::Reduction::kCovariance, 0});
   const auto [train_features, test_features] = [&] {
     const obs::TraceSpan features_span("xgb.features");
-    const Matrix train_scaled = scaler.fit_transform(ds.x_train.flatten());
-    const Matrix test_scaled = scaler.transform(ds.x_test.flatten());
-    return std::make_pair(
-        preprocess::covariance_features_flat(train_scaled, ds.steps(),
-                                             ds.sensors()),
-        preprocess::covariance_features_flat(test_scaled, ds.steps(),
-                                             ds.sensors()));
+    // Fit first: the order make_pair's arguments are evaluated in is
+    // unspecified.
+    Matrix train = pipeline.fit_transform(ds.x_train);
+    return std::make_pair(std::move(train), pipeline.transform(ds.x_test));
   }();
 
   struct Cell {
@@ -276,7 +249,7 @@ XgbOutcome run_xgboost_experiment(const data::ChallengeDataset& ds,
   }
 
   const std::vector<std::size_t> cv_rows =
-      capped_rows(ds.train_trials(), config.grid_row_cap);
+      ml::capped_rows(ds.train_trials(), config.grid_row_cap);
   const Matrix cv_features = ml::take_rows(train_features, cv_rows);
   const std::vector<int> cv_labels = ml::take_labels(ds.y_train, cv_rows);
   const std::vector<ml::Fold> folds =

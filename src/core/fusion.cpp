@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "data/split.hpp"
 #include "data/window.hpp"
 #include "linalg/stats.hpp"
-#include "preprocess/covariance_features.hpp"
+#include "preprocess/pipeline.hpp"
 #include "preprocess/scaler.hpp"
 #include "telemetry/cpu_synth.hpp"
 #include "telemetry/gpu_synth.hpp"
@@ -103,50 +105,41 @@ FusedDataset build_fused_dataset(const telemetry::Corpus& corpus,
       labels, job_ids, challenge.test_fraction, challenge.split_unit,
       split_rng);
 
-  // GPU block: §IV pipeline (scaler fit on train, covariance reduction).
-  const data::Tensor3 gpu_train = gpu_windows.gather(split.train);
-  const data::Tensor3 gpu_test = gpu_windows.gather(split.test);
-  preprocess::StandardScaler gpu_scaler;
-  const linalg::Matrix gpu_train_scaled =
-      gpu_scaler.fit_transform(gpu_train.flatten());
-  const linalg::Matrix gpu_test_scaled =
-      gpu_scaler.transform(gpu_test.flatten());
-  const linalg::Matrix gpu_train_features =
-      preprocess::covariance_features_flat(
-          gpu_train_scaled, challenge.window_steps, gpu_sensor_count);
-  const linalg::Matrix gpu_test_features =
-      preprocess::covariance_features_flat(
-          gpu_test_scaled, challenge.window_steps, gpu_sensor_count);
+  // GPU block: the §IV pipeline (scaler fit on train, covariance reduction).
+  preprocess::FeaturePipeline gpu_pipeline(
+      {preprocess::Reduction::kCovariance, 0});
+  const linalg::Matrix gpu_train =
+      gpu_pipeline.fit_transform(gpu_windows.gather(split.train));
+  const linalg::Matrix gpu_test =
+      gpu_pipeline.transform(gpu_windows.gather(split.test));
 
-  // CPU block: standardised summary statistics.
-  const auto take_rows = [&cpu_stats](const std::vector<std::size_t>& rows) {
-    linalg::Matrix out(rows.size(), cpu_stats.cols());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::copy(cpu_stats.row(rows[i]).begin(), cpu_stats.row(rows[i]).end(),
-                out.row(i).begin());
-    }
+  // CPU block: summary statistics standardised on the training rows, each
+  // row scaled straight into its columns of the fused matrix.
+  const auto cpu_rows = [&cpu_stats](const std::vector<std::size_t>& rows) {
+    std::vector<std::span<const double>> out;
+    out.reserve(rows.size());
+    for (const std::size_t r : rows) out.push_back(cpu_stats.row(r));
     return out;
   };
   preprocess::StandardScaler cpu_scaler;
-  const linalg::Matrix cpu_train =
-      cpu_scaler.fit_transform(take_rows(split.train));
-  const linalg::Matrix cpu_test = cpu_scaler.transform(take_rows(split.test));
+  cpu_scaler.fit(cpu_rows(split.train));
 
   FusedDataset out;
-  out.gpu_features = gpu_train_features.cols();
-  out.cpu_features = cpu_train.cols();
-  const auto concat = [](const linalg::Matrix& a, const linalg::Matrix& b) {
-    linalg::Matrix m(a.rows(), a.cols() + b.cols());
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-      auto dst = m.row(r);
-      std::copy(a.row(r).begin(), a.row(r).end(), dst.begin());
-      std::copy(b.row(r).begin(), b.row(r).end(),
-                dst.begin() + static_cast<std::ptrdiff_t>(a.cols()));
+  out.gpu_features = gpu_train.cols();
+  out.cpu_features = cpu_stats.cols();
+  const auto fuse = [&](const linalg::Matrix& gpu,
+                        const std::vector<std::size_t>& rows) {
+    linalg::Matrix m(rows.size(), out.gpu_features + out.cpu_features);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const std::span<double> dst = m.row(r);
+      std::copy(gpu.row(r).begin(), gpu.row(r).end(), dst.begin());
+      cpu_scaler.transform_row(cpu_stats.row(rows[r]),
+                               dst.subspan(out.gpu_features));
     }
     return m;
   };
-  out.x_train = concat(gpu_train_features, cpu_train);
-  out.x_test = concat(gpu_test_features, cpu_test);
+  out.x_train = fuse(gpu_train, split.train);
+  out.x_test = fuse(gpu_test, split.test);
   out.y_train.reserve(split.train.size());
   out.y_test.reserve(split.test.size());
   for (const auto i : split.train) out.y_train.push_back(labels[i]);

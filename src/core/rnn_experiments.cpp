@@ -5,8 +5,9 @@
 
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
+#include "ml/model_selection.hpp"
 #include "obs/trace.hpp"
-#include "preprocess/scaler.hpp"
+#include "preprocess/pipeline.hpp"
 #include "telemetry/architectures.hpp"
 
 namespace scwc::core {
@@ -127,39 +128,34 @@ RnnRunConfig RnnRunConfig::from_profile(const ScaleProfile& profile) {
   return run;
 }
 
+RnnSplits prepare_rnn_splits(const data::ChallengeDataset& ds,
+                             std::size_t max_train_trials) {
+  const std::vector<std::size_t> rows =
+      ml::capped_rows(ds.train_trials(), max_train_trials);
+  RnnSplits out{ds.x_train.gather(rows),
+                ml::take_labels(ds.y_train, rows), ds.x_test};
+  // kNone fits the scaler alone; its transform_row scales each trial where
+  // it lies.
+  preprocess::FeaturePipeline pipeline({preprocess::Reduction::kNone, 0});
+  pipeline.fit(out.x_train);
+  for (data::Tensor3* x : {&out.x_train, &out.x_val}) {
+    for (std::size_t i = 0; i < x->trials(); ++i) {
+      pipeline.scaler().transform_row(x->trial(i), x->trial(i));
+    }
+  }
+  return out;
+}
+
 RnnOutcome run_rnn_experiment(const data::ChallengeDataset& ds,
                               const RnnExperimentSpec& spec,
                               const RnnRunConfig& run) {
   const Stopwatch timer;
   const obs::TraceSpan experiment_span("rnn.experiment");
 
-  // Optionally cap the training split (uniform stride keeps the class mix).
-  std::vector<std::size_t> rows;
-  const std::size_t n = ds.train_trials();
-  const std::size_t cap =
-      run.max_train_trials == 0 ? n : std::min(n, run.max_train_trials);
-  rows.reserve(cap);
-  const double stride = static_cast<double>(n) / static_cast<double>(cap);
-  for (std::size_t k = 0; k < cap; ++k) {
-    rows.push_back(
-        static_cast<std::size_t>(static_cast<double>(k) * stride));
-  }
-  const data::Tensor3 x_train_raw = ds.x_train.gather(rows);
-  std::vector<int> y_train(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    y_train[i] = ds.y_train[rows[i]];
-  }
-
-  // Standardise exactly as Section V: StandardScaler on the flattened
-  // training matrix, no other preprocessing.
-  preprocess::StandardScaler scaler;
-  const linalg::Matrix train_scaled =
-      scaler.fit_transform(x_train_raw.flatten());
-  const linalg::Matrix val_scaled = scaler.transform(ds.x_test.flatten());
-  const data::Tensor3 x_train =
-      data::Tensor3::from_flat(train_scaled, ds.steps(), ds.sensors());
-  const data::Tensor3 x_val =
-      data::Tensor3::from_flat(val_scaled, ds.steps(), ds.sensors());
+  const RnnSplits splits = prepare_rnn_splits(ds, run.max_train_trials);
+  const data::Tensor3& x_train = splits.x_train;
+  const data::Tensor3& x_val = splits.x_val;
+  const std::vector<int>& y_train = splits.y_train;
 
   nn::RnnModelConfig model_config = spec.model;
   model_config.seq_len = ds.steps();

@@ -38,6 +38,19 @@ struct RnnRunConfig {
   static RnnRunConfig from_profile(const ScaleProfile& profile);
 };
 
+/// The Section-V inputs of an RNN run: the training split capped at
+/// `max_train_trials` rows (ml::capped_rows, 0 = all) and the test split,
+/// both standardised in place with a scaler fit on the capped training
+/// rows — the paper's only RNN preprocessing.
+struct RnnSplits {
+  data::Tensor3 x_train;
+  std::vector<int> y_train;
+  data::Tensor3 x_val;
+};
+
+RnnSplits prepare_rnn_splits(const data::ChallengeDataset& ds,
+                             std::size_t max_train_trials);
+
 /// Outcome of one Table-VI cell.
 struct RnnOutcome {
   std::string model_label;

@@ -21,21 +21,6 @@ std::vector<std::span<const double>> Tensor3::trial_views() const {
   return out;
 }
 
-linalg::Matrix Tensor3::flatten() const {
-  linalg::Matrix m(trials_, steps_ * sensors_);
-  std::copy(data_.begin(), data_.end(), m.flat().begin());
-  return m;
-}
-
-Tensor3 Tensor3::from_flat(const linalg::Matrix& flat, std::size_t steps,
-                           std::size_t sensors) {
-  SCWC_REQUIRE(flat.cols() == steps * sensors,
-               "from_flat: column count must equal steps*sensors");
-  Tensor3 t(flat.rows(), steps, sensors);
-  std::copy(flat.flat().begin(), flat.flat().end(), t.data_.begin());
-  return t;
-}
-
 Tensor3 Tensor3::gather(std::span<const std::size_t> indices) const {
   Tensor3 out(indices.size(), steps_, sensors_);
   for (std::size_t k = 0; k < indices.size(); ++k) {

@@ -3,9 +3,10 @@
 // The challenge datasets are tensors (trials, samples, sensors) — e.g.
 // (14590, 540, 7) for 60-start-1. Tensor3 stores that layout contiguously
 // (trial-major, then time, then sensor) which matches the Numpy npz files
-// the paper releases, and offers the two views every consumer needs: a
-// flattened trials×(samples·sensors) matrix for the classical ML pipeline,
-// and per-trial samples×sensors matrices for covariance features and RNNs.
+// the paper releases. Each trial is one contiguous row-major samples×sensors
+// block, so a trial's view is also the paper's reshaped row ("each trial was
+// reshaped to have the dimensions 3,780") without a copy: the feature
+// pipeline standardises and reduces trials through those views.
 #pragma once
 
 #include <cstddef>
@@ -54,15 +55,6 @@ class Tensor3 {
 
   /// Copies trial i into a steps×sensors matrix.
   [[nodiscard]] linalg::Matrix trial_matrix(std::size_t i) const;
-
-  /// Flattens to a trials×(steps·sensors) matrix — the reshape the paper
-  /// applies before StandardScaler/PCA ("each trial was reshaped to have
-  /// the dimensions 3,780").
-  [[nodiscard]] linalg::Matrix flatten() const;
-
-  /// Builds a tensor from a flattened matrix (inverse of flatten()).
-  static Tensor3 from_flat(const linalg::Matrix& flat, std::size_t steps,
-                           std::size_t sensors);
 
   /// Raw storage (trial-major).
   [[nodiscard]] std::span<const double> raw() const noexcept { return {data_}; }

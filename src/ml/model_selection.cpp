@@ -44,6 +44,21 @@ std::vector<Fold> kfold(std::size_t n, std::size_t k, bool shuffle,
   return folds;
 }
 
+std::vector<std::size_t> capped_rows(std::size_t n, std::size_t cap) {
+  std::vector<std::size_t> rows;
+  if (cap == 0 || n <= cap) {
+    rows.resize(n);
+    for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+    return rows;
+  }
+  rows.reserve(cap);
+  const double stride = static_cast<double>(n) / static_cast<double>(cap);
+  for (std::size_t k = 0; k < cap; ++k) {
+    rows.push_back(static_cast<std::size_t>(static_cast<double>(k) * stride));
+  }
+  return rows;
+}
+
 linalg::Matrix take_rows(const linalg::Matrix& x,
                          std::span<const std::size_t> rows) {
   linalg::Matrix out(rows.size(), x.cols());

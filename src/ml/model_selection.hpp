@@ -45,6 +45,12 @@ GridSearchResult grid_search(
     std::size_t n_configs,
     const std::function<double(std::size_t)>& evaluate);
 
+/// At most `cap` of the row indices 0..n−1 (all of them when cap is 0 or
+/// n ≤ cap), picked at a uniform stride: index ⌊k·n/cap⌋ for k < cap.
+/// Uniform thinning keeps the class mix because a split's rows are
+/// shuffled, so the stride is near-stratified.
+std::vector<std::size_t> capped_rows(std::size_t n, std::size_t cap);
+
 /// Selects rows of a matrix / label vector (fold assembly helper).
 linalg::Matrix take_rows(const linalg::Matrix& x,
                          std::span<const std::size_t> rows);

@@ -147,49 +147,6 @@ void require_finite_features(std::span<const double> dest,
 
 }  // namespace
 
-void covariance_features_of_trial(const linalg::Matrix& trial,
-                                  std::span<double> dest) {
-  const std::size_t sensors = trial.cols();
-  SCWC_REQUIRE(dest.size() == covariance_feature_count(sensors),
-               "covariance feature destination has the wrong size");
-  upper_triangle(trial.flat(), trial.rows(), sensors, dest);
-  require_finite_features(dest, 0);
-}
-
-linalg::Matrix covariance_features(const data::Tensor3& x) {
-  const std::size_t features = covariance_feature_count(x.sensors());
-  linalg::Matrix out(x.trials(), features);
-  parallel_for_blocked(
-      0, x.trials(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          upper_triangle(x.trial(i), x.steps(), x.sensors(), out.row(i));
-          require_finite_features(out.row(i), i);
-        }
-      },
-      32);
-  return out;
-}
-
-linalg::Matrix covariance_features_flat(const linalg::Matrix& flat,
-                                        std::size_t steps,
-                                        std::size_t sensors) {
-  SCWC_REQUIRE(flat.cols() == steps * sensors,
-               "flattened width must be steps*sensors");
-  const std::size_t features = covariance_feature_count(sensors);
-  linalg::Matrix out(flat.rows(), features);
-  parallel_for_blocked(
-      0, flat.rows(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          upper_triangle(flat.row(i), steps, sensors, out.row(i));
-          require_finite_features(out.row(i), i);
-        }
-      },
-      32);
-  return out;
-}
-
 linalg::Matrix standardized_covariance_features(
     std::span<const std::span<const double>> windows, std::size_t steps,
     std::size_t sensors, const StandardScaler& scaler) {

@@ -26,18 +26,38 @@ void FeaturePipeline::fit(const data::Tensor3& x_train) {
   fits.inc();
   steps_ = x_train.steps();
   sensors_ = x_train.sensors();
-  const linalg::Matrix flat = x_train.flatten();
+  const std::vector<std::span<const double>> rows = x_train.trial_views();
   {
     const obs::TraceSpan scale_span("pipeline.scale");
-    scaler_.fit(flat);
+    scaler_.fit(rows);
   }
   if (config_.reduction == Reduction::kPca) {
     // Only PCA is fitted on scaled rows; the other reductions scale per
     // window at transform time, so no scaled copy of the split is made.
     const obs::TraceSpan pca_span("pipeline.pca_fit");
     pca_.emplace(config_.pca_components);
-    pca_->fit(scaler_.transform(flat));
+    pca_->fit(scale_rows(rows));
   }
+}
+
+linalg::Matrix FeaturePipeline::scale_rows(
+    std::span<const std::span<const double>> windows) const {
+  const std::size_t width = steps_ * sensors_;
+  for (const std::span<const double> window : windows) {
+    SCWC_REQUIRE(window.size() == width,
+                 "window width differs from the fitted steps × sensors");
+  }
+  const obs::TraceSpan scale_span("pipeline.scale");
+  linalg::Matrix scaled(windows.size(), width);
+  parallel_for_blocked(
+      0, windows.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r) {
+          scaler_.transform_row(windows[r], scaled.row(r));
+        }
+      },
+      256);
+  return scaled;
 }
 
 linalg::Matrix FeaturePipeline::transform(
@@ -55,23 +75,7 @@ linalg::Matrix FeaturePipeline::transform(
     return standardized_covariance_features(windows, steps_, sensors_,
                                             scaler_);
   }
-  const std::size_t width = steps_ * sensors_;
-  for (const std::span<const double> window : windows) {
-    SCWC_REQUIRE(window.size() == width,
-                 "window width differs from the fitted steps × sensors");
-  }
-  linalg::Matrix scaled(windows.size(), width);
-  {
-    const obs::TraceSpan scale_span("pipeline.scale");
-    parallel_for_blocked(
-        0, windows.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t r = lo; r < hi; ++r) {
-            scaler_.transform_row(windows[r], scaled.row(r));
-          }
-        },
-        256);
-  }
+  linalg::Matrix scaled = scale_rows(windows);
   if (config_.reduction == Reduction::kPca) {
     const obs::TraceSpan reduce_span("pipeline.pca_project");
     return pca_->transform(scaled);

@@ -1,7 +1,8 @@
-// The paper's preprocessing pipeline: flatten → StandardScaler → one of
-// {PCA(k), covariance features}. Fit on the training tensor only; the test
-// tensor is transformed with the fitted parameters (no leakage through the
-// scaler or the PCA basis).
+// The paper's preprocessing pipeline: StandardScaler over each window's
+// steps·sensors values → one of {PCA(k), covariance features}. Fit on the
+// training tensor only; the test tensor is transformed with the fitted
+// parameters (no leakage through the scaler or the PCA basis). This is the
+// one place a split is standardised and reduced.
 #pragma once
 
 #include <optional>
@@ -33,15 +34,18 @@ class FeaturePipeline {
  public:
   explicit FeaturePipeline(FeaturePipelineConfig config) : config_(config) {}
 
+  /// Fits the scaler over the trials' own views (no copy of the split);
+  /// kPca then fits its basis on the scaled rows.
   void fit(const data::Tensor3& x_train);
   /// Featurises `windows`, each a row-major steps()×sensors() window
   /// wherever it lives (a request's own buffer, a tensor's trial); row i
   /// of the result belongs to windows[i]. kCovariance scales each window
   /// into per-block scratch and reduces it there; kPca and kNone scale
   /// each window straight into its row of the steps·sensors-wide matrix.
-  /// Either way the result is bit-identical to reducing
-  /// scaler().transform() of the flattened windows. kCovariance refuses a
-  /// non-finite window with a scwc::Error naming its index.
+  /// Either way each window is scaled by scaler().transform_row(), so the
+  /// result is bit-identical to reducing the element-wise scaled windows.
+  /// kCovariance refuses a non-finite window with a scwc::Error naming its
+  /// index.
   [[nodiscard]] linalg::Matrix transform(
       std::span<const std::span<const double>> windows) const;
   /// The same over every trial of `x`, whose shape must be the fitted one.
@@ -75,6 +79,11 @@ class FeaturePipeline {
                                                std::optional<Pca> pca);
 
  private:
+  /// Each window scaled by transform_row() into its row of a
+  /// windows × steps·sensors matrix (kPca and kNone, and kPca's fit).
+  [[nodiscard]] linalg::Matrix scale_rows(
+      std::span<const std::span<const double>> windows) const;
+
   FeaturePipelineConfig config_;
   std::size_t steps_ = 0;
   std::size_t sensors_ = 0;

@@ -4,25 +4,42 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
-#include "linalg/stats.hpp"
 
 namespace scwc::preprocess {
 
-void StandardScaler::fit(const linalg::Matrix& x) {
-  SCWC_REQUIRE(x.rows() > 0, "StandardScaler::fit needs at least one row");
-  means_ = linalg::column_means(x);
+void StandardScaler::fit(std::span<const std::span<const double>> rows) {
+  SCWC_REQUIRE(!rows.empty(), "StandardScaler::fit needs at least one row");
+  const std::size_t width = rows.front().size();
+  SCWC_REQUIRE(width > 0, "StandardScaler::fit needs at least one column");
+  for (const std::span<const double> row : rows) {
+    SCWC_REQUIRE(row.size() == width,
+                 "StandardScaler::fit: rows differ in width");
+  }
+  const auto n = static_cast<double>(rows.size());
+  means_.assign(width, 0.0);
+  for (const std::span<const double> row : rows) {
+    for (std::size_t c = 0; c < width; ++c) means_[c] += row[c];
+  }
+  for (double& m : means_) m /= n;
   // A non-finite mean can only come from NaN/Inf input; refuse it here with
   // column context rather than silently baking NaN into every transform.
-  for (std::size_t c = 0; c < means_.size(); ++c) {
+  for (std::size_t c = 0; c < width; ++c) {
     SCWC_REQUIRE(std::isfinite(means_[c]),
                  "StandardScaler::fit: non-finite mean in column " +
                      std::to_string(c) +
                      " — input contains NaN/Inf (impute before fitting, "
                      "see robust/robust_window.hpp)");
   }
-  scales_ = linalg::column_stddevs(x);  // population std, like scikit-learn
+  // Population std (divides by n), like scikit-learn.
+  scales_.assign(width, 0.0);
+  for (const std::span<const double> row : rows) {
+    for (std::size_t c = 0; c < width; ++c) {
+      const double d = row[c] - means_[c];
+      scales_[c] += d * d;
+    }
+  }
   for (double& s : scales_) {
+    s = std::sqrt(s / n);
     if (s <= 0.0 || !std::isfinite(s)) s = 1.0;  // constant/overflowed column
   }
 }
@@ -45,47 +62,11 @@ StandardScaler StandardScaler::restore(linalg::Vector means,
   return out;
 }
 
-linalg::Matrix StandardScaler::transform(const linalg::Matrix& x) const {
-  SCWC_REQUIRE(fitted(), "StandardScaler used before fit()");
-  SCWC_REQUIRE(x.cols() == means_.size(),
-               "StandardScaler width mismatch with fitted data");
-  linalg::Matrix out(x.rows(), x.cols());
-  parallel_for_blocked(
-      0, x.rows(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          transform_row(x.row(r), out.row(r));
-        }
-      },
-      256);
-  return out;
-}
-
 void StandardScaler::transform_row(std::span<const double> src,
                                    std::span<double> dst) const {
   for (std::size_t c = 0; c < means_.size(); ++c) {
     dst[c] = (src[c] - means_[c]) / scales_[c];
   }
-}
-
-linalg::Matrix StandardScaler::fit_transform(const linalg::Matrix& x) {
-  fit(x);
-  return transform(x);
-}
-
-linalg::Matrix StandardScaler::inverse_transform(const linalg::Matrix& x) const {
-  SCWC_REQUIRE(fitted(), "StandardScaler used before fit()");
-  SCWC_REQUIRE(x.cols() == means_.size(),
-               "StandardScaler width mismatch with fitted data");
-  linalg::Matrix out(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto src = x.row(r);
-    auto dst = out.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      dst[c] = src[c] * scales_[c] + means_[c];
-    }
-  }
-  return out;
 }
 
 }  // namespace scwc::preprocess

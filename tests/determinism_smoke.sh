@@ -4,8 +4,10 @@
 # Runs a bench twice in the current directory and fails on any difference
 # in its stdout apart from the lines that are timing or paths by design
 # ("total wall time: ..." and "run report: ..."). Registered in
-# bench/CMakeLists.txt with robustness_curves at SCWC_SCALE=tiny, which
-# drives GuardedClassifier::classify over FaultInjector-damaged windows.
+# bench/CMakeLists.txt at SCWC_SCALE=tiny with robustness_curves, which
+# drives GuardedClassifier::classify over FaultInjector-damaged windows,
+# and with xgboost_random1 and ablation_cpu_fusion, which featurise their
+# splits through FeaturePipeline.
 #
 # Usage: determinism_smoke.sh BENCH_BINARY
 set -eu

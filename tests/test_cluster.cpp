@@ -4,6 +4,8 @@
 // recovery, and the two-phase bundle swap with fleet-wide rollback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <future>
 #include <map>
 #include <memory>
@@ -19,6 +21,8 @@
 #include "common/rng.hpp"
 #include "net/socket.hpp"
 #include "obs/request_trace.hpp"
+#include "robust/fault.hpp"
+#include "robust/robust_window.hpp"
 #include "serve/bundle_io.hpp"
 #include "serve/retry.hpp"
 
@@ -179,6 +183,65 @@ TEST(Cluster, RoundTripVerdictsAcrossTwoShards) {
   EXPECT_EQ(c0.submitted + c1.submitted, futures.size());
   EXPECT_EQ(c0.answered + c1.answered + c0.shed + c1.shed, futures.size());
 
+  router.stop();
+}
+
+TEST(Cluster, DamagedWindowVerdictsMatchInProcessGuard) {
+  // FaultInjector-damaged windows travel with their NaNs to two shards;
+  // each verdict must be what the same bundle's guard gives in-process.
+  const TinyWorld& w = tiny_world();
+  Shard s0(0, w.v1);
+  Shard s1(1, w.v1);
+  cluster::ShardRouter router;
+  (void)router.add_shard(s0.worker->port());
+  (void)router.add_shard(s1.worker->port());
+
+  std::vector<std::vector<double>> windows;
+  for (const double severity : {0.5, 1.0}) {
+    const robust::FaultInjector injector(
+        robust::FaultProfile::at_severity(severity));
+    for (std::size_t i = 0; i < 30; ++i) {
+      telemetry::TimeSeries series;
+      series.sample_hz = 1.0;
+      series.values = w.x.trial_matrix(i);
+      Rng rng(0xC1A57ULL + 13 * i);
+      injector.corrupt(series, rng);
+      std::vector<double> window(kSteps * kSensors);
+      (void)robust::robust_extract_window(series, 0, kSteps, window);
+      windows.push_back(std::move(window));
+    }
+  }
+  std::vector<std::future<serve::ServeResult>> futures;
+  std::set<std::uint32_t> shards_used;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const auto job = static_cast<std::int64_t>(i);
+    shards_used.insert(*router.owner(job));
+    futures.push_back(router.submit(job, windows[i], kSteps, kSensors));
+  }
+  std::size_t with_nan = 0;
+  std::size_t abstained = 0;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    SCOPED_TRACE("window " + std::to_string(i));
+    const serve::ServeResult r = futures[i].get();
+    ASSERT_TRUE(r.accepted);
+    const robust::GuardedPrediction want =
+        w.v1->guard().classify(windows[i], kSteps, kSensors);
+    EXPECT_EQ(r.prediction.label, want.label);
+    EXPECT_EQ(r.prediction.abstained, want.abstained);
+    EXPECT_EQ(r.prediction.reason, want.reason);
+    EXPECT_EQ(r.prediction.report.missing_values, want.report.missing_values);
+    EXPECT_EQ(r.prediction.report.repaired_values,
+              want.report.repaired_values);
+    if (std::any_of(windows[i].begin(), windows[i].end(),
+                    [](double v) { return std::isnan(v); })) {
+      ++with_nan;
+    }
+    if (want.abstained) ++abstained;
+  }
+  EXPECT_GT(with_nan, 0u) << "NaN values must travel on the wire";
+  EXPECT_GT(abstained, 0u) << "severity 1 must make the guard abstain";
+  EXPECT_LT(abstained, windows.size()) << "some damaged windows must classify";
+  EXPECT_EQ(shards_used.size(), 2u);
   router.stop();
 }
 

@@ -1,12 +1,16 @@
 // Tests for the classical/XGBoost experiment drivers and report rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "core/baselines.hpp"
 #include "core/challenge.hpp"
 #include "core/report.hpp"
 #include "core/rnn_experiments.hpp"
+#include "linalg/stats.hpp"
 
 namespace scwc::core {
 namespace {
@@ -120,6 +124,72 @@ TEST(Baselines, FromProfileUsesProfileKnobs) {
   EXPECT_EQ(config.svm_c_grid.size(), 3u);
   EXPECT_EQ(config.rf_trees_grid.size(), 3u);
   EXPECT_EQ(config.pca_grid.size(), 4u);
+}
+
+/// The Section-V preprocessing as it was written before the shared helper,
+/// kept as the reference: gather the capped rows, flatten them into a
+/// trials×(steps·sensors) matrix, fit the column means and population stds
+/// (unit scale for a constant column), scale both splits, then reshape the
+/// rows back into tensors.
+RnnSplits reference_rnn_splits(const data::ChallengeDataset& ds,
+                               std::size_t max_train_trials) {
+  const std::size_t n = ds.train_trials();
+  const std::size_t cap =
+      max_train_trials == 0 ? n : std::min(n, max_train_trials);
+  std::vector<std::size_t> rows;
+  const double stride = static_cast<double>(n) / static_cast<double>(cap);
+  for (std::size_t k = 0; k < cap; ++k) {
+    rows.push_back(static_cast<std::size_t>(static_cast<double>(k) * stride));
+  }
+  const auto flatten = [](const data::Tensor3& x) {
+    linalg::Matrix flat(x.trials(), x.steps() * x.sensors());
+    std::copy(x.raw().begin(), x.raw().end(), flat.flat().begin());
+    return flat;
+  };
+  const linalg::Matrix train = flatten(ds.x_train.gather(rows));
+  const linalg::Vector mean = linalg::column_means(train);
+  linalg::Vector scale = linalg::column_stddevs(train);
+  for (double& sd : scale) {
+    if (sd <= 0.0 || !std::isfinite(sd)) sd = 1.0;
+  }
+  const auto scaled_tensor = [&](const linalg::Matrix& flat) {
+    data::Tensor3 out(flat.rows(), ds.steps(), ds.sensors());
+    for (std::size_t r = 0; r < flat.rows(); ++r) {
+      for (std::size_t c = 0; c < flat.cols(); ++c) {
+        out.trial(r)[c] = (flat(r, c) - mean[c]) / scale[c];
+      }
+    }
+    return out;
+  };
+  RnnSplits out;
+  out.x_train = scaled_tensor(train);
+  for (const std::size_t r : rows) out.y_train.push_back(ds.y_train[r]);
+  out.x_val = scaled_tensor(flatten(ds.x_test));
+  return out;
+}
+
+TEST(RnnPrep, MatchesFlattenScaleReshapeReference) {
+  const data::ChallengeDataset& ds = micro_dataset();
+  ASSERT_GT(ds.train_trials(), 40u);
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{40},
+                                ds.train_trials(), ds.train_trials() + 1}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    const RnnSplits got = prepare_rnn_splits(ds, cap);
+    const RnnSplits want = reference_rnn_splits(ds, cap);
+    EXPECT_EQ(got.y_train, want.y_train);
+    for (const auto& [a, b] : {std::pair{&got.x_train, &want.x_train},
+                               std::pair{&got.x_val, &want.x_val}}) {
+      ASSERT_EQ(a->trials(), b->trials());
+      ASSERT_EQ(a->steps(), b->steps());
+      ASSERT_EQ(a->sensors(), b->sensors());
+      std::size_t mismatches = 0;
+      for (std::size_t k = 0; k < a->raw().size(); ++k) {
+        if (!(a->raw()[k] == b->raw()[k])) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
+  EXPECT_EQ(prepare_rnn_splits(ds, 40).x_train.trials(), 40u);
 }
 
 TEST(Report, Table5LayoutContainsRowsAndColumns) {

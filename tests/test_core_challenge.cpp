@@ -7,6 +7,7 @@
 #include "core/challenge.hpp"
 #include "data/split.hpp"
 #include "data/window.hpp"
+#include "preprocess/pipeline.hpp"
 #include "telemetry/architectures.hpp"
 #include "telemetry/gpu_synth.hpp"
 
@@ -237,15 +238,22 @@ TEST(Challenge, SingleDatasetMatchesBatchBuilderMetadata) {
   }
 }
 
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/// Mixes `bytes` bytes at `data` into the FNV-1a (64-bit) state `h`.
+void fnv1a_mix(std::uint64_t& h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h = (h ^ p[i]) * 0x100000001b3ULL;
+  }
+}
+
 /// FNV-1a (64-bit) over a dataset's name, policy, tensors (shape and
 /// bytes), labels, class names and job ids.
 std::uint64_t fnv1a(const data::ChallengeDataset& ds) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffset;
   const auto mix = [&h](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h = (h ^ p[i]) * 0x100000001b3ULL;
-    }
+    fnv1a_mix(h, data, bytes);
   };
   const auto mix_side = [&](const data::Tensor3& x, const std::vector<int>& y,
                             const std::vector<std::string>& models,
@@ -285,6 +293,61 @@ TEST(Challenge, MicroCorpusDatasetsHashToPinnedValues) {
   for (std::size_t s = 0; s < datasets.size(); ++s) {
     EXPECT_EQ(fnv1a(datasets[s]), pinned[s])
         << datasets[s].name << ": 0x" << std::hex << fnv1a(datasets[s]);
+  }
+}
+
+/// FNV-1a (64-bit) over a matrix's shape and the bytes of its values.
+std::uint64_t fnv1a(const linalg::Matrix& m) {
+  std::uint64_t h = kFnvOffset;
+  const std::size_t shape[2] = {m.rows(), m.cols()};
+  fnv1a_mix(h, shape, sizeof shape);
+  fnv1a_mix(h, m.flat().data(), m.flat().size() * sizeof(double));
+  return h;
+}
+
+std::uint64_t fnv1a(const linalg::Vector& v) {
+  std::uint64_t h = kFnvOffset;
+  fnv1a_mix(h, v.data(), v.size() * sizeof(double));
+  return h;
+}
+
+TEST(Challenge, MicroCorpusPipelinesHashToPinnedValues) {
+  // Computed at commit 7de86b2, whose StandardScaler::fit took the
+  // flattened training matrix (column sums in row order, population std)
+  // and whose PCA was fit on the scaled flattened copy, so any change to
+  // the fitted scaler or to the train or test features of a reduction
+  // shows here.
+  struct Pinned {
+    preprocess::FeaturePipelineConfig config;
+    std::uint64_t means, scales, train, test;
+  };
+  const Pinned pinned[] = {
+      {{preprocess::Reduction::kCovariance, 0},
+       0x5d7249a5063ef998ULL, 0x913c696b05c872f2ULL,
+       0xcc7a6661d5e26300ULL, 0x582dc77410e4310bULL},
+      {{preprocess::Reduction::kPca, 6},
+       0x5d7249a5063ef998ULL, 0x913c696b05c872f2ULL,
+       0x4d5ca8cd92d92442ULL, 0xe025f7e1ea416bb4ULL},
+      {{preprocess::Reduction::kNone, 0},
+       0x5d7249a5063ef998ULL, 0x913c696b05c872f2ULL,
+       0x8b2ce110f036a298ULL, 0x67c89c0802f3dd37ULL},
+  };
+  const data::ChallengeDataset ds = build_challenge_dataset(
+      micro_corpus(), micro_config(), data::WindowPolicy::kRandom, 0);
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(preprocess::reduction_name(p.config.reduction));
+    preprocess::FeaturePipeline pipeline(p.config);
+    const linalg::Matrix train = pipeline.fit_transform(ds.x_train);
+    const linalg::Matrix test = pipeline.transform(ds.x_test);
+    const std::uint64_t got[4] = {fnv1a(pipeline.scaler().means()),
+                                  fnv1a(pipeline.scaler().scales()),
+                                  fnv1a(train), fnv1a(test)};
+    const std::uint64_t want[4] = {p.means, p.scales, p.train, p.test};
+    const char* what[4] = {"means", "scales", "train", "test"};
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(got[k], want[k])
+          << what[k] << ": 0x" << std::hex << got[k];
+    }
   }
 }
 

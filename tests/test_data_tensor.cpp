@@ -58,31 +58,15 @@ TEST(Tensor3, TrialMatrixCopies) {
 }
 
 TEST(Tensor3, FlattenMatchesPaperReshape) {
-  // (trials, 540, 7) → (trials, 3780): row i is trial i, time-major.
+  // (trials, 540, 7) → (trials, 3780): trial i's view is row i of the
+  // paper's reshape, time-major, with no copy.
   const Tensor3 t = numbered_tensor(2, 3, 2);
-  const linalg::Matrix flat = t.flatten();
-  EXPECT_EQ(flat.rows(), 2u);
-  EXPECT_EQ(flat.cols(), 6u);
-  EXPECT_EQ(flat(0, 3), t(0, 1, 1));
-  EXPECT_EQ(flat(1, 0), t(1, 0, 0));
-}
-
-TEST(Tensor3, FromFlatRoundTrips) {
-  const Tensor3 t = numbered_tensor(4, 5, 3);
-  const Tensor3 back = Tensor3::from_flat(t.flatten(), 5, 3);
-  EXPECT_EQ(back.trials(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t s = 0; s < 5; ++s) {
-      for (std::size_t f = 0; f < 3; ++f) {
-        EXPECT_EQ(back(i, s, f), t(i, s, f));
-      }
-    }
-  }
-}
-
-TEST(Tensor3, FromFlatValidatesWidth) {
-  linalg::Matrix flat(2, 7);
-  EXPECT_THROW((void)Tensor3::from_flat(flat, 2, 3), Error);
+  const std::vector<std::span<const double>> rows = t.trial_views();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].size(), 6u);
+  EXPECT_EQ(rows[0][3], t(0, 1, 1));
+  EXPECT_EQ(rows[1][0], t(1, 0, 0));
+  EXPECT_EQ(rows[1].data(), t.raw().data() + 6);
 }
 
 TEST(Tensor3, GatherSelectsTrials) {

@@ -1,8 +1,8 @@
 // Differential oracle for the RF-on-covariance inference path. The compiled
 // forest and the fused standardise→covariance transform are checked against
 // their references — DecisionTree::predict_proba summed in tree order, and
-// StandardScaler::transform followed by covariance_features_flat — with ==
-// on every double, on a seeded corpus at FaultInjector severities {0, 0.5,
+// a test-owned element-wise (x − mean) / scale followed by the pair-by-pair
+// covariance loop (or Pca::transform) — with == on every double, on a seeded corpus at FaultInjector severities {0, 0.5,
 // 1} after imputation, plus rows carrying NaN and ±inf features. The
 // one-pass repair (WindowRepairer) is checked bit for bit, QualityReport
 // included, against the column-by-column repair it replaced, and the lane
@@ -171,17 +171,53 @@ std::vector<std::vector<double>> owned_windows(const data::Tensor3& x) {
   return out;
 }
 
+/// The pair-by-pair loop the lane kernel replaced, kept as its reference:
+/// one scalar sum per upper-triangle pair (i ≤ j, row-major triangle
+/// order), steps added in order from +0.0.
+std::vector<double> pairwise_covariance(std::span<const double> block,
+                                        std::size_t steps,
+                                        std::size_t sensors) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < sensors; ++i) {
+    for (std::size_t j = i; j < sensors; ++j) {
+      double s = 0.0;
+      const double* p = block.data();
+      for (std::size_t t = 0; t < steps; ++t, p += sensors) {
+        s += p[i] * p[j];
+      }
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
 TEST(InferenceOracle, FusedTransformAndCompiledForestMatchReferences) {
   const OracleWorld& w = world();
-  // The reference for every reduction: scale the flattened batch, then
-  // reduce it.
+  // The reference for every reduction, owned by this test: scale each
+  // trial element by element with the fitted means and scales, then reduce
+  // the scaled rows pair by pair (kCovariance) or project them (kPca).
   const auto reference = [](const preprocess::FeaturePipeline& pipeline,
                             const data::Tensor3& x) {
-    const Matrix scaled = pipeline.scaler().transform(x.flatten());
+    const linalg::Vector& mean = pipeline.scaler().means();
+    const linalg::Vector& scale = pipeline.scaler().scales();
+    const std::size_t width = x.steps() * x.sensors();
+    Matrix scaled(x.trials(), width);
+    for (std::size_t i = 0; i < x.trials(); ++i) {
+      for (std::size_t c = 0; c < width; ++c) {
+        scaled(i, c) = (x.trial(i)[c] - mean[c]) / scale[c];
+      }
+    }
     switch (pipeline.config().reduction) {
-      case preprocess::Reduction::kCovariance:
-        return preprocess::covariance_features_flat(scaled, x.steps(),
-                                                    x.sensors());
+      case preprocess::Reduction::kCovariance: {
+        Matrix out(x.trials(),
+                   preprocess::covariance_feature_count(x.sensors()));
+        for (std::size_t i = 0; i < x.trials(); ++i) {
+          const std::vector<double> row =
+              pairwise_covariance(scaled.row(i), x.steps(), x.sensors());
+          std::copy(row.begin(), row.end(), out.row(i).begin());
+        }
+        return out;
+      }
       case preprocess::Reduction::kPca:
         return pipeline.pca()->transform(scaled);
       case preprocess::Reduction::kNone:
@@ -241,26 +277,6 @@ TEST(InferenceOracle, FusedTransformAndCompiledForestMatchReferences) {
   EXPECT_EQ(saved(loaded), stream) << "save(load(save(f))) must be stable";
 }
 
-/// The pair-by-pair loop the lane kernel replaced, kept as its reference:
-/// one scalar sum per upper-triangle pair (i ≤ j, row-major triangle
-/// order), steps added in order from +0.0.
-std::vector<double> pairwise_covariance(std::span<const double> block,
-                                        std::size_t steps,
-                                        std::size_t sensors) {
-  std::vector<double> out;
-  for (std::size_t i = 0; i < sensors; ++i) {
-    for (std::size_t j = i; j < sensors; ++j) {
-      double s = 0.0;
-      const double* p = block.data();
-      for (std::size_t t = 0; t < steps; ++t, p += sensors) {
-        s += p[i] * p[j];
-      }
-      out.push_back(s);
-    }
-  }
-  return out;
-}
-
 /// Cells of `row` whose bits differ from `expected` (== plus the sign of
 /// zero; every value here is finite).
 std::size_t bit_mismatches(std::span<const double> row,
@@ -296,27 +312,29 @@ double awkward_value(Rng& rng) {
   }
 }
 
+/// Mean 0 and scale 1: (x − 0) / 1 keeps every value's bits, −0.0 and
+/// subnormals included, so the fused entry point reduces the raw windows.
+preprocess::StandardScaler identity_scaler(std::size_t width) {
+  return preprocess::StandardScaler::restore(linalg::Vector(width, 0.0),
+                                             linalg::Vector(width, 1.0));
+}
+
 TEST(InferenceOracle, LaneKernelMatchesPairByPairLoop) {
   Rng rng(0x1A7E5ULL);
   for (const std::size_t sensors : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 70u}) {
-    for (const std::size_t steps : {0u, 1u, 2u, 60u, 540u}) {
+    for (const std::size_t steps : {1u, 2u, 60u, 540u}) {
       SCOPED_TRACE(testing::Message() << sensors << " sensors, " << steps
                                       << " steps");
       data::Tensor3 x(3, steps, sensors);
       for (double& v : x.raw()) v = awkward_value(rng);
-      const Matrix tensor = preprocess::covariance_features(x);
-      const Matrix flat =
-          preprocess::covariance_features_flat(x.flatten(), steps, sensors);
-      std::vector<double> one(preprocess::covariance_feature_count(sensors));
+      const Matrix raw = preprocess::standardized_covariance_features(
+          x.trial_views(), steps, sensors, identity_scaler(steps * sensors));
       for (std::size_t i = 0; i < x.trials(); ++i) {
-        const std::vector<double> expected =
-            pairwise_covariance(x.trial(i), steps, sensors);
-        EXPECT_EQ(bit_mismatches(tensor.row(i), expected), 0u);
-        EXPECT_EQ(bit_mismatches(flat.row(i), expected), 0u);
-        preprocess::covariance_features_of_trial(x.trial_matrix(i), one);
-        EXPECT_EQ(bit_mismatches(one, expected), 0u);
+        EXPECT_EQ(bit_mismatches(raw.row(i),
+                                 pairwise_covariance(x.trial(i), steps,
+                                                     sensors)),
+                  0u);
       }
-      if (steps == 0) continue;  // a scaler needs at least one column
       linalg::Vector means(steps * sensors), scales(steps * sensors);
       for (double& m : means) m = rng.normal();
       for (double& s : scales) s = rng.uniform(0.5, 2.0);
@@ -340,7 +358,9 @@ TEST(InferenceOracle, LaneKernelMatchesPairByPairLoopOnRepairedWindows) {
     SCOPED_TRACE(testing::Message() << "severity " << severity);
     const data::Tensor3 windows = repaired_test_set(w, severity);
     const std::size_t steps = windows.steps(), sensors = windows.sensors();
-    const Matrix raw = preprocess::covariance_features(windows);
+    const Matrix raw = preprocess::standardized_covariance_features(
+        windows.trial_views(), steps, sensors,
+        identity_scaler(steps * sensors));
     const Matrix served = w.pipeline.transform(windows);
     std::vector<double> scaled(steps * sensors);
     for (std::size_t i = 0; i < windows.trials(); ++i) {
@@ -382,14 +402,6 @@ TEST(InferenceOracle, LaneKernelRefusesEveryNonFiniteInputPosition) {
                                       << cell % kSensors);
       data::Tensor3 x = clean;
       x.trial(kBad)[cell] = special;
-      expect_refused([&] { return preprocess::covariance_features(x); },
-                     "covariance_features");
-      expect_refused(
-          [&] {
-            return preprocess::covariance_features_flat(x.flatten(), kSteps,
-                                                        kSensors);
-          },
-          "covariance_features_flat");
       expect_refused(
           [&] {
             return preprocess::standardized_covariance_features(

@@ -19,17 +19,25 @@ TEST(CovFeatures, CountFormula) {
   EXPECT_EQ(covariance_feature_count(3), 6u);
 }
 
+/// Mean 0 and scale 1 for every column: (x − 0) / 1 is x bit for bit, so
+/// the fused entry point reduces the raw windows.
+StandardScaler identity_scaler(std::size_t width) {
+  return StandardScaler::restore(linalg::Vector(width, 0.0),
+                                 linalg::Vector(width, 1.0));
+}
+
 TEST(CovFeatures, MatchesExplicitGramUpperTriangle) {
   Rng rng(1);
   Matrix trial(15, 4);
   for (double& x : trial.flat()) x = rng.normal();
-  std::vector<double> features(covariance_feature_count(4));
-  covariance_features_of_trial(trial, features);
+  const std::span<const double> window = trial.flat();
+  const Matrix features = standardized_covariance_features(
+      {&window, 1}, 15, 4, identity_scaler(60));
   const Matrix gram = linalg::gram_at_a(trial);  // MᵀM
   std::size_t k = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = i; j < 4; ++j) {
-      EXPECT_NEAR(features[k++], gram(i, j), 1e-10);
+      EXPECT_NEAR(features(0, k++), gram(i, j), 1e-10);
     }
   }
 }
@@ -39,26 +47,22 @@ TEST(CovFeatures, TensorReductionMapsShapes) {
   Tensor3 x(5, 10, 7);
   Rng rng(2);
   for (double& v : x.raw()) v = rng.normal();
-  const Matrix features = covariance_features(x);
+  const Matrix features = standardized_covariance_features(
+      x.trial_views(), 10, 7, identity_scaler(70));
   EXPECT_EQ(features.rows(), 5u);
   EXPECT_EQ(features.cols(), 28u);
 }
 
-TEST(CovFeatures, FlatAndTensorAgree) {
-  Tensor3 x(4, 8, 3);
-  Rng rng(3);
-  for (double& v : x.raw()) v = rng.normal();
-  const Matrix from_tensor = covariance_features(x);
-  const Matrix from_flat = covariance_features_flat(x.flatten(), 8, 3);
-  EXPECT_LT(from_tensor.max_abs_diff(from_flat), 1e-12);
-}
-
-TEST(CovFeatures, WrongDestinationSizeThrows) {
-  Matrix trial(5, 3);
-  std::vector<double> wrong(5);
-  EXPECT_THROW(covariance_features_of_trial(trial, wrong), Error);
-  Matrix flat(2, 7);
-  EXPECT_THROW((void)covariance_features_flat(flat, 2, 3), Error);
+TEST(CovFeatures, WrongWidthThrows) {
+  Tensor3 x(2, 5, 3);
+  const auto views = x.trial_views();
+  // A scaler fitted to another width, and windows of another width.
+  EXPECT_THROW((void)standardized_covariance_features(views, 5, 3,
+                                                      identity_scaler(14)),
+               Error);
+  EXPECT_THROW((void)standardized_covariance_features(views, 4, 3,
+                                                      identity_scaler(12)),
+               Error);
 }
 
 TEST(CovFeatures, PairMappingRoundTrips) {

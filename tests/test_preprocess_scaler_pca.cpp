@@ -1,9 +1,12 @@
 // Tests for StandardScaler and PCA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -24,11 +27,28 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng,
   return m;
 }
 
+/// One view per row of `x`, the form StandardScaler::fit takes.
+std::vector<std::span<const double>> row_views(const Matrix& x) {
+  std::vector<std::span<const double>> out;
+  for (std::size_t r = 0; r < x.rows(); ++r) out.push_back(x.row(r));
+  return out;
+}
+
+/// Every row of `x` through scaler.transform_row.
+Matrix scaled(const StandardScaler& scaler, const Matrix& x) {
+  Matrix out(x.rows(), x.cols());
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    scaler.transform_row(x.row(r), out.row(r));
+  }
+  return out;
+}
+
 TEST(Scaler, ProducesZeroMeanUnitVariance) {
   Rng rng(1);
   const Matrix x = random_matrix(200, 5, rng, 3.0, 10.0);
   StandardScaler scaler;
-  const Matrix z = scaler.fit_transform(x);
+  scaler.fit(row_views(x));
+  const Matrix z = scaled(scaler, x);
   const auto means = linalg::column_means(z);
   const auto stds = linalg::column_stddevs(z);
   for (std::size_t c = 0; c < 5; ++c) {
@@ -44,7 +64,9 @@ TEST(Scaler, ConstantColumnsSurvive) {
     x(r, 1) = static_cast<double>(r);
   }
   StandardScaler scaler;
-  const Matrix z = scaler.fit_transform(x);
+  scaler.fit(row_views(x));
+  EXPECT_DOUBLE_EQ(scaler.scales()[0], 1.0);
+  const Matrix z = scaled(scaler, x);
   for (std::size_t r = 0; r < 10; ++r) {
     EXPECT_DOUBLE_EQ(z(r, 0), 0.0);
     EXPECT_TRUE(std::isfinite(z(r, 1)));
@@ -56,30 +78,64 @@ TEST(Scaler, TransformUsesTrainStatistics) {
   const Matrix train = random_matrix(100, 3, rng, 2.0, 5.0);
   const Matrix test = random_matrix(20, 3, rng, 2.0, 50.0);  // shifted!
   StandardScaler scaler;
-  scaler.fit(train);
-  const Matrix z = scaler.transform(test);
+  scaler.fit(row_views(train));
+  const Matrix z = scaled(scaler, test);
   // Shifted test data must NOT be re-centred to zero.
   EXPECT_GT(std::abs(linalg::column_means(z)[0]), 5.0);
 }
 
 TEST(Scaler, InverseTransformRoundTrips) {
+  // The fitted means/scales are exactly what transform_row applies (the
+  // bundle persists only those): z · scale + mean gives the input back,
+  // also when transform_row scales a row in place.
   Rng rng(3);
   const Matrix x = random_matrix(50, 4, rng, 3.0, -2.0);
   StandardScaler scaler;
-  const Matrix z = scaler.fit_transform(x);
-  const Matrix back = scaler.inverse_transform(z);
+  scaler.fit(row_views(x));
+  Matrix z = x;
+  for (std::size_t r = 0; r < z.rows(); ++r) {
+    scaler.transform_row(z.row(r), z.row(r));
+  }
+  const Matrix out_of_place = scaled(scaler, x);
+  EXPECT_TRUE(std::equal(z.flat().begin(), z.flat().end(),
+                         out_of_place.flat().begin()));
+  Matrix back(z.rows(), z.cols());
+  for (std::size_t r = 0; r < z.rows(); ++r) {
+    for (std::size_t c = 0; c < z.cols(); ++c) {
+      back(r, c) = z(r, c) * scaler.scales()[c] + scaler.means()[c];
+    }
+  }
   EXPECT_LT(back.max_abs_diff(x), 1e-10);
+}
+
+TEST(Scaler, MatchesColumnStatisticsBitForBit) {
+  // fit sums over the rows in order, then divides by n: the same bits as
+  // the column statistics of the stacked rows (population std).
+  Rng rng(5);
+  const Matrix x = random_matrix(137, 9, rng, 4.0, 1e3);
+  StandardScaler scaler;
+  scaler.fit(row_views(x));
+  const linalg::Vector means = linalg::column_means(x);
+  const linalg::Vector stds = linalg::column_stddevs(x);
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    EXPECT_EQ(scaler.means()[c], means[c]) << "column " << c;
+    EXPECT_EQ(scaler.scales()[c], stds[c]) << "column " << c;
+  }
 }
 
 TEST(Scaler, ErrorsOnMisuse) {
   StandardScaler scaler;
-  const Matrix x(3, 2);
-  EXPECT_THROW((void)scaler.transform(x), Error);  // before fit
-  StandardScaler fitted;
-  Matrix train(5, 3, 1.0);
-  fitted.fit(train);
-  EXPECT_THROW((void)fitted.transform(x), Error);  // width mismatch
+  EXPECT_THROW(scaler.fit({}), Error);  // no rows
+  const Matrix wide(2, 3, 1.0);
+  const Matrix narrow(2, 2, 1.0);
+  std::vector<std::span<const double>> ragged = row_views(wide);
+  ragged.push_back(narrow.row(0));
+  EXPECT_THROW(scaler.fit(ragged), Error);  // rows of different widths
+  const Matrix empty_rows(3, 0);
+  EXPECT_THROW(scaler.fit(row_views(empty_rows)), Error);  // no columns
   EXPECT_FALSE(scaler.fitted());
+  StandardScaler fitted;
+  fitted.fit(row_views(wide));
   EXPECT_TRUE(fitted.fitted());
 }
 
@@ -89,7 +145,7 @@ TEST(Scaler, RejectsNonFiniteInputWithColumnContext) {
   x(7, 2) = std::numeric_limits<double>::quiet_NaN();
   StandardScaler scaler;
   try {
-    scaler.fit(x);
+    scaler.fit(row_views(x));
     FAIL() << "fit accepted a NaN column";
   } catch (const Error& e) {
     // The message must name the poisoned column and point at the fix.
@@ -105,7 +161,7 @@ TEST(Scaler, RejectsInfiniteInput) {
   Matrix x = random_matrix(30, 3, rng);
   x(0, 0) = std::numeric_limits<double>::infinity();
   StandardScaler scaler;
-  EXPECT_THROW(scaler.fit(x), Error);
+  EXPECT_THROW(scaler.fit(row_views(x)), Error);
 }
 
 TEST(Pca, RejectsNonFiniteInputOnFit) {
