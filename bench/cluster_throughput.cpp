@@ -42,7 +42,6 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,9 +190,9 @@ int main(int argc, char** argv) {
     fleet_options.bundle_path =
         fleet_options.work_dir + "/cluster_bundle_v1.scwcbndl";
     serve::save_bundle_file(*bundle_v1, fleet_options.bundle_path);
-    std::ostringstream v2_bytes_os;
-    serve::save_bundle(*bundle_v2, v2_bytes_os);
-    const std::string v2_bytes = v2_bytes_os.str();
+    ByteWriter v2_writer;
+    serve::save_bundle(*bundle_v2, v2_writer);
+    const std::string v2_bytes = v2_writer.take();
     std::cout << "bundles: " << bundle_v1->version() << " (on disk), "
               << bundle_v2->version() << " (" << v2_bytes.size()
               << " B, push payload), " << steps << "×" << sensors

@@ -32,7 +32,6 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,7 +92,7 @@ std::shared_ptr<const serve::ModelBundle> make_bundle(
 struct Scenario {
   std::string name;
   serve::ChaosProfile profile;
-  bool swap_storm = false;  ///< also hammer try_swap_from_stream while armed
+  bool swap_storm = false;  ///< also hammer try_swap_from_bytes while armed
 };
 
 std::vector<Scenario> make_scenarios(double severity) {
@@ -260,9 +259,9 @@ int main(int argc, char** argv) {
   const data::Tensor3 x = make_dataset(&y);
   const std::shared_ptr<const serve::ModelBundle> swap_candidate =
       make_bundle(x, y, "swap-candidate", 4, 12345);
-  std::ostringstream serialized;
+  ByteWriter serialized;
   serve::save_bundle(*swap_candidate, serialized);
-  const std::string swap_bytes = serialized.str();
+  const std::string swap_bytes = serialized.take();
 
   std::vector<std::vector<double>> payload;
   payload.reserve(x.trials());
@@ -330,8 +329,8 @@ int main(int argc, char** argv) {
         while (!stop_aux.load(std::memory_order_acquire)) {
           std::vector<char> bytes(swap_bytes.begin(), swap_bytes.end());
           (void)chaos.on_swap_bytes(bytes);
-          std::istringstream in(std::string(bytes.begin(), bytes.end()));
-          (void)serve::try_swap_from_stream(registry, in);
+          (void)serve::try_swap_from_bytes(
+              registry, std::string_view(bytes.data(), bytes.size()));
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
       });

@@ -42,7 +42,7 @@ std::string prom_value(double v) {
 }  // namespace
 
 ShardRouter::ShardRouter(RouterConfig config)
-    : config_(config), ring_(config.vnodes), tracer_(config.trace) {
+    : config_(config), ring_(kVnodesPerShard), tracer_(config.trace) {
   auto& reg = obs::MetricsRegistry::global();
   obs_submitted_ = reg.counter("scwc_cluster_submitted_total");
   obs_verdicts_ = reg.counter("scwc_cluster_verdicts_total");
@@ -63,12 +63,12 @@ ShardRouter::ShardRouter(RouterConfig config)
 ShardRouter::~ShardRouter() { stop(); }
 
 std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
-  net::Socket sock = net::connect_loopback(port, config_.connect_deadline_s);
+  net::Socket sock = net::connect_loopback(port, kConnectDeadlineS);
   SCWC_REQUIRE(sock.valid(), "router: cannot connect to worker on port " +
                                  std::to_string(port));
   // Bound the handshake, then hand the reader a fully blocking socket —
   // a reader-side receive timeout would be indistinguishable from EOF.
-  sock.set_io_timeout(config_.hello_timeout_s);
+  sock.set_io_timeout(kHelloTimeoutS);
   // The connection's one receive buffer: it serves the handshake, then
   // moves into the reader thread with whatever it already holds.
   net::FrameReader frames;
@@ -81,11 +81,9 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   auto conn = std::make_shared<ShardConn>(hello.shard_id, port,
                                           std::move(sock));
   conn->hello = hello;
-  if (config_.clock_sync_pings > 0) {
-    // Clock handshake while the socket is still exclusively ours and the
-    // hello io timeout still bounds each round trip.
-    sync_clock(*conn, frames);
-  }
+  // Clock handshake while the socket is still exclusively ours and the
+  // hello io timeout still bounds each round trip.
+  sync_clock(*conn, frames);
   conn->sock.set_io_timeout(0);
   conn->rolling_latency = obs::MetricsRegistry::global().rolling_histogram(
       "scwc_cluster_shard" + std::to_string(hello.shard_id) +
@@ -118,7 +116,7 @@ void ShardRouter::sync_clock(ShardConn& conn, net::FrameReader& frames) {
   // estimate. offset = worker_clock − midpoint(send, recv), so adding the
   // offset to a router stamp lands it on the worker's steady clock.
   bool have = false;
-  for (std::size_t round = 0; round < config_.clock_sync_pings; ++round) {
+  for (std::size_t round = 0; round < kClockSyncPings; ++round) {
     net::PingFrame ping;
     ping.nonce = round + 1;
     const std::uint64_t t0 = obs::steady_ns();
@@ -747,7 +745,7 @@ SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
     return outcome;
   }
   const std::optional<net::SwapAckFrame> ack =
-      wait_swap_ack(conn, config_.swap_ack_timeout_s);
+      wait_swap_ack(conn, kSwapAckTimeoutS);
   if (!ack.has_value()) {
     outcome.message = "swap ack timeout";
     return outcome;
@@ -773,7 +771,7 @@ void ShardRouter::abort_on_shard(ShardConn& conn, SwapOutcome& outcome,
     return;
   }
   const std::optional<net::SwapAckFrame> ack =
-      wait_swap_ack(conn, config_.swap_ack_timeout_s);
+      wait_swap_ack(conn, kSwapAckTimeoutS);
   outcome.rolled_back = ack.has_value() && ack->ok;
   outcome.ok = false;  // the push as a whole did not take on this shard
   if (ack.has_value()) outcome.active_version = ack->active_version;

@@ -54,17 +54,22 @@ class AuditLogger;  // serve/audit.hpp
 
 namespace scwc::cluster {
 
+/// Ring points per shard.
+inline constexpr std::size_t kVnodesPerShard = 64;
+/// How long add_shard waits for a worker to accept (startup grace).
+inline constexpr double kConnectDeadlineS = 5.0;
+/// Bound on each hello and clock-handshake round trip.
+inline constexpr double kHelloTimeoutS = 5.0;
+/// How long a bundle push waits for a shard's swap or abort ack.
+inline constexpr double kSwapAckTimeoutS = 30.0;
+/// Clock-offset handshake rounds per shard (NTP-style: the offset of the
+/// minimum-RTT round wins).
+inline constexpr std::size_t kClockSyncPings = 5;
+
 struct RouterConfig {
-  std::size_t vnodes = 64;             ///< ring points per shard
   std::size_t max_inflight_per_shard = 1024;
-  double connect_deadline_s = 5.0;     ///< worker startup grace
-  double hello_timeout_s = 5.0;
-  double swap_ack_timeout_s = 30.0;
   /// Forwarded per submit as the worker-side latency budget; 0 = none.
   double default_deadline_s = 0.0;
-  /// Clock-offset handshake rounds per shard (NTP-style: the offset of
-  /// the minimum-RTT round wins). 0 disables the handshake.
-  std::size_t clock_sync_pings = 5;
   /// Router-side request tracing: every routed window keeps the router's
   /// trace id, and sampled requests keep the full 7-phase record
   /// (admission/route/wire_send/worker queue/transform/predict/wire_recv).

@@ -1,7 +1,6 @@
 #include "cluster/worker.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "common/crc32.hpp"
@@ -191,7 +190,7 @@ void ClusterWorker::responder_loop(Connection& conn) {
     }
     out.clear();
     append_verdict(out, head,
-                   serve::get_within(head.result, config_.verdict_wait_s));
+                   serve::get_within(head.result, kVerdictWaitS));
     while (true) {
       PendingVerdict next;
       {
@@ -323,10 +322,10 @@ void ClusterWorker::handle_swap_commit(Connection& conn,
   } else if (crc32(conn.swap_buffer) != frame.crc32) {
     ack.message = "bundle CRC mismatch";
   } else {
-    std::istringstream is(conn.swap_buffer);
-    // try_swap_from_stream is failure-isolating: a corrupt bundle leaves
+    // try_swap_from_bytes is failure-isolating: a corrupt bundle leaves
     // the registry (and serving) exactly as it was.
-    const auto bundle = serve::try_swap_from_stream(registry_, is);
+    const auto bundle =
+        serve::try_swap_from_bytes(registry_, conn.swap_buffer);
     if (bundle != nullptr) {
       ack.ok = true;
       swaps_.fetch_add(1);

@@ -11,7 +11,7 @@
 //
 // Model-bundle distribution (DESIGN.md §13): the router streams a bundle as
 // SwapBegin/SwapChunk*/SwapCommit. The worker assembles the bytes, verifies
-// the announced CRC, and hot-swaps through serve::try_swap_from_stream —
+// the announced CRC, and hot-swaps through serve::try_swap_from_bytes —
 // which on ANY load failure leaves the registry untouched, so a corrupt
 // push can never take down serving. SwapAbort rolls the registry back one
 // activation (the router sends it when a sibling shard rejected the same
@@ -38,12 +38,13 @@
 
 namespace scwc::cluster {
 
+/// Per-future wait bound in the responder; a future that is not ready
+/// within this is answered as an internal shed (never blocks forever).
+inline constexpr double kVerdictWaitS = 30.0;
+
 struct WorkerConfig {
   std::uint32_t shard_id = 0;
   std::uint16_t port = 0;  ///< 0 → ephemeral; read back via port()
-  /// Per-future wait bound in the responder; a future that is not ready
-  /// within this is answered as an internal shed (never blocks forever).
-  double verdict_wait_s = 30.0;
   serve::ServiceConfig service;
 };
 

@@ -4,8 +4,9 @@
 //  the files: X_train, y_train, model_train, X_test, y_test, model_test."
 //
 // This module writes byte-exact NPY v1.0 members inside an uncompressed
-// ("stored") ZIP container so a standard `numpy.load` reads the result with
-// no extra dependencies on our side:
+// ("stored") ZIP container, through common/byte_io and its bounded file
+// buffer, so a standard `numpy.load` reads the result with no extra
+// dependencies on our side:
 //   X_*      float64, shape (trials, samples, sensors)
 //   y_*      int64,   shape (trials,)
 //   model_*  unicode '<U32', shape (trials,)
@@ -13,24 +14,17 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/byte_io.hpp"
 #include "data/challenge_dataset.hpp"
 
 namespace scwc::data {
 
-/// Serialises one array into NPY v1.0 bytes.
-/// `descr` is the numpy dtype string (e.g. "<f8", "<i8", "<U32") and
-/// `shape` the dimensions; `payload` must already be in the dtype's wire
-/// format (little-endian).
-std::vector<std::uint8_t> npy_encode(const std::string& descr,
-                                     const std::vector<std::size_t>& shape,
-                                     std::span<const std::uint8_t> payload);
-
-/// Encodes a double array as "<f8" NPY bytes.
+/// Encodes a double array as "<f8" NPY bytes. Throws when `shape` does
+/// not multiply out to values.size().
 std::vector<std::uint8_t> npy_from_doubles(
     std::span<const double> values, const std::vector<std::size_t>& shape);
 
@@ -42,14 +36,22 @@ std::vector<std::uint8_t> npy_from_labels(std::span<const int> labels);
 std::vector<std::uint8_t> npy_from_strings(
     const std::vector<std::string>& values);
 
-/// One member of a ZIP archive.
+/// One member of a ZIP archive: `bytes`, then `values` as little-endian
+/// doubles. A tensor member keeps only its NPY header in `bytes` and views
+/// the tensor, so it streams into the archive without an encoded copy.
 struct ZipEntry {
-  std::string name;                 ///< e.g. "X_train.npy"
-  std::vector<std::uint8_t> bytes;  ///< raw member contents
+  std::string name;                   ///< e.g. "X_train.npy"
+  std::vector<std::uint8_t> bytes;    ///< raw member contents (or head)
+  std::span<const double> values{};  ///< written after `bytes`
 };
 
-/// Writes an uncompressed ZIP archive (method 0 "stored") to a stream.
-void write_zip(std::ostream& os, const std::vector<ZipEntry>& entries);
+/// The "<f8" member `name` of `values` viewed as `shape` (checked as in
+/// npy_from_doubles); `values` must outlive the entry.
+ZipEntry npy_member(std::string name, std::span<const double> values,
+                    const std::vector<std::size_t>& shape);
+
+/// Writes an uncompressed ZIP archive (method 0 "stored").
+void write_zip(ByteWriter& w, const std::vector<ZipEntry>& entries);
 
 /// Writes `dataset` to `path` as the six-member npz the challenge releases.
 void save_npz(const ChallengeDataset& dataset,

@@ -1,10 +1,18 @@
 #include "data/tensor3.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace scwc::data {
+
+Tensor3::Tensor3(std::size_t trials, std::size_t steps, std::size_t sensors,
+                 std::vector<double> data)
+    : trials_(trials), steps_(steps), sensors_(sensors), data_(std::move(data)) {
+  SCWC_REQUIRE(data_.size() == trials * steps * sensors,
+               "Tensor3: data size does not match the shape");
+}
 
 linalg::Matrix Tensor3::trial_matrix(std::size_t i) const {
   SCWC_REQUIRE(i < trials_, "trial index out of range");

@@ -26,6 +26,9 @@ class Tensor3 {
         steps_(steps),
         sensors_(sensors),
         data_(trials * steps * sensors, 0.0) {}
+  /// Takes `data` (trial-major, trials·steps·sensors values) as storage.
+  Tensor3(std::size_t trials, std::size_t steps, std::size_t sensors,
+          std::vector<double> data);
 
   [[nodiscard]] std::size_t trials() const noexcept { return trials_; }
   [[nodiscard]] std::size_t steps() const noexcept { return steps_; }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "common/error.hpp"
 
@@ -208,103 +205,57 @@ linalg::Matrix DecisionTree::predict_proba(const linalg::Matrix& x) const {
   return out;
 }
 
-}  // namespace scwc::ml
-
-namespace scwc::ml {
-namespace detail {
-
-void write_u64_le(std::ostream& os, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    os.put(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint64_t read_u64_le(std::istream& is) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    const int byte = is.get();
-    SCWC_REQUIRE(byte != EOF, "model: truncated integer");
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(byte))
-         << (8 * i);
-  }
-  return v;
-}
-
-void write_f64_le(std::ostream& os, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_u64_le(os, bits);
-}
-
-double read_f64_le(std::istream& is) {
-  const std::uint64_t bits = read_u64_le(is);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-}  // namespace detail
-
-void DecisionTree::save(std::ostream& os) const {
-  detail::write_u64_le(os, num_classes_);
-  detail::write_u64_le(os, depth_);
-  detail::write_u64_le(os, nodes_.size());
+void DecisionTree::save(ByteWriter& w) const {
+  w.u64(num_classes_);
+  w.u64(depth_);
+  w.u64(nodes_.size());
   for (const Node& node : nodes_) {
-    detail::write_u64_le(
-        os, static_cast<std::uint64_t>(static_cast<std::int64_t>(node.feature)));
-    detail::write_f64_le(os, node.threshold);
-    detail::write_u64_le(
-        os, static_cast<std::uint64_t>(static_cast<std::int64_t>(node.left)));
-    detail::write_u64_le(
-        os, static_cast<std::uint64_t>(static_cast<std::int64_t>(node.right)));
-    detail::write_u64_le(os, static_cast<std::uint64_t>(node.majority));
-    detail::write_u64_le(os, node.class_fraction.size());
-    for (const double f : node.class_fraction) detail::write_f64_le(os, f);
+    w.i64(node.feature);
+    w.f64(node.threshold);
+    w.i64(node.left);
+    w.i64(node.right);
+    w.i64(node.majority);
+    w.u64(node.class_fraction.size());
+    w.f64s(node.class_fraction);
   }
-  SCWC_REQUIRE(os.good(), "model: tree write failed");
 }
 
-void DecisionTree::load(std::istream& is) {
-  num_classes_ = detail::read_u64_le(is);
+void DecisionTree::load(ByteReader& r) {
+  num_classes_ = r.u64();
   // Caps bound what a corrupted length field can make us allocate before
   // the truncation check fires: a single flipped bit in `count` must yield
   // a typed error, not a multi-gigabyte nodes_.assign.
-  SCWC_REQUIRE(num_classes_ <= (1ULL << 16),
-               "model: unreasonable class count");
-  depth_ = detail::read_u64_le(is);
-  const std::uint64_t count = detail::read_u64_le(is);
-  SCWC_REQUIRE(count < (1ULL << 20), "model: unreasonable node count");
+  r.require(num_classes_ <= (1ULL << 16), "unreasonable class count");
+  depth_ = r.u64();
+  const std::uint64_t count = r.u64();
+  r.require(count < (1ULL << 20), "unreasonable node count");
   nodes_.assign(count, Node{});
   // Every node but the root has exactly one parent, placed before it, so
   // descend() terminates and the forest compiler sees a tree, not a DAG.
   std::vector<bool> has_parent(count, false);
   for (std::size_t i = 0; i < count; ++i) {
     Node& node = nodes_[i];
-    node.feature = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(detail::read_u64_le(is)));
-    node.threshold = detail::read_f64_le(is);
-    node.left = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(detail::read_u64_le(is)));
-    node.right = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(detail::read_u64_le(is)));
-    node.majority = static_cast<std::int32_t>(detail::read_u64_le(is));
-    const std::uint64_t fractions = detail::read_u64_le(is);
-    SCWC_REQUIRE(fractions == (node.feature < 0 ? num_classes_ : 0),
-                 "model: malformed leaf distribution");
-    node.class_fraction.resize(fractions);
-    for (double& f : node.class_fraction) f = detail::read_f64_le(is);
+    node.feature = static_cast<std::int32_t>(r.i64());
+    node.threshold = r.f64();
+    node.left = static_cast<std::int32_t>(r.i64());
+    node.right = static_cast<std::int32_t>(r.i64());
+    node.majority = static_cast<std::int32_t>(r.i64());
+    const std::uint64_t fractions = r.u64();
+    r.require(fractions == (node.feature < 0 ? num_classes_ : 0),
+              "malformed leaf distribution");
+    node.class_fraction = r.f64s(fractions);
     if (node.feature < 0) continue;
     for (const std::int32_t child : {node.left, node.right}) {
-      SCWC_REQUIRE(child >= 0 && static_cast<std::uint64_t>(child) < count,
-                   "model: child index out of range");
-      SCWC_REQUIRE(static_cast<std::size_t>(child) > i,
-                   "model: child index not after its parent");
-      SCWC_REQUIRE(!has_parent[static_cast<std::size_t>(child)],
-                   "model: node has two parents");
+      r.require(child >= 0 && static_cast<std::uint64_t>(child) < count,
+                "child index out of range");
+      r.require(static_cast<std::size_t>(child) > i,
+                "child index not after its parent");
+      r.require(!has_parent[static_cast<std::size_t>(child)],
+                "node has two parents");
       has_parent[static_cast<std::size_t>(child)] = true;
     }
   }
-  SCWC_REQUIRE(!nodes_.empty(), "model: empty tree");
+  r.require(!nodes_.empty(), "empty tree");
 }
 
 }  // namespace scwc::ml

@@ -6,11 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "common/byte_io.hpp"
 #include "common/rng.hpp"
 #include "ml/classifier.hpp"
 
@@ -58,12 +58,12 @@ class DecisionTree final : public Classifier {
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
 
-  /// Serialises the fitted tree (little-endian binary).
-  void save(std::ostream& os) const;
+  /// Serialises the fitted tree: the per-tree record of SCWC_RF1.
+  void save(ByteWriter& w) const;
   /// Restores a tree saved with save(). Throws on malformed input: a leaf
   /// distribution that is not exactly num_classes() wide, a child index
   /// out of range or not after its parent, or a node with two parents.
-  void load(std::istream& is);
+  void load(ByteReader& r);
 
   /// One node in build order (pre-order: parent, left subtree, right
   /// subtree). Internal nodes have feature ≥ 0 and no distribution; leaves

@@ -13,13 +13,6 @@
 
 namespace scwc::ml {
 
-// Defined in decision_tree.cpp.
-namespace detail {
-void write_u64_le(std::ostream& os, std::uint64_t v);
-std::uint64_t read_u64_le(std::istream& is);
-void write_f64_le(std::ostream& os, double v);
-}  // namespace detail
-
 namespace {
 constexpr std::uint64_t kForestMagic = 0x534357435F524631ULL;  // "SCWC_RF1"
 // Rows one predict_proba task owns; smaller calls (every serve batch) run
@@ -28,8 +21,6 @@ constexpr std::size_t kRowBlock = 64;
 }  // namespace
 
 void RandomForest::Table::append(const DecisionTree& tree) {
-  SCWC_REQUIRE(tree.num_classes() == num_classes,
-               "model: tree class count differs from the forest header");
   const std::span<const DecisionTree::Node> src = tree.nodes();
   SCWC_REQUIRE(nodes.size() + src.size() <
                    std::numeric_limits<std::uint32_t>::max(),
@@ -220,15 +211,12 @@ std::vector<int> RandomForest::predict(const linalg::Matrix& x) const {
   return out;
 }
 
-void RandomForest::save(std::ostream& os) const {
+void RandomForest::save(ByteWriter& w) const {
   SCWC_REQUIRE(!table_.roots.empty(), "RandomForest::save before fit");
-  const auto write_i64 = [&os](std::int64_t v) {
-    detail::write_u64_le(os, static_cast<std::uint64_t>(v));
-  };
   const std::size_t trees = table_.roots.size();
-  detail::write_u64_le(os, kForestMagic);
-  detail::write_u64_le(os, table_.num_classes);
-  detail::write_u64_le(os, trees);
+  w.u64(kForestMagic);
+  w.u64(table_.num_classes);
+  w.u64(trees);
   // Each tree in DecisionTree::save's layout, nodes in compiled order with
   // tree-local indices; leaves are written canonically (feature, left and
   // right −1, threshold 0) with their zero fractions restored.
@@ -236,44 +224,43 @@ void RandomForest::save(std::ostream& os) const {
     const std::uint32_t root = table_.roots[t];
     const std::size_t end =
         t + 1 < trees ? table_.roots[t + 1] : table_.nodes.size();
-    detail::write_u64_le(os, table_.num_classes);
-    detail::write_u64_le(os, table_.depths[t]);
-    detail::write_u64_le(os, end - root);
+    w.u64(table_.num_classes);
+    w.u64(table_.depths[t]);
+    w.u64(end - root);
     for (auto i = static_cast<std::uint32_t>(root); i < end; ++i) {
       const Node& node = table_.nodes[i];
       const bool leaf = table_.is_leaf(i);
-      write_i64(leaf ? -1 : node.feature);
-      detail::write_f64_le(os, leaf ? 0.0 : node.threshold);
-      write_i64(leaf ? -1 : static_cast<std::int64_t>(node.child - root));
-      write_i64(leaf ? -1 : static_cast<std::int64_t>(node.child + 1 - root));
-      write_i64(table_.majority[i]);
+      w.i64(leaf ? -1 : node.feature);
+      w.f64(leaf ? 0.0 : node.threshold);
+      w.i64(leaf ? -1 : static_cast<std::int64_t>(node.child - root));
+      w.i64(leaf ? -1 : static_cast<std::int64_t>(node.child + 1 - root));
+      w.i64(table_.majority[i]);
       if (!leaf) {
-        detail::write_u64_le(os, 0);
+        w.u64(0);
         continue;
       }
-      detail::write_u64_le(os, table_.num_classes);
+      w.u64(table_.num_classes);
       std::uint32_t e = table_.leaf_begin[i];
       for (std::size_t c = 0; c < table_.num_classes; ++c) {
         const bool stored =
             e < table_.leaf_begin[i + 1] && table_.leaf_class[e] == c;
-        detail::write_f64_le(os, stored ? table_.leaf_fraction[e++] : 0.0);
+        w.f64(stored ? table_.leaf_fraction[e++] : 0.0);
       }
     }
   }
-  SCWC_REQUIRE(os.good(), "model: forest write failed");
 }
 
-void RandomForest::load(std::istream& is) {
-  SCWC_REQUIRE(detail::read_u64_le(is) == kForestMagic,
-               "RandomForest::load: bad magic");
+void RandomForest::load(ByteReader& r) {
+  r.require(r.u64() == kForestMagic, "bad forest magic");
   Table table;
-  table.num_classes = detail::read_u64_le(is);
-  const std::uint64_t count = detail::read_u64_le(is);
-  SCWC_REQUIRE(count >= 1 && count < (1ULL << 20),
-               "RandomForest::load: unreasonable tree count");
+  table.num_classes = r.u64();
+  const std::uint64_t count = r.u64();
+  r.require(count >= 1 && count < (1ULL << 20), "unreasonable tree count");
   for (std::uint64_t t = 0; t < count; ++t) {
     DecisionTree tree;
-    tree.load(is);
+    tree.load(r);
+    r.require(tree.num_classes() == table.num_classes,
+              "tree class count differs from the forest header");
     table.append(tree);
   }
   table_ = std::move(table);
@@ -282,13 +269,16 @@ void RandomForest::load(std::istream& is) {
 void RandomForest::save_file(const std::string& path) const {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   SCWC_REQUIRE(os.is_open(), "cannot open " + path + " for writing");
-  save(os);
+  ByteWriter w(os);
+  save(w);
+  w.flush();
 }
 
 void RandomForest::load_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   SCWC_REQUIRE(is.is_open(), "cannot open " + path + " for reading");
-  load(is);
+  ByteReader r(is, "model");
+  load(r);
 }
 
 }  // namespace scwc::ml

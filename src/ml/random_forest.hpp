@@ -11,6 +11,10 @@
 // leaves, and a batch-major predict_proba whose sums are bit-identical to
 // adding each DecisionTree's distribution in tree order. Up to one 64-row
 // block (every serve batch) it runs inline and allocates only its output.
+//
+// save()/load() speak SCWC_RF1 through a common/byte_io writer or reader,
+// so a model bundle embeds the forest in its own stream and every load
+// error names its byte offset.
 #pragma once
 
 #include <cstdint>
@@ -54,13 +58,16 @@ class RandomForest final : public Classifier {
     return config_;
   }
 
-  /// Serialises the fitted forest (format SCWC_RF1) so a deployed monitor
-  /// (see examples/live_monitor.cpp) can load it without retraining.
-  void save(std::ostream& os) const;
-  /// Restores a forest saved with save(); throws scwc::Error on a malformed
-  /// stream and leaves the forest unchanged.
-  void load(std::istream& is);
-  /// File-path convenience wrappers.
+  /// Serialises the fitted forest (format SCWC_RF1: magic, class count,
+  /// tree count, then each tree in DecisionTree::save's layout) so a
+  /// deployed monitor can load it without retraining. A model bundle
+  /// writes it into its own writer.
+  void save(ByteWriter& w) const;
+  /// Restores a forest saved with save(); throws scwc::Error naming the
+  /// byte offset on malformed input and leaves the forest unchanged.
+  void load(ByteReader& r);
+  /// File-path wrappers; they stream through a bounded buffer, and load
+  /// errors read "model: …".
   void save_file(const std::string& path) const;
   void load_file(const std::string& path);
 
@@ -92,8 +99,7 @@ class RandomForest final : public Classifier {
     std::vector<std::uint64_t> depths;
     std::vector<std::int32_t> majority;
 
-    /// Appends one tree; throws if its class count differs from
-    /// num_classes.
+    /// Appends one tree, whose class count must be num_classes.
     void append(const DecisionTree& tree);
     [[nodiscard]] bool is_leaf(std::uint32_t i) const noexcept {
       return nodes[i].child + 1 == i;

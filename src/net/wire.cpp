@@ -1,9 +1,8 @@
 #include "net/wire.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstring>
 
+#include "common/byte_io.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 
@@ -11,142 +10,24 @@ namespace scwc::net {
 
 namespace {
 
-// ------------------------------------------------------------- primitives
-
-// On a little-endian host the in-memory bytes of an integer or double ARE
-// its wire bytes, so both codec directions move them with memcpy; the
-// byte loops are the portable big-endian fallback.
-constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
+// Every decode error reads "wire decode: <what> at byte offset <N>".
+constexpr std::string_view kDecode = "wire decode";
 
 /// Length-prefixed string: u32 length + bytes.
 constexpr std::size_t string_bytes(std::string_view s) { return 4 + s.size(); }
 
-/// Append-only little-endian encoder. Callers pass the exact encoded size
-/// so the buffer is allocated once.
-class Writer {
- public:
-  explicit Writer(std::size_t size) { buf_.reserve(size); }
-  /// Appends to `prefix` (already reserved by the caller).
-  explicit Writer(std::string&& prefix) : buf_(std::move(prefix)) {}
+void write_string(ByteWriter& w, std::string_view s) {
+  SCWC_REQUIRE(s.size() <= kMaxStringBytes,
+               "wire encode: string exceeds kMaxStringBytes");
+  w.u32(static_cast<std::uint32_t>(s.size()));
+  w.bytes(s);
+}
 
-  void u8(std::uint8_t v) { buf_ += static_cast<char>(v); }
-  void u16(std::uint16_t v) { raw(v); }
-  void u32(std::uint32_t v) { raw(v); }
-  void u64(std::uint64_t v) { raw(v); }
-  void i64(std::int64_t v) { raw(static_cast<std::uint64_t>(v)); }
-  void i32(std::int32_t v) { raw(static_cast<std::uint32_t>(v)); }
-  void f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
-
-  void string(std::string_view s) {
-    SCWC_REQUIRE(s.size() <= kMaxStringBytes,
-                 "wire encode: string exceeds kMaxStringBytes");
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-  }
-
-  void bytes(std::string_view s) { buf_.append(s.data(), s.size()); }
-
-  void f64_span(std::span<const double> values) {
-    u32(static_cast<std::uint32_t>(values.size()));
-    if constexpr (kLittleEndianHost) {
-      buf_.append(reinterpret_cast<const char*>(values.data()),
-                  values.size() * sizeof(double));
-    } else {
-      for (const double v : values) f64(v);
-    }
-  }
-
-  [[nodiscard]] std::string take() { return std::move(buf_); }
-
- private:
-  template <typename T>
-  void raw(T v) {
-    if constexpr (kLittleEndianHost) {
-      buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        buf_ += static_cast<char>((v >> (8 * i)) & 0xffU);
-      }
-    }
-  }
-
-  std::string buf_;
-};
-
-/// Bounds-checked little-endian decoder; every overrun throws scwc::Error.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
-  std::uint16_t u16() { return raw<std::uint16_t>(); }
-  std::uint32_t u32() { return raw<std::uint32_t>(); }
-  std::uint64_t u64() { return raw<std::uint64_t>(); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string string() {
-    const std::uint32_t n = u32();
-    SCWC_REQUIRE(n <= kMaxStringBytes,
-                 "wire decode: string length exceeds cap");
-    const std::string_view s = take(n);
-    return std::string(s);
-  }
-
-  /// Raw trailing bytes of known length (SwapChunk payload body).
-  std::string bytes(std::size_t n) { return std::string(take(n)); }
-
-  std::vector<double> f64_span(std::size_t cap) {
-    const std::uint32_t n = u32();
-    SCWC_REQUIRE(n <= cap, "wire decode: value array exceeds cap");
-    SCWC_REQUIRE(remaining() >= static_cast<std::size_t>(n) * 8,
-                 "wire decode: truncated value array");
-    std::vector<double> out(n);
-    if constexpr (kLittleEndianHost) {
-      const std::string_view s = take(out.size() * sizeof(double));
-      if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());
-    } else {
-      for (double& v : out) v = f64();
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - pos_;
-  }
-
-  /// Every decode_* ends with this: trailing bytes mean a framing bug (or
-  /// corruption the CRC did not catch), never something to ignore.
-  void expect_end() const {
-    SCWC_REQUIRE(remaining() == 0, "wire decode: trailing bytes in payload");
-  }
-
- private:
-  std::string_view take(std::size_t n) {
-    SCWC_REQUIRE(remaining() >= n, "wire decode: truncated payload");
-    const std::string_view s = data_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  template <typename T>
-  T raw() {
-    const std::string_view s = take(sizeof(T));
-    T v = 0;
-    if constexpr (kLittleEndianHost) {
-      std::memcpy(&v, s.data(), sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v |= static_cast<T>(static_cast<unsigned char>(s[i])) << (8 * i);
-      }
-    }
-    return v;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
+std::string read_string(ByteReader& r) {
+  const std::uint32_t n = r.u32();
+  r.require(n <= kMaxStringBytes, "string length exceeds cap");
+  return r.bytes(n);
+}
 
 bool known_frame_type(std::uint16_t t) noexcept {
   switch (static_cast<FrameType>(t)) {
@@ -195,7 +76,7 @@ void append_frame(std::string& out, FrameType type, std::string_view payload) {
   SCWC_REQUIRE(payload.size() <= kMaxPayloadBytes,
                "wire encode: payload exceeds kMaxPayloadBytes");
   out.reserve(out.size() + kHeaderBytes + payload.size());
-  Writer w(std::move(out));
+  ByteWriter w(std::move(out));
   w.u64(kWireMagic);
   w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(type));
@@ -215,19 +96,17 @@ std::string encode_frame(FrameType type, std::string_view payload) {
 FrameHeader decode_header(std::string_view header) {
   SCWC_REQUIRE(header.size() == kHeaderBytes,
                "wire decode: header must be exactly 24 bytes");
-  Reader r(header);
-  SCWC_REQUIRE(r.u64() == kWireMagic, "wire decode: bad magic");
-  SCWC_REQUIRE(r.u16() == kWireVersion,
-               "wire decode: unsupported protocol version");
+  ByteReader r(header, kDecode);
+  r.require(r.u64() == kWireMagic, "bad magic");
+  r.require(r.u16() == kWireVersion, "unsupported protocol version");
   const std::uint16_t type = r.u16();
-  SCWC_REQUIRE(known_frame_type(type), "wire decode: unknown frame type");
+  r.require(known_frame_type(type), "unknown frame type");
   FrameHeader h;
   h.type = static_cast<FrameType>(type);
   h.payload_len = r.u32();
-  SCWC_REQUIRE(h.payload_len <= kMaxPayloadBytes,
-               "wire decode: payload length exceeds cap");
+  r.require(h.payload_len <= kMaxPayloadBytes, "payload length exceeds cap");
   h.payload_crc = r.u32();
-  SCWC_REQUIRE(r.u32() == 0, "wire decode: nonzero reserved word");
+  r.require(r.u32() == 0, "nonzero reserved word");
   return h;
 }
 
@@ -250,23 +129,23 @@ Frame decode_frame(std::string_view bytes) {
 // --------------------------------------------------------------- per-type
 
 std::string encode_hello(const HelloFrame& f) {
-  Writer w(3 * 4 + string_bytes(f.model_version));
+  ByteWriter w(3 * 4 + string_bytes(f.model_version));
   w.u32(f.shard_id);
   w.u32(f.window_steps);
   w.u32(f.sensors);
-  w.string(f.model_version);
+  write_string(w, f.model_version);
   return w.take();
 }
 
 HelloFrame decode_hello(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   HelloFrame f;
   f.shard_id = r.u32();
   f.window_steps = r.u32();
   f.sensors = r.u32();
-  SCWC_REQUIRE(f.window_steps <= kMaxWindowValues && f.sensors <= kMaxSensors,
-               "wire decode: hello geometry exceeds caps");
-  f.model_version = r.string();
+  r.require(f.window_steps <= kMaxWindowValues && f.sensors <= kMaxSensors,
+            "hello geometry exceeds caps");
+  f.model_version = read_string(r);
   r.expect_end();
   return f;
 }
@@ -274,46 +153,46 @@ HelloFrame decode_hello(std::string_view payload) {
 std::string encode_submit_window(const SubmitWindowFrame& f) {
   SCWC_REQUIRE(f.values.size() <= kMaxWindowValues,
                "wire encode: window exceeds kMaxWindowValues");
-  Writer w(3 * 8 + 2 * 4 + 4 + f.values.size() * 8 + 8 + 1);
+  ByteWriter w(3 * 8 + 2 * 4 + 4 + f.values.size() * 8 + 8 + 1);
   w.u64(f.request_id);
   w.i64(f.job_id);
   w.u64(f.deadline_ns);
   w.u32(f.steps);
   w.u32(f.sensors);
-  w.f64_span(f.values);
+  w.u32(static_cast<std::uint32_t>(f.values.size()));
+  w.f64s(f.values);
   w.u64(f.trace_id);
   w.u8(f.trace_sampled ? 1 : 0);
   return w.take();
 }
 
 SubmitWindowFrame decode_submit_window(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   SubmitWindowFrame f;
   f.request_id = r.u64();
   f.job_id = r.i64();
   f.deadline_ns = r.u64();
   f.steps = r.u32();
   f.sensors = r.u32();
-  SCWC_REQUIRE(f.sensors <= kMaxSensors,
-               "wire decode: sensor count exceeds cap");
-  SCWC_REQUIRE(static_cast<std::uint64_t>(f.steps) * f.sensors <=
-                   kMaxWindowValues,
-               "wire decode: window geometry exceeds cap");
-  f.values = r.f64_span(kMaxWindowValues);
-  SCWC_REQUIRE(f.values.size() ==
-                   static_cast<std::size_t>(f.steps) * f.sensors,
-               "wire decode: window value count != steps*sensors");
+  r.require(f.sensors <= kMaxSensors, "sensor count exceeds cap");
+  r.require(static_cast<std::uint64_t>(f.steps) * f.sensors <=
+                kMaxWindowValues,
+            "window geometry exceeds cap");
+  const std::uint32_t n = r.u32();
+  r.require(n == static_cast<std::uint64_t>(f.steps) * f.sensors,
+            "window value count != steps*sensors");
+  f.values = r.f64s(n);
   f.trace_id = r.u64();
   const std::uint8_t sampled = r.u8();
-  SCWC_REQUIRE(sampled <= 1, "wire decode: trace sampled not boolean");
+  r.require(sampled <= 1, "trace sampled not boolean");
   f.trace_sampled = sampled != 0;
   r.expect_end();
   return f;
 }
 
 std::string encode_verdict(const VerdictFrame& f) {
-  Writer w(3 * 8 + 5 * 1 + 2 * 4 + 2 * 8 + 2 * 4 +
-           string_bytes(f.model_version) + 3 * 8);
+  ByteWriter w(3 * 8 + 5 * 1 + 2 * 4 + 2 * 8 + 2 * 4 +
+               string_bytes(f.model_version) + 3 * 8);
   w.u64(f.request_id);
   w.u64(f.trace_id);
   w.i64(f.job_id);
@@ -328,7 +207,7 @@ std::string encode_verdict(const VerdictFrame& f) {
   w.f64(f.worker_latency_s);
   w.u32(f.missing_values);
   w.u32(f.repaired_values);
-  w.string(f.model_version);
+  write_string(w, f.model_version);
   w.f64(f.worker_queue_s);
   w.f64(f.worker_transform_s);
   w.f64(f.worker_predict_s);
@@ -336,56 +215,56 @@ std::string encode_verdict(const VerdictFrame& f) {
 }
 
 VerdictFrame decode_verdict(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   VerdictFrame f;
   f.request_id = r.u64();
   f.trace_id = r.u64();
   f.job_id = r.i64();
   const std::uint8_t accepted = r.u8();
-  SCWC_REQUIRE(accepted <= 1, "wire decode: verdict accepted not boolean");
+  r.require(accepted <= 1, "verdict accepted not boolean");
   f.accepted = accepted != 0;
   f.reject_reason = r.u8();
-  SCWC_REQUIRE(f.reject_reason <= 7, "wire decode: unknown reject reason");
+  r.require(f.reject_reason <= 7, "unknown reject reason");
   f.degrade_level = r.u8();
-  SCWC_REQUIRE(f.degrade_level <= 2, "wire decode: unknown degrade level");
+  r.require(f.degrade_level <= 2, "unknown degrade level");
   const std::uint8_t abstained = r.u8();
-  SCWC_REQUIRE(abstained <= 1, "wire decode: verdict abstained not boolean");
+  r.require(abstained <= 1, "verdict abstained not boolean");
   f.abstained = abstained != 0;
   f.abstain_reason = r.u8();
-  SCWC_REQUIRE(f.abstain_reason <= 4, "wire decode: unknown abstain reason");
+  r.require(f.abstain_reason <= 4, "unknown abstain reason");
   f.label = r.i32();
   f.batch_size = r.u32();
   f.quality = r.f64();
-  SCWC_REQUIRE(std::isfinite(f.quality) && f.quality >= 0.0 &&
-                   f.quality <= 1.0,
-               "wire decode: verdict quality out of [0,1]");
+  r.require(std::isfinite(f.quality) && f.quality >= 0.0 &&
+                f.quality <= 1.0,
+            "verdict quality out of [0,1]");
   f.worker_latency_s = r.f64();
-  SCWC_REQUIRE(std::isfinite(f.worker_latency_s) && f.worker_latency_s >= 0.0,
-               "wire decode: negative/non-finite worker latency");
+  r.require(std::isfinite(f.worker_latency_s) && f.worker_latency_s >= 0.0,
+            "negative/non-finite worker latency");
   f.missing_values = r.u32();
   f.repaired_values = r.u32();
-  f.model_version = r.string();
+  f.model_version = read_string(r);
   f.worker_queue_s = r.f64();
   f.worker_transform_s = r.f64();
   f.worker_predict_s = r.f64();
-  SCWC_REQUIRE(std::isfinite(f.worker_queue_s) && f.worker_queue_s >= 0.0 &&
-                   std::isfinite(f.worker_transform_s) &&
-                   f.worker_transform_s >= 0.0 &&
-                   std::isfinite(f.worker_predict_s) &&
-                   f.worker_predict_s >= 0.0,
-               "wire decode: negative/non-finite worker phase");
+  r.require(std::isfinite(f.worker_queue_s) && f.worker_queue_s >= 0.0 &&
+                std::isfinite(f.worker_transform_s) &&
+                f.worker_transform_s >= 0.0 &&
+                std::isfinite(f.worker_predict_s) &&
+                f.worker_predict_s >= 0.0,
+            "negative/non-finite worker phase");
   r.expect_end();
   return f;
 }
 
 std::string encode_ping(const PingFrame& f) {
-  Writer w(8);
+  ByteWriter w(8);
   w.u64(f.nonce);
   return w.take();
 }
 
 PingFrame decode_ping(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   PingFrame f;
   f.nonce = r.u64();
   r.expect_end();
@@ -393,14 +272,14 @@ PingFrame decode_ping(std::string_view payload) {
 }
 
 std::string encode_pong(const PongFrame& f) {
-  Writer w(2 * 8);
+  ByteWriter w(2 * 8);
   w.u64(f.nonce);
   w.u64(f.t_mono_ns);
   return w.take();
 }
 
 PongFrame decode_pong(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   PongFrame f;
   f.nonce = r.u64();
   f.t_mono_ns = r.u64();
@@ -411,19 +290,18 @@ PongFrame decode_pong(std::string_view payload) {
 std::string encode_swap_begin(const SwapBeginFrame& f) {
   SCWC_REQUIRE(f.total_bytes <= kMaxSwapBytes,
                "wire encode: bundle exceeds kMaxSwapBytes");
-  Writer w(string_bytes(f.version) + 8);
-  w.string(f.version);
+  ByteWriter w(string_bytes(f.version) + 8);
+  write_string(w, f.version);
   w.u64(f.total_bytes);
   return w.take();
 }
 
 SwapBeginFrame decode_swap_begin(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   SwapBeginFrame f;
-  f.version = r.string();
+  f.version = read_string(r);
   f.total_bytes = r.u64();
-  SCWC_REQUIRE(f.total_bytes <= kMaxSwapBytes,
-               "wire decode: bundle size exceeds cap");
+  r.require(f.total_bytes <= kMaxSwapBytes, "bundle size exceeds cap");
   r.expect_end();
   return f;
 }
@@ -431,7 +309,7 @@ SwapBeginFrame decode_swap_begin(std::string_view payload) {
 std::string encode_swap_chunk(const SwapChunkFrame& f) {
   SCWC_REQUIRE(f.bytes.size() <= kMaxSwapChunkBytes,
                "wire encode: swap chunk exceeds cap");
-  Writer w(8 + 4 + f.bytes.size());
+  ByteWriter w(8 + 4 + f.bytes.size());
   w.u64(f.offset);
   w.u32(static_cast<std::uint32_t>(f.bytes.size()));
   w.bytes(f.bytes);
@@ -439,26 +317,25 @@ std::string encode_swap_chunk(const SwapChunkFrame& f) {
 }
 
 SwapChunkFrame decode_swap_chunk(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   SwapChunkFrame f;
   f.offset = r.u64();
   const std::uint32_t n = r.u32();
-  SCWC_REQUIRE(n <= kMaxSwapChunkBytes, "wire decode: swap chunk exceeds cap");
-  SCWC_REQUIRE(f.offset <= kMaxSwapBytes - n,
-               "wire decode: swap chunk offset exceeds cap");
+  r.require(n <= kMaxSwapChunkBytes, "swap chunk exceeds cap");
+  r.require(f.offset <= kMaxSwapBytes - n, "swap chunk offset exceeds cap");
   f.bytes = r.bytes(n);
   r.expect_end();
   return f;
 }
 
 std::string encode_swap_commit(const SwapCommitFrame& f) {
-  Writer w(4);
+  ByteWriter w(4);
   w.u32(f.crc32);
   return w.take();
 }
 
 SwapCommitFrame decode_swap_commit(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   SwapCommitFrame f;
   f.crc32 = r.u32();
   r.expect_end();
@@ -466,51 +343,51 @@ SwapCommitFrame decode_swap_commit(std::string_view payload) {
 }
 
 std::string encode_swap_ack(const SwapAckFrame& f) {
-  Writer w(1 + string_bytes(f.active_version) + string_bytes(f.message));
+  ByteWriter w(1 + string_bytes(f.active_version) + string_bytes(f.message));
   w.u8(f.ok ? 1 : 0);
-  w.string(f.active_version);
-  w.string(f.message);
+  write_string(w, f.active_version);
+  write_string(w, f.message);
   return w.take();
 }
 
 SwapAckFrame decode_swap_ack(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   SwapAckFrame f;
   const std::uint8_t ok = r.u8();
-  SCWC_REQUIRE(ok <= 1, "wire decode: swap ack ok not boolean");
+  r.require(ok <= 1, "swap ack ok not boolean");
   f.ok = ok != 0;
-  f.active_version = r.string();
-  f.message = r.string();
+  f.active_version = read_string(r);
+  f.message = read_string(r);
   r.expect_end();
   return f;
 }
 
 std::string encode_swap_abort(const SwapAbortFrame& f) {
-  Writer w(string_bytes(f.reason));
-  w.string(f.reason);
+  ByteWriter w(string_bytes(f.reason));
+  write_string(w, f.reason);
   return w.take();
 }
 
 SwapAbortFrame decode_swap_abort(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   SwapAbortFrame f;
-  f.reason = r.string();
+  f.reason = read_string(r);
   r.expect_end();
   return f;
 }
 
 std::string encode_error(const ErrorFrame& f) {
-  Writer w(2 + string_bytes(f.message));
+  ByteWriter w(2 + string_bytes(f.message));
   w.u16(f.code);
-  w.string(f.message);
+  write_string(w, f.message);
   return w.take();
 }
 
 ErrorFrame decode_error(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   ErrorFrame f;
   f.code = r.u16();
-  f.message = r.string();
+  f.message = read_string(r);
   r.expect_end();
   return f;
 }
@@ -526,20 +403,20 @@ std::string encode_metrics_reply(const MetricsReplyFrame& f) {
   for (const MetricsRollingEntry& e : f.rolling) {
     size += string_bytes(e.name) + 4 * 8;
   }
-  Writer w(size);
+  ByteWriter w(size);
   w.u32(static_cast<std::uint32_t>(f.counters.size()));
   for (const auto& [name, value] : f.counters) {
-    w.string(name);
+    write_string(w, name);
     w.u64(value);
   }
   w.u32(static_cast<std::uint32_t>(f.gauges.size()));
   for (const auto& [name, value] : f.gauges) {
-    w.string(name);
+    write_string(w, name);
     w.f64(value);
   }
   w.u32(static_cast<std::uint32_t>(f.rolling.size()));
   for (const MetricsRollingEntry& e : f.rolling) {
-    w.string(e.name);
+    write_string(w, e.name);
     w.u64(e.count);
     w.f64(e.p50);
     w.f64(e.p90);
@@ -549,41 +426,39 @@ std::string encode_metrics_reply(const MetricsReplyFrame& f) {
 }
 
 MetricsReplyFrame decode_metrics_reply(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecode);
   MetricsReplyFrame f;
   const std::uint32_t n_counters = r.u32();
-  SCWC_REQUIRE(n_counters <= kMaxMetricsEntries,
-               "wire decode: metrics counters exceed cap");
+  r.require(n_counters <= kMaxMetricsEntries, "metrics counters exceed cap");
   f.counters.reserve(n_counters);
   for (std::uint32_t i = 0; i < n_counters; ++i) {
-    std::string name = r.string();
+    std::string name = read_string(r);
     const std::uint64_t value = r.u64();
     f.counters.emplace_back(std::move(name), value);
   }
   const std::uint32_t n_gauges = r.u32();
-  SCWC_REQUIRE(n_gauges <= kMaxMetricsEntries,
-               "wire decode: metrics gauges exceed cap");
+  r.require(n_gauges <= kMaxMetricsEntries, "metrics gauges exceed cap");
   f.gauges.reserve(n_gauges);
   for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    std::string name = r.string();
+    std::string name = read_string(r);
     const double value = r.f64();  // NaN travels intact, like windows
     f.gauges.emplace_back(std::move(name), value);
   }
   const std::uint32_t n_rolling = r.u32();
-  SCWC_REQUIRE(n_rolling <= kMaxMetricsEntries,
-               "wire decode: metrics rolling entries exceed cap");
+  r.require(n_rolling <= kMaxMetricsEntries,
+            "metrics rolling entries exceed cap");
   f.rolling.reserve(n_rolling);
   for (std::uint32_t i = 0; i < n_rolling; ++i) {
     MetricsRollingEntry e;
-    e.name = r.string();
+    e.name = read_string(r);
     e.count = r.u64();
     e.p50 = r.f64();
     e.p90 = r.f64();
     e.p99 = r.f64();
-    SCWC_REQUIRE(std::isfinite(e.p50) && e.p50 >= 0.0 &&
-                     std::isfinite(e.p90) && e.p90 >= 0.0 &&
-                     std::isfinite(e.p99) && e.p99 >= 0.0,
-                 "wire decode: negative/non-finite rolling quantile");
+    r.require(std::isfinite(e.p50) && e.p50 >= 0.0 &&
+                  std::isfinite(e.p90) && e.p90 >= 0.0 &&
+                  std::isfinite(e.p99) && e.p99 >= 0.0,
+              "negative/non-finite rolling quantile");
     f.rolling.push_back(std::move(e));
   }
   r.expect_end();

@@ -18,16 +18,16 @@
 // whose version differs from kWireVersion is rejected with a typed error
 // rather than half-parsed.
 //
-// Decoding mirrors serve/bundle_io's validation style: every violated
-// bound, bad enum, wrong magic or CRC mismatch throws a typed scwc::Error
-// (never crashes, never allocates unbounded memory — all lengths are capped
-// BEFORE allocation, which the wire fuzz test proves byte by byte).
-// Strings and value arrays are length-prefixed with hard caps; doubles
-// travel as IEEE-754 bit patterns.
+// Payloads are read and written through common/byte_io, the codec every
+// binary format of the tree shares: every violated bound, bad enum, wrong
+// magic or truncation throws a typed scwc::Error "wire decode: … at byte
+// offset N" (never crashes, never allocates unbounded memory — all lengths
+// are capped BEFORE allocation, which the wire fuzz test proves byte by
+// byte). Strings and value arrays are length-prefixed with hard caps;
+// doubles travel as IEEE-754 bit patterns.
 //
-// The codec layer here is pure (bytes in, structs out) and std-only; the
-// socket I/O lives in net/socket.* so the two concerns stay separately
-// testable.
+// The codec layer here is pure (bytes in, structs out); the socket I/O
+// lives in net/socket.* so the two concerns stay separately testable.
 #pragma once
 
 #include <cstddef>

@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -355,9 +354,9 @@ TEST(Cluster, BundlePushCommitsOnEveryShard) {
   (void)router.add_shard(s0.worker->port());
   (void)router.add_shard(s1.worker->port());
 
-  std::ostringstream os;
+  ByteWriter os;
   serve::save_bundle(*w.v2, os);
-  const cluster::SwapReport report = router.push_bundle(os.str(),
+  const cluster::SwapReport report = router.push_bundle(os.take(),
                                                         "cluster-v2");
   EXPECT_TRUE(report.ok);
   ASSERT_EQ(report.shards.size(), 2u);
@@ -387,11 +386,12 @@ TEST(Cluster, CorruptBundleRollsBackEverywhereWithoutDowntime) {
   (void)router.add_shard(s1.worker->port());
 
   // Establish v2 everywhere, then push corrupt bytes claiming to be v3.
-  std::ostringstream os;
+  ByteWriter os;
   serve::save_bundle(*w.v2, os);
-  ASSERT_TRUE(router.push_bundle(os.str(), "cluster-v2").ok);
+  const std::string v2 = os.take();
+  ASSERT_TRUE(router.push_bundle(v2, "cluster-v2").ok);
 
-  std::string corrupt = os.str();
+  std::string corrupt = v2;
   corrupt[0] = static_cast<char>(corrupt[0] ^ 0x5a);  // break the magic
   const cluster::SwapReport report = router.push_bundle(corrupt,
                                                         "cluster-v3");

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -509,7 +508,7 @@ TEST_F(ConcurrencyStressTest, ServeChaosStressEveryFutureResolves) {
   // The full self-healing stack under seeded machinery faults, with every
   // shared structure racing at once: the armed ChaosInjector stalls the
   // flusher, delays/drops batches and spikes predicts; a swap thread pushes
-  // (mostly corrupted) bundle bytes through try_swap_from_stream against
+  // (mostly corrupted) bundle bytes through try_swap_from_bytes against
   // live classification; a starver floods the pool; the HealthMonitor and
   // FallbackChain transition under fire. The contract under ALL of it is
   // the same as ever: every future resolves exactly once, answered or
@@ -548,9 +547,9 @@ TEST_F(ConcurrencyStressTest, ServeChaosStressEveryFutureResolves) {
   serve::ClassificationService service(registry, config, &pool);
 
   // Bundle bytes the swap thread replays (corrupting most attempts).
-  std::ostringstream serialized;
+  ByteWriter serialized;
   serve::save_bundle(*make_serve_bundle("chaos-swap", 33), serialized);
-  const std::string bundle_bytes = serialized.str();
+  const std::string bundle_bytes = serialized.take();
 
   chaos.set_armed(true);
   std::atomic<bool> stop_aux{false};
@@ -558,10 +557,10 @@ TEST_F(ConcurrencyStressTest, ServeChaosStressEveryFutureResolves) {
     while (!stop_aux.load(std::memory_order_acquire)) {
       std::vector<char> bytes(bundle_bytes.begin(), bundle_bytes.end());
       (void)chaos.on_swap_bytes(bytes);  // usually flips one bit
-      std::istringstream in(std::string(bytes.begin(), bytes.end()));
       // Either a complete swap or a counted, registry-preserving refusal
       // (duplicate version after the first success also refuses cleanly).
-      (void)serve::try_swap_from_stream(registry, in);
+      (void)serve::try_swap_from_bytes(
+          registry, std::string_view(bytes.data(), bytes.size()));
       std::this_thread::yield();
     }
   });

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "data/npz.hpp"
@@ -76,9 +75,9 @@ TEST(Zip, StructureIsParseable) {
   std::vector<ZipEntry> entries;
   entries.push_back({"a.npy", {1, 2, 3, 4}});
   entries.push_back({"b.npy", {9, 8, 7}});
-  std::ostringstream os(std::ios::binary);
-  write_zip(os, entries);
-  const std::string zip = os.str();
+  ByteWriter w;
+  write_zip(w, entries);
+  const std::string zip = w.take();
 
   // Local header signature at the start.
   ASSERT_GE(zip.size(), 22u);

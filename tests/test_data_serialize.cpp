@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/error.hpp"
@@ -36,11 +35,20 @@ ChallengeDataset tiny_dataset() {
   return ds;
 }
 
+std::string scb_bytes(const ChallengeDataset& ds) {
+  ByteWriter w;
+  write_scb(ds, w);
+  return w.take();
+}
+
+ChallengeDataset read_bytes(std::string_view bytes) {
+  ByteReader r(bytes, "scb");
+  return read_scb(r);
+}
+
 TEST(Scb, RoundTripsThroughMemory) {
   const ChallengeDataset ds = tiny_dataset();
-  std::stringstream buffer;
-  write_scb(ds, buffer);
-  const ChallengeDataset back = read_scb(buffer);
+  const ChallengeDataset back = read_bytes(scb_bytes(ds));
   EXPECT_EQ(back.name, ds.name);
   EXPECT_EQ(back.policy, ds.policy);
   EXPECT_EQ(back.y_train, ds.y_train);
@@ -64,20 +72,16 @@ TEST(Scb, RoundTripsThroughFile) {
 }
 
 TEST(Scb, RejectsBadMagic) {
-  std::stringstream buffer;
-  buffer << "NOTSCWC1garbagegarbage";
-  EXPECT_THROW((void)read_scb(buffer), Error);
+  EXPECT_THROW((void)read_bytes("NOTSCWC1garbagegarbage"), Error);
 }
 
 TEST(Scb, RejectsTruncatedStream) {
   const ChallengeDataset ds = tiny_dataset();
-  std::stringstream buffer;
-  write_scb(ds, buffer);
-  const std::string full = buffer.str();
+  const std::string full = scb_bytes(ds);
   for (const double frac : {0.3, 0.6, 0.95}) {
-    std::stringstream cut(full.substr(
-        0, static_cast<std::size_t>(static_cast<double>(full.size()) * frac)));
-    EXPECT_THROW((void)read_scb(cut), Error) << "at fraction " << frac;
+    const std::string cut = full.substr(
+        0, static_cast<std::size_t>(static_cast<double>(full.size()) * frac));
+    EXPECT_THROW((void)read_bytes(cut), Error) << "at fraction " << frac;
   }
 }
 
@@ -85,9 +89,9 @@ TEST(Scb, MissingFileThrows) {
   EXPECT_THROW((void)load_scb("/nonexistent/dir/x.scb"), Error);
 }
 
-std::string error_message(std::stringstream& buffer) {
+std::string error_message(std::string_view bytes) {
   try {
-    (void)read_scb(buffer);
+    (void)read_bytes(bytes);
   } catch (const Error& e) {
     return e.what();
   }
@@ -109,35 +113,45 @@ std::string scb_prefix() {
 }
 
 TEST(Scb, BadMagicNamesTheProblem) {
-  std::stringstream buffer;
-  buffer << "NOTSCWC1garbagegarbage";
-  const std::string what = error_message(buffer);
+  const std::string what = error_message("NOTSCWC1garbagegarbage");
   EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
 }
 
 TEST(Scb, TruncationErrorsCarryByteOffset) {
   const ChallengeDataset ds = tiny_dataset();
-  std::stringstream full;
-  write_scb(ds, full);
-  const std::string bytes = full.str();
-  // Cut mid-magic, mid-header and mid-tensor: every failure must say what
-  // field died and at which byte offset.
+  const std::string bytes = scb_bytes(ds);
+  // Cut mid-magic, mid-header and mid-tensor: every failure must say that
+  // the input was truncated and at which byte offset it ended — from a
+  // byte view and through the file reader alike.
+  const auto path = std::filesystem::temp_directory_path() / "scwc_cut.scb";
   for (const std::size_t cut : {std::size_t{4}, std::size_t{20},
                                 bytes.size() / 2}) {
-    std::stringstream buffer(bytes.substr(0, cut));
-    const std::string what = error_message(buffer);
+    const std::string at = "at byte offset " + std::to_string(cut);
+    const std::string what = error_message(bytes.substr(0, cut));
     EXPECT_NE(what.find("truncated"), std::string::npos)
         << "cut=" << cut << ": " << what;
-    EXPECT_NE(what.find("byte offset"), std::string::npos)
+    EXPECT_NE(what.find(at), std::string::npos)
         << "cut=" << cut << ": " << what;
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << bytes.substr(0, cut);
+    }
+    std::string file_what;
+    try {
+      (void)load_scb(path);
+    } catch (const Error& e) {
+      file_what = e.what();
+    }
+    EXPECT_NE(file_what.find(at), std::string::npos)
+        << "cut=" << cut << ": " << file_what;
   }
+  std::filesystem::remove(path);
 }
 
 TEST(Scb, RejectsBadWindowPolicy) {
   std::string bytes = scb_prefix();
   append_u64(bytes, 9);  // policy must be 0..2
-  std::stringstream buffer(bytes);
-  const std::string what = error_message(buffer);
+  const std::string what = error_message(bytes);
   EXPECT_NE(what.find("bad window policy 9"), std::string::npos) << what;
   EXPECT_NE(what.find("byte offset"), std::string::npos) << what;
 }
@@ -150,8 +164,7 @@ TEST(Scb, RejectsImplausibleTensorDimensions) {
   append_u64(bytes, 1ULL << 40);   // trials
   append_u64(bytes, 3);            // steps
   append_u64(bytes, 2);            // sensors
-  std::stringstream buffer(bytes);
-  const std::string what = error_message(buffer);
+  const std::string what = error_message(bytes);
   EXPECT_NE(what.find("implausible tensor dimensions"), std::string::npos)
       << what;
 }
@@ -165,8 +178,7 @@ TEST(Scb, RejectsTensorSizeMismatch) {
   append_u64(bytes, 2);  // sensors
   append_u64(bytes, 1);  // tensor length: 1 ≠ 12
   bytes.append(sizeof(double), '\0');
-  std::stringstream buffer(bytes);
-  const std::string what = error_message(buffer);
+  const std::string what = error_message(bytes);
   EXPECT_NE(what.find("tensor size mismatch"), std::string::npos) << what;
 }
 
@@ -174,8 +186,7 @@ TEST(Scb, RejectsUnreasonableStringLength) {
   // The name length field claims 2^32 characters on a 9-byte stream.
   std::string bytes = "SCWCB001";
   append_u64(bytes, 1ULL << 32);
-  std::stringstream buffer(bytes);
-  const std::string what = error_message(buffer);
+  const std::string what = error_message(bytes);
   EXPECT_NE(what.find("unreasonable"), std::string::npos) << what;
 }
 
@@ -188,8 +199,7 @@ TEST(Scb, RejectsLabelCountMismatch) {
   append_u64(bytes, 1);  // tensor length
   bytes.append(sizeof(double), '\0');
   append_u64(bytes, 5);  // label count ≠ trials
-  std::stringstream buffer(bytes);
-  const std::string what = error_message(buffer);
+  const std::string what = error_message(bytes);
   EXPECT_NE(what.find("label count mismatch"), std::string::npos) << what;
 }
 

@@ -16,7 +16,6 @@
 #include <cstring>
 #include <limits>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -136,21 +135,17 @@ std::size_t mismatches(const Matrix& a, const Matrix& b) {
 }
 
 std::string saved(const ml::RandomForest& forest) {
-  std::stringstream out;
+  ByteWriter out;
   forest.save(out);
-  return out.str();
+  return out.take();
 }
 
 /// Mean of DecisionTree::predict_proba over the trees of an SCWC_RF1
 /// stream, summed in tree order and scaled by 1/T.
 Matrix reference_proba(const std::string& stream, const Matrix& x) {
-  std::stringstream in(stream);
-  in.ignore(16);  // magic, class count
-  std::uint64_t trees = 0;
-  for (int i = 0; i < 8; ++i) {
-    trees |= static_cast<std::uint64_t>(static_cast<unsigned char>(in.get()))
-             << (8 * i);
-  }
+  ByteReader in(stream, "model");
+  (void)in.bytes(16);  // magic, class count
+  const std::uint64_t trees = in.u64();
   Matrix sum;
   for (std::uint64_t t = 0; t < trees; ++t) {
     ml::DecisionTree tree;
@@ -271,7 +266,7 @@ TEST(InferenceOracle, FusedTransformAndCompiledForestMatchReferences) {
   const Matrix expected = reference_proba(stream, x);
   EXPECT_EQ(mismatches(w.forest.predict_proba(x), expected), 0u);
   ml::RandomForest loaded;
-  std::stringstream in(stream);
+  ByteReader in(stream, "model");
   loaded.load(in);
   EXPECT_EQ(mismatches(loaded.predict_proba(x), expected), 0u);
   EXPECT_EQ(saved(loaded), stream) << "save(load(save(f))) must be stable";
@@ -418,9 +413,8 @@ TEST(InferenceOracle, BuildOrderStreamCompilesToTheSamePredictions) {
   const OracleWorld& w = world();
   const Matrix train = w.pipeline.transform(w.ds.x_train);
   constexpr std::uint64_t kTrees = 5;
-  std::stringstream stream;
-  stream << saved(w.forest).substr(0, 16);  // magic, class count
-  for (int i = 0; i < 8; ++i) stream.put(static_cast<char>(kTrees >> (8 * i)));
+  ByteWriter stream(saved(w.forest).substr(0, 16));  // magic, class count
+  stream.u64(kTrees);
   for (std::uint64_t t = 0; t < kTrees; ++t) {
     ml::DecisionTreeConfig config;
     config.max_features = 4;
@@ -428,9 +422,10 @@ TEST(InferenceOracle, BuildOrderStreamCompilesToTheSamePredictions) {
     tree.fit(train, w.ds.y_train);  // same labels → same class count
     tree.save(stream);
   }
-  const std::string build_order = stream.str();
+  const std::string build_order = stream.take();
   ml::RandomForest forest;
-  forest.load(stream);
+  ByteReader in(build_order, "model");
+  forest.load(in);
   const Matrix x = oracle_features(w);
   EXPECT_EQ(
       mismatches(forest.predict_proba(x), reference_proba(build_order, x)),

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -32,6 +31,21 @@ void make_blobs(std::size_t per_class, std::size_t classes, std::size_t dims,
   }
 }
 
+/// The bytes `model.save` writes.
+template <typename Model>
+std::string saved(const Model& model) {
+  ByteWriter w;
+  model.save(w);
+  return w.take();
+}
+
+/// Loads `model` from `bytes` the way a bundle or a file does.
+template <typename Model>
+void load(Model& model, std::string_view bytes) {
+  ByteReader r(bytes, "model");
+  model.load(r);
+}
+
 TEST(Persistence, TreeRoundTripsThroughMemory) {
   Matrix x;
   std::vector<int> y;
@@ -39,10 +53,8 @@ TEST(Persistence, TreeRoundTripsThroughMemory) {
   DecisionTree tree;
   tree.fit(x, y);
 
-  std::stringstream buffer;
-  tree.save(buffer);
   DecisionTree restored;
-  restored.load(buffer);
+  load(restored, saved(tree));
 
   EXPECT_EQ(restored.node_count(), tree.node_count());
   EXPECT_EQ(restored.depth(), tree.depth());
@@ -61,10 +73,8 @@ TEST(Persistence, ForestRoundTripsThroughMemory) {
   RandomForest forest(forest_config);
   forest.fit(x, y);
 
-  std::stringstream buffer;
-  forest.save(buffer);
   RandomForest restored;
-  restored.load(buffer);
+  load(restored, saved(forest));
 
   EXPECT_EQ(restored.tree_count(), 12u);
   EXPECT_EQ(restored.predict(x), forest.predict(x));
@@ -100,18 +110,15 @@ TEST(Persistence, LoadedForestGeneralisesLikeTheOriginal) {
   forest_config.n_estimators = 20;
   RandomForest forest(forest_config);
   forest.fit(x_train, y_train);
-  std::stringstream buffer;
-  forest.save(buffer);
   RandomForest restored;
-  restored.load(buffer);
+  load(restored, saved(forest));
   EXPECT_DOUBLE_EQ(accuracy(y_test, restored.predict(x_test)),
                    accuracy(y_test, forest.predict(x_test)));
 }
 
 TEST(Persistence, RejectsGarbage) {
   RandomForest forest;
-  std::stringstream garbage("not a forest at all, sorry");
-  EXPECT_THROW(forest.load(garbage), Error);
+  EXPECT_THROW(load(forest, "not a forest at all, sorry"), Error);
 }
 
 TEST(Persistence, RejectsTruncatedStream) {
@@ -122,12 +129,9 @@ TEST(Persistence, RejectsTruncatedStream) {
   forest_config.n_estimators = 4;
   RandomForest forest(forest_config);
   forest.fit(x, y);
-  std::stringstream buffer;
-  forest.save(buffer);
-  const std::string full = buffer.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
+  const std::string full = saved(forest);
   RandomForest restored;
-  EXPECT_THROW(restored.load(cut), Error);
+  EXPECT_THROW(load(restored, full.substr(0, full.size() / 2)), Error);
 }
 
 // ---------------------------------------------- crafted SCWC_RF1 streams
@@ -192,8 +196,7 @@ RawTree stump(std::int64_t feature = 0) {
 
 TEST(Persistence, CraftedStumpLoadsAndPredicts) {
   RandomForest forest;
-  std::stringstream in(forest_stream(2, {stump()}));
-  forest.load(in);
+  load(forest, forest_stream(2, {stump()}));
   Matrix x(3, 1);
   x(0, 0) = 0.0;
   x(1, 0) = 1.0;
@@ -205,8 +208,7 @@ TEST(Persistence, RejectsLeafNarrowerThanTheClassCount) {
   RawTree tree = stump();
   tree.nodes[2].fractions = {1.0};  // predict would read class 1 past it
   RandomForest forest;
-  std::stringstream in(forest_stream(2, {tree}));
-  EXPECT_THROW(forest.load(in), Error);
+  EXPECT_THROW(load(forest, forest_stream(2, {tree})), Error);
 }
 
 TEST(Persistence, RejectsChildIndexNotAfterItsParent) {
@@ -218,8 +220,7 @@ TEST(Persistence, RejectsChildIndexNotAfterItsParent) {
                 {0, 0.5, 2, 3, {}},
                 {-1, 0.0, -1, -1, {0.0, 1.0}}};
   RandomForest forest;
-  std::stringstream in(forest_stream(2, {tree}));
-  EXPECT_THROW(forest.load(in), Error);
+  EXPECT_THROW(load(forest, forest_stream(2, {tree})), Error);
 }
 
 TEST(Persistence, RejectsNodeWithTwoParents) {
@@ -230,8 +231,7 @@ TEST(Persistence, RejectsNodeWithTwoParents) {
                 {-1, 0.0, -1, -1, {1.0, 0.0}},
                 {-1, 0.0, -1, -1, {0.0, 1.0}}};
   RandomForest forest;
-  std::stringstream in(forest_stream(2, {tree}));
-  EXPECT_THROW(forest.load(in), Error);
+  EXPECT_THROW(load(forest, forest_stream(2, {tree})), Error);
 }
 
 TEST(Persistence, RejectsTreeClassCountDifferentFromTheHeader) {
@@ -241,22 +241,20 @@ TEST(Persistence, RejectsTreeClassCountDifferentFromTheHeader) {
     if (node.feature < 0) node.fractions.push_back(0.0);
   }
   RandomForest forest;
-  std::stringstream in(forest_stream(2, {stump(), wide}));
-  EXPECT_THROW(forest.load(in), Error);
+  EXPECT_THROW(load(forest, forest_stream(2, {stump(), wide})), Error);
 }
 
 TEST(Persistence, PredictRejectsRowsNarrowerThanTheSplitFeatures) {
   RandomForest forest;
-  std::stringstream in(forest_stream(2, {stump(), stump(5)}));
-  forest.load(in);
+  load(forest, forest_stream(2, {stump(), stump(5)}));
   EXPECT_THROW((void)forest.predict_proba(Matrix(2, 5)), Error);
   EXPECT_EQ(forest.predict_proba(Matrix(2, 6)).rows(), 2u);
 }
 
 TEST(Persistence, SaveBeforeFitThrows) {
   RandomForest forest;
-  std::stringstream buffer;
-  EXPECT_THROW(forest.save(buffer), Error);
+  ByteWriter w;
+  EXPECT_THROW(forest.save(w), Error);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <future>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -373,11 +372,20 @@ TEST(ModelRegistry, RegisterWithoutActivateLeavesCurrentAlone) {
 
 // ------------------------------------------------------------------ bundle_io
 
+std::string saved(const serve::ModelBundle& bundle) {
+  ByteWriter w;
+  serve::save_bundle(bundle, w);
+  return w.take();
+}
+
+std::shared_ptr<const serve::ModelBundle> loaded_from(std::string_view bytes) {
+  ByteReader r(bytes, "load_bundle");
+  return serve::load_bundle(r);
+}
+
 TEST(BundleIo, RoundTripPreservesVersionConfigAndPredictions) {
   const TinyWorld& w = tiny_world();
-  std::stringstream stream;
-  serve::save_bundle(*w.bundle, stream);
-  const auto loaded = serve::load_bundle(stream);
+  const auto loaded = loaded_from(saved(*w.bundle));
 
   EXPECT_EQ(loaded->version(), w.bundle->version());
   EXPECT_EQ(loaded->guard_config().window_steps, kSteps);
@@ -434,16 +442,13 @@ TEST(BundleIo, RoundTripPreservesVersionConfigAndPredictions) {
 }
 
 TEST(BundleIo, RejectsGarbageAndTruncation) {
-  std::stringstream garbage("this is not a bundle at all, not even close");
-  EXPECT_THROW((void)serve::load_bundle(garbage), Error);
+  EXPECT_THROW(
+      (void)loaded_from("this is not a bundle at all, not even close"),
+      Error);
 
-  std::stringstream stream;
-  serve::save_bundle(*tiny_world().bundle, stream);
-  const std::string full = stream.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW((void)serve::load_bundle(truncated), Error);
-  std::stringstream empty;
-  EXPECT_THROW((void)serve::load_bundle(empty), Error);
+  const std::string full = saved(*tiny_world().bundle);
+  EXPECT_THROW((void)loaded_from(full.substr(0, full.size() / 2)), Error);
+  EXPECT_THROW((void)loaded_from(""), Error);
 }
 
 /// A deliberately small serialised bundle (one shallow tree) so the fuzz
@@ -457,9 +462,7 @@ std::string tiny_serialized_bundle() {
     spec.forest.n_estimators = 1;
     spec.forest.tree.max_depth = 3;
     const auto bundle = serve::train_rf_bundle(spec, w.x, w.y);
-    std::stringstream stream;
-    serve::save_bundle(*bundle, stream);
-    return stream.str();
+    return saved(*bundle);
   }();
   return bytes;
 }
@@ -475,13 +478,12 @@ TEST(BundleIo, FuzzByteFlipAtEveryOffsetFailsTypedOrLoadsClean) {
     std::string corrupted = full;
     corrupted[offset] = static_cast<char>(
         static_cast<unsigned char>(corrupted[offset]) ^ 0xA5U);
-    std::stringstream in(corrupted);
     // The contract: every single-byte corruption either still parses into
     // a working bundle (flip landed in a benign double) or throws a typed
     // scwc::Error — never a crash, never an unbounded allocation, never
     // any other exception type.
     try {
-      const auto bundle = serve::load_bundle(in);
+      const auto bundle = loaded_from(corrupted);
       ASSERT_NE(bundle, nullptr) << "offset " << offset;
       // A bundle that loads must also serve a window: any out-of-bounds
       // read the load let through shows up here under ASan.
@@ -517,16 +519,14 @@ TEST(BundleIo, RejectsForestWiderThanThePipelineOutput) {
   ASSERT_GT(forest->input_width(), base.pipeline().output_dim());
   const serve::ModelBundle wide("wide-v1", base.pipeline(), std::move(forest),
                                 base.guard_config());
-  std::stringstream stream;
-  serve::save_bundle(wide, stream);
-  EXPECT_THROW((void)serve::load_bundle(stream), Error);
+  EXPECT_THROW((void)loaded_from(saved(wide)), Error);
 }
 
 TEST(BundleIo, FuzzTruncationAtEveryOffsetThrowsTyped) {
   const std::string full = tiny_serialized_bundle();
   for (std::size_t keep = 0; keep < full.size(); ++keep) {
-    std::stringstream in(full.substr(0, keep));
-    EXPECT_THROW((void)serve::load_bundle(in), Error) << "kept " << keep;
+    EXPECT_THROW((void)loaded_from(full.substr(0, keep)), Error)
+        << "kept " << keep;
   }
 }
 
@@ -543,8 +543,7 @@ TEST(BundleIo, TrySwapNeverLeavesPartialRegistryState) {
     std::string corrupted = full;
     corrupted[offset] = static_cast<char>(
         static_cast<unsigned char>(corrupted[offset]) ^ 0xFFU);
-    std::stringstream in(corrupted);
-    const auto swapped = serve::try_swap_from_stream(registry, in);
+    const auto swapped = serve::try_swap_from_bytes(registry, corrupted);
     if (swapped == nullptr) {
       EXPECT_EQ(registry.current()->version(), "tiny-v1") << offset;
       EXPECT_EQ(registry.versions().size(), 1u) << offset;
@@ -563,8 +562,7 @@ TEST(BundleIo, TrySwapNeverLeavesPartialRegistryState) {
   // An uncorrupted stream swaps atomically.
   serve::ModelRegistry fresh;
   fresh.register_bundle(w.bundle);
-  std::stringstream in(full);
-  const auto swapped = serve::try_swap_from_stream(fresh, in);
+  const auto swapped = serve::try_swap_from_bytes(fresh, full);
   ASSERT_NE(swapped, nullptr);
   EXPECT_EQ(fresh.current()->version(), "fuzz-v1");
   EXPECT_NE(fresh.rollback(), nullptr);
