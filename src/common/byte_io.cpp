@@ -43,26 +43,42 @@ void ByteWriter::flush() {
 }
 
 ByteReader::ByteReader(std::istream& is, std::string_view context)
-    : context_(context), is_(&is) {
+    : sized_(false), context_(context), is_(&is) {
   const std::istream::pos_type start = is.tellg();
+  if (start == std::istream::pos_type(-1)) {
+    is.clear();  // a pipe: read to end of input, length unknown
+    return;
+  }
   is.seekg(0, std::ios::end);
   const std::istream::pos_type end = is.tellg();
   is.seekg(start);
-  require(start != -1 && end >= start, "stream is not seekable");
+  require(is.good() && end >= start, "stream is not seekable");
   size_ = static_cast<std::uint64_t>(end - start);
+  sized_ = true;
+}
+
+template <typename Buffer>
+void ByteReader::read_values(Buffer& out, std::size_t n, std::size_t width) {
+  if (sized_ && (size_ - offset()) / width < n) truncated();
+  const std::size_t chunk = kStreamBufferBytes / width;
+  out.reserve(sized_ ? n : std::min(n, chunk));
+  while (out.size() < n) {
+    const std::size_t done = out.size();
+    const std::size_t k = std::min(chunk, n - done);
+    out.resize(done + k);
+    read(reinterpret_cast<char*>(out.data() + done), k * width);
+  }
 }
 
 std::string ByteReader::bytes(std::size_t n) {
-  if (remaining() < n) truncated();
-  std::string out(n, '\0');
-  read(out.data(), n);
+  std::string out;
+  read_values(out, n, 1);
   return out;
 }
 
 std::vector<double> ByteReader::f64s(std::size_t n) {
-  if (remaining() / sizeof(double) < n) truncated();
-  std::vector<double> out(n);
-  read(reinterpret_cast<char*>(out.data()), n * sizeof(double));
+  std::vector<double> out;
+  read_values(out, n, sizeof(double));
   if constexpr (!kLittleEndianHost) {
     for (double& v : out) {
       auto bits = std::bit_cast<std::array<unsigned char, 8>>(v);
@@ -93,8 +109,11 @@ bool ByteReader::refill() {
   const std::size_t kept = buf_.size();
   // Never past the length measured at the start, so offset() ≤ size_ even
   // if the file grows while it is read.
-  const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
-      kStreamBufferBytes - kept, size_ - base_ - kept));
+  std::size_t want = kStreamBufferBytes - kept;
+  if (sized_) {
+    want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(want, size_ - base_ - kept));
+  }
   buf_.resize(kept + want);
   is_->read(buf_.data() + kept, static_cast<std::streamsize>(want));
   buf_.resize(kept + static_cast<std::size_t>(is_->gcount()));
@@ -103,14 +122,16 @@ bool ByteReader::refill() {
 }
 
 void ByteReader::truncated() {
-  base_ = size_;
+  // Unsized, a truncation is only found once refill() came back empty, so
+  // the input ends after the bytes still buffered.
+  base_ = sized_ ? size_ : base_ + data_.size();
   data_ = {};
   pos_ = 0;
   fail("truncated input");
 }
 
 void ByteReader::expect_end() {
-  if (remaining() > 0) fail("trailing bytes");
+  if (pos_ < data_.size() || refill()) fail("trailing bytes");
 }
 
 void ByteReader::fail(std::string_view what) const {

@@ -10,17 +10,18 @@
 //
 // A writer fills an in-memory buffer (a wire payload, a bundle pushed to a
 // worker) or a stream through a buffer of at most kStreamBufferBytes (a
-// file). A reader reads a byte view or a stream the same way, so a file is
-// never held in memory whole.
+// file). A reader reads a byte view or a stream (a file, or a pipe) the
+// same way, so a file is never held in memory whole.
 //
 // Every reader failure throws scwc::Error "<context>: <what> at byte offset
 // <N>". The context names the format ("wire decode", "load_bundle",
 // "model", "scb"); N counts the bytes consumed since the reader started,
 // and a truncation reports the offset at which the input ends. Callers
 // check each length field against its cap before asking for that many
-// values, and a reader knows its input's length (a stream reader seeks to
-// the end once), so a bulk read fails before it allocates more than the
-// input still holds, and otherwise allocates exactly once.
+// values. A byte view or a seekable stream has a known length (the reader
+// seeks to the end once), so a bulk read fails before it allocates more
+// than the input still holds, and otherwise allocates exactly once; from a
+// pipe it grows as bytes arrive, to at most about twice the input.
 #pragma once
 
 #include <bit>
@@ -111,9 +112,8 @@ class ByteReader {
   /// literal) prefixes every error.
   ByteReader(std::string_view bytes, std::string_view context)
       : data_(bytes), size_(bytes.size()), context_(context) {}
-  /// Reads the rest of `is`, which must be seekable (a file), through a
-  /// buffer of at most kStreamBufferBytes; the stream may be read past the
-  /// last value taken.
+  /// Reads the rest of `is` (a file, a pipe) through a buffer of at most
+  /// kStreamBufferBytes; the stream may be read past the last value taken.
   ByteReader(std::istream& is, std::string_view context);
   ByteReader(const ByteReader&) = delete;
   ByteReader& operator=(const ByteReader&) = delete;
@@ -168,9 +168,10 @@ class ByteReader {
     return v;
   }
 
-  [[nodiscard]] std::uint64_t remaining() const noexcept {
-    return size_ - offset();
-  }
+  /// Reads `n` values of `width` bytes into `out`: reserved once when the
+  /// input's length is known, else grown a stream buffer's worth at a time.
+  template <typename Buffer>
+  void read_values(Buffer& out, std::size_t n, std::size_t width);
   /// Copies the next `n` bytes to `dst`.
   void read(char* dst, std::size_t n);
   /// Stream reader: keeps the unread bytes and reads more behind them;
@@ -183,7 +184,8 @@ class ByteReader {
   std::string_view data_;  ///< buffered input; data_[pos_] is next
   std::size_t pos_ = 0;
   std::uint64_t base_ = 0;  ///< offset of data_[0]
-  std::uint64_t size_ = 0;  ///< length of the whole input
+  std::uint64_t size_ = 0;  ///< length of the whole input, if sized_
+  bool sized_ = true;       ///< false for a non-seekable stream
   std::string_view context_;
   std::istream* is_ = nullptr;
   std::string buf_;  ///< a stream reader's backing store for data_

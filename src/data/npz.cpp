@@ -43,15 +43,6 @@ std::string npy_header(const std::string& descr,
   return w.take();
 }
 
-/// The "<f8" header of `values` viewed as `shape`.
-std::string f8_header(std::span<const double> values,
-                      const std::vector<std::size_t>& shape) {
-  std::size_t count = 1;
-  for (const std::size_t s : shape) count *= s;
-  SCWC_REQUIRE(count == values.size(), "npy: shape does not match data size");
-  return npy_header("<f8", shape);
-}
-
 std::vector<std::uint8_t> to_bytes(const std::string& s) {
   return {s.begin(), s.end()};
 }
@@ -71,16 +62,12 @@ std::uint32_t member_crc(const ZipEntry& entry) {
 
 }  // namespace
 
-std::vector<std::uint8_t> npy_from_doubles(
-    std::span<const double> values, const std::vector<std::size_t>& shape) {
-  ByteWriter w(f8_header(values, shape));
-  w.f64s(values);
-  return to_bytes(w.take());
-}
-
 ZipEntry npy_member(std::string name, std::span<const double> values,
                     const std::vector<std::size_t>& shape) {
-  return {std::move(name), to_bytes(f8_header(values, shape)), values};
+  std::size_t count = 1;
+  for (const std::size_t s : shape) count *= s;
+  SCWC_REQUIRE(count == values.size(), "npy: shape does not match data size");
+  return {std::move(name), to_bytes(npy_header("<f8", shape)), values};
 }
 
 std::vector<std::uint8_t> npy_from_labels(std::span<const int> labels) {

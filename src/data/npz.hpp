@@ -23,11 +23,6 @@
 
 namespace scwc::data {
 
-/// Encodes a double array as "<f8" NPY bytes. Throws when `shape` does
-/// not multiply out to values.size().
-std::vector<std::uint8_t> npy_from_doubles(
-    std::span<const double> values, const std::vector<std::size_t>& shape);
-
 /// Encodes int labels as "<i8" NPY bytes.
 std::vector<std::uint8_t> npy_from_labels(std::span<const int> labels);
 
@@ -45,8 +40,9 @@ struct ZipEntry {
   std::span<const double> values{};  ///< written after `bytes`
 };
 
-/// The "<f8" member `name` of `values` viewed as `shape` (checked as in
-/// npy_from_doubles); `values` must outlive the entry.
+/// The "<f8" NPY member `name` of `values` viewed as `shape`; throws when
+/// `shape` does not multiply out to values.size(). `values` must outlive
+/// the entry.
 ZipEntry npy_member(std::string name, std::span<const double> values,
                     const std::vector<std::size_t>& shape);
 

@@ -1,17 +1,20 @@
 // Tests for common/byte_io and the formats written through it: the codec's
 // little-endian encodings, stream and memory writers and readers agreeing
-// byte for byte across buffer boundaries, typed errors that name a byte
-// offset, and FNV-1a hashes that pin the bytes of every file format the
-// tree writes (SCWCBNDL bundle, SCWC_RF1 forest, DecisionTree record,
-// .scb and .npz) on the micro corpus.
+// byte for byte across buffer boundaries, readers over non-seekable
+// streams (pipes), typed errors that name a byte offset, and FNV-1a
+// hashes that pin the bytes of every file format the tree writes
+// (SCWCBNDL bundle, SCWC_RF1 forest, DecisionTree record, .scb and .npz)
+// on the micro corpus.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -49,7 +52,41 @@ std::string error_of(const Fn& fn) {
   return {};
 }
 
+/// A stream buffer over `bytes` that hands them out a few KiB at a time
+/// and cannot seek, as a pipe or FIFO does.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == bytes_.size()) return traits_type::eof();
+    const std::size_t k = std::min<std::size_t>(4093, bytes_.size() - next_);
+    char* begin = bytes_.data() + next_;
+    setg(begin, begin, begin + k);
+    next_ += k;
+    return traits_type::to_int_type(*begin);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t next_ = 0;
+};
+
+/// An istream whose tellg() is -1: the reader cannot learn its length.
+class PipeStream : public std::istream {
+ public:
+  explicit PipeStream(std::string bytes)
+      : std::istream(nullptr), buf_(std::move(bytes)) {
+    rdbuf(&buf_);
+  }
+
+ private:
+  PipeBuf buf_;
+};
+
 // ------------------------------------------------------------------ codec
+
 
 TEST(ByteIo, EncodesLittleEndian) {
   ByteWriter w;
@@ -112,8 +149,11 @@ TEST(ByteIo, StreamAndMemoryReadersReadTheSameValues) {
   const std::string bytes = w.take();
   std::istringstream is(bytes);
   ByteReader from_stream(is, "test");
+  PipeStream pipe(bytes);
+  ASSERT_EQ(pipe.tellg(), std::istream::pos_type(-1));
+  ByteReader from_pipe(pipe, "test");
   ByteReader from_memory(bytes, "test");
-  for (ByteReader* r : {&from_stream, &from_memory}) {
+  for (ByteReader* r : {&from_stream, &from_pipe, &from_memory}) {
     for (std::uint32_t i = 0; i < 9000; ++i) ASSERT_EQ(r->u32(), i);
     EXPECT_EQ(r->u8(), 7);
     const std::uint64_t n = r->u64();
@@ -154,12 +194,19 @@ TEST(ByteIo, TruncationNamesTheOffsetWhereTheInputEnded) {
                 read_all(r);
               }).find(want),
               std::string::npos);
+    PipeStream pipe(prefix);
+    EXPECT_NE(error_of([&] {
+                ByteReader r(pipe, "test");
+                read_all(r);
+              }).find(want),
+              std::string::npos);
   }
 }
 
 TEST(ByteIo, HugeCountsFailTypedBeforeAllocating) {
   // 2^40 doubles is 8 TiB: asking must fail at the end of the real input,
-  // from a byte view and from a stream alike, never with bad_alloc.
+  // from a byte view, a stream and a pipe alike, never with bad_alloc. A
+  // pipe's length is unknown, so there the read grows as bytes arrive.
   const std::string bytes(100, '\0');
   ByteReader view(bytes, "test");
   EXPECT_NE(error_of([&] { (void)view.f64s(1ULL << 40); })
@@ -168,6 +215,16 @@ TEST(ByteIo, HugeCountsFailTypedBeforeAllocating) {
   std::istringstream is(bytes);
   ByteReader stream(is, "test");
   EXPECT_NE(error_of([&] { (void)stream.bytes(1ULL << 40); })
+                .find("test: truncated input at byte offset 100"),
+            std::string::npos);
+  PipeStream pipe(bytes + bytes);
+  ByteReader from_pipe(pipe, "test");
+  EXPECT_NE(error_of([&] { (void)from_pipe.bytes(1ULL << 40); })
+                .find("test: truncated input at byte offset 200"),
+            std::string::npos);
+  PipeStream pipe2(bytes);
+  ByteReader from_pipe2(pipe2, "test");
+  EXPECT_NE(error_of([&] { (void)from_pipe2.f64s(1ULL << 40); })
                 .find("test: truncated input at byte offset 100"),
             std::string::npos);
 }
@@ -187,6 +244,16 @@ TEST(ByteIo, TrailingBytesAndValidationFailuresNameTheOffset) {
             std::string::npos);
   EXPECT_NE(error_of([&] { stream.expect_end(); })
                 .find("test: trailing bytes at byte offset 4"),
+            std::string::npos);
+  PipeStream pipe(bytes);
+  ByteReader from_pipe(pipe, "test");
+  (void)from_pipe.bytes(10);
+  EXPECT_NO_THROW(from_pipe.expect_end());
+  PipeStream pipe2(bytes);
+  ByteReader from_pipe2(pipe2, "test");
+  (void)from_pipe2.u16();
+  EXPECT_NE(error_of([&] { from_pipe2.expect_end(); })
+                .find("test: trailing bytes at byte offset 2"),
             std::string::npos);
 }
 
@@ -303,7 +370,8 @@ TEST(FormatBytes, FilesStreamTheSameBytesAsMemory) {
   EXPECT_EQ(file_bytes(dir / "scwc_micro.scb"),
             bytes_of([&w](ByteWriter& out) { data::write_scb(w.ds, out); }));
 
-  const auto loaded = serve::load_bundle_file((dir / "scwc_micro.bundle").string());
+  const auto loaded =
+      serve::load_bundle_file((dir / "scwc_micro.bundle").string());
   EXPECT_EQ(loaded->version(), "micro-v1");
   ml::RandomForest forest;
   forest.load_file((dir / "scwc_micro.rf").string());
@@ -314,6 +382,35 @@ TEST(FormatBytes, FilesStreamTheSameBytesAsMemory) {
                            "scwc_micro.scb"}) {
     std::filesystem::remove(dir / name);
   }
+}
+
+TEST(FormatBytes, BundleForestAndScbLoadFromAPipe) {
+  // A FIFO or process substitution passed as a file path cannot seek; the
+  // loads read it to the end all the same.
+  const MicroWorld& w = micro_world();
+  PipeStream bundle_pipe(bundle_bytes());
+  ByteReader bundle_reader(bundle_pipe, "load_bundle");
+  const auto bundle = serve::load_bundle(bundle_reader);
+  EXPECT_EQ(bundle->version(), "micro-v1");
+  EXPECT_EQ(bytes_of([&bundle](ByteWriter& out) {
+              serve::save_bundle(*bundle, out);
+            }),
+            bundle_bytes());
+
+  PipeStream forest_pipe(forest_bytes());
+  ByteReader forest_reader(forest_pipe, "model");
+  ml::RandomForest forest;
+  forest.load(forest_reader);
+  EXPECT_EQ(bytes_of([&forest](ByteWriter& out) { forest.save(out); }),
+            forest_bytes());
+
+  const std::string scb =
+      bytes_of([&w](ByteWriter& out) { data::write_scb(w.ds, out); });
+  PipeStream scb_pipe(scb);
+  ByteReader scb_reader(scb_pipe, "scb");
+  const data::ChallengeDataset ds = data::read_scb(scb_reader);
+  EXPECT_EQ(bytes_of([&ds](ByteWriter& out) { data::write_scb(ds, out); }),
+            scb);
 }
 
 TEST(FormatBytes, TruncatedBundleForestAndWirePayloadNameTheByteOffset) {

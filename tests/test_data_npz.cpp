@@ -14,7 +14,8 @@ namespace {
 
 TEST(Npy, HeaderIsWellFormedAndAligned) {
   const std::vector<double> values{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const auto npy = npy_from_doubles(values, {2, 3});
+  const ZipEntry member = npy_member("x.npy", values, {2, 3});
+  const auto& npy = member.bytes;
   ASSERT_GT(npy.size(), 10u);
   EXPECT_EQ(npy[0], 0x93);
   EXPECT_EQ(std::memcmp(npy.data() + 1, "NUMPY", 5), 0);
@@ -29,11 +30,20 @@ TEST(Npy, HeaderIsWellFormedAndAligned) {
   EXPECT_NE(header.find("'fortran_order': False"), std::string::npos);
   EXPECT_NE(header.find("(2, 3)"), std::string::npos);
   EXPECT_EQ(header.back(), '\n');
-  // Payload: 6 little-endian doubles after the header.
-  EXPECT_EQ(npy.size(), 10 + header_len + 6 * 8);
+  // Payload: 6 little-endian doubles right after the header, as the
+  // archive writes them behind the 30-byte local header and the name.
+  EXPECT_EQ(npy.size(), 10 + header_len);
+  ByteWriter w;
+  write_zip(w, {member});
+  const std::string zip = w.take();
+  const std::size_t payload = 30 + member.name.size() + npy.size();
+  ASSERT_GE(zip.size(), payload + 6 * 8);
   double first = 0;
-  std::memcpy(&first, npy.data() + 10 + header_len, 8);
+  double last = 0;
+  std::memcpy(&first, zip.data() + payload, 8);
+  std::memcpy(&last, zip.data() + payload + 5 * 8, 8);
   EXPECT_DOUBLE_EQ(first, 1.0);
+  EXPECT_DOUBLE_EQ(last, 6.0);
 }
 
 TEST(Npy, OneDimensionalShapeHasTrailingComma) {
@@ -68,7 +78,7 @@ TEST(Npy, StringsAreFixedWidthUtf32) {
 
 TEST(Npy, ShapeMismatchThrows) {
   const std::vector<double> values{1.0, 2.0};
-  EXPECT_THROW((void)npy_from_doubles(values, {3}), Error);
+  EXPECT_THROW((void)npy_member("x.npy", values, {3}), Error);
 }
 
 TEST(Zip, StructureIsParseable) {
