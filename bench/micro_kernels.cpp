@@ -4,6 +4,8 @@
 // telemetry synthesis and the SCWCWIRE codec of the sharded serving path.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -17,10 +19,12 @@
 #include "ml/svm.hpp"
 #include "net/wire.hpp"
 #include "nn/lstm.hpp"
+#include "preprocess/covariance_kernel.hpp"
 #include "preprocess/pca.hpp"
 #include "preprocess/pipeline.hpp"
 #include "preprocess/scaler.hpp"
 #include "robust/fault.hpp"
+#include "robust/repair_kernel.hpp"
 #include "robust/robust_window.hpp"
 #include "telemetry/gpu_synth.hpp"
 
@@ -77,7 +81,8 @@ BENCHMARK(BM_GemmTransposed)->Arg(128);
 // sensors. 60×64 and 540×64 are the serve geometry (short windows, the
 // paper's trials); 540×128 and 540×512 are split-sized batches.
 // parallel_for splits the windows across the pool, so CPU time on the
-// calling thread alone would overstate the rate; report wall time.
+// calling thread alone would overstate the rate; report wall time. The
+// label names the instance that ran (avx2 or sse2).
 void BM_CovariancePipelineTransform(benchmark::State& state) {
   const auto steps = static_cast<std::size_t>(state.range(0));
   const auto windows = static_cast<std::size_t>(state.range(1));
@@ -89,6 +94,7 @@ void BM_CovariancePipelineTransform(benchmark::State& state) {
   preprocess::FeaturePipeline pipeline(
       {preprocess::Reduction::kCovariance, 0});
   pipeline.fit(train);
+  state.SetLabel(preprocess::best_covariance_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.transform(batch));
   }
@@ -104,12 +110,28 @@ BENCHMARK(BM_CovariancePipelineTransform)
 
 // The guard's repair step: one WindowRepairer accounting and repairing a
 // batch of 64 windows of range(0) steps × 7 sensors, damaged by
-// FaultInjector at severity range(2)/100, under Imputation policy range(1).
-// Severity 0 leaves every window clean, so it times what clean windows
-// still pay: the per-row finiteness scan. Restoring the damaged batch
-// between iterations is not timed.
+// FaultInjector at severity range(2)/100, under Imputation policy range(1),
+// through instance range(3) of robust::repair_kernels() (0 is the best
+// built, the label names it; one this CPU lacks is skipped). Severity 0
+// leaves every window clean, so it times what clean windows still pay: the
+// per-row finiteness scan. Restoring the damaged batch between iterations
+// is not timed.
 void BM_AccountAndImpute(benchmark::State& state) {
   constexpr std::size_t kWindows = 64, kSensors = 7;
+  const auto kernels = robust::repair_kernels();
+  const auto instance = static_cast<std::size_t>(state.range(3));
+  if (instance >= kernels.size()) {
+    state.SkipWithError("no such instance in this build");
+    return;
+  }
+  const robust::RepairKernel& kernel = kernels[instance];
+  if (!kernel.supported) {
+    const std::string why =
+        std::string(kernel.name) + " instance: this CPU does not support it";
+    state.SkipWithError(why.c_str());
+    return;
+  }
+  state.SetLabel(kernel.name);
   const auto steps = static_cast<std::size_t>(state.range(0));
   const robust::FaultInjector injector(robust::FaultProfile::at_severity(
       static_cast<double>(state.range(2)) / 100.0));
@@ -132,7 +154,7 @@ void BM_AccountAndImpute(benchmark::State& state) {
     robust::WindowRepairer repairer(kSensors, config);
     for (std::size_t i = 0; i < kWindows; ++i) {
       robust::QualityReport report;
-      repairer.account_and_repair(batch.trial(i), steps, report);
+      kernel.repair(repairer, batch.trial(i), steps, report);
       benchmark::DoNotOptimize(report);
     }
     benchmark::ClobberMemory();
@@ -145,7 +167,8 @@ BENCHMARK(BM_AccountAndImpute)
                    {static_cast<int>(robust::Imputation::kForwardFill),
                     static_cast<int>(robust::Imputation::kLinear),
                     static_cast<int>(robust::Imputation::kPriorMean)},
-                   {50, 0}})
+                   {50, 0},
+                   {0, 1}})
     ->UseRealTime();
 
 // Fit from row views, then scale every row: what FeaturePipeline::fit and

@@ -48,9 +48,13 @@ std::vector<std::uint8_t> to_bytes(const std::string& s) {
 }
 
 /// CRC-32 of a member as write_zip writes it: `bytes`, then `values`
-/// encoded chunk by chunk.
+/// little-endian. On a little-endian host those are the values' own bytes;
+/// elsewhere they are encoded chunk by chunk.
 std::uint32_t member_crc(const ZipEntry& entry) {
   std::uint32_t crc = crc32(entry.bytes);
+  if constexpr (kLittleEndianHost) {
+    return crc32(entry.values.data(), entry.values.size_bytes(), crc);
+  }
   constexpr std::size_t kChunk = kStreamBufferBytes / sizeof(double);
   for (std::size_t i = 0; i < entry.values.size(); i += kChunk) {
     ByteWriter w(kStreamBufferBytes);

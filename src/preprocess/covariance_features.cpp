@@ -11,7 +11,12 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "preprocess/covariance_kernel.hpp"
 #include "telemetry/architectures.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace scwc::preprocess {
 
@@ -130,6 +135,113 @@ void upper_triangle(std::span<const double> block, std::size_t steps,
   }
 }
 
+/// The baseline instance, and every width's fallback: the scaler's own
+/// transform_row into `scratch`, then the lane kernel over it.
+void reduce_baseline(std::span<const double> window, std::size_t steps,
+                     std::size_t sensors, const StandardScaler& scaler,
+                     std::vector<double>& scratch, std::span<double> dest) {
+  scratch.resize(window.size());
+  scaler.transform_row(window, scratch);
+  upper_triangle(scratch, steps, sensors, dest);
+}
+
+#if defined(__x86_64__)
+
+static_assert(telemetry::kNumGpuSensors == 7,
+              "reduce_gpu_avx2 is written for 7-sensor rows");
+
+/// Lane k of v in every lane (vpermpd).
+template <int kLane>
+[[gnu::target("avx2"), gnu::always_inline]] inline __m256d broadcast(
+    __m256d v) {
+  return _mm256_permute4x64_pd(v, kLane * 0x55);
+}
+
+/// (v − m) / s per lane: StandardScaler::transform_row's arithmetic.
+[[gnu::target("avx2"), gnu::always_inline]] inline __m256d standardise(
+    __m256d v, __m256d m, __m256d s) {
+  return _mm256_div_pd(_mm256_sub_pd(v, m), s);
+}
+
+/// acc += a · b per lane, rounded after the multiply and after the add.
+[[gnu::target("avx2"), gnu::always_inline]] inline void add_product(
+    __m256d& acc, __m256d a, __m256d b) {
+  acc = _mm256_add_pd(acc, _mm256_mul_pd(a, b));
+}
+
+// The AVX2 instance for 7-sensor windows: the scale step folded into the
+// covariance pass. Each row is standardised into two four-lane vectors that
+// never leave registers, za = z[0..3] and zb = (z[4..6], 0), with the
+// scaler's own arithmetic, (x − mean) / scale. The three tail loads are
+// masked, so the last row reads nothing past the window, the means or the
+// scales, and the pad lane computes (0 − 0) / 1. Each z_i is broadcast
+// with vpermpd and multiplied into za and zb: 11 accumulators, lane j of
+// row i's summing z_i·z_j over steps 0..steps−1 in order from +0.0 — the
+// scalar pair loop, bit for bit. Storing z and reloading it as broadcasts
+// stalls on store forwarding and measured slower than the baseline.
+//
+// The multiply and the add must stay two roundings: the target is AVX2
+// alone, never FMA. InferenceOracle.LaneKernelNeverFusesMultiplyAdd pins
+// it with a pair whose fused and unfused sums differ.
+[[gnu::target("avx2")]] void reduce_gpu_avx2(const double* x,
+                                             std::size_t steps,
+                                             const double* means,
+                                             const double* scales,
+                                             double* dest) {
+  const __m256i tail = _mm256_setr_epi64x(-1, -1, -1, 0);
+  const __m256d pad_scale = _mm256_setr_pd(0.0, 0.0, 0.0, 1.0);
+  __m256d a0 = _mm256_setzero_pd(), b0 = a0, a1 = a0, b1 = a0, a2 = a0,
+          b2 = a0, a3 = a0, b3 = a0, c4 = a0, c5 = a0, c6 = a0;
+  for (std::size_t at = 0; at < steps * 7; at += 7) {
+    const __m256d za = standardise(_mm256_loadu_pd(x + at),
+                                   _mm256_loadu_pd(means + at),
+                                   _mm256_loadu_pd(scales + at));
+    const __m256d zb = standardise(
+        _mm256_maskload_pd(x + at + 4, tail),
+        _mm256_maskload_pd(means + at + 4, tail),
+        _mm256_or_pd(_mm256_maskload_pd(scales + at + 4, tail), pad_scale));
+    const __m256d z0 = broadcast<0>(za);
+    add_product(a0, z0, za);
+    add_product(b0, z0, zb);
+    const __m256d z1 = broadcast<1>(za);
+    add_product(a1, z1, za);
+    add_product(b1, z1, zb);
+    const __m256d z2 = broadcast<2>(za);
+    add_product(a2, z2, za);
+    add_product(b2, z2, zb);
+    const __m256d z3 = broadcast<3>(za);
+    add_product(a3, z3, za);
+    add_product(b3, z3, zb);
+    add_product(c4, broadcast<0>(zb), zb);
+    add_product(c5, broadcast<1>(zb), zb);
+    add_product(c6, broadcast<2>(zb), zb);
+  }
+  // Row i of the triangle is lanes i..3 of a_i then lanes 0..2 of b_i, or
+  // lanes i−4..2 of c_i.
+  alignas(32) double lanes[11][4];
+  const __m256d rows[11] = {a0, b0, a1, b1, a2, b2, a3, b3, c4, c5, c6};
+  for (std::size_t r = 0; r < 11; ++r) _mm256_store_pd(lanes[r], rows[r]);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < 7; ++i) {
+    for (std::size_t j = i; j < 7; ++j) {
+      dest[k++] = i < 4 ? lanes[2 * i + j / 4][j % 4] : lanes[4 + i][j - 4];
+    }
+  }
+}
+
+void reduce_avx2(std::span<const double> window, std::size_t steps,
+                 std::size_t sensors, const StandardScaler& scaler,
+                 std::vector<double>& scratch, std::span<double> dest) {
+  if (sensors == telemetry::kNumGpuSensors) {
+    reduce_gpu_avx2(window.data(), steps, scaler.means().data(),
+                    scaler.scales().data(), dest.data());
+  } else {
+    reduce_baseline(window, steps, sensors, scaler, scratch, dest);
+  }
+}
+
+#endif
+
 // NaN/Inf anywhere in a trial propagates into its covariance sums, so this
 // O(sensors²) scan of the 28-dim output detects non-finite *input* at a
 // fraction of the reduction's own cost — and stops it from flowing into the
@@ -147,10 +259,34 @@ void require_finite_features(std::span<const double> dest,
 
 }  // namespace
 
+std::span<const CovarianceKernel> covariance_kernels() {
+  // Probed on first use, never at namespace scope: a static initializer
+  // could run before libgcc has read the CPU's feature bits.
+  static const auto table = std::array{
+#if defined(__x86_64__)
+      CovarianceKernel{"avx2", &reduce_avx2,
+                       __builtin_cpu_supports("avx2") != 0},
+      CovarianceKernel{"sse2", &reduce_baseline, true},
+#else
+      CovarianceKernel{"baseline", &reduce_baseline, true},
+#endif
+  };
+  return table;
+}
+
+const CovarianceKernel& best_covariance_kernel() {
+  static const CovarianceKernel& best = *std::ranges::find_if(
+      covariance_kernels(), &CovarianceKernel::supported);
+  return best;
+}
+
 linalg::Matrix standardized_covariance_features(
+    const CovarianceKernel& kernel,
     std::span<const std::span<const double>> windows, std::size_t steps,
     std::size_t sensors, const StandardScaler& scaler) {
   const std::size_t width = steps * sensors;
+  SCWC_REQUIRE(kernel.supported, std::string("covariance kernel ") +
+                                     kernel.name + " needs a newer CPU");
   SCWC_REQUIRE(scaler.fitted() && scaler.means().size() == width,
                "scaler width must be steps*sensors");
   for (const std::span<const double> window : windows) {
@@ -160,15 +296,22 @@ linalg::Matrix standardized_covariance_features(
   parallel_for_blocked(
       0, windows.size(),
       [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> scaled(width);
+        std::vector<double> scratch;
         for (std::size_t i = lo; i < hi; ++i) {
-          scaler.transform_row(windows[i], scaled);
-          upper_triangle(scaled, steps, sensors, out.row(i));
+          kernel.reduce(windows[i], steps, sensors, scaler, scratch,
+                        out.row(i));
           require_finite_features(out.row(i), i);
         }
       },
       32);
   return out;
+}
+
+linalg::Matrix standardized_covariance_features(
+    std::span<const std::span<const double>> windows, std::size_t steps,
+    std::size_t sensors, const StandardScaler& scaler) {
+  return standardized_covariance_features(best_covariance_kernel(), windows,
+                                          steps, sensors, scaler);
 }
 
 std::pair<std::size_t, std::size_t> covariance_feature_pair(

@@ -27,11 +27,12 @@ constexpr std::size_t covariance_feature_count(std::size_t sensors) noexcept {
 
 /// The reduction, fused with the pipeline's standardise step per window:
 /// each of `windows` (row-major steps×sensors, wherever it lives) is scaled
-/// by scaler.transform_row() into a per-block scratch buffer and reduced
-/// from there, so no packed or scaled copy of the batch is made. Each
-/// feature is the scalar sum over steps 0..steps−1, in order from +0.0, of
-/// scaled[t][i] × scaled[t][j]. Row i of the result belongs to windows[i];
-/// a non-finite input throws scwc::Error naming trial i.
+/// as scaler.transform_row() would and reduced, by the best instance this
+/// CPU runs (preprocess/covariance_kernel.hpp), so no packed or scaled copy
+/// of the batch is made. Each feature is the scalar sum over steps
+/// 0..steps−1, in order from +0.0, of scaled[t][i] × scaled[t][j], on every
+/// instance. Row i of the result belongs to windows[i]; a non-finite input
+/// throws scwc::Error naming trial i.
 linalg::Matrix standardized_covariance_features(
     std::span<const std::span<const double>> windows, std::size_t steps,
     std::size_t sensors, const StandardScaler& scaler);

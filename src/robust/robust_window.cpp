@@ -1,6 +1,7 @@
 #include "robust/robust_window.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -8,7 +9,12 @@
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "robust/repair_kernel.hpp"
 #include "telemetry/architectures.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace scwc::robust {
 
@@ -31,13 +37,41 @@ double prior_for(const ImputationConfig& config, std::size_t sensor) {
 }
 
 /// Bit k set ⇔ row[k] is non-finite, for the n ≤ 64 readings of `row`.
-std::uint64_t missing_mask(const double* row, std::size_t n) noexcept {
-  std::uint64_t mask = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    mask |= static_cast<std::uint64_t>(!std::isfinite(row[k])) << k;
+struct ScalarMask {
+  std::uint64_t operator()(const double* row, std::size_t n) const noexcept {
+    std::uint64_t mask = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      mask |= static_cast<std::uint64_t>(!std::isfinite(row[k])) << k;
+    }
+    return mask;
   }
-  return mask;
-}
+};
+
+#if defined(__x86_64__)
+static_assert(telemetry::kNumGpuSensors == 7,
+              "Avx2GpuMask is written for 7-sensor rows");
+
+/// ScalarMask's bits for a 7-sensor row, from two overlapping four-lane
+/// loads, row[0..3] and row[3..6]: a reading is non-finite exactly when
+/// its magnitude (andpd with the sign bit cleared) is not ≤ DBL_MAX, NaN
+/// included (cmp_nle is true on unordered); movmskpd packs the lanes.
+struct Avx2GpuMask {
+  [[gnu::target("avx2")]] std::uint64_t operator()(
+      const double* row, std::size_t /*n == 7*/) const noexcept {
+    const __m256d magnitude = _mm256_castsi256_pd(
+        _mm256_set1_epi64x(std::numeric_limits<std::int64_t>::max()));
+    const __m256d largest =
+        _mm256_set1_pd(std::numeric_limits<double>::max());
+    const __m256d lo = _mm256_cmp_pd(
+        _mm256_and_pd(_mm256_loadu_pd(row), magnitude), largest, _CMP_NLE_UQ);
+    const __m256d hi =
+        _mm256_cmp_pd(_mm256_and_pd(_mm256_loadu_pd(row + 3), magnitude),
+                      largest, _CMP_NLE_UQ);
+    return static_cast<std::uint64_t>(_mm256_movemask_pd(lo)) |
+           static_cast<std::uint64_t>(_mm256_movemask_pd(hi)) << 3;
+  }
+};
+#endif
 
 /// Index of the lowest set bit of a non-zero word.
 std::size_t bit_index(std::uint64_t word) noexcept {
@@ -59,10 +93,12 @@ std::size_t bit_index(std::uint64_t word) noexcept {
 /// `gap_start` holds each open gap's first step. Every missing value lies
 /// in exactly one run, so the runs' lengths sum to missing_values.
 /// `sensors` is a std::size_t, or a std::integral_constant for a row width
-/// known at compile time.
-template <typename Width, typename OnGap>
+/// known at compile time; `row_mask` is ScalarMask or a wider instance of it
+/// for that width.
+template <typename Width, typename RowMask, typename OnGap>
 void walk_gaps(std::span<const double> window, std::size_t steps,
-               Width sensors, std::span<std::size_t> gap_start,
+               Width sensors, RowMask row_mask,
+               std::span<std::size_t> gap_start,
                std::span<std::uint64_t> open, QualityReport& report,
                const OnGap& on_gap) noexcept {
   // Counted in locals: `report` could alias `gap_start`.
@@ -78,7 +114,7 @@ void walk_gaps(std::span<const double> window, std::size_t steps,
     bool all_missing = true;
     for (std::size_t w = 0, base = 0; base < sensors; ++w, base += kWord) {
       const std::size_t n = std::min(kWord, sensors - base);
-      const std::uint64_t mask = missing_mask(row + base, n);
+      const std::uint64_t mask = row_mask(row + base, n);
       all_missing = all_missing && mask == (~std::uint64_t{0} >> (kWord - n));
       if (mask == open[w]) continue;  // no gap opens or closes here
       for (std::uint64_t opened = mask & ~open[w]; opened != 0;
@@ -166,8 +202,8 @@ QualityReport robust_extract_window(const telemetry::TimeSeries& series,
 
   std::vector<std::size_t> gap_start(sensors);
   std::vector<std::uint64_t> open(mask_words(sensors), 0);
-  walk_gaps(dest, window_steps, sensors, gap_start, open, report,
-            [](std::size_t, std::size_t, std::size_t) {});
+  walk_gaps(dest, window_steps, sensors, ScalarMask{}, gap_start, open,
+            report, [](std::size_t, std::size_t, std::size_t) {});
   return report;
 }
 
@@ -180,9 +216,10 @@ WindowRepairer::WindowRepairer(std::size_t sensors,
   for (std::size_t s = 0; s < sensors; ++s) prior_[s] = prior_for(config, s);
 }
 
-template <typename Width>
+template <typename Width, typename RowMask>
 void WindowRepairer::repair(std::span<double> window, std::size_t steps,
-                            Width sensors, QualityReport& report) noexcept {
+                            Width sensors, RowMask row_mask,
+                            QualityReport& report) noexcept {
   std::size_t repaired = 0;
   // Fills one gap of sensor s from its bounding *originally* finite
   // readings, with the same expressions as a column-by-column repair, so
@@ -211,21 +248,74 @@ void WindowRepairer::repair(std::span<double> window, std::size_t steps,
     }
     for (std::size_t u = from; u < to; ++u) at(u) = v;
   };
-  walk_gaps(window, steps, sensors, gap_start_, open_, report, fill);
+  walk_gaps(window, steps, sensors, row_mask, gap_start_, open_, report,
+            fill);
   report.repaired_values += repaired;
+}
+
+/// The instances of WindowRepairer::repair listed by repair_kernels().
+struct RepairPass {
+  /// The baseline instance: scalar finiteness tests, with the paper's
+  /// 7-sensor rows in a pass compiled for their width.
+  static void baseline(WindowRepairer& r, std::span<double> window,
+                       std::size_t steps, QualityReport& report) noexcept {
+    constexpr std::size_t kGpu = telemetry::kNumGpuSensors;
+    if (r.prior_.size() == kGpu) {
+      r.repair(window, steps, std::integral_constant<std::size_t, kGpu>{},
+               ScalarMask{}, report);
+    } else {
+      r.repair(window, steps, r.prior_.size(), ScalarMask{}, report);
+    }
+  }
+
+#if defined(__x86_64__)
+  /// The 7-sensor pass with Avx2GpuMask, all of it compiled for AVX2 so
+  /// the mask inlines into the row loop.
+  [[gnu::target("avx2"), gnu::flatten]] static void gpu_avx2(
+      WindowRepairer& r, std::span<double> window, std::size_t steps,
+      QualityReport& report) noexcept {
+    r.repair(window, steps,
+             std::integral_constant<std::size_t, telemetry::kNumGpuSensors>{},
+             Avx2GpuMask{}, report);
+  }
+
+  /// The AVX2 instance: other widths run the baseline.
+  static void avx2(WindowRepairer& r, std::span<double> window,
+                   std::size_t steps, QualityReport& report) noexcept {
+    if (r.prior_.size() == telemetry::kNumGpuSensors) {
+      gpu_avx2(r, window, steps, report);
+    } else {
+      baseline(r, window, steps, report);
+    }
+  }
+#endif
+};
+
+std::span<const RepairKernel> repair_kernels() {
+  // Probed on first use, never at namespace scope: a static initializer
+  // could run before libgcc has read the CPU's feature bits.
+  static const auto table = std::array{
+#if defined(__x86_64__)
+      RepairKernel{"avx2", &RepairPass::avx2,
+                   __builtin_cpu_supports("avx2") != 0},
+      RepairKernel{"sse2", &RepairPass::baseline, true},
+#else
+      RepairKernel{"baseline", &RepairPass::baseline, true},
+#endif
+  };
+  return table;
+}
+
+const RepairKernel& best_repair_kernel() {
+  static const RepairKernel& best =
+      *std::ranges::find_if(repair_kernels(), &RepairKernel::supported);
+  return best;
 }
 
 void WindowRepairer::account_and_repair(std::span<double> window,
                                         std::size_t steps,
                                         QualityReport& report) noexcept {
-  // The paper's 7-sensor rows get a pass compiled for their width, which
-  // lets the compiler unroll the per-row finiteness check.
-  constexpr std::size_t kGpu = telemetry::kNumGpuSensors;
-  if (prior_.size() == kGpu) {
-    repair(window, steps, std::integral_constant<std::size_t, kGpu>{}, report);
-  } else {
-    repair(window, steps, prior_.size(), report);
-  }
+  best_repair_kernel().repair(*this, window, steps, report);
 }
 
 void impute_window(std::span<double> window, std::size_t steps,

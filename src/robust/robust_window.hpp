@@ -70,16 +70,20 @@ class WindowRepairer {
   /// of `window` to `report` and repairs it in place: afterwards it holds
   /// only finite values, and a window with nothing missing is untouched
   /// (bit-for-bit). Requires window.size() == steps * the constructor's
-  /// sensor count.
+  /// sensor count. Runs the best instance of the pass this CPU supports
+  /// (robust/repair_kernel.hpp); every instance gives the same bits.
   void account_and_repair(std::span<double> window, std::size_t steps,
                           QualityReport& report) noexcept;
 
  private:
+  friend struct RepairPass;  ///< the instances (robust/repair_kernel.hpp)
+
   /// The pass for rows of `sensors` readings (a std::size_t, or a
-  /// std::integral_constant when the width is fixed at compile time).
-  template <typename Width>
+  /// std::integral_constant when the width is fixed at compile time), with
+  /// each row's missing bits from `row_mask`.
+  template <typename Width, typename RowMask>
   void repair(std::span<double> window, std::size_t steps, Width sensors,
-              QualityReport& report) noexcept;
+              RowMask row_mask, QualityReport& report) noexcept;
 
   Imputation policy_;
   std::vector<double> prior_;            ///< resolved fill prior per sensor

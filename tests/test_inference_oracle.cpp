@@ -6,13 +6,17 @@
 // 1} after imputation, plus rows carrying NaN and ±inf features. The
 // one-pass repair (WindowRepairer) is checked bit for bit, QualityReport
 // included, against the column-by-column repair it replaced, and the lane
-// covariance kernel against the pair-by-pair loop it replaced. The view
+// covariance kernel against the pair-by-pair loop it replaced; both run
+// every compiled instance (SSE2, AVX2) the CPU supports. The view
 // entries — a batch of separately owned windows, as the service holds its
 // requests — are checked against the tensor entries and the references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -24,9 +28,11 @@
 #include "core/challenge.hpp"
 #include "ml/random_forest.hpp"
 #include "preprocess/covariance_features.hpp"
+#include "preprocess/covariance_kernel.hpp"
 #include "preprocess/pipeline.hpp"
 #include "robust/fault.hpp"
 #include "robust/guarded_classifier.hpp"
+#include "robust/repair_kernel.hpp"
 #include "robust/robust_window.hpp"
 
 namespace scwc {
@@ -314,37 +320,88 @@ preprocess::StandardScaler identity_scaler(std::size_t width) {
                                              linalg::Vector(width, 1.0));
 }
 
+/// Runs `check` on every instance in `kernels` this CPU supports, and says
+/// which it skipped and why.
+template <typename Kernel, typename Check>
+void for_each_instance(std::span<const Kernel> kernels, const Check& check) {
+  for (const Kernel& kernel : kernels) {
+    if (!kernel.supported) {
+      std::printf("[  SKIPPED ] the %s instance: this CPU does not support "
+                  "it\n",
+                  kernel.name);
+      continue;
+    }
+    SCOPED_TRACE(testing::Message() << "the " << kernel.name << " instance");
+    check(kernel);
+  }
+}
+
+using preprocess::covariance_kernels;
+using preprocess::CovarianceKernel;
+
 TEST(InferenceOracle, LaneKernelMatchesPairByPairLoop) {
-  Rng rng(0x1A7E5ULL);
-  for (const std::size_t sensors : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 70u}) {
-    for (const std::size_t steps : {1u, 2u, 60u, 540u}) {
-      SCOPED_TRACE(testing::Message() << sensors << " sensors, " << steps
-                                      << " steps");
-      data::Tensor3 x(3, steps, sensors);
-      for (double& v : x.raw()) v = awkward_value(rng);
-      const Matrix raw = preprocess::standardized_covariance_features(
-          x.trial_views(), steps, sensors, identity_scaler(steps * sensors));
-      for (std::size_t i = 0; i < x.trials(); ++i) {
-        EXPECT_EQ(bit_mismatches(raw.row(i),
-                                 pairwise_covariance(x.trial(i), steps,
-                                                     sensors)),
-                  0u);
-      }
-      linalg::Vector means(steps * sensors), scales(steps * sensors);
-      for (double& m : means) m = rng.normal();
-      for (double& s : scales) s = rng.uniform(0.5, 2.0);
-      const auto scaler = preprocess::StandardScaler::restore(means, scales);
-      const Matrix fused = preprocess::standardized_covariance_features(
-          x.trial_views(), steps, sensors, scaler);
-      std::vector<double> scaled(steps * sensors);
-      for (std::size_t i = 0; i < x.trials(); ++i) {
-        scaler.transform_row(x.trial(i), scaled);
-        EXPECT_EQ(bit_mismatches(fused.row(i),
-                                 pairwise_covariance(scaled, steps, sensors)),
-                  0u);
+  for_each_instance(covariance_kernels(), [](const CovarianceKernel& kernel) {
+    Rng rng(0x1A7E5ULL);
+    for (const std::size_t sensors : {1u, 2u, 3u, 4u, 7u, 8u, 13u, 70u}) {
+      for (const std::size_t steps : {1u, 2u, 60u, 540u}) {
+        SCOPED_TRACE(testing::Message() << sensors << " sensors, " << steps
+                                        << " steps");
+        // Each window in its own vector, so its last row ends where its
+        // allocation does, as do the scaler's means and scales: a kernel
+        // that reads past any of them trips AddressSanitizer.
+        std::vector<std::vector<double>> x(3);
+        for (std::vector<double>& window : x) {
+          window.resize(steps * sensors);
+          for (double& v : window) v = awkward_value(rng);
+        }
+        const std::vector<std::span<const double>> views(x.begin(), x.end());
+        const Matrix raw = preprocess::standardized_covariance_features(
+            kernel, views, steps, sensors, identity_scaler(steps * sensors));
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          EXPECT_EQ(bit_mismatches(raw.row(i),
+                                   pairwise_covariance(x[i], steps, sensors)),
+                    0u);
+        }
+        linalg::Vector means(steps * sensors), scales(steps * sensors);
+        for (double& m : means) m = rng.normal();
+        for (double& sc : scales) sc = rng.uniform(0.5, 2.0);
+        const auto scaler = preprocess::StandardScaler::restore(means, scales);
+        const Matrix fused = preprocess::standardized_covariance_features(
+            kernel, views, steps, sensors, scaler);
+        std::vector<double> scaled(steps * sensors);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          scaler.transform_row(x[i], scaled);
+          EXPECT_EQ(bit_mismatches(fused.row(i), pairwise_covariance(
+                                                     scaled, steps, sensors)),
+                    0u);
+        }
       }
     }
-  }
+  });
+}
+
+TEST(InferenceOracle, LaneKernelNeverFusesMultiplyAdd) {
+  // Two steps of 7 sensors through an identity scaler. Pair (0, 1) sums
+  // 1·(−1) and then (1 + 2⁻³⁰)(1 − 2⁻³⁰) = 1 − 2⁻⁶⁰: rounded to 1.0 on
+  // its own the sum is exactly +0.0, while a fused multiply-add keeps the
+  // product exact and gives −2⁻⁶⁰.
+  const double eps = std::ldexp(1.0, -30);
+  const std::vector<double> window = {
+      1.0,       -1.0,      0.5, 0.25, 2.0,  -3.0,  4.0,  // step 0
+      1.0 + eps, 1.0 - eps, 0.0, 1.0,  -1.0, 0.125, 8.0,  // step 1
+  };
+  const std::vector<std::span<const double>> views = {window};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  constexpr std::uint64_t kPlusZero = 0;
+  const std::vector<double> want = pairwise_covariance(window, 2, 7);
+  ASSERT_EQ(bits(want[1]), kPlusZero);
+  for_each_instance(covariance_kernels(), [&](const CovarianceKernel& kernel) {
+    const Matrix got = preprocess::standardized_covariance_features(
+        kernel, views, 2, 7, identity_scaler(window.size()));
+    EXPECT_EQ(bits(got(0, 1)), kPlusZero)
+        << got(0, 1) << ": a multiply-add was fused";
+    EXPECT_EQ(bit_mismatches(got.row(0), want), 0u);
+  });
 }
 
 TEST(InferenceOracle, LaneKernelMatchesPairByPairLoopOnRepairedWindows) {
@@ -353,21 +410,27 @@ TEST(InferenceOracle, LaneKernelMatchesPairByPairLoopOnRepairedWindows) {
     SCOPED_TRACE(testing::Message() << "severity " << severity);
     const data::Tensor3 windows = repaired_test_set(w, severity);
     const std::size_t steps = windows.steps(), sensors = windows.sensors();
-    const Matrix raw = preprocess::standardized_covariance_features(
-        windows.trial_views(), steps, sensors,
-        identity_scaler(steps * sensors));
     const Matrix served = w.pipeline.transform(windows);
-    std::vector<double> scaled(steps * sensors);
-    for (std::size_t i = 0; i < windows.trials(); ++i) {
-      EXPECT_EQ(bit_mismatches(raw.row(i), pairwise_covariance(
-                                               windows.trial(i), steps,
-                                               sensors)),
-                0u);
-      w.pipeline.scaler().transform_row(windows.trial(i), scaled);
-      EXPECT_EQ(bit_mismatches(served.row(i),
-                               pairwise_covariance(scaled, steps, sensors)),
-                0u);
-    }
+    for_each_instance(covariance_kernels(), [&](const auto& kernel) {
+      const Matrix raw = preprocess::standardized_covariance_features(
+          kernel, windows.trial_views(), steps, sensors,
+          identity_scaler(steps * sensors));
+      const Matrix fused = preprocess::standardized_covariance_features(
+          kernel, windows.trial_views(), steps, sensors,
+          w.pipeline.scaler());
+      std::vector<double> scaled(steps * sensors);
+      for (std::size_t i = 0; i < windows.trials(); ++i) {
+        EXPECT_EQ(bit_mismatches(raw.row(i), pairwise_covariance(
+                                                 windows.trial(i), steps,
+                                                 sensors)),
+                  0u);
+        w.pipeline.scaler().transform_row(windows.trial(i), scaled);
+        const std::vector<double> want =
+            pairwise_covariance(scaled, steps, sensors);
+        EXPECT_EQ(bit_mismatches(fused.row(i), want), 0u);
+        EXPECT_EQ(bit_mismatches(served.row(i), want), 0u);
+      }
+    });
   }
 }
 
@@ -388,23 +451,25 @@ TEST(InferenceOracle, LaneKernelRefusesEveryNonFiniteInputPosition) {
           << entry << ": " << e.what();
     }
   };
-  for (const double special : {std::numeric_limits<double>::quiet_NaN(),
-                               std::numeric_limits<double>::infinity(),
-                               -std::numeric_limits<double>::infinity()}) {
-    for (std::size_t cell = 0; cell < kSteps * kSensors; ++cell) {
-      SCOPED_TRACE(testing::Message() << special << " at step "
-                                      << cell / kSensors << ", sensor "
-                                      << cell % kSensors);
-      data::Tensor3 x = clean;
-      x.trial(kBad)[cell] = special;
-      expect_refused(
-          [&] {
-            return preprocess::standardized_covariance_features(
-                x.trial_views(), kSteps, kSensors, scaler);
-          },
-          "standardized_covariance_features");
+  for_each_instance(covariance_kernels(), [&](const CovarianceKernel& kernel) {
+    for (const double special : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()}) {
+      for (std::size_t cell = 0; cell < kSteps * kSensors; ++cell) {
+        SCOPED_TRACE(testing::Message() << special << " at step "
+                                        << cell / kSensors << ", sensor "
+                                        << cell % kSensors);
+        data::Tensor3 x = clean;
+        x.trial(kBad)[cell] = special;
+        expect_refused(
+            [&] {
+              return preprocess::standardized_covariance_features(
+                  kernel, x.trial_views(), kSteps, kSensors, scaler);
+            },
+            "standardized_covariance_features");
+      }
     }
-  }
+  });
 }
 
 TEST(InferenceOracle, BuildOrderStreamCompilesToTheSamePredictions) {
@@ -592,10 +657,14 @@ std::vector<double> test_priors(std::size_t sensors) {
   return priors;
 }
 
-/// Repairs `raw` (steps×sensors) under every policy through the one-pass
-/// WindowRepairer and through impute_window, and checks both against the
-/// column-by-column reference bit for bit.
-void expect_repair_matches(std::span<const double> raw, std::size_t steps,
+using robust::repair_kernels;
+using robust::RepairKernel;
+
+/// Repairs `raw` (steps×sensors) under every policy through `kernel`'s
+/// instance of the one-pass WindowRepairer and through impute_window, and
+/// checks both against the column-by-column reference bit for bit.
+void expect_repair_matches(const RepairKernel& kernel,
+                           std::span<const double> raw, std::size_t steps,
                            std::size_t sensors, const std::string& what) {
   for (const robust::Imputation policy : kPolicies) {
     const std::string label = what + " / " + robust::imputation_name(policy);
@@ -611,14 +680,14 @@ void expect_repair_matches(std::span<const double> raw, std::size_t steps,
     std::vector<double> got(raw.begin(), raw.end());
     robust::QualityReport got_report;
     robust::WindowRepairer repairer(sensors, config);
-    repairer.account_and_repair(got, steps, got_report);
+    kernel.repair(repairer, got, steps, got_report);
     EXPECT_TRUE(same_bits(got, want)) << label;
     expect_same_report(got_report, want_report, label);
 
     // The same repairer is reusable: its scratch is clean after a window.
     std::vector<double> again(raw.begin(), raw.end());
     robust::QualityReport again_report;
-    repairer.account_and_repair(again, steps, again_report);
+    kernel.repair(repairer, again, steps, again_report);
     EXPECT_TRUE(same_bits(again, want)) << label << " (reused)";
     expect_same_report(again_report, want_report, label + " (reused)");
 
@@ -667,66 +736,113 @@ TEST(InferenceOracle, OnePassRepairMatchesColumnRepairUnderFaults) {
   struct Geometry {
     std::size_t steps, sensors, windows;
   };
-  for (const Geometry g : {Geometry{540, 7, 24}, Geometry{60, 7, 48},
-                           Geometry{45, 70, 8}}) {
-    for (const double severity : {0.0, 0.25, 0.5, 1.0}) {
-      for (std::size_t i = 0; i < g.windows; ++i) {
-        const std::string what = std::to_string(g.steps) + "x" +
-                                 std::to_string(g.sensors) + " severity " +
-                                 std::to_string(severity) + " window " +
-                                 std::to_string(i);
-        const std::vector<double> raw =
-            faulted_window(g.steps, g.sensors, severity, 0xFA17ULL + 97 * i);
-        expect_repair_matches(raw, g.steps, g.sensors, what);
+  for_each_instance(repair_kernels(), [](const RepairKernel& kernel) {
+    for (const Geometry g : {Geometry{540, 7, 24}, Geometry{60, 7, 48},
+                             Geometry{45, 70, 8}}) {
+      for (const double severity : {0.0, 0.25, 0.5, 1.0}) {
+        for (std::size_t i = 0; i < g.windows; ++i) {
+          const std::string what = std::to_string(g.steps) + "x" +
+                                   std::to_string(g.sensors) + " severity " +
+                                   std::to_string(severity) + " window " +
+                                   std::to_string(i);
+          const std::vector<double> raw = faulted_window(
+              g.steps, g.sensors, severity, 0xFA17ULL + 97 * i);
+          expect_repair_matches(kernel, raw, g.steps, g.sensors, what);
+        }
       }
     }
-  }
+  });
 }
 
 TEST(InferenceOracle, OnePassRepairMatchesColumnRepairOnEdgeCases) {
-  // 6 steps × 3 sensors, one row per line.
-  const std::vector<std::vector<double>> cases = {
-      // dead sensor 1
-      {1, kNaN, 2, 3, kNaN, 4, 5, kNaN, 6, 7, kNaN, 8, 9, kNaN, 1, 2, kNaN, 3},
-      // leading gaps of different lengths, trailing gaps, interior gaps
-      {kNaN, kNaN, 1, kNaN, 2, 3, 4, 5, kNaN, kNaN, 6, kNaN, 7, kNaN, kNaN, 8,
-       9, kNaN},
-      // ±inf count as missing and never anchor a repair
-      {kInf, 1, -kInf, 2, kInf, 3, -kInf, kNaN, 4, 5, 6, kInf, kNaN, -kInf, 7,
-       8, 9, -kInf},
-      // one finite reading per sensor: first step, last step, middle
-      {1, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, 3, kNaN, kNaN, kNaN, kNaN,
-       kNaN, kNaN, kNaN, 2, kNaN},
-      // NaN-padded truncated tail
-      {1, 2, 3, 4, kNaN, 6, 7, 8, 9, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN,
-       kNaN, kNaN},
-      // all NaN
-      std::vector<double>(18, kNaN),
-      // nothing missing
-      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
-  };
-  for (std::size_t c = 0; c < cases.size(); ++c) {
-    expect_repair_matches(cases[c], 6, 3, "case " + std::to_string(c));
-  }
-  // 1-step windows: a lone finite value cannot anchor across steps.
-  expect_repair_matches(std::vector<double>{kNaN, 1.0, -kInf}, 1, 3, "1 step");
-  expect_repair_matches(std::vector<double>(3, kNaN), 1, 3, "1 step, all NaN");
-  expect_repair_matches(std::vector<double>{1.0, 2.0, 3.0}, 1, 3,
-                        "1 step, clean");
-  // 70 sensors: more than one 64-bit word of per-sensor state. Sensor s is
-  // missing on steps where (t + s) % (s % 5 + 2) == 0; sensors 64 and 69
-  // are dead.
-  constexpr std::size_t kSteps = 12, kSensors = 70;
-  std::vector<double> wide(kSteps * kSensors);
-  for (std::size_t t = 0; t < kSteps; ++t) {
-    for (std::size_t s = 0; s < kSensors; ++s) {
-      const bool missing =
-          s == 64 || s == 69 || (t + s) % (s % 5 + 2) == 0;
-      wide[t * kSensors + s] =
-          missing ? kNaN : static_cast<double>(t * 100 + s) / 7.0;
+  for_each_instance(repair_kernels(), [](const RepairKernel& kernel) {
+    // 6 steps × 3 sensors, one row per line.
+    const std::vector<std::vector<double>> cases = {
+        // dead sensor 1
+        {1, kNaN, 2, 3, kNaN, 4, 5, kNaN, 6, 7, kNaN, 8, 9, kNaN, 1, 2, kNaN,
+         3},
+        // leading gaps of different lengths, trailing gaps, interior gaps
+        {kNaN, kNaN, 1, kNaN, 2, 3, 4, 5, kNaN, kNaN, 6, kNaN, 7, kNaN, kNaN,
+         8, 9, kNaN},
+        // ±inf count as missing and never anchor a repair
+        {kInf, 1, -kInf, 2, kInf, 3, -kInf, kNaN, 4, 5, 6, kInf, kNaN, -kInf,
+         7, 8, 9, -kInf},
+        // one finite reading per sensor: first step, last step, middle
+        {1, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN, 3, kNaN, kNaN, kNaN,
+         kNaN, kNaN, kNaN, kNaN, 2, kNaN},
+        // NaN-padded truncated tail
+        {1, 2, 3, 4, kNaN, 6, 7, 8, 9, kNaN, kNaN, kNaN, kNaN, kNaN, kNaN,
+         kNaN, kNaN, kNaN},
+        // all NaN
+        std::vector<double>(18, kNaN),
+        // nothing missing
+        {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
+    };
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      expect_repair_matches(kernel, cases[c], 6, 3,
+                            "case " + std::to_string(c));
     }
-  }
-  expect_repair_matches(wide, kSteps, kSensors, "70 sensors");
+    // 1-step windows: a lone finite value cannot anchor across steps.
+    expect_repair_matches(kernel, std::vector<double>{kNaN, 1.0, -kInf}, 1, 3,
+                          "1 step");
+    expect_repair_matches(kernel, std::vector<double>(3, kNaN), 1, 3,
+                          "1 step, all NaN");
+    expect_repair_matches(kernel, std::vector<double>{1.0, 2.0, 3.0}, 1, 3,
+                          "1 step, clean");
+    // 70 sensors: more than one 64-bit word of per-sensor state. Sensor s is
+    // missing on steps where (t + s) % (s % 5 + 2) == 0; sensors 64 and 69
+    // are dead.
+    constexpr std::size_t kSteps = 12, kSensors = 70;
+    std::vector<double> wide(kSteps * kSensors);
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      for (std::size_t s = 0; s < kSensors; ++s) {
+        const bool missing =
+            s == 64 || s == 69 || (t + s) % (s % 5 + 2) == 0;
+        wide[t * kSensors + s] =
+            missing ? kNaN : static_cast<double>(t * 100 + s) / 7.0;
+      }
+    }
+    expect_repair_matches(kernel, wide, kSteps, kSensors, "70 sensors");
+
+    // 7 sensors, the width the wider instances are built for: every one of
+    // the 128 missing patterns is a row, with NaN of either sign and ±inf as
+    // the missing readings and −0.0, subnormals and ±DBL_MAX (finite, the
+    // largest magnitudes a row mask must pass) among the present ones.
+    constexpr std::size_t kGpu = 7, kPatterns = 128;
+    const double missing[] = {kNaN, -kNaN, kInf, -kInf};
+    const double present[] = {-0.0,
+                              0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              -std::numeric_limits<double>::min() / 3,
+                              std::numeric_limits<double>::max(),
+                              -std::numeric_limits<double>::max(),
+                              1e300,
+                              -2.5};
+    std::vector<double> patterns(kPatterns * kGpu);
+    for (std::size_t t = 0; t < kPatterns; ++t) {
+      for (std::size_t s = 0; s < kGpu; ++s) {
+        patterns[t * kGpu + s] = ((t >> s) & 1) != 0
+                                     ? missing[(t + s) % 4]
+                                     : present[(3 * t + s) % 8];
+      }
+    }
+    // Reversed too, so the last row (all missing) is not the only tail.
+    std::vector<double> reversed(patterns.size());
+    for (std::size_t t = 0; t < kPatterns; ++t) {
+      std::copy_n(patterns.begin() + static_cast<std::ptrdiff_t>(t * kGpu),
+                  kGpu,
+                  reversed.end() - static_cast<std::ptrdiff_t>((t + 1) * kGpu));
+    }
+    expect_repair_matches(kernel, patterns, kPatterns, kGpu,
+                          "7 sensors, every pattern");
+    expect_repair_matches(kernel, reversed, kPatterns, kGpu,
+                          "7 sensors, every pattern, reversed");
+    for (std::size_t steps = 1; steps <= 3; ++steps) {
+      expect_repair_matches(
+          kernel, std::span<const double>(reversed).first(steps * kGpu), steps,
+          kGpu, "7 sensors, " + std::to_string(steps) + " steps");
+    }
+  });
 }
 
 TEST(InferenceOracle, ClassifyBatchRepairsAsTheColumnRepairAndKeepsConstInput) {
