@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -26,17 +25,6 @@ std::chrono::steady_clock::time_point deadline_after(double seconds) {
   return std::chrono::steady_clock::now() +
          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
              std::chrono::duration<double>(seconds));
-}
-
-/// Prometheus sample-value formatting for re-exported worker series.
-/// Json::write_number turns non-finite into "null", which Prometheus
-/// rejects — spell those the exposition-format way instead.
-std::string prom_value(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  std::ostringstream os;
-  obs::Json(v).write(os);
-  return os.str();
 }
 
 }  // namespace
@@ -404,17 +392,17 @@ std::string ShardRouter::fleet_metrics_text() const {
       }
       for (const auto& [name, value] : reply.gauges) {
         os << obs::sanitize_metric_name(name) << label << ' '
-           << prom_value(value) << '\n';
+           << obs::prometheus_value(value) << '\n';
       }
       for (const net::MetricsRollingEntry& e : reply.rolling) {
         const std::string name = obs::sanitize_metric_name(e.name);
         os << name << "_count" << label << ' ' << e.count << '\n';
         os << name << "{shard=\"" << shard << "\",quantile=\"0.5\"} "
-           << prom_value(e.p50) << '\n';
+           << obs::prometheus_value(e.p50) << '\n';
         os << name << "{shard=\"" << shard << "\",quantile=\"0.9\"} "
-           << prom_value(e.p90) << '\n';
+           << obs::prometheus_value(e.p90) << '\n';
         os << name << "{shard=\"" << shard << "\",quantile=\"0.99\"} "
-           << prom_value(e.p99) << '\n';
+           << obs::prometheus_value(e.p99) << '\n';
       }
     }
   }

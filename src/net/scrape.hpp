@@ -1,16 +1,17 @@
-// Minimal HTTP/1.1 scrape endpoint (GET-only, std + POSIX sockets).
+// Minimal HTTP/1.1 scrape endpoint (GET-only) over net::TcpListener.
 //
 // Just enough HTTP to let `curl` and a Prometheus scraper pull /metrics,
 // /healthz and /vars from a live serving process — deliberately NOT a web
 // framework: one blocking accept loop on its own thread, one connection
 // served at a time, GET only, no keep-alive, no TLS. Handlers are
 // registered before start() and produce the whole body per request; a
-// throwing handler maps to a 500.
+// throwing handler maps to a 500. The transport is net::Socket, so this
+// file holds only the HTTP part.
 //
-// Security posture (DESIGN.md §7): binds 127.0.0.1 by default — the
-// endpoint exposes operational detail and has no auth, so non-loopback
-// binds are an explicit opt-in. Port 0 requests an ephemeral port; port()
-// reports the bound one (tests rely on this to avoid collisions).
+// Security posture (DESIGN.md §7): TcpListener binds 127.0.0.1 only — the
+// endpoint exposes operational detail and has no auth. Port 0 requests an
+// ephemeral port; port() reports the bound one (tests rely on this to
+// avoid collisions).
 #pragma once
 
 #include <atomic>
@@ -20,21 +21,17 @@
 #include <string>
 #include <thread>
 
-namespace scwc::obs {
+#include "net/socket.hpp"
 
-struct ScrapeConfig {
-  std::uint16_t port = 0;     ///< 0 → kernel-assigned ephemeral port
-  bool loopback_only = true;  ///< bind 127.0.0.1 (default) vs 0.0.0.0
-  int backlog = 16;
-  double io_timeout_s = 2.0;  ///< per-connection read/write timeout
-};
+namespace scwc::net {
 
 class ScrapeServer {
  public:
   /// Returns the response body; content type comes from registration.
   using Handler = std::function<std::string()>;
 
-  explicit ScrapeServer(ScrapeConfig config = {});
+  /// `port` 0 → kernel-assigned ephemeral port.
+  explicit ScrapeServer(std::uint16_t port = 0) : requested_port_(port) {}
   ~ScrapeServer();  // stops and joins
 
   ScrapeServer(const ScrapeServer&) = delete;
@@ -44,8 +41,8 @@ class ScrapeServer {
   /// before start(); throws std::logic_error afterwards.
   void add_route(std::string path, std::string content_type, Handler handler);
 
-  /// Binds, listens and launches the accept thread. Throws
-  /// std::runtime_error when the socket cannot be set up.
+  /// Binds, listens and launches the accept thread. Throws scwc::Error
+  /// when the socket cannot be set up (running() stays false).
   void start();
 
   /// Stops the accept loop and joins the thread. Idempotent.
@@ -55,7 +52,9 @@ class ScrapeServer {
     return running_.load(std::memory_order_acquire);
   }
   /// Actual bound port (resolves port-0 requests); 0 before start().
-  [[nodiscard]] std::uint16_t port() const noexcept { return bound_port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return listener_.port();
+  }
   [[nodiscard]] std::uint64_t requests_served() const noexcept {
     return requests_.load(std::memory_order_relaxed);
   }
@@ -67,20 +66,20 @@ class ScrapeServer {
   };
 
   void accept_loop();
-  void serve_connection(int fd);
+  void serve_connection(Socket& sock);
 
-  // Lock-free by construction, not by accident: config_/routes_/listen_fd_/
-  // bound_port_ are written only before start() spawns the accept thread
-  // and are read-only afterwards (route() refuses registration once
-  // running). Cross-thread state is limited to the two atomics. If routes
+  // Lock-free by construction, not by accident: requested_port_/routes_
+  // and the listener's fd/port are written only before start() spawns the
+  // accept thread and are read-only afterwards (add_route refuses
+  // registration once running; stop() closes the listener only after the
+  // join). Cross-thread state is limited to the two atomics. If routes
   // ever become mutable at runtime, add a scwc::Mutex and GUARDED_BY here.
-  ScrapeConfig config_;
+  std::uint16_t requested_port_;
   std::map<std::string, Route> routes_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_{0};
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
+  TcpListener listener_;
   std::thread thread_;
 };
 
-}  // namespace scwc::obs
+}  // namespace scwc::net

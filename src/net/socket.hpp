@@ -1,9 +1,11 @@
-// Loopback TCP primitives for the sharded serving cluster.
+// Loopback TCP primitives for the sharded serving cluster and the HTTP
+// scrape endpoint (net/scrape.*).
 //
-// This file (with obs/scrape.*) is the ONLY place raw socket syscalls are
-// allowed — the `no-raw-socket-calls` lint rule enforces it. Everything
-// above (router, worker, tools, benches) talks in SCWCWIRE frames through
-// FrameReader/write_frame and never sees a file descriptor.
+// This is the only file that makes raw socket syscalls — the
+// `no-raw-socket-calls` lint rule enforces it. Everything above (router,
+// worker, scrape server, tools, benches) talks through Socket/TcpListener,
+// the wire protocol in SCWCWIRE frames through FrameReader/write_frame,
+// and never sees a file descriptor.
 //
 // Security posture matches the scrape endpoint (DESIGN.md §7): the
 // listener binds 127.0.0.1 only — the wire protocol carries operational

@@ -25,18 +25,6 @@ Json x_event(const std::string& name, const std::string& cat, int pid,
   return Json(std::move(e));
 }
 
-Json process_name_event(int pid, const std::string& name) {
-  Json::Object args;
-  args.emplace("name", Json(name));
-  Json::Object e;
-  e.emplace("ph", Json("M"));
-  e.emplace("name", Json("process_name"));
-  e.emplace("pid", Json(pid));
-  e.emplace("tid", Json(0));
-  e.emplace("args", Json(std::move(args)));
-  return Json(std::move(e));
-}
-
 void append_request_events(Json::Array& events,
                            const RequestTraceRecord& rec) {
   const auto tid = static_cast<double>(rec.trace_id);
@@ -93,6 +81,18 @@ double append_span_events(Json::Array& events, const SpanStats& span,
 }
 
 }  // namespace
+
+Json process_name_event(int pid, const std::string& name) {
+  Json::Object args;
+  args.emplace("name", Json(name));
+  Json::Object e;
+  e.emplace("ph", Json("M"));
+  e.emplace("name", Json("process_name"));
+  e.emplace("pid", Json(pid));
+  e.emplace("tid", Json(0));
+  e.emplace("args", Json(std::move(args)));
+  return Json(std::move(e));
+}
 
 Json chrome_trace_json(std::span<const RequestTraceRecord> records,
                        const SpanStats& span_root, Json::Object meta) {

@@ -34,6 +34,9 @@ namespace scwc::obs {
                                      const SpanStats& span_root,
                                      Json::Object meta = {});
 
+/// The "M" metadata event that names process `pid` in the trace viewer.
+[[nodiscard]] Json process_name_event(int pid, const std::string& name);
+
 /// Structural self-check: "" when `doc` is a well-formed trace-event
 /// document (object with a traceEvents array; every event has string
 /// name/ph and numeric pid/tid; "X" events additionally carry numeric

@@ -56,17 +56,6 @@ Json span_to_json(const SpanStats& span) {
   return Json(std::move(out));
 }
 
-/// Prometheus number formatting: plain decimal, +Inf for the overflow le.
-std::string prom_double(double v) {
-  std::ostringstream os;
-  if (std::isinf(v)) {
-    os << (v > 0 ? "+Inf" : "-Inf");
-  } else {
-    Json(v).write(os);
-  }
-  return os.str();
-}
-
 void render_span(std::ostream& os, const SpanStats& span, int depth) {
   std::ostringstream line;  // keeps formatting state off the caller's stream
   line << std::fixed << std::setprecision(3);
@@ -136,6 +125,16 @@ std::string sanitize_label_value(std::string_view value) {
   return out;
 }
 
+std::string prometheus_value(double v) {
+  // Json::write spells every non-finite value "null", which Prometheus
+  // rejects; the exposition format has its own names for them.
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  std::ostringstream os;
+  Json(v).write(os);
+  return os.str();
+}
+
 Json span_tree_to_json(const SpanStats& root) {
   Json::Array spans;
   for (const SpanStats& child : root.children) {
@@ -153,7 +152,7 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   for (const auto& [raw_name, value] : snapshot.gauges) {
     const std::string name = sanitize_metric_name(raw_name);
     os << "# TYPE " << name << " gauge\n"
-       << name << ' ' << prom_double(value) << '\n';
+       << name << ' ' << prometheus_value(value) << '\n';
   }
   for (const HistogramSnapshot& h : snapshot.histograms) {
     const std::string name = sanitize_metric_name(h.name);
@@ -162,10 +161,10 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       cumulative += h.buckets[i];
       const std::string le = sanitize_label_value(
-          i < h.bounds.size() ? prom_double(h.bounds[i]) : "+Inf");
+          i < h.bounds.size() ? prometheus_value(h.bounds[i]) : "+Inf");
       os << name << "_bucket{le=\"" << le << "\"} " << cumulative << '\n';
     }
-    os << name << "_sum " << prom_double(h.sum) << '\n';
+    os << name << "_sum " << prometheus_value(h.sum) << '\n';
     os << name << "_count " << h.count << '\n';
   }
   // Rolling histograms surface as Prometheus summaries: last-window_s
@@ -174,14 +173,14 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
   for (const RollingHistogramSnapshot& r : snapshot.rolling) {
     const std::string name = sanitize_metric_name(r.name);
     os << "# TYPE " << name << " summary\n";
-    os << name << "{quantile=\"0.5\"} " << prom_double(r.p50) << '\n';
-    os << name << "{quantile=\"0.9\"} " << prom_double(r.p90) << '\n';
-    os << name << "{quantile=\"0.99\"} " << prom_double(r.p99) << '\n';
-    os << name << "{quantile=\"0.999\"} " << prom_double(r.p999) << '\n';
-    os << name << "_sum " << prom_double(r.sum) << '\n';
+    os << name << "{quantile=\"0.5\"} " << prometheus_value(r.p50) << '\n';
+    os << name << "{quantile=\"0.9\"} " << prometheus_value(r.p90) << '\n';
+    os << name << "{quantile=\"0.99\"} " << prometheus_value(r.p99) << '\n';
+    os << name << "{quantile=\"0.999\"} " << prometheus_value(r.p999) << '\n';
+    os << name << "_sum " << prometheus_value(r.sum) << '\n';
     os << name << "_count " << r.count << '\n';
     os << "# TYPE " << name << "_window_seconds gauge\n";
-    os << name << "_window_seconds " << prom_double(r.window_s) << '\n';
+    os << name << "_window_seconds " << prometheus_value(r.window_s) << '\n';
   }
   return os.str();
 }

@@ -31,6 +31,12 @@ namespace scwc::obs {
 /// double-quote and newline are escaped; other bytes pass through.
 [[nodiscard]] std::string sanitize_label_value(std::string_view value);
 
+/// One sample value in the text exposition format: a finite value as
+/// Json writes it (integral without a fraction, else shortest round-trip),
+/// a non-finite one as "NaN", "+Inf" or "-Inf". Every series to_prometheus
+/// and the router's fleet exposition render goes through it.
+[[nodiscard]] std::string prometheus_value(double v);
+
 /// Array of span nodes: [{name, calls, total_s, self_s, children: [...]}].
 /// The synthetic root is dropped — only real spans are serialised.
 [[nodiscard]] Json span_tree_to_json(const SpanStats& root);

@@ -5,7 +5,8 @@
 # MetricsRegistry fast path, the TraceSpan tree, parallel RF/GBT/NN
 # training — are exercised hardest by tests/test_concurrency_stress.cpp,
 # but the whole suite runs so any test that schedules work on the pool is
-# also checked. Usage:
+# also checked, as is the scrape server's accept thread
+# (tests/test_net_scrape.cpp, `tests/run_tsan.sh Scrape`). Usage:
 #
 #   tests/run_tsan.sh                 # full suite
 #   tests/run_tsan.sh -R Concurrency  # forward any ctest args, e.g. a regex

@@ -552,14 +552,19 @@ TEST(LintRules, RawSocketCallFiresEverywhereButTheNetLayer) {
             "no-raw-socket-calls"));
 }
 
-TEST(LintRules, NetLayerAndScrapeImplAreExempt) {
+TEST(LintRules, OnlySocketImplIsExempt) {
   const std::string call = "int fd = ::socket(AF_INET, SOCK_STREAM, 0);\n";
   EXPECT_FALSE(fired(lint("src/net/socket.cpp", call),
                      "no-raw-socket-calls"));
   EXPECT_FALSE(fired(lint("src/net/socket.hpp", call),
                      "no-raw-socket-calls"));
-  EXPECT_FALSE(fired(lint("src/obs/scrape.cpp", call),
-                     "no-raw-socket-calls"));
+  // The rest of the net layer and the scrape server ride on net::Socket.
+  EXPECT_TRUE(fired(lint("src/obs/scrape.cpp", call),
+                    "no-raw-socket-calls"));
+  EXPECT_TRUE(fired(lint("src/net/scrape.cpp", call),
+                    "no-raw-socket-calls"));
+  EXPECT_TRUE(fired(lint("src/net/wire.cpp", call),
+                    "no-raw-socket-calls"));
 }
 
 TEST(LintRules, QualifiedNamesAndWrappersAreClean) {

@@ -1,24 +1,26 @@
-// ScrapeServer (src/obs/scrape.*): a real TCP client connects to the
+// ScrapeServer (src/net/scrape.*): a real TCP client connects to the
 // loopback listener and issues HTTP/1.0 GETs — route dispatch, content
 // types, 404/405 handling, handler exceptions, concurrent and hostile
-// clients, and idempotent shutdown. The client side goes through
-// net::Socket so the test itself honours the no-raw-socket-calls rule.
+// clients, bind failure, and idempotent shutdown. The client side goes
+// through net::Socket so the test itself honours the no-raw-socket-calls
+// rule.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
+#include "net/scrape.hpp"
 #include "net/socket.hpp"
-#include "obs/scrape.hpp"
 
-namespace scwc::obs {
+namespace scwc::net {
 namespace {
 
 /// Minimal blocking HTTP client: sends `request` to 127.0.0.1:`port`,
 /// returns everything the server wrote before closing ("" on failure).
 std::string http_exchange(std::uint16_t port, const std::string& request) {
-  net::Socket sock = net::connect_loopback(port, 5.0);
+  Socket sock = connect_loopback(port, 5.0);
   if (!sock.valid()) return "";
   if (!sock.send_all(request)) return "";
   // Read to EOF: recv_some returns 0 once the server closes.
@@ -48,7 +50,7 @@ class ScrapeServerTest : public ::testing::Test {
   }
   void TearDown() override { server_.stop(); }
 
-  ScrapeServer server_{ScrapeConfig{}};  // port 0 → ephemeral
+  ScrapeServer server_;  // port 0 → ephemeral
 };
 
 TEST_F(ScrapeServerTest, ServesRegisteredRoute) {
@@ -101,10 +103,10 @@ TEST_F(ScrapeServerTest, SequentialRequestsAllSucceed) {
 }
 
 TEST(ScrapeServer, StopIsIdempotentAndRestartableInstancesCoexist) {
-  ScrapeServer a{ScrapeConfig{}};
+  ScrapeServer a;
   a.add_route("/a", "text/plain", [] { return std::string("a"); });
   a.start();
-  ScrapeServer b{ScrapeConfig{}};
+  ScrapeServer b;
   b.add_route("/b", "text/plain", [] { return std::string("b"); });
   b.start();
   EXPECT_NE(a.port(), b.port());
@@ -169,7 +171,7 @@ TEST_F(ScrapeServerTest, OversizedRequestIsBoundedNotBuffered) {
 }
 
 TEST(ScrapeServer, StartIsIdempotentAndRoutesLockAfterStart) {
-  ScrapeServer s{ScrapeConfig{}};
+  ScrapeServer s;
   s.add_route("/x", "text/plain", [] { return std::string("x"); });
   s.start();
   const std::uint16_t port = s.port();
@@ -181,5 +183,19 @@ TEST(ScrapeServer, StartIsIdempotentAndRoutesLockAfterStart) {
   s.stop();
 }
 
+TEST(ScrapeServer, BindFailureThrowsAndLeavesTheServerStopped) {
+  // Another listener already holds the port: start() must surface the
+  // bind failure as scwc::Error, not a half-started server.
+  TcpListener holder;
+  holder.listen(0);
+  ScrapeServer s(holder.port());
+  s.add_route("/x", "text/plain", [] { return std::string("x"); });
+  EXPECT_THROW(s.start(), scwc::Error);
+  EXPECT_FALSE(s.running());
+  s.stop();  // no-op: nothing was started
+  EXPECT_FALSE(s.running());
+  EXPECT_EQ(s.requests_served(), 0u);
+}
+
 }  // namespace
-}  // namespace scwc::obs
+}  // namespace scwc::net

@@ -3,6 +3,7 @@
 // are built by hand so the expected strings are exact and deterministic.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -74,6 +75,21 @@ TEST(ObsExport, PrometheusGolden) {
             "scwc_test_seconds_bucket{le=\"+Inf\"} 4\n"
             "scwc_test_seconds_sum 6.5\n"
             "scwc_test_seconds_count 4\n");
+}
+
+TEST(ObsExport, PrometheusNonFiniteGaugesUseExpositionNames) {
+  // A NaN gauge is a legal sample; Prometheus rejects the JSON "null".
+  MetricsSnapshot snap;
+  snap.gauges = {{"scwc_test_nan", std::nan("")},
+                 {"scwc_test_neg_inf", -HUGE_VAL},
+                 {"scwc_test_pos_inf", HUGE_VAL}};
+  EXPECT_EQ(to_prometheus(snap),
+            "# TYPE scwc_test_nan gauge\n"
+            "scwc_test_nan NaN\n"
+            "# TYPE scwc_test_neg_inf gauge\n"
+            "scwc_test_neg_inf -Inf\n"
+            "# TYPE scwc_test_pos_inf gauge\n"
+            "scwc_test_pos_inf +Inf\n");
 }
 
 TEST(ObsExport, SpanTreeJsonDropsSyntheticRoot) {

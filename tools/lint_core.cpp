@@ -698,8 +698,7 @@ FileContext classify_path(std::string_view rel_path) {
   ctx.is_sync_impl = rel_path.starts_with("src/common/mutex.") ||
                      rel_path.starts_with("src/common/lock_order.") ||
                      rel_path.starts_with("src/common/thread_annotations.");
-  ctx.is_net_impl = rel_path.starts_with("src/net/") ||
-                    rel_path.starts_with("src/obs/scrape.");
+  ctx.is_socket_impl = rel_path.starts_with("src/net/socket.");
   return ctx;
 }
 
@@ -907,12 +906,12 @@ std::vector<Finding> lint_source(std::string_view rel_path,
     }
 
     // no-raw-socket-calls: a global-scope socket syscall (`::bind(` with
-    // nothing qualifying the `::`) outside the sanctioned net layer. Keyed
-    // on the explicit `::` so `std::bind(`, `sock.connect(...)` wrappers
-    // and FrameType::kShutdown never fire — the project style always
-    // spells raw syscalls with the global qualifier, and the two files
-    // allowed to do so are exempt by path.
-    if (!ctx.is_net_impl) {
+    // nothing qualifying the `::`) outside src/net/socket.*. Keyed on the
+    // explicit `::` so `std::bind(`, `sock.connect(...)` wrappers and
+    // FrameType::kShutdown never fire — the project style always spells
+    // raw syscalls with the global qualifier, and socket.{hpp,cpp}, the
+    // one place allowed to make them, is exempt by path.
+    if (!ctx.is_socket_impl) {
       for (const std::string_view syscall :
            {"socket", "bind", "connect", "listen", "accept", "send", "recv",
             "sendto", "recvfrom", "shutdown", "setsockopt", "getsockopt",
@@ -929,8 +928,8 @@ std::vector<Finding> lint_source(std::string_view rel_path,
           if (global) {
             report(i, "no-raw-socket-calls",
                    "raw '::" + std::string(syscall) +
-                       "()' outside src/net//src/obs/scrape.* — speak "
-                       "frames through net::Socket / FrameReader / "
+                       "()' outside src/net/socket.* — go through "
+                       "net::Socket / TcpListener / FrameReader / "
                        "write_frame (src/net/socket.hpp)");
             fired = true;
             break;

@@ -24,10 +24,11 @@
 //                     every phase measurement shares one clamped helper
 //   no-raw-socket-calls
 //                     global-scope socket syscalls (::socket, ::bind,
-//                     ::connect, ::send, ::recv, …) outside src/net/ and
-//                     src/obs/scrape.* — everything else must speak frames
-//                     through net::Socket / FrameReader / write_frame so fd
-//                     lifecycle and timeout handling live in one place
+//                     ::connect, ::send, ::recv, …) outside src/net/socket.*
+//                     — everything else (the rest of src/net/ included)
+//                     must go through net::Socket / TcpListener /
+//                     FrameReader / write_frame so fd lifecycle and timeout
+//                     handling live in one place
 //   no-raw-std-mutex  std::mutex / condition_variable / lock_guard /
 //                     unique_lock / … in library code bypass the annotated
 //                     scwc::Mutex / CondVar / LockGuard wrappers
@@ -92,9 +93,9 @@ struct FileContext {
   /// itself wraps the raw std primitives, so no-raw-std-mutex,
   /// guarded-field-coverage and no-lock-across-blocking-call are exempt.
   bool is_sync_impl = false;
-  /// src/net/* and src/obs/scrape.* — the two sanctioned homes of raw
-  /// socket syscalls; everywhere else no-raw-socket-calls applies.
-  bool is_net_impl = false;
+  /// src/net/socket.* — the one sanctioned home of raw socket syscalls;
+  /// everywhere else no-raw-socket-calls applies.
+  bool is_socket_impl = false;
 };
 
 /// Derives the context from a repo-relative path like "src/common/rng.cpp".

@@ -36,10 +36,10 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "net/scrape.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 #include "obs/request_trace.hpp"
-#include "obs/scrape.hpp"
 #include "obs/trace.hpp"
 #include "serve/audit.hpp"
 #include "serve/retry.hpp"
@@ -136,11 +136,10 @@ int main(int argc, char** argv) {
     if (listen_port >= 0 || !metrics_out.empty()) {
       router.start_metrics_poll(cli.get_double("metrics-poll-s"));
     }
-    std::unique_ptr<obs::ScrapeServer> scrape;
+    std::unique_ptr<net::ScrapeServer> scrape;
     if (listen_port >= 0) {
-      obs::ScrapeConfig scrape_config;
-      scrape_config.port = static_cast<std::uint16_t>(listen_port);
-      scrape = std::make_unique<obs::ScrapeServer>(scrape_config);
+      scrape = std::make_unique<net::ScrapeServer>(
+          static_cast<std::uint16_t>(listen_port));
       scrape->add_route("/metrics", "text/plain; version=0.0.4",
                         [&router] { return router.fleet_metrics_text(); });
       scrape->add_route("/shards", "application/json", [&router] {

@@ -9,7 +9,7 @@
 // guarded prediction is printed as it resolves. Ends with the serve-layer
 // metrics so the shed/abstain accounting is visible.
 //
-// Live telemetry (ISSUE 7): --listen PORT embeds the obs scrape server
+// Live telemetry: --listen PORT embeds the net scrape server
 // (GET /metrics, /healthz, /vars) for the run's duration; --trace-out
 // writes sampled request traces as a chrome://tracing document;
 // --audit-out appends one scwc.audit/v1 JSONL record per verdict.
@@ -34,10 +34,10 @@
 #include "common/stopwatch.hpp"
 #include "core/challenge.hpp"
 #include "core/report.hpp"
+#include "net/scrape.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/scrape.hpp"
 #include "obs/trace.hpp"
 #include "serve/audit.hpp"
 #include "serve/bundle_io.hpp"
@@ -174,12 +174,11 @@ int main(int argc, char** argv) {
 
   // Live scrape endpoint: /metrics (Prometheus), /healthz (breaker +
   // fallback depth), /vars (full metrics snapshot as JSON). Loopback only.
-  std::unique_ptr<obs::ScrapeServer> scrape;
+  std::unique_ptr<net::ScrapeServer> scrape;
   const int listen_port = cli.get_int("listen");
   if (listen_port >= 0) {
-    obs::ScrapeConfig scrape_config;
-    scrape_config.port = static_cast<std::uint16_t>(listen_port);
-    scrape = std::make_unique<obs::ScrapeServer>(scrape_config);
+    scrape = std::make_unique<net::ScrapeServer>(
+        static_cast<std::uint16_t>(listen_port));
     scrape->add_route("/metrics", "text/plain; version=0.0.4", [] {
       return obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
     });

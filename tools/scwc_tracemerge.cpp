@@ -88,18 +88,6 @@ bool load_trace(const std::string& path, Json& doc, std::string& error) {
   return true;
 }
 
-Json process_name_event(int pid, const std::string& name) {
-  Json::Object args;
-  args.emplace("name", Json(name));
-  Json::Object e;
-  e.emplace("ph", Json("M"));
-  e.emplace("name", Json("process_name"));
-  e.emplace("pid", Json(pid));
-  e.emplace("tid", Json(0));
-  e.emplace("args", Json(std::move(args)));
-  return Json(std::move(e));
-}
-
 /// The request-lane pid chrome_trace_json emits everything under.
 constexpr double kRequestPid = 1.0;
 
@@ -147,7 +135,7 @@ int main(int argc, char** argv) {
   }
 
   Json::Array merged;
-  merged.push_back(process_name_event(1, "scwc router"));
+  merged.push_back(obs::process_name_event(1, "scwc router"));
 
   // Router lanes pass through untouched (their clock IS the merged
   // timeline); remember which trace ids must find a worker twin.
@@ -190,7 +178,7 @@ int main(int argc, char** argv) {
         (worker_epoch_ns - offset_ns - router_epoch_ns) / 1000.0;
 
     const int pid = 100 + shard_id;
-    merged.push_back(process_name_event(
+    merged.push_back(obs::process_name_event(
         pid, "scwc worker shard " + std::to_string(shard_id)));
     for (const Json& event : worker_doc.at("traceEvents").as_array()) {
       if (event.at("ph").as_string() != "X") continue;

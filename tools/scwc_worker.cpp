@@ -10,7 +10,7 @@
 // Cluster observability (ISSUE 10): --trace-out writes the shard's sampled
 // request traces as a chrome://tracing document whose scwcMeta block names
 // the shard and its steady-clock epoch, so scwc_tracemerge can align it
-// with the router's file; --listen embeds the obs scrape server (GET
+// with the router's file; --listen embeds the net scrape server (GET
 // /metrics, /healthz) and --listen-port-file publishes its bound port the
 // same write-then-rename way --port-file does.
 //
@@ -28,11 +28,11 @@
 #include "cluster/worker.hpp"
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "net/scrape.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/scrape.hpp"
 #include "obs/trace.hpp"
 #include "serve/bundle_io.hpp"
 
@@ -122,12 +122,11 @@ int main(int argc, char** argv) {
 
     // Shard-local scrape endpoint: the same registry the router pulls over
     // the wire, for operators who want to curl one shard directly.
-    std::unique_ptr<obs::ScrapeServer> scrape;
+    std::unique_ptr<net::ScrapeServer> scrape;
     const int listen_port = cli.get_int("listen");
     if (listen_port >= 0) {
-      obs::ScrapeConfig scrape_config;
-      scrape_config.port = static_cast<std::uint16_t>(listen_port);
-      scrape = std::make_unique<obs::ScrapeServer>(scrape_config);
+      scrape = std::make_unique<net::ScrapeServer>(
+          static_cast<std::uint16_t>(listen_port));
       scrape->add_route("/metrics", "text/plain; version=0.0.4", [] {
         return obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
       });
