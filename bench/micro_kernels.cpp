@@ -215,9 +215,9 @@ void BM_RandomForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomForestFit);
 
-// Served-model geometry: 100 trees over 28 covariance features and 26
-// classes, predicting a batch of 1 or 64 rows.
-void BM_RandomForestPredict(benchmark::State& state) {
+// Served-model geometry: 100 fully grown (so one-hot) trees over 28
+// covariance features and 26 classes.
+const ml::RandomForest& served_geometry_forest() {
   static const ml::RandomForest forest = [] {
     Matrix x;
     std::vector<int> y;
@@ -228,6 +228,12 @@ void BM_RandomForestPredict(benchmark::State& state) {
     out.fit(x, y);
     return out;
   }();
+  return forest;
+}
+
+// predict_proba on a batch of 1 or 64 rows: every tree, votes counted.
+void BM_RandomForestPredict(benchmark::State& state) {
+  const ml::RandomForest& forest = served_geometry_forest();
   const auto rows = static_cast<std::size_t>(state.range(0));
   const Matrix batch = random_matrix(rows, 28, 13);
   for (auto _ : state) {
@@ -237,6 +243,20 @@ void BM_RandomForestPredict(benchmark::State& state) {
                           static_cast<std::int64_t>(rows));
 }
 BENCHMARK(BM_RandomForestPredict)->Arg(1)->Arg(64)->UseRealTime();
+
+// predict, the call the service makes: labels only, so a row stops
+// walking trees once its label is decided.
+void BM_RandomForestPredictLabels(benchmark::State& state) {
+  const ml::RandomForest& forest = served_geometry_forest();
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const Matrix batch = random_matrix(rows, 28, 13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest.predict(batch));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_RandomForestPredictLabels)->Arg(1)->Arg(64)->UseRealTime();
 
 void BM_SvmFit(benchmark::State& state) {
   Matrix x;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -15,10 +16,115 @@ namespace scwc::ml {
 
 namespace {
 constexpr std::uint64_t kForestMagic = 0x534357435F524631ULL;  // "SCWC_RF1"
-// Rows one predict_proba task owns; smaller calls (every serve batch) run
-// inline with no task machinery at all.
+// Rows one predict task owns at least, and the block a one-hot forest
+// counts votes for in one fixed buffer.
 constexpr std::size_t kRowBlock = 64;
+// Lanes a lockstep group descends together.
+constexpr std::size_t kGroup = 8;
+// Classes a one-byte vote class can name.
+constexpr std::size_t kMaxVoteClasses = 256;
+
+/// Looked up once: a by-name lookup takes the registry's lock every call.
+struct WalkCounters {
+  obs::CounterHandle walks =
+      obs::MetricsRegistry::global().counter("scwc_ml_rf_tree_walks_total");
+  obs::CounterHandle skipped = obs::MetricsRegistry::global().counter(
+      "scwc_ml_rf_tree_walks_skipped_total");
+};
+
+const WalkCounters& walk_counters() {
+  static const WalkCounters counters;
+  return counters;
+}
+
+/// Runs body(lo, hi) over rows [0, rows): inline up to one row block
+/// (every serve batch, with no task machinery at all), else in parallel
+/// blocks of at least kRowBlock rows.
+template <typename Body>
+void over_rows(std::size_t rows, const Body& body) {
+  if (rows <= kRowBlock) {
+    body(0, rows);
+  } else {
+    parallel_for_blocked(0, rows, body, kRowBlock);
+  }
+}
+
+/// Calls run<G>(first) over lanes [0, lanes) in lockstep groups of 8; the
+/// short tail runs in narrower groups of 4, 2 and 1 rather than padding
+/// with repeated lanes.
+template <typename Run>
+void in_groups(std::size_t lanes, const Run& run) {
+  std::size_t g = 0;
+  for (; g + kGroup <= lanes; g += kGroup) run.template operator()<kGroup>(g);
+  if (lanes - g >= 4) {
+    run.template operator()<4>(g);
+    g += 4;
+  }
+  if (lanes - g >= 2) {
+    run.template operator()<2>(g);
+    g += 2;
+  }
+  if (lanes - g == 1) run.template operator()<1>(g);
+}
 }  // namespace
+
+/// counts[slot · C + c] is row slot's votes for class c. Once ranked, each
+/// slot also keeps its top count and the runner-up: the largest count of
+/// any class but one class holding the top (equal to the top on a tie), so
+/// the stop rule needs no scan over the classes.
+struct RandomForest::Ballot {
+  std::array<std::uint32_t, kRowBlock * kMaxVoteClasses> counts;
+  std::array<std::uint32_t, kRowBlock> top;
+  std::array<std::uint32_t, kRowBlock> second;
+  std::size_t classes;
+
+  /// Zeroes the rows' counts; the rest of the buffer is never read.
+  Ballot(std::size_t rows, std::size_t num_classes) : classes(num_classes) {
+    std::fill_n(counts.begin(), rows * classes, 0U);
+    std::fill_n(top.begin(), rows, 0U);
+    std::fill_n(second.begin(), rows, 0U);
+  }
+
+  /// One vote before rank(): counted only.
+  void add(std::size_t slot, std::uint32_t c) {
+    ++counts[slot * classes + c];
+  }
+
+  /// Sets the slot's top and runner-up from its counts, once.
+  void rank(std::size_t slot) {
+    const std::uint32_t* row = counts.data() + slot * classes;
+    std::uint32_t first = 0;
+    std::uint32_t next = 0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      if (row[c] > first) {
+        next = first;
+        first = row[c];
+      } else {
+        next = std::max(next, row[c]);
+      }
+    }
+    top[slot] = first;
+    second[slot] = next;
+  }
+
+  /// One vote after rank(): only a class holding the top can pass it, and
+  /// then the runner-up is unchanged (a tied class already set it to the
+  /// old top); any other class can only raise the runner-up.
+  void add_ranked(std::size_t slot, std::uint32_t c) {
+    const std::uint32_t v = ++counts[slot * classes + c];
+    if (v > top[slot]) {
+      top[slot] = v;
+    } else {
+      second[slot] = std::max(second[slot], v);
+    }
+  }
+
+  /// The class with the most votes, the lowest index on a tie.
+  [[nodiscard]] int argmax(std::size_t slot) const {
+    const std::uint32_t* row = counts.data() + slot * classes;
+    return static_cast<int>(std::max_element(row, row + classes) - row);
+  }
+};
 
 void RandomForest::Table::append(const DecisionTree& tree) {
   const std::span<const DecisionTree::Node> src = tree.nodes();
@@ -26,6 +132,7 @@ void RandomForest::Table::append(const DecisionTree& tree) {
                    std::numeric_limits<std::uint32_t>::max(),
                "model: forest too large to compile");
   const auto root = static_cast<std::uint32_t>(nodes.size());
+  one_hot = one_hot && num_classes <= kMaxVoteClasses;
   roots.push_back(root);
   depths.push_back(tree.depth());
   // Breadth-first relayout: compiled node root + k is source node order[k],
@@ -40,11 +147,14 @@ void RandomForest::Table::append(const DecisionTree& tree) {
       n.threshold = std::numeric_limits<double>::quiet_NaN();
       n.feature = 0;
       n.child = self - 1U;
+      const std::size_t first = leaf_class.size();
       for (std::size_t c = 0; c < s.class_fraction.size(); ++c) {
         if (s.class_fraction[c] == 0.0) continue;
         leaf_class.push_back(static_cast<std::uint32_t>(c));
         leaf_fraction.push_back(s.class_fraction[c]);
       }
+      one_hot = one_hot && leaf_class.size() == first + 1 &&
+                leaf_fraction.back() == 1.0;
     } else {
       n.threshold = s.threshold;
       n.feature = s.feature;
@@ -57,7 +167,12 @@ void RandomForest::Table::append(const DecisionTree& tree) {
     nodes.push_back(n);
     majority.push_back(s.majority);
     leaf_begin.push_back(static_cast<std::uint32_t>(leaf_class.size()));
+    if (one_hot) {
+      vote_class.push_back(static_cast<std::uint8_t>(
+          s.feature < 0 ? leaf_class.back() : 0));
+    }
   }
+  if (!one_hot) std::vector<std::uint8_t>().swap(vote_class);
 }
 
 void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
@@ -116,22 +231,9 @@ void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
 }
 
 template <std::size_t G>
-void RandomForest::accumulate_group(const linalg::Matrix& x, std::size_t lo,
-                                    std::size_t hi, Lane& lane,
-                                    linalg::Matrix& proba) const {
+void RandomForest::descend(const std::array<const double*, G>& values,
+                           std::array<std::uint32_t, G>& at) const {
   const Node* nodes = table_.nodes.data();
-  std::array<const double*, G> values;
-  std::array<double*, G> sums;
-  std::array<std::uint32_t, G> at;
-  for (std::size_t g = 0; g < G; ++g) {
-    values[g] = x.row(lane.row).data();
-    sums[g] = proba.row(lane.row).data();
-    at[g] = table_.roots[lane.tree];
-    if (++lane.row == hi) {
-      lane.row = lo;
-      ++lane.tree;
-    }
-  }
   // One branch-free step per lane per level; a lane already on a leaf
   // steps onto itself, so the walk is over when a step moves no lane.
   for (;;) {
@@ -145,69 +247,242 @@ void RandomForest::accumulate_group(const linalg::Matrix& x, std::size_t lo,
     }
     if (moved == 0) break;
   }
-  // Lanes are tree-major, so each row still receives its trees in order.
+}
+
+template <std::size_t G, typename Sink>
+void RandomForest::walk_group(const linalg::Matrix& x, std::size_t lo,
+                              std::size_t hi, Lane& lane,
+                              const Sink& sink) const {
+  std::array<const double*, G> values;
+  std::array<std::size_t, G> rows;
+  std::array<std::uint32_t, G> at;
   for (std::size_t g = 0; g < G; ++g) {
-    for (std::uint32_t e = table_.leaf_begin[at[g]];
-         e < table_.leaf_begin[at[g] + 1]; ++e) {
-      sums[g][table_.leaf_class[e]] += table_.leaf_fraction[e];
+    values[g] = x.row(lane.row).data();
+    rows[g] = lane.row;
+    at[g] = table_.roots[lane.tree];
+    if (++lane.row == hi) {
+      lane.row = lo;
+      ++lane.tree;
     }
   }
+  descend<G>(values, at);
+  // Lanes are tree-major, so each row still receives its trees in order.
+  for (std::size_t g = 0; g < G; ++g) sink(rows[g], at[g]);
+}
+
+template <typename Sink>
+void RandomForest::walk_rows(const linalg::Matrix& x, std::size_t lo,
+                             std::size_t hi, const Sink& sink) const {
+  // The (tree, row) lanes in tree-major order — trees outer, rows inner —
+  // walked in lockstep groups of 8: a block of 64 rows descends 8 rows of
+  // one tree together, a single row descends 8 trees together.
+  Lane lane{0, lo};
+  in_groups(table_.roots.size() * (hi - lo),
+            [&]<std::size_t G>(std::size_t) {
+              walk_group<G>(x, lo, hi, lane, sink);
+            });
 }
 
 void RandomForest::accumulate_rows(const linalg::Matrix& x, std::size_t lo,
                                    std::size_t hi,
                                    linalg::Matrix& proba) const {
-  // The (tree, row) lanes in tree-major order — trees outer, rows inner —
-  // walked in lockstep groups of 8: a block of 64 rows descends 8 rows of
-  // one tree together, a single row descends 8 trees together. The short
-  // tail runs in narrower groups rather than padding with repeated lanes.
-  std::size_t left = table_.roots.size() * (hi - lo);
-  Lane lane{0, lo};
-  for (; left >= 8; left -= 8) accumulate_group<8>(x, lo, hi, lane, proba);
-  if (left >= 4) {
-    accumulate_group<4>(x, lo, hi, lane, proba);
-    left -= 4;
-  }
-  if (left >= 2) {
-    accumulate_group<2>(x, lo, hi, lane, proba);
-    left -= 2;
-  }
-  if (left == 1) accumulate_group<1>(x, lo, hi, lane, proba);
+  walk_rows(x, lo, hi, [&](std::size_t row, std::uint32_t leaf) {
+    double* sums = proba.row(row).data();
+    for (std::uint32_t e = table_.leaf_begin[leaf];
+         e < table_.leaf_begin[leaf + 1]; ++e) {
+      sums[table_.leaf_class[e]] += table_.leaf_fraction[e];
+    }
+  });
   const double scale = 1.0 / static_cast<double>(table_.roots.size());
   for (std::size_t r = lo; r < hi; ++r) {
     for (double& p : proba.row(r)) p *= scale;
   }
 }
 
-linalg::Matrix RandomForest::predict_proba(const linalg::Matrix& x) const {
+void RandomForest::count_rows(const linalg::Matrix& x, std::size_t lo,
+                              std::size_t hi, linalg::Matrix& proba) const {
+  Ballot ballot(hi - lo, table_.num_classes);
+  walk_rows(x, lo, hi, [&](std::size_t row, std::uint32_t leaf) {
+    ++ballot.counts[(row - lo) * ballot.classes + table_.vote_class[leaf]];
+  });
+  // T sums of 1.0 in doubles are exactly the integer count, so this is
+  // bit for bit the summed-fraction result.
+  const double scale = 1.0 / static_cast<double>(table_.roots.size());
+  for (std::size_t r = lo; r < hi; ++r) {
+    const std::uint32_t* votes = &ballot.counts[(r - lo) * ballot.classes];
+    double* out = proba.row(r).data();
+    for (std::size_t c = 0; c < ballot.classes; ++c) {
+      out[c] = static_cast<double>(votes[c]) * scale;
+    }
+  }
+}
+
+template <std::size_t G>
+void RandomForest::vote_group(const double* const* values,
+                              const std::uint32_t* slots,
+                              const std::uint32_t* roots, Ballot& ballot,
+                              bool ranked) const {
+  std::array<const double*, G> rows;
+  std::array<std::uint32_t, G> at;
+  for (std::size_t g = 0; g < G; ++g) {
+    rows[g] = values[g];
+    at[g] = roots[g];
+  }
+  descend<G>(rows, at);
+  for (std::size_t g = 0; g < G; ++g) {
+    if (ranked) {
+      ballot.add_ranked(slots[g], table_.vote_class[at[g]]);
+    } else {
+      ballot.add(slots[g], table_.vote_class[at[g]]);
+    }
+  }
+}
+
+std::size_t RandomForest::vote_rows(const linalg::Matrix& x, std::size_t lo,
+                                    std::size_t hi,
+                                    std::vector<int>& out) const {
+  const std::size_t trees = table_.roots.size();
+  const std::size_t rows = hi - lo;
+  Ballot ballot(rows, table_.num_classes);
+  // The undecided rows: their slots and values, compacted together.
+  std::array<std::uint32_t, kRowBlock> live_slots;
+  std::array<const double*, kRowBlock> live_values;
+  for (std::size_t i = 0; i < rows; ++i) {
+    live_slots[i] = static_cast<std::uint32_t>(i);
+    live_values[i] = x.row(lo + i).data();
+  }
+  std::size_t live = rows;
+  // A chunk is enough whole trees to fill a group of 8 lanes: one tree
+  // while 8 or more rows are live (every lane starts at its root), else
+  // ⌈8 / live⌉ trees, whose tree-major lanes (at most live + 7) are laid
+  // out here.
+  std::array<std::uint32_t, kGroup> tree_root;
+  std::array<const double*, 2 * kGroup> lane_values;
+  std::array<std::uint32_t, 2 * kGroup> lane_slots;
+  std::array<std::uint32_t, 2 * kGroup> lane_roots;
+  std::size_t walked = 0;
+  std::size_t done = 0;  // trees every live row has walked
+  bool ranked = false;   // top and runner-up kept from here on
+  while (live > 0 && done < trees) {
+    const double* const* values = live_values.data();
+    const std::uint32_t* slots = live_slots.data();
+    const std::uint32_t* roots = tree_root.data();
+    std::size_t root_step = 0;  // lanes share one root
+    std::size_t chunk = 1;
+    if (live >= kGroup) {
+      tree_root.fill(table_.roots[done]);
+    } else {
+      chunk = std::min(trees - done, (kGroup + live - 1) / live);
+      for (std::size_t k = 0; k < chunk; ++k) {
+        for (std::size_t i = 0; i < live; ++i) {
+          lane_values[k * live + i] = live_values[i];
+          lane_slots[k * live + i] = live_slots[i];
+          lane_roots[k * live + i] = table_.roots[done + k];
+        }
+      }
+      values = lane_values.data();
+      slots = lane_slots.data();
+      roots = lane_roots.data();
+      root_step = 1;
+    }
+    const std::size_t lanes = live * chunk;
+    in_groups(lanes, [&]<std::size_t G>(std::size_t g) {
+      vote_group<G>(values + g, slots + g, roots + g * root_step, ballot,
+                    ranked);
+    });
+    walked += lanes;
+    done += chunk;
+    // Decided: even if every remaining tree voted for the runner-up, the
+    // top class would stay strictly ahead, so it is the final argmax. The
+    // lead is at most `done`, so no row is decided while done ≤ remaining:
+    // until then votes are only counted, then every live row is ranked
+    // once and its top and runner-up are kept vote by vote.
+    const std::size_t remaining = trees - done;
+    if (done <= remaining) continue;
+    if (!ranked) {
+      for (std::size_t i = 0; i < live; ++i) ballot.rank(live_slots[i]);
+      ranked = true;
+    }
+    const auto decided = [&](std::uint32_t slot) {
+      return ballot.top[slot] - ballot.second[slot] > remaining;
+    };
+    std::size_t first = 0;
+    while (first < live && !decided(live_slots[first])) ++first;
+    if (first == live) continue;
+    std::size_t kept = first;
+    for (std::size_t i = first; i < live; ++i) {
+      const std::uint32_t slot = live_slots[i];
+      if (decided(slot)) {
+        out[lo + slot] = ballot.argmax(slot);
+      } else {
+        live_slots[kept] = slot;
+        live_values[kept] = live_values[i];
+        ++kept;
+      }
+    }
+    live = kept;
+  }
+  // Rows that walked every tree without a strict lead: a tie, which the
+  // lowest class wins, as in the argmax over predict_proba.
+  for (std::size_t i = 0; i < live; ++i) {
+    out[lo + live_slots[i]] = ballot.argmax(live_slots[i]);
+  }
+  return walked;
+}
+
+void RandomForest::require_input(const linalg::Matrix& x) const {
   SCWC_REQUIRE(!table_.roots.empty(), "RandomForest::predict before fit");
   SCWC_REQUIRE(x.cols() >= table_.input_width,
                "RandomForest::predict: " + std::to_string(x.cols()) +
                    " feature columns, the forest splits on " +
                    std::to_string(table_.input_width));
+}
+
+linalg::Matrix RandomForest::predict_proba(const linalg::Matrix& x) const {
+  require_input(x);
   linalg::Matrix proba(x.rows(), table_.num_classes);
   const auto body = [&](std::size_t lo, std::size_t hi) {
-    accumulate_rows(x, lo, hi, proba);
+    if (!one_hot()) {
+      accumulate_rows(x, lo, hi, proba);
+      return;
+    }
+    for (; lo < hi; lo += kRowBlock) {
+      count_rows(x, lo, std::min(hi, lo + kRowBlock), proba);
+    }
   };
-  if (x.rows() <= kRowBlock) {
-    body(0, x.rows());
-  } else {
-    parallel_for_blocked(0, x.rows(), body, kRowBlock);
-  }
+  over_rows(x.rows(), body);
+  walk_counters().walks.inc(x.rows() * table_.roots.size());
   return proba;
 }
 
 std::vector<int> RandomForest::predict(const linalg::Matrix& x) const {
-  const linalg::Matrix proba = predict_proba(x);
-  std::vector<int> out(x.rows());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto row = proba.row(r);
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < table_.num_classes; ++c) {
-      if (row[c] > row[best]) best = c;
+  if (!one_hot()) {
+    const linalg::Matrix proba = predict_proba(x);
+    std::vector<int> out(x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      const auto row = proba.row(r);
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < table_.num_classes; ++c) {
+        if (row[c] > row[best]) best = c;
+      }
+      out[r] = static_cast<int>(best);
     }
-    out[r] = static_cast<int>(best);
+    return out;
   }
+  require_input(x);
+  std::vector<int> out(x.rows());
+  std::atomic<std::size_t> walked{0};
+  const auto body = [&](std::size_t lo, std::size_t hi) {
+    std::size_t mine = 0;
+    for (; lo < hi; lo += kRowBlock) {
+      mine += vote_rows(x, lo, std::min(hi, lo + kRowBlock), out);
+    }
+    walked.fetch_add(mine, std::memory_order_relaxed);
+  };
+  over_rows(x.rows(), body);
+  const std::size_t made = walked.load(std::memory_order_relaxed);
+  walk_counters().walks.inc(made);
+  walk_counters().skipped.inc(x.rows() * table_.roots.size() - made);
   return out;
 }
 

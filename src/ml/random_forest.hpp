@@ -12,11 +12,18 @@
 // adding each DecisionTree's distribution in tree order. Up to one 64-row
 // block (every serve batch) it runs inline and allocates only its output.
 //
+// When every leaf is one-hot (one class at fraction 1.0, as fully grown
+// trees give), the soft vote is the hard vote: each tree adds exactly 1 to
+// one class. The table then keeps a one-byte vote class per node and counts
+// votes in integers; predict stops walking a row's trees once no remaining
+// tree can change its argmax. Any other forest sums the leaf fractions.
+//
 // save()/load() speak SCWC_RF1 through a common/byte_io writer or reader,
 // so a model bundle embeds the forest in its own stream and every load
 // error names its byte offset.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -57,6 +64,12 @@ class RandomForest final : public Classifier {
   [[nodiscard]] const RandomForestConfig& config() const noexcept {
     return config_;
   }
+  /// True when every leaf stores one class at fraction exactly 1.0 and
+  /// there are at most 256 classes: predict and predict_proba then count
+  /// integer votes instead of summing the leaf fractions.
+  [[nodiscard]] bool one_hot() const noexcept {
+    return !table_.vote_class.empty();
+  }
 
   /// Serialises the fitted forest (format SCWC_RF1: magic, class count,
   /// tree count, then each tree in DecisionTree::save's layout) so a
@@ -95,6 +108,12 @@ class RandomForest final : public Classifier {
     std::vector<std::uint32_t> leaf_begin{0};
     std::vector<std::uint32_t> leaf_class;
     std::vector<double> leaf_fraction;
+    /// Each node's vote class (its leaf_class; 0 for an internal node)
+    /// while every leaf appended so far is one-hot and num_classes <= 256;
+    /// empty otherwise. The class comes from the fractions, never from the
+    /// stored `majority`, which a stream may set to anything.
+    std::vector<std::uint8_t> vote_class;
+    bool one_hot = true;  ///< every leaf appended so far is one-hot
     /// Carried only so save() can write SCWC_RF1 back out.
     std::vector<std::uint64_t> depths;
     std::vector<std::int32_t> majority;
@@ -111,17 +130,45 @@ class RandomForest final : public Classifier {
     std::size_t tree;
     std::size_t row;
   };
+  /// Integer votes of one block of at most 64 rows (defined in the .cpp).
+  struct Ballot;
 
+  /// Steps G lanes in lockstep from their nodes `at` down to their leaves.
+  template <std::size_t G>
+  void descend(const std::array<const double*, G>& values,
+               std::array<std::uint32_t, G>& at) const;
+  /// Throws unless the forest is fitted and x has input_width() columns.
+  void require_input(const linalg::Matrix& x) const;
+  /// Descends every (tree, row) lane of rows [lo, hi) in tree-major order,
+  /// in lockstep groups of 8, and hands each reached leaf to sink(row,
+  /// leaf); every row receives its trees in order 0..T−1.
+  template <typename Sink>
+  void walk_rows(const linalg::Matrix& x, std::size_t lo, std::size_t hi,
+                 const Sink& sink) const;
+  /// Descends the next G lanes of rows [lo, hi) and sinks their leaves.
+  template <std::size_t G, typename Sink>
+  void walk_group(const linalg::Matrix& x, std::size_t lo, std::size_t hi,
+                  Lane& lane, const Sink& sink) const;
   /// Sums every tree's leaf distribution into proba rows [lo, hi), then
   /// scales them by 1/T.
   void accumulate_rows(const linalg::Matrix& x, std::size_t lo,
                        std::size_t hi, linalg::Matrix& proba) const;
-  /// Descends the next G lanes of rows [lo, hi) in lockstep and adds the
-  /// reached leaves into proba.
+  /// One-hot forest: counts every tree's vote for rows [lo, hi) (at most
+  /// 64), then writes votes × 1/T into proba.
+  void count_rows(const linalg::Matrix& x, std::size_t lo, std::size_t hi,
+                  linalg::Matrix& proba) const;
+  /// One-hot forest: labels rows [lo, hi) (at most 64) into out[lo..hi),
+  /// dropping each row once its label is decided. Returns the tree walks
+  /// made.
+  std::size_t vote_rows(const linalg::Matrix& x, std::size_t lo,
+                        std::size_t hi, std::vector<int>& out) const;
+  /// Descends G lanes — lane g reads row values[g] from node roots[g] —
+  /// and adds each lane's vote to its row's slots[g], keeping the rows'
+  /// top and runner-up when `ranked`.
   template <std::size_t G>
-  void accumulate_group(const linalg::Matrix& x, std::size_t lo,
-                        std::size_t hi, Lane& lane,
-                        linalg::Matrix& proba) const;
+  void vote_group(const double* const* values, const std::uint32_t* slots,
+                  const std::uint32_t* roots, Ballot& ballot,
+                  bool ranked) const;
 
   RandomForestConfig config_;
   Table table_;

@@ -4,6 +4,10 @@
 // a test-owned element-wise (x − mean) / scale followed by the pair-by-pair
 // covariance loop (or Pca::transform) — with == on every double, on a seeded corpus at FaultInjector severities {0, 0.5,
 // 1} after imputation, plus rows carrying NaN and ±inf features. The
+// forest runs in a depth-capped world whose impure leaves take the summed
+// path, and in one-hot worlds at 60×7 and 540×7 that count integer votes
+// and stop early; crafted forests add rows that tie exactly and rows
+// decided only by the last tree, and pin the walks early exit skips. The
 // one-pass repair (WindowRepairer) is checked bit for bit, QualityReport
 // included, against the column-by-column repair it replaced, and the lane
 // covariance kernel against the pair-by-pair loop it replaced; both run
@@ -27,6 +31,7 @@
 #include "common/thread_pool.hpp"
 #include "core/challenge.hpp"
 #include "ml/random_forest.hpp"
+#include "obs/metrics.hpp"
 #include "preprocess/covariance_features.hpp"
 #include "preprocess/covariance_kernel.hpp"
 #include "preprocess/pipeline.hpp"
@@ -42,39 +47,56 @@ using linalg::Matrix;
 
 struct OracleWorld {
   data::ChallengeDataset ds;
+  double sample_hz = 0.0;
   preprocess::FeaturePipeline pipeline{
       preprocess::FeaturePipelineConfig{preprocess::Reduction::kCovariance, 0}};
-  // Depth-capped, so most leaves hold a mixed distribution and the order
-  // of the per-row sums shows in the last bits.
-  ml::RandomForest forest{[] {
-    ml::RandomForestConfig config;
-    config.n_estimators = 40;
-    config.tree.max_depth = 6;
-    return config;
-  }()};
+  ml::RandomForest forest;
   std::vector<double> priors;
 };
 
+/// A seeded corpus cut into `steps`-step windows at `sample_hz`, the
+/// covariance pipeline fitted on its training split and `config`'s forest
+/// on the pipeline's features.
+OracleWorld make_world(std::size_t steps, double sample_hz,
+                       const ml::RandomForestConfig& config) {
+  OracleWorld out;
+  telemetry::CorpusConfig corpus_config;
+  corpus_config.jobs_per_class_scale = 0.02;
+  corpus_config.min_jobs_per_class = 4;
+  corpus_config.seed = 7;
+  const telemetry::Corpus corpus = telemetry::generate_corpus(corpus_config);
+  core::ChallengeConfig challenge;
+  challenge.window_steps = steps;
+  challenge.sample_hz = sample_hz;
+  challenge.seed = 4321;
+  out.ds = core::build_challenge_dataset(corpus, challenge,
+                                         data::WindowPolicy::kRandom, 0);
+  out.sample_hz = sample_hz;
+  out.forest = ml::RandomForest(config);
+  out.forest.fit(out.pipeline.fit_transform(out.ds.x_train), out.ds.y_train);
+  out.priors = robust::sensor_prior_means(out.ds.x_train);
+  return out;
+}
+
+/// Depth-capped, so most leaves hold a mixed distribution and the order
+/// of the per-row sums shows in the last bits: the forest sums fractions.
 const OracleWorld& world() {
   static const OracleWorld w = [] {
-    OracleWorld out;
-    telemetry::CorpusConfig corpus_config;
-    corpus_config.jobs_per_class_scale = 0.02;
-    corpus_config.min_jobs_per_class = 4;
-    corpus_config.seed = 7;
-    const telemetry::Corpus corpus = telemetry::generate_corpus(corpus_config);
-    core::ChallengeConfig config;
-    config.window_steps = 45;
-    config.sample_hz = 0.75;
-    config.seed = 4321;
-    out.ds = core::build_challenge_dataset(corpus, config,
-                                           data::WindowPolicy::kRandom, 0);
-    out.forest.fit(out.pipeline.fit_transform(out.ds.x_train),
-                   out.ds.y_train);
-    out.priors = robust::sensor_prior_means(out.ds.x_train);
-    return out;
+    ml::RandomForestConfig config;
+    config.n_estimators = 40;
+    config.tree.max_depth = 6;
+    return make_world(45, 0.75, config);
   }();
   return w;
+}
+
+/// The served forest's shape: 100 trees with no depth cap, whose leaves
+/// are all one-hot, so the forest counts votes. 60×7 is the tiny profile's
+/// window, 540×7 the paper's (60 s at 9 Hz).
+const OracleWorld& one_hot_world(std::size_t steps) {
+  static const OracleWorld short_windows = make_world(60, 1.0, {});
+  static const OracleWorld long_windows = make_world(540, 9.0, {});
+  return steps == 60 ? short_windows : long_windows;
 }
 
 /// The test windows corrupted at `severity` and repaired by linear
@@ -89,7 +111,7 @@ data::Tensor3 repaired_test_set(const OracleWorld& w, double severity) {
   data::Tensor3 out(ds.test_trials(), ds.steps(), ds.sensors());
   for (std::size_t i = 0; i < ds.test_trials(); ++i) {
     telemetry::TimeSeries series;
-    series.sample_hz = 0.75;
+    series.sample_hz = w.sample_hz;
     series.values = ds.x_test.trial_matrix(i);
     Rng rng(0xC0FFEEULL + 31 * i);
     injector.corrupt(series, rng);
@@ -518,6 +540,191 @@ TEST(InferenceOracle, ProbabilitiesDoNotDependOnTheCallingThread) {
   EXPECT_EQ(mismatches(from_main, one_by_one), 0u);
 }
 
+// --------------------------------------------------------------- vote path
+
+/// Each row's column of largest value, the lowest column on a tie.
+std::vector<int> argmax_rows(const Matrix& p) {
+  std::vector<int> out;
+  for (std::size_t r = 0; r < p.rows(); ++r) {
+    const auto row = p.row(r);
+    out.push_back(static_cast<int>(std::max_element(row.begin(), row.end()) -
+                                   row.begin()));
+  }
+  return out;
+}
+
+/// predict_proba equals the summed reference on every double, predict is
+/// its argmax, and 64 rows labelled in one batch get the labels they get
+/// one batch at a time.
+void expect_forest_matches_reference(const ml::RandomForest& forest,
+                                     const Matrix& x) {
+  const Matrix proba = forest.predict_proba(x);
+  EXPECT_EQ(mismatches(proba, reference_proba(saved(forest), x)), 0u);
+  EXPECT_EQ(forest.predict(x), argmax_rows(proba));
+  Matrix batch(64, x.cols());
+  for (std::size_t r = 0; r < batch.rows(); ++r) {
+    const auto src = x.row(r % x.rows());
+    std::copy(src.begin(), src.end(), batch.row(r).begin());
+  }
+  std::vector<int> alone;
+  for (std::size_t r = 0; r < batch.rows(); ++r) {
+    Matrix one(1, x.cols());
+    std::copy(batch.row(r).begin(), batch.row(r).end(), one.row(0).begin());
+    alone.push_back(forest.predict(one).front());
+  }
+  EXPECT_EQ(forest.predict(batch), alone);
+  EXPECT_EQ(alone, argmax_rows(forest.predict_proba(batch)));
+}
+
+TEST(InferenceOracle, VoteCountsAndEarlyExitMatchTheSummedReference) {
+  struct Case {
+    const char* name;
+    const OracleWorld& w;
+    bool one_hot;
+  };
+  const Case cases[] = {{"depth-capped 45x7", world(), false},
+                        {"one-hot 60x7", one_hot_world(60), true},
+                        {"one-hot 540x7", one_hot_world(540), true}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.w.forest.one_hot(), c.one_hot);
+    for (const double severity : {0.0, 0.5, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "severity " << severity);
+      expect_forest_matches_reference(
+          c.w.forest, c.w.pipeline.transform(repaired_test_set(c.w, severity)));
+    }
+    // Every severity at once (more than one row block), plus NaN and ±inf.
+    expect_forest_matches_reference(c.w.forest, oracle_features(c.w));
+  }
+}
+
+/// An SCWC_RF1 stream of 3-class trees, one per column of `votes`. Every
+/// tree splits feature 0 at 1.5, then at 0.5 and 2.5, so a row whose
+/// feature 0 is v ∈ {0, 1, 2, 3} reaches leaf v, which in tree t stores
+/// 1.0 for class votes[v][t] (`first` instead in tree 0's leaf 1). Every
+/// node stores majority 0, which the forest must ignore.
+std::string crafted_forest(const std::vector<std::vector<int>>& votes,
+                           double first = 1.0) {
+  constexpr std::uint64_t kClasses = 3;
+  const std::size_t trees = votes.front().size();
+  ByteWriter w;
+  w.u64(0x534357435F524631ULL);  // "SCWC_RF1"
+  w.u64(kClasses);
+  w.u64(trees);
+  for (std::size_t t = 0; t < trees; ++t) {
+    w.u64(kClasses);
+    w.u64(2);  // depth
+    w.u64(7);  // nodes
+    for (const auto& [threshold, left] :
+         {std::pair{1.5, 1}, std::pair{0.5, 3}, std::pair{2.5, 5}}) {
+      w.i64(0);
+      w.f64(threshold);
+      w.i64(left);
+      w.i64(left + 1);
+      w.i64(0);
+      w.u64(0);
+    }
+    for (std::size_t v = 0; v < 4; ++v) {
+      w.i64(-1);
+      w.f64(0.0);
+      w.i64(-1);
+      w.i64(-1);
+      w.i64(0);
+      w.u64(kClasses);
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        const bool voted = static_cast<int>(c) == votes[v][t];
+        w.f64(!voted ? 0.0 : t == 0 && v == 1 ? first : 1.0);
+      }
+    }
+  }
+  return w.take();
+}
+
+// Row kind v votes kVotes[v][t] in tree t.
+const std::vector<std::vector<int>> kVotes = {
+    {2, 2, 2, 2, 2, 1, 0, 0, 0, 0, 0},  // 5:5 tie of classes 2 and 0 → 0
+    {1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1},  // level until the last tree → 1
+    {1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 2},  // the last tree leaves a tie → 0
+    {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1},  // unanimous → 1
+};
+const std::vector<int> kWinners = {0, 1, 0, 1};
+
+ml::RandomForest load_forest(const std::string& stream) {
+  ml::RandomForest forest;
+  ByteReader in(stream, "model");
+  forest.load(in);
+  return forest;
+}
+
+/// 64 rows cycling through the four row kinds of crafted_forest.
+Matrix crafted_rows() {
+  Matrix x(64, 1);
+  for (std::size_t r = 0; r < x.rows(); ++r) x(r, 0) = static_cast<double>(r % 4);
+  return x;
+}
+
+TEST(InferenceOracle, CraftedVotesTieToTheLowestClassAndCountTheLastTree) {
+  const ml::RandomForest forest = load_forest(crafted_forest(kVotes));
+  ASSERT_TRUE(forest.one_hot());
+  const Matrix x = crafted_rows();
+  std::vector<int> want;
+  for (std::size_t r = 0; r < x.rows(); ++r) want.push_back(kWinners[r % 4]);
+  EXPECT_EQ(forest.predict(x), want);
+  expect_forest_matches_reference(forest, x);
+
+  // One stored fraction of 0.5 makes a leaf impure: the forest sums
+  // fractions, and row kind 1 scores 5.5/11 for class 1, not 6/11.
+  const ml::RandomForest half = load_forest(crafted_forest(kVotes, 0.5));
+  EXPECT_FALSE(half.one_hot());
+  EXPECT_EQ(half.predict(x), want);
+  expect_forest_matches_reference(half, x);
+}
+
+TEST(InferenceOracle, EarlyExitSkipsExactlyTheWalksThatCannotMatter) {
+  if (!obs::enabled()) GTEST_SKIP() << "metrics are off (SCWC_OBS)";
+  const ml::RandomForest forest = load_forest(crafted_forest(kVotes));
+  const auto counts = [] {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
+    return std::pair{
+        obs::counter_value(snap, "scwc_ml_rf_tree_walks_total"),
+        obs::counter_value(snap, "scwc_ml_rf_tree_walks_skipped_total")};
+  };
+  const auto walks_of = [&](const ml::RandomForest& model, const Matrix& x) {
+    const auto [walks, skipped] = counts();
+    (void)model.predict(x);
+    const auto [walks_after, skipped_after] = counts();
+    return std::pair{walks_after - walks, skipped_after - skipped};
+  };
+  // A block is checked after every tree. The 16 unanimous rows are decided
+  // after 6 trees (6 − 0 > 11 − 6, but not 5 − 0 > 11 − 5); the other 48
+  // walk all 11.
+  EXPECT_EQ(walks_of(forest, crafted_rows()),
+            (std::pair<std::uint64_t, std::uint64_t>{16 * 6 + 48 * 11,
+                                                     16 * 5}));
+  // A single row is checked after every 8 trees: the unanimous row stops
+  // after 8 (8 > 3); the others walk all 11.
+  for (std::size_t v = 0; v < 4; ++v) {
+    Matrix one(1, 1);
+    one(0, 0) = static_cast<double>(v);
+    const std::uint64_t walked = v == 3 ? 8 : 11;
+    EXPECT_EQ(walks_of(forest, one),
+              (std::pair<std::uint64_t, std::uint64_t>{walked, 11 - walked}))
+        << "row kind " << v;
+  }
+  // predict_proba walks every tree.
+  const auto [walks, skipped] = counts();
+  (void)forest.predict_proba(crafted_rows());
+  EXPECT_EQ(counts(),
+            (std::pair<std::uint64_t, std::uint64_t>{walks + 64 * 11, skipped}));
+  // On the served geometry early exit fires on real windows.
+  const OracleWorld& w = one_hot_world(60);
+  const Matrix features = w.pipeline.transform(w.ds.x_test);
+  const auto [served_walks, served_skipped] = walks_of(w.forest, features);
+  EXPECT_EQ(served_walks + served_skipped,
+            features.rows() * w.forest.tree_count());
+  EXPECT_GT(served_skipped, 0u);
+}
+
 // ------------------------------------------------------------------ repair
 
 /// The column-by-column repair and its separate counting pass, as the
@@ -862,7 +1069,7 @@ TEST(InferenceOracle, ClassifyBatchRepairsAsTheColumnRepairAndKeepsConstInput) {
     data::Tensor3 damaged(ds.test_trials(), ds.steps(), ds.sensors());
     for (std::size_t i = 0; i < ds.test_trials(); ++i) {
       telemetry::TimeSeries series;
-      series.sample_hz = 0.75;
+      series.sample_hz = w.sample_hz;
       series.values = ds.x_test.trial_matrix(i);
       Rng rng(0xBADULL + 13 * i);
       injector.corrupt(series, rng);

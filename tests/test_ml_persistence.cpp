@@ -143,6 +143,7 @@ struct RawNode {
   std::int64_t left = -1;
   std::int64_t right = -1;
   std::vector<double> fractions;
+  std::int64_t majority = 0;
 };
 
 struct RawTree {
@@ -177,7 +178,7 @@ std::string forest_stream(std::uint64_t classes,
       put_f64(out, node.threshold);
       put_u64(out, static_cast<std::uint64_t>(node.left));
       put_u64(out, static_cast<std::uint64_t>(node.right));
-      put_u64(out, 0);  // majority
+      put_u64(out, static_cast<std::uint64_t>(node.majority));
       put_u64(out, node.fractions.size());
       for (const double f : node.fractions) put_f64(out, f);
     }
@@ -202,6 +203,42 @@ TEST(Persistence, CraftedStumpLoadsAndPredicts) {
   x(1, 0) = 1.0;
   x(2, 0) = std::numeric_limits<double>::quiet_NaN();  // NaN goes right
   EXPECT_EQ(forest.predict(x), (std::vector<int>{0, 1, 1}));
+}
+
+TEST(Persistence, OneHotLeafVotesForItsFractionNotItsStoredMajority) {
+  // Each leaf's stored majority names the other class.
+  RawTree tree = stump();
+  tree.nodes[1].majority = 1;
+  tree.nodes[2].majority = 0;
+  RandomForest forest;
+  load(forest, forest_stream(2, {tree, tree, stump()}));
+  ASSERT_TRUE(forest.one_hot());
+  Matrix x(2, 1);
+  x(1, 0) = 1.0;
+  EXPECT_EQ(forest.predict(x), (std::vector<int>{0, 1}));
+  const Matrix proba = forest.predict_proba(x);
+  EXPECT_DOUBLE_EQ(proba(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(proba(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(proba(1, 0), 0.0);
+  EXPECT_DOUBLE_EQ(proba(1, 1), 1.0);
+}
+
+TEST(Persistence, OneImpureLeafMakesTheForestSumFractions) {
+  // Tree 0's left leaf stores a single fraction of 0.5: a row going left
+  // scores (0.5 + 0) / 2 = 0.25 for class 0 and (0 + 1) / 2 = 0.5 for
+  // class 1. Counted as votes it would tie 1:1 and answer class 0.
+  RawTree half = stump();
+  half.nodes[1].fractions = {0.5, 0.0};
+  RawTree right = stump();
+  right.nodes[1].fractions = {0.0, 1.0};
+  RandomForest forest;
+  load(forest, forest_stream(2, {half, right}));
+  EXPECT_FALSE(forest.one_hot());
+  const Matrix x(1, 1);  // 0.0 goes left in both trees
+  const Matrix proba = forest.predict_proba(x);
+  EXPECT_DOUBLE_EQ(proba(0, 0), 0.25);
+  EXPECT_DOUBLE_EQ(proba(0, 1), 0.5);
+  EXPECT_EQ(forest.predict(x), (std::vector<int>{1}));
 }
 
 TEST(Persistence, RejectsLeafNarrowerThanTheClassCount) {

@@ -200,8 +200,11 @@ int main(int argc, char** argv) {
              "\n";
     });
     scrape->start();
+    // Flushed now: with stdout on a file or pipe, a supervisor that passed
+    // --listen 0 reads the port from this line while the server runs.
     std::cout << "scrape endpoint: http://127.0.0.1:" << scrape->port()
-              << "  (/metrics /healthz /vars)\n\n";
+              << "  (/metrics /healthz /vars)\n\n"
+              << std::flush;
   }
 
   // 3) Simulate unseen live jobs, one per architecture family slot, and
@@ -391,7 +394,8 @@ int main(int argc, char** argv) {
   if (scrape != nullptr && listen_s > 0.0) {
     std::cout << "scrape endpoint stays up " << listen_s
               << " s — curl http://127.0.0.1:" << scrape->port()
-              << "/metrics\n";
+              << "/metrics\n"
+              << std::flush;
     std::this_thread::sleep_for(std::chrono::duration<double>(listen_s));
   }
   if (scrape != nullptr) {
