@@ -1,13 +1,17 @@
 // M1 — google-benchmark micro-benchmarks for the heavy kernels backing the
 // reproduction: GEMM, covariance reduction, gap accounting and repair, PCA
-// fit, forest fit and predict, SMO SVM, boosted trees, LSTM step,
-// telemetry synthesis and the SCWCWIRE codec of the sharded serving path.
+// fit, forest fit and predict (alone and as a pool task after an idle
+// gap), SMO SVM, boosted trees, LSTM step, telemetry synthesis and the
+// SCWCWIRE codec of the sharded serving path.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/rolling.hpp"
@@ -257,6 +261,34 @@ void BM_RandomForestPredictLabels(benchmark::State& state) {
                           static_cast<std::int64_t>(rows));
 }
 BENCHMARK(BM_RandomForestPredictLabels)->Arg(1)->Arg(64)->UseRealTime();
+
+// The same 64-row predict as one pool task, submitted to an idle 4-worker
+// pool after a 1.6 ms gap (perfbench's light rate on short windows is one
+// batch per ~1.6 ms). The task times itself inside the worker, so the
+// sleep and the wake-up are excluded: this is the predict cost on
+// whichever core the pool woke, with the forest warm or cold in its cache.
+void BM_PoolPredictAfterIdleGap(benchmark::State& state) {
+  const ml::RandomForest& forest = served_geometry_forest();
+  const Matrix batch = random_matrix(64, 28, 13);
+  ThreadPool pool(4);
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::microseconds(1600));
+    double seconds = 0.0;
+    pool.submit([&forest, &batch, &seconds] {
+          const auto t0 = std::chrono::steady_clock::now();
+          benchmark::DoNotOptimize(forest.predict(batch));
+          seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+        })
+        .get();
+    state.SetIterationTime(seconds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+// A fixed count: at one batch per gap, the default minimum time would
+// sleep for tens of seconds.
+BENCHMARK(BM_PoolPredictAfterIdleGap)->Iterations(500)->UseManualTime();
 
 void BM_SvmFit(benchmark::State& state) {
   Matrix x;

@@ -15,6 +15,8 @@ std::size_t resolve_worker_count(std::size_t threads) {
 
 ThreadPool::ThreadPool(std::size_t threads)
     : n_workers_(resolve_worker_count(threads)),
+      woken_(n_workers_, false),
+      wake_(std::make_unique<CondVar[]>(n_workers_)),
       obs_epoch_(std::chrono::steady_clock::now()) {
   const std::size_t n = n_workers_;
   auto& reg = obs::MetricsRegistry::global();
@@ -24,9 +26,10 @@ ThreadPool::ThreadPool(std::size_t threads)
   obs_busy_seconds_ = reg.gauge("scwc_common_pool_busy_seconds");
   obs_utilization_ = reg.gauge("scwc_common_pool_utilization");
   obs_task_seconds_ = reg.histogram("scwc_common_pool_task_seconds");
+  idle_.reserve(n);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
@@ -44,7 +47,7 @@ void ThreadPool::stop() {
     stop_ = true;
     ++stops_in_flight_;
   }
-  cv_.notify_all();
+  for (std::size_t i = 0; i < n_workers_; ++i) wake_[i].notify_one();
   // No early-out on a repeated stop(): every caller must pass through the
   // join phase so it cannot return while another thread is still joining
   // workers. join_mutex_ serialises the std::thread::join calls themselves,
@@ -71,6 +74,7 @@ bool ThreadPool::stopped() const {
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> pt(std::move(task));
   std::future<void> fut = pt.get_future();
+  std::size_t woken = kNone;
   {
     const LockGuard lock(mutex_);
     // Rejecting here (instead of silently enqueueing) is what keeps a
@@ -86,22 +90,25 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     queue_.push_back(std::move(pt));
     obs_submitted_.inc();
     obs_queue_depth_.set(static_cast<double>(queue_.size()));
+    woken = pop_idle();
   }
-  cv_.notify_one();
+  if (woken != kNone) wake_[woken].notify_one();
   return fut;
 }
 
 bool ThreadPool::try_submit(std::function<void()> task,
                             std::size_t max_queue) {
   std::packaged_task<void()> pt(std::move(task));
+  std::size_t woken = kNone;
   {
     const LockGuard lock(mutex_);
     if (stop_ || queue_.size() >= max_queue) return false;
     queue_.push_back(std::move(pt));
     obs_submitted_.inc();
     obs_queue_depth_.set(static_cast<double>(queue_.size()));
+    woken = pop_idle();
   }
-  cv_.notify_one();
+  if (woken != kNone) wake_[woken].notify_one();
   return true;
 }
 
@@ -117,16 +124,30 @@ namespace {
 thread_local bool t_inside_pool_worker = false;
 }  // namespace
 
-void ThreadPool::worker_loop() {
+std::size_t ThreadPool::pop_idle() {
+  if (idle_.empty()) return kNone;
+  const std::size_t top = idle_.back();
+  idle_.pop_back();
+  woken_[top] = true;
+  return top;
+}
+
+void ThreadPool::worker_loop(std::size_t me) {
   t_inside_pool_worker = true;
   const bool timed = obs::enabled();
   for (;;) {
     std::packaged_task<void()> task;
     {
       const LockGuard lock(mutex_);
-      // Explicit wait loop (not the predicate overload): clang's analysis
-      // does not look inside predicate lambdas, this form it checks.
-      while (!stop_ && queue_.empty()) cv_.wait(mutex_);
+      // Park on top of the idle stack until a submit pops this worker.
+      // Woken to a queue a finishing worker already drained, it parks on
+      // top again. Explicit wait loops (not the predicate overload):
+      // clang's analysis does not look inside predicate lambdas.
+      while (!stop_ && queue_.empty()) {
+        woken_[me] = false;
+        idle_.push_back(me);
+        while (!stop_ && !woken_[me]) wake_[me].wait(mutex_);
+      }
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();

@@ -16,6 +16,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -25,7 +26,10 @@
 
 namespace scwc {
 
-/// A fixed-size pool of worker threads executing queued tasks FIFO.
+/// A fixed-size pool of worker threads. Tasks run FIFO; idle workers are
+/// woken LIFO: each parks on its own wait slot, on top of an idle stack,
+/// and a submit wakes the worker that parked most recently, whose cache
+/// still holds what the previous task touched (DESIGN.md §8).
 class ThreadPool {
  public:
   /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -89,8 +93,13 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t me);
+  // Pops the most recently parked worker and marks it woken; kNone when
+  // every worker is busy. The caller notifies wake_[index] after unlocking.
+  std::size_t pop_idle() SCWC_REQUIRES(mutex_);
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  const std::size_t n_workers_;
   mutable Mutex mutex_{"pool.queue"};
   // Serialises the join phase of stop(). Distinct from mutex_: workers take
   // mutex_ while draining, so joining under it would deadlock.
@@ -102,11 +111,19 @@ class ThreadPool {
   // stop() calls that have set stop_ and not yet returned; the destructor
   // waits on cv_ for zero.
   std::size_t stops_in_flight_ SCWC_GUARDED_BY(mutex_) = 0;
+  // Parked workers by index, the most recent on top (back). Reserved to
+  // the worker count at construction, so parking never allocates.
+  std::vector<std::size_t> idle_ SCWC_GUARDED_BY(mutex_);
+  // Per worker: set by the submit that popped it off idle_, so a spurious
+  // wake-up of a parked worker goes back to sleep.
+  std::vector<bool> woken_ SCWC_GUARDED_BY(mutex_);
+  // Per worker wait slot. Allocated once and never moved, so a submit may
+  // notify it after releasing mutex_.
+  const std::unique_ptr<CondVar[]> wake_;
 
   // Observability (scwc_common_pool_*). Handles are acquired per pool at
   // construction so a pool created after obs::set_enabled(true) reports;
   // all pools share the global registry's series. Inert under SCWC_OBS=off.
-  const std::size_t n_workers_;
   const std::chrono::steady_clock::time_point obs_epoch_;
   std::atomic<double> busy_seconds_{0.0};
   obs::CounterHandle obs_submitted_;

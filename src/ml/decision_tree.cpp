@@ -188,7 +188,11 @@ const DecisionTree::Node& DecisionTree::descend(
 std::vector<int> DecisionTree::predict(const linalg::Matrix& x) const {
   std::vector<int> out(x.rows());
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    out[r] = static_cast<int>(descend(x.row(r)).majority);
+    // The lowest class holding the leaf's largest fraction: what fit()
+    // stores as `majority`, but a loaded tree's `majority` is unchecked.
+    const std::vector<double>& fraction = descend(x.row(r)).class_fraction;
+    out[r] = static_cast<int>(
+        std::max_element(fraction.begin(), fraction.end()) - fraction.begin());
   }
   return out;
 }

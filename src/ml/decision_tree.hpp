@@ -74,6 +74,8 @@ class DecisionTree final : public Classifier {
     std::int32_t left = -1;
     std::int32_t right = -1;
     std::vector<double> class_fraction;  // populated for leaves
+    // fit()'s argmax of class_fraction, carried for save(); predict()
+    // reads the fractions, since a loaded stream may store anything here.
     std::int32_t majority = 0;
   };
   /// The fitted nodes, root first — what RandomForest compiles.

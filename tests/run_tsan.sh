@@ -6,7 +6,11 @@
 # training — are exercised hardest by tests/test_concurrency_stress.cpp,
 # but the whole suite runs so any test that schedules work on the pool is
 # also checked, as is the scrape server's accept thread
-# (tests/test_net_scrape.cpp, `tests/run_tsan.sh Scrape`). Usage:
+# (tests/test_net_scrape.cpp, `tests/run_tsan.sh Scrape`). The pool's LIFO
+# idle stack has two races of its own there:
+# ConcurrencyStressTest.StopRacesParkingAndJustWokenWorkers and
+# ConcurrencyStressTest.WokenWorkerFindsQueueTakenByFinishingWorker
+# (`tests/run_tsan.sh 'ThreadPool|Concurrency|Serve|Cluster'`). Usage:
 #
 #   tests/run_tsan.sh                 # full suite
 #   tests/run_tsan.sh -R Concurrency  # forward any ctest args, e.g. a regex

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -111,6 +113,24 @@ TEST(ThreadPool, TrySubmitAfterStopRejectsInsteadOfThrowing) {
   pool.stop();
   EXPECT_FALSE(pool.try_submit([] {}, 1024));
   EXPECT_TRUE(pool.stopped());  // how callers tell "full" from "stopped"
+}
+
+TEST(ThreadPool, IdlePoolRunsSequentialSubmitsOnOneWorker) {
+  // Idle workers are woken LIFO: with one task in flight at a time, the
+  // worker that ran the last task has parked on top of the idle stack and
+  // takes the next one, so every task runs on one (cache-warm) thread. A
+  // FIFO wake rotates them over all four workers instead.
+  ThreadPool pool(4);
+  std::set<std::thread::id> ran_on;
+  for (int i = 0; i < 16; ++i) {
+    // Let the last worker finish parking: its future is ready before it
+    // gets back onto the idle stack.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::thread::id id;
+    pool.submit([&id] { id = std::this_thread::get_id(); }).get();
+    ran_on.insert(id);
+  }
+  EXPECT_EQ(ran_on.size(), 1u);
 }
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {

@@ -3,7 +3,9 @@
 // structure from many threads at once so TSan sees every pairing the
 // production code can produce:
 //   * ThreadPool submit racing stop(), and stop() racing stop() — the
-//     destructor-under-live-workers edge fixed in thread_pool.cpp;
+//     destructor-under-live-workers edge fixed in thread_pool.cpp — and
+//     the LIFO idle stack: stop() racing workers that are parking or just
+//     woken, and a woken worker finding its task taken by a finisher;
 //   * MetricsRegistry counter/gauge/histogram updates concurrent with
 //     handle acquisition, snapshot() and reset();
 //   * nested TraceSpans opened on several threads against one global tree;
@@ -147,6 +149,82 @@ TEST_F(ConcurrencyStressTest, SubmitAfterConcurrentStopThrowsOrRuns) {
   stopper.join();
   EXPECT_TRUE(pool.stopped());
   EXPECT_THROW((void)pool.submit([] {}), Error);
+}
+
+TEST_F(ConcurrencyStressTest, StopRacesParkingAndJustWokenWorkers) {
+  // Idle workers park on their own wait slots. A producer submits tiny
+  // tasks until the pool stops, so at any moment workers are parking,
+  // parked, or popped off the idle stack and not yet running, while stop()
+  // lands at a different point each round. stop() must wake every slot,
+  // and every accepted task must still run (stop drains the queue).
+  for (int round = 0; round < 32; ++round) {
+    ThreadPool pool(4);
+    std::atomic<int> executed{0};
+    std::atomic<int> accepted{0};
+    std::thread producer([&pool, &executed, &accepted] {
+      for (int i = 0; !pool.stopped(); ++i) {
+        if (pool.try_submit(
+                [&executed] {
+                  executed.fetch_add(1, std::memory_order_relaxed);
+                },
+                8)) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (i % 4 == 0) std::this_thread::yield();
+      }
+    });
+    while (executed.load(std::memory_order_relaxed) < round) {
+      std::this_thread::yield();
+    }
+    pool.stop();
+    producer.join();
+    EXPECT_EQ(executed.load(), accepted.load());
+  }
+}
+
+TEST_F(ConcurrencyStressTest, WokenWorkerFindsQueueTakenByFinishingWorker) {
+  // Each producer keeps two tasks in flight, so a submit often pops an
+  // idle worker while a busy one is finishing; the finisher takes the task
+  // first and the woken worker meets an empty queue and must park again.
+  // Afterwards all four workers must still be reachable: four tasks that
+  // only finish together prove none was lost from the idle stack.
+  ThreadPool pool(4);
+  std::atomic<int> executed{0};
+  std::vector<std::thread> producers;
+  producers.reserve(4);
+  for (int p = 0; p < 4; ++p) {
+    producers.emplace_back([&pool, &executed] {
+      std::future<void> previous = pool.submit([] {});
+      for (int i = 0; i < 2000; ++i) {
+        std::future<void> next = pool.submit([&executed] {
+          executed.fetch_add(1, std::memory_order_relaxed);
+        });
+        previous.wait();
+        previous = std::move(next);
+      }
+      previous.wait();
+    });
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(executed.load(), 4 * 2000);
+
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};  // tasks that saw all four running at once
+  std::vector<std::future<void>> together;
+  for (int i = 0; i < 4; ++i) {
+    together.push_back(pool.submit([&arrived, &met] {
+      arrived.fetch_add(1, std::memory_order_acq_rel);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load(std::memory_order_acquire) < 4) {
+        if (std::chrono::steady_clock::now() > give_up) return;
+        std::this_thread::yield();
+      }
+      met.fetch_add(1, std::memory_order_relaxed);
+    }));
+  }
+  for (auto& f : together) f.wait();
+  EXPECT_EQ(met.load(), 4);
 }
 
 // ------------------------------------------------------------------- metrics

@@ -163,26 +163,29 @@ void put_f64(std::string& out, double v) {
   put_u64(out, bits);
 }
 
+/// One tree record as DecisionTree::save writes it.
+void put_tree(std::string& out, const RawTree& tree) {
+  put_u64(out, tree.classes);
+  put_u64(out, 1);  // depth
+  put_u64(out, tree.nodes.size());
+  for (const RawNode& node : tree.nodes) {
+    put_u64(out, static_cast<std::uint64_t>(node.feature));
+    put_f64(out, node.threshold);
+    put_u64(out, static_cast<std::uint64_t>(node.left));
+    put_u64(out, static_cast<std::uint64_t>(node.right));
+    put_u64(out, static_cast<std::uint64_t>(node.majority));
+    put_u64(out, node.fractions.size());
+    for (const double f : node.fractions) put_f64(out, f);
+  }
+}
+
 std::string forest_stream(std::uint64_t classes,
                           const std::vector<RawTree>& trees) {
   std::string out;
   put_u64(out, 0x534357435F524631ULL);  // "SCWC_RF1"
   put_u64(out, classes);
   put_u64(out, trees.size());
-  for (const RawTree& tree : trees) {
-    put_u64(out, tree.classes);
-    put_u64(out, 1);  // depth
-    put_u64(out, tree.nodes.size());
-    for (const RawNode& node : tree.nodes) {
-      put_u64(out, static_cast<std::uint64_t>(node.feature));
-      put_f64(out, node.threshold);
-      put_u64(out, static_cast<std::uint64_t>(node.left));
-      put_u64(out, static_cast<std::uint64_t>(node.right));
-      put_u64(out, static_cast<std::uint64_t>(node.majority));
-      put_u64(out, node.fractions.size());
-      for (const double f : node.fractions) put_f64(out, f);
-    }
-  }
+  for (const RawTree& tree : trees) put_tree(out, tree);
   return out;
 }
 
@@ -221,6 +224,27 @@ TEST(Persistence, OneHotLeafVotesForItsFractionNotItsStoredMajority) {
   EXPECT_DOUBLE_EQ(proba(0, 1), 0.0);
   EXPECT_DOUBLE_EQ(proba(1, 0), 0.0);
   EXPECT_DOUBLE_EQ(proba(1, 1), 1.0);
+}
+
+TEST(Persistence, StandaloneTreePredictsFromItsFractionsNotItsStoredMajority) {
+  // Stored majorities outside [0, 2): a tree labelling rows with them
+  // would disagree with its own predict_proba.
+  RawTree raw = stump();
+  raw.nodes[1].majority = 1000;
+  raw.nodes[2].majority = -5;
+  std::string bytes;
+  put_tree(bytes, raw);
+  DecisionTree tree;
+  load(tree, bytes);
+  Matrix x(2, 1);
+  x(1, 0) = 1.0;
+  const std::vector<int> labels = tree.predict(x);
+  EXPECT_EQ(labels, (std::vector<int>{0, 1}));
+  const Matrix proba = tree.predict_proba(x);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const int argmax = proba(r, 1) > proba(r, 0) ? 1 : 0;
+    EXPECT_EQ(labels[r], argmax) << "row " << r;
+  }
 }
 
 TEST(Persistence, OneImpureLeafMakesTheForestSumFractions) {
