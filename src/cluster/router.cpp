@@ -27,6 +27,22 @@ std::chrono::steady_clock::time_point deadline_after(double seconds) {
              std::chrono::duration<double>(seconds));
 }
 
+/// Decodes a swap/abort ack; nullopt (and `message` set) when the shard
+/// went quiet, died, or sent a malformed ack.
+std::optional<net::SwapAckFrame> decode_ack(
+    const std::optional<net::Frame>& frame, bool up, std::string& message) {
+  if (!frame.has_value()) {
+    message = up ? "swap ack timeout" : "shard down";
+    return std::nullopt;
+  }
+  try {
+    return net::decode_swap_ack(frame->payload);
+  } catch (const scwc::Error& e) {
+    message = e.what();
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(RouterConfig config)
@@ -34,6 +50,7 @@ ShardRouter::ShardRouter(RouterConfig config)
   auto& reg = obs::MetricsRegistry::global();
   obs_submitted_ = reg.counter("scwc_cluster_submitted_total");
   obs_verdicts_ = reg.counter("scwc_cluster_verdicts_total");
+  obs_orphan_verdicts_ = reg.counter("scwc_cluster_orphan_verdicts_total");
   obs_shed_queue_full_ = reg.counter("scwc_cluster_shed_queue_full_total");
   obs_shed_shard_down_ = reg.counter("scwc_cluster_shed_shard_down_total");
   obs_shed_shutdown_ = reg.counter("scwc_cluster_shed_shutdown_total");
@@ -132,7 +149,6 @@ std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
                                                     std::vector<double> window,
                                                     std::size_t steps,
                                                     std::size_t sensors) {
-  submitted_.fetch_add(1);
   obs_submitted_.inc();
   const auto t_entry = std::chrono::steady_clock::now();
   // Stamp the trace identity before routing so even sheds carry an id;
@@ -169,29 +185,29 @@ std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
                 t_entry, phases);
   }
 
-  // Bounded in-flight per shard: router-level admission control.
-  if (conn->inflight.fetch_add(1) >= config_.max_inflight_per_shard) {
-    conn->inflight.fetch_sub(1);
+  const std::uint64_t request_id = next_request_id_.fetch_add(1);
+  std::future<serve::ServeResult> future;
+  {
+    LockGuard lock(conn->pending_mutex);
+    // Bounded in-flight per shard: router-level admission control.
+    if (conn->pending.size() < config_.max_inflight_per_shard) {
+      PendingRequest& req = conn->pending[request_id];
+      req.submitted_at = t_entry;
+      req.trace_id = trace_id;
+      req.trace_sampled = sampled;
+      req.job_id = job_id;
+      req.route_s = phases.route_s;
+      req.admission_s =
+          obs::seconds_between(t_routed, std::chrono::steady_clock::now());
+      future = req.promise.get_future();
+    }
+  }
+  if (!future.valid()) {
     const auto now = std::chrono::steady_clock::now();
     phases.admission_s = obs::seconds_between(t_routed, now);
     phases.total_s = obs::seconds_between(t_entry, now);
     return shed(serve::RejectReason::kQueueFull, trace_id, sampled, job_id,
                 conn->shard_id, t_entry, phases);
-  }
-
-  const std::uint64_t request_id = next_request_id_.fetch_add(1);
-  std::future<serve::ServeResult> future;
-  {
-    LockGuard lock(conn->pending_mutex);
-    PendingRequest& req = conn->pending[request_id];
-    req.submitted_at = t_entry;
-    req.trace_id = trace_id;
-    req.trace_sampled = sampled;
-    req.job_id = job_id;
-    req.route_s = phases.route_s;
-    req.admission_s =
-        obs::seconds_between(t_routed, std::chrono::steady_clock::now());
-    future = req.promise.get_future();
   }
 
   net::SubmitWindowFrame frame;
@@ -214,7 +230,6 @@ std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
       LockGuard lock(conn->pending_mutex);
       conn->pending.erase(request_id);
     }
-    conn->inflight.fetch_sub(1);
     mark_down(*conn, serve::RejectReason::kShardDown);
     const auto now = std::chrono::steady_clock::now();
     phases.admission_s = obs::seconds_between(t_routed, t_send);
@@ -252,13 +267,7 @@ SwapReport ShardRouter::push_bundle(const std::string& bundle_bytes,
                                     const std::string& version) {
   obs_swap_pushes_.inc();
   obs_swap_phase_.set(1.0);  // 1 = pushing
-  std::vector<std::shared_ptr<ShardConn>> targets;
-  {
-    LockGuard lock(ring_mutex_);
-    for (const auto& [id, conn] : conns_) {
-      if (conn->up.load()) targets.push_back(conn);
-    }
-  }
+  const std::vector<std::shared_ptr<ShardConn>> targets = connections(true);
   SwapReport report;
   report.ok = !targets.empty();
   for (const auto& conn : targets) {
@@ -297,113 +306,84 @@ std::optional<net::MetricsReplyFrame> ShardRouter::fetch_metrics(
     const auto it = conns_.find(shard_id);
     if (it != conns_.end()) conn = it->second;
   }
-  if (conn == nullptr || !conn->up.load()) return std::nullopt;
-  {
-    LockGuard lock(conn->control_mutex);
-    conn->metrics_reply.reset();
+  if (conn == nullptr) return std::nullopt;
+  return pull_metrics(*conn, deadline_after(timeout_s));
+}
+
+std::optional<net::MetricsReplyFrame> ShardRouter::pull_metrics(
+    ShardConn& conn, std::chrono::steady_clock::time_point deadline) {
+  // A bundle push holds the call mutex until its ack (kSwapAckTimeoutS);
+  // a pull gives up at its own deadline instead of queueing behind it.
+  if (!conn.up.load()) return std::nullopt;
+  if (!conn.call_mutex.try_lock_until(deadline)) return std::nullopt;
+  LockGuard call(conn.call_mutex, std::adopt_lock);
+  const std::optional<net::Frame> frame =
+      round_trip(conn, net::FrameType::kMetricsScrape, "",
+                 net::FrameType::kMetricsReply, deadline);
+  if (!frame.has_value()) return std::nullopt;
+  net::MetricsReplyFrame reply;
+  try {
+    reply = net::decode_metrics_reply(frame->payload);
+  } catch (const scwc::Error& e) {
+    SCWC_LOG_WARN("cluster router: bad metrics reply from shard "
+                  << conn.shard_id << ": " << e.what());
+    return std::nullopt;
   }
-  if (!send(*conn, net::FrameType::kMetricsScrape, "")) return std::nullopt;
-  const auto deadline = deadline_after(timeout_s);
-  LockGuard lock(conn->control_mutex);
-  while (!conn->metrics_reply.has_value()) {
-    if (!conn->up.load()) return std::nullopt;  // died while we waited
-    if (conn->control_cv.wait_until(conn->control_mutex, deadline) ==
-            std::cv_status::timeout &&
-        !conn->metrics_reply.has_value()) {
-      return std::nullopt;
-    }
-  }
-  std::optional<net::MetricsReplyFrame> reply =
-      std::move(conn->metrics_reply);
-  conn->metrics_reply.reset();
+  LockGuard lock(conn.control_mutex);
+  conn.latest_metrics = reply;
   return reply;
 }
 
-void ShardRouter::start_metrics_poll(double period_s) {
-  LockGuard lock(metrics_mutex_);
-  if (poll_thread_.joinable() || poll_stop_) return;
-  poll_thread_ =
-      std::thread([this, period_s] { metrics_poll_loop(period_s); });
-}
-
-void ShardRouter::metrics_poll_loop(double period_s) {
-  for (;;) {
-    std::vector<std::uint32_t> ids;
-    {
-      LockGuard lock(ring_mutex_);
-      if (stopped_) return;
-      for (const auto& [id, conn] : conns_) {
-        if (conn->up.load()) ids.push_back(id);
-      }
-    }
-    for (const std::uint32_t id : ids) {
-      std::optional<net::MetricsReplyFrame> reply =
-          fetch_metrics(id, period_s);
-      if (!reply.has_value()) continue;
-      LockGuard lock(metrics_mutex_);
-      // Kept across shard death on purpose: the last scrape of a dead
-      // shard stays visible in fleet_metrics_text until restart.
-      polled_metrics_[id] = std::move(*reply);
-    }
-    const auto deadline = deadline_after(period_s);
-    LockGuard lock(metrics_mutex_);
-    while (!poll_stop_) {
-      if (poll_cv_.wait_until(metrics_mutex_, deadline) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-    if (poll_stop_) return;
+std::string ShardRouter::fleet_metrics_text() {
+  const auto deadline = deadline_after(kFleetPullTimeoutS);
+  for (const auto& conn : connections(true)) {
+    (void)pull_metrics(*conn, deadline);
   }
-}
-
-std::string ShardRouter::fleet_metrics_text() const {
   // The router's own registry first (includes the per-shard rolling
   // latency histograms registered in add_shard)…
   std::string out =
       obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
   std::ostringstream os;
   // …then the live per-shard view the router alone can render…
-  {
-    LockGuard lock(ring_mutex_);
-    for (const auto& [id, conn] : conns_) {
-      const std::string label =
-          "{shard=\"" + obs::sanitize_label_value(std::to_string(id)) +
-          "\"}";
-      os << "scwc_cluster_shard_up" << label << ' '
-         << (conn->up.load() ? 1 : 0) << '\n';
-      os << "scwc_cluster_shard_inflight" << label << ' '
-         << conn->inflight.load() << '\n';
-      os << "scwc_cluster_shard_clock_offset_ns" << label << ' '
-         << conn->clock_offset_ns << '\n';
-    }
+  for (const ShardStatus& s : shards()) {
+    const std::string label =
+        "{shard=\"" + obs::sanitize_label_value(std::to_string(s.shard_id)) +
+        "\"}";
+    os << "scwc_cluster_shard_up" << label << ' ' << (s.up ? 1 : 0) << '\n';
+    os << "scwc_cluster_shard_inflight" << label << ' ' << s.inflight << '\n';
+    os << "scwc_cluster_shard_clock_offset_ns" << label << ' '
+       << s.clock_offset_ns << '\n';
   }
-  // …then every worker series from the latest wire scrape, re-exported
-  // under its shard label. Both maps are ordered, so the exposition is
-  // deterministic for a fixed set of polled snapshots.
-  {
-    LockGuard lock(metrics_mutex_);
-    for (const auto& [id, reply] : polled_metrics_) {
-      const std::string shard = obs::sanitize_label_value(std::to_string(id));
-      const std::string label = "{shard=\"" + shard + "\"}";
-      for (const auto& [name, value] : reply.counters) {
-        os << obs::sanitize_metric_name(name) << label << ' ' << value
-           << '\n';
-      }
-      for (const auto& [name, value] : reply.gauges) {
-        os << obs::sanitize_metric_name(name) << label << ' '
-           << obs::prometheus_value(value) << '\n';
-      }
-      for (const net::MetricsRollingEntry& e : reply.rolling) {
-        const std::string name = obs::sanitize_metric_name(e.name);
-        os << name << "_count" << label << ' ' << e.count << '\n';
-        os << name << "{shard=\"" << shard << "\",quantile=\"0.5\"} "
-           << obs::prometheus_value(e.p50) << '\n';
-        os << name << "{shard=\"" << shard << "\",quantile=\"0.9\"} "
-           << obs::prometheus_value(e.p90) << '\n';
-        os << name << "{shard=\"" << shard << "\",quantile=\"0.99\"} "
-           << obs::prometheus_value(e.p99) << '\n';
-      }
+  // …then every worker series from each shard's latest pull, re-exported
+  // under its shard label. Shards render in id order, so the exposition
+  // is deterministic for a fixed set of replies.
+  for (const auto& conn : connections(false)) {
+    std::optional<net::MetricsReplyFrame> latest;
+    {
+      LockGuard lock(conn->control_mutex);
+      latest = conn->latest_metrics;
+    }
+    if (!latest.has_value()) continue;
+    const net::MetricsReplyFrame& reply = *latest;
+    const std::string shard =
+        obs::sanitize_label_value(std::to_string(conn->shard_id));
+    const std::string label = "{shard=\"" + shard + "\"}";
+    for (const auto& [name, value] : reply.counters) {
+      os << obs::sanitize_metric_name(name) << label << ' ' << value << '\n';
+    }
+    for (const auto& [name, value] : reply.gauges) {
+      os << obs::sanitize_metric_name(name) << label << ' '
+         << obs::prometheus_value(value) << '\n';
+    }
+    for (const net::MetricsRollingEntry& e : reply.rolling) {
+      const std::string name = obs::sanitize_metric_name(e.name);
+      os << name << "_count" << label << ' ' << e.count << '\n';
+      os << name << "{shard=\"" << shard << "\",quantile=\"0.5\"} "
+         << obs::prometheus_value(e.p50) << '\n';
+      os << name << "{shard=\"" << shard << "\",quantile=\"0.9\"} "
+         << obs::prometheus_value(e.p90) << '\n';
+      os << name << "{shard=\"" << shard << "\",quantile=\"0.99\"} "
+         << obs::prometheus_value(e.p99) << '\n';
     }
   }
   out += os.str();
@@ -442,14 +422,15 @@ std::size_t ShardRouter::live_shards() const {
 
 std::vector<ShardStatus> ShardRouter::shards() const {
   std::vector<ShardStatus> out;
-  LockGuard lock(ring_mutex_);
-  out.reserve(conns_.size());
-  for (const auto& [id, conn] : conns_) {
+  for (const auto& conn : connections(false)) {
     ShardStatus status;
-    status.shard_id = id;
+    status.shard_id = conn->shard_id;
     status.port = conn->port;
     status.up = conn->up.load();
-    status.inflight = conn->inflight.load();
+    {
+      LockGuard lock(conn->pending_mutex);
+      status.inflight = conn->pending.size();
+    }
     status.window_steps = conn->hello.window_steps;
     status.sensors = conn->hello.sensors;
     status.model_version = conn->hello.model_version;
@@ -461,16 +442,19 @@ std::vector<ShardStatus> ShardRouter::shards() const {
 }
 
 void ShardRouter::shutdown_workers() {
-  std::vector<std::shared_ptr<ShardConn>> targets;
-  {
-    LockGuard lock(ring_mutex_);
-    for (const auto& [id, conn] : conns_) {
-      if (conn->up.load()) targets.push_back(conn);
-    }
-  }
-  for (const auto& conn : targets) {
+  for (const auto& conn : connections(true)) {
     (void)send(*conn, net::FrameType::kShutdown, "");
   }
+}
+
+std::vector<std::shared_ptr<ShardRouter::ShardConn>> ShardRouter::connections(
+    bool up_only) const {
+  std::vector<std::shared_ptr<ShardConn>> out;
+  LockGuard lock(ring_mutex_);
+  for (const auto& [id, conn] : conns_) {
+    if (!up_only || conn->up.load()) out.push_back(conn);
+  }
+  return out;
 }
 
 void ShardRouter::stop() {
@@ -484,14 +468,6 @@ void ShardRouter::stop() {
   for (const auto& [id, conn] : conns) {
     mark_down(*conn, serve::RejectReason::kShutdown);
   }
-  // The poller is stopped after mark_down so an in-flight scrape wakes
-  // from its control_cv wait instead of running out its timeout.
-  {
-    LockGuard lock(metrics_mutex_);
-    poll_stop_ = true;
-  }
-  poll_cv_.notify_all();
-  if (poll_thread_.joinable()) poll_thread_.join();
   for (const auto& [id, conn] : conns) {
     if (conn->reader.joinable()) conn->reader.join();
     conn->sock.close();
@@ -521,11 +497,9 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn,
           if (!found) {
             // A verdict for a request we already failed (shard marked
             // down, router stopping) lands here.
-            orphan_verdicts_.fetch_add(1);
+            obs_orphan_verdicts_.inc();
             break;
           }
-          conn->inflight.fetch_sub(1);
-          verdicts_.fetch_add(1);
           obs_verdicts_.inc();
 
           serve::ServeResult result;
@@ -574,18 +548,12 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn,
           req.promise.set_value(std::move(result));
           break;
         }
-        case net::FrameType::kSwapAck: {
-          {
-            LockGuard lock(conn->control_mutex);
-            conn->swap_ack = net::decode_swap_ack(frame->payload);
-          }
-          conn->control_cv.notify_all();
-          break;
-        }
+        case net::FrameType::kSwapAck:
         case net::FrameType::kMetricsReply: {
+          // A control reply, left undecoded for the waiting round trip.
           {
             LockGuard lock(conn->control_mutex);
-            conn->metrics_reply = net::decode_metrics_reply(frame->payload);
+            conn->reply = std::move(*frame);
           }
           conn->control_cv.notify_all();
           break;
@@ -631,7 +599,6 @@ void ShardRouter::mark_down(ShardConn& conn, serve::RejectReason reason) {
     orphaned.swap(conn.pending);
   }
   for (auto& [id, req] : orphaned) {
-    conn.inflight.fetch_sub(1);
     obs::RequestPhases phases;
     phases.admission_s = req.admission_s;
     phases.route_s = req.route_s;
@@ -642,13 +609,9 @@ void ShardRouter::mark_down(ShardConn& conn, serve::RejectReason reason) {
                  req.job_id, conn.shard_id, req.submitted_at, phases);
   }
   {
+    // Empty on purpose: a round trip that saw the shard up is either not
+    // yet checking or already parked in its wait, so the notify reaches it.
     LockGuard lock(conn.control_mutex);
-    if (!conn.swap_ack.has_value()) {
-      net::SwapAckFrame ack;
-      ack.ok = false;
-      ack.message = "shard down";
-      conn.swap_ack = ack;
-    }
   }
   conn.control_cv.notify_all();
 }
@@ -701,10 +664,7 @@ SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
                                        const std::string& version) {
   SwapOutcome outcome;
   outcome.shard_id = conn.shard_id;
-  {
-    LockGuard lock(conn.control_mutex);
-    conn.swap_ack.reset();
-  }
+  LockGuard call(conn.call_mutex);
   net::SwapBeginFrame begin;
   begin.version = version;
   begin.total_bytes = bundle_bytes.size();
@@ -727,17 +687,12 @@ SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
   }
   net::SwapCommitFrame commit;
   commit.crc32 = crc32(bundle_bytes);
-  if (!send(conn, net::FrameType::kSwapCommit,
-            net::encode_swap_commit(commit))) {
-    outcome.message = "commit send failed";
-    return outcome;
-  }
-  const std::optional<net::SwapAckFrame> ack =
-      wait_swap_ack(conn, kSwapAckTimeoutS);
-  if (!ack.has_value()) {
-    outcome.message = "swap ack timeout";
-    return outcome;
-  }
+  const std::optional<net::SwapAckFrame> ack = decode_ack(
+      round_trip(conn, net::FrameType::kSwapCommit,
+                 net::encode_swap_commit(commit), net::FrameType::kSwapAck,
+                 deadline_after(kSwapAckTimeoutS)),
+      conn.up.load(), outcome.message);
+  if (!ack.has_value()) return outcome;
   outcome.ok = ack->ok;
   outcome.active_version = ack->active_version;
   outcome.message = ack->message;
@@ -746,39 +701,38 @@ SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
 
 void ShardRouter::abort_on_shard(ShardConn& conn, SwapOutcome& outcome,
                                  const std::string& reason) {
-  {
-    LockGuard lock(conn.control_mutex);
-    conn.swap_ack.reset();
-  }
+  LockGuard call(conn.call_mutex);
   net::SwapAbortFrame abort_frame;
   abort_frame.reason = reason;
-  if (!send(conn, net::FrameType::kSwapAbort,
-            net::encode_swap_abort(abort_frame))) {
-    outcome.message = "rollback send failed";
-    outcome.ok = false;
-    return;
-  }
-  const std::optional<net::SwapAckFrame> ack =
-      wait_swap_ack(conn, kSwapAckTimeoutS);
+  const std::optional<net::SwapAckFrame> ack = decode_ack(
+      round_trip(conn, net::FrameType::kSwapAbort,
+                 net::encode_swap_abort(abort_frame), net::FrameType::kSwapAck,
+                 deadline_after(kSwapAckTimeoutS)),
+      conn.up.load(), outcome.message);
   outcome.rolled_back = ack.has_value() && ack->ok;
   outcome.ok = false;  // the push as a whole did not take on this shard
   if (ack.has_value()) outcome.active_version = ack->active_version;
 }
 
-std::optional<net::SwapAckFrame> ShardRouter::wait_swap_ack(
-    ShardConn& conn, double timeout_s) {
-  const auto deadline = deadline_after(timeout_s);
-  LockGuard lock(conn.control_mutex);
-  while (!conn.swap_ack.has_value()) {
-    if (conn.control_cv.wait_until(conn.control_mutex, deadline) ==
-            std::cv_status::timeout &&
-        !conn.swap_ack.has_value()) {
-      return std::nullopt;
-    }
+std::optional<net::Frame> ShardRouter::round_trip(
+    ShardConn& conn, net::FrameType type, std::string_view payload,
+    net::FrameType reply_type,
+    std::chrono::steady_clock::time_point deadline) {
+  {
+    LockGuard lock(conn.control_mutex);
+    conn.reply.reset();
   }
-  std::optional<net::SwapAckFrame> ack = std::move(conn.swap_ack);
-  conn.swap_ack.reset();
-  return ack;
+  if (!send(conn, type, payload)) return std::nullopt;
+  LockGuard lock(conn.control_mutex);
+  bool timed_out = false;
+  while (!conn.reply.has_value() || conn.reply->type != reply_type) {
+    if (timed_out || !conn.up.load()) return std::nullopt;
+    timed_out = conn.control_cv.wait_until(conn.control_mutex, deadline) ==
+                std::cv_status::timeout;
+  }
+  std::optional<net::Frame> reply = std::move(conn.reply);
+  conn.reply.reset();
+  return reply;
 }
 
 bool ShardRouter::send(ShardConn& conn, net::FrameType type,

@@ -24,9 +24,16 @@
 // shard refuses — corrupt bytes, loader rejection — the router sends
 // SwapAbort to every shard that HAD committed, rolling the fleet back to
 // version agreement; the report carries each shard's final active version.
+//
+// Control plane: every exchange that expects a reply (swap commit, abort,
+// metrics pull) is one round trip — send, then wait for the reply type,
+// the deadline or shard death — serialised per shard by the call mutex.
+// The router runs no thread but the readers: fleet metrics are pulled from
+// the workers when fleet_metrics_text() renders them.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -62,6 +69,9 @@ inline constexpr double kConnectDeadlineS = 5.0;
 inline constexpr double kHelloTimeoutS = 5.0;
 /// How long a bundle push waits for a shard's swap or abort ack.
 inline constexpr double kSwapAckTimeoutS = 30.0;
+/// Bound shared by all the metrics pulls of one fleet_metrics_text(): a
+/// shard that has not answered by then renders its last reply.
+inline constexpr double kFleetPullTimeoutS = 1.0;
 /// Clock-offset handshake rounds per shard (NTP-style: the offset of the
 /// minimum-RTT round wins).
 inline constexpr std::size_t kClockSyncPings = 5;
@@ -146,21 +156,18 @@ class ShardRouter {
                          const std::string& version);
 
   /// Pulls one shard's full metrics snapshot over the wire (kMetricsScrape
-  /// round-trip; nullopt for dead shards and on timeout).
+  /// round trip; nullopt for dead shards and on timeout). The reply is
+  /// kept as the shard's latest for fleet_metrics_text().
   [[nodiscard]] std::optional<net::MetricsReplyFrame> fetch_metrics(
       std::uint32_t shard_id, double timeout_s = 5.0);
 
-  /// Starts the background aggregation poller: every `period_s` it pulls
-  /// each live shard's metrics and retains the latest reply for
-  /// fleet_metrics_text(). Idempotent; stop() joins the thread.
-  void start_metrics_poll(double period_s);
-
-  /// Prometheus text exposition of the whole fleet: this process's own
-  /// registry first (router gauges/counters, per-shard rolling latency),
-  /// then every polled worker series re-exported with a shard="N" label,
-  /// plus the router's live per-shard inflight/up gauges. Deterministic
-  /// for a fixed set of polled snapshots.
-  [[nodiscard]] std::string fleet_metrics_text() const;
+  /// Prometheus text exposition of the whole fleet. Pulls every live shard
+  /// first, all within kFleetPullTimeoutS; a shard that is dead, late or
+  /// busy with a bundle push renders its last reply. Then renders this
+  /// process's own registry (router gauges/counters, per-shard rolling
+  /// latency), the router's live per-shard up/inflight/clock-offset view,
+  /// and every worker series re-exported with a shard="N" label.
+  [[nodiscard]] std::string fleet_metrics_text();
 
   /// JSON health view for the /shards endpoint: one object per shard with
   /// id, port, up, inflight, clock offset and model version.
@@ -200,7 +207,8 @@ class ShardRouter {
   };
 
   /// Per-shard connection state. The reader thread is the only frame
-  /// consumer; submit paths write frames under write_mutex.
+  /// consumer; submit paths write frames under write_mutex. In-flight
+  /// windows are the entries of `pending`.
   struct ShardConn {
     ShardConn(std::uint32_t id, std::uint16_t p, net::Socket s)
         : shard_id(id), port(p), sock(std::move(s)) {}
@@ -215,14 +223,16 @@ class ShardRouter {
     Mutex pending_mutex{"cluster.router.pending"};
     std::unordered_map<std::uint64_t, PendingRequest> pending
         SCWC_GUARDED_BY(pending_mutex);
-    // Rendezvous for the control-plane replies the reader routes here.
+    // Held by a round trip from its send through its wait, so one reply
+    // slot serves every control exchange.
+    TimedMutex call_mutex{"cluster.router.call"};
+    // The reader drops each control frame into `reply`, undecoded.
     Mutex control_mutex{"cluster.router.control"};
     CondVar control_cv;
-    std::optional<net::SwapAckFrame> swap_ack
+    std::optional<net::Frame> reply SCWC_GUARDED_BY(control_mutex);
+    // The last metrics pull's reply; kept across shard death.
+    std::optional<net::MetricsReplyFrame> latest_metrics
         SCWC_GUARDED_BY(control_mutex);
-    std::optional<net::MetricsReplyFrame> metrics_reply
-        SCWC_GUARDED_BY(control_mutex);
-    std::atomic<std::size_t> inflight{0};
     std::atomic<bool> up{true};
     // Hello metadata: written once during add_shard, before the reader
     // spawns or the shard is published — immutable afterwards.
@@ -237,10 +247,14 @@ class ShardRouter {
     std::thread reader;  // scwc-lint: allow(guarded-field-coverage)
   };
 
+  /// Every connection (or only the up ones), copied out under the ring
+  /// lock.
+  [[nodiscard]] std::vector<std::shared_ptr<ShardConn>> connections(
+      bool up_only) const;
   void reader_loop(const std::shared_ptr<ShardConn>& conn,
                    net::FrameReader& frames);
   /// Marks a shard dead: out of the ring, pending requests failed with
-  /// `reason`, control waiters woken. Safe to call repeatedly.
+  /// `reason`, round trips woken. Safe to call repeatedly.
   void mark_down(ShardConn& conn, serve::RejectReason reason);
   /// A ready future carrying a typed shed (see resolve_shed).
   [[nodiscard]] std::future<serve::ServeResult> shed(
@@ -265,13 +279,21 @@ class ShardRouter {
   /// Sends SwapAbort and waits for the rollback ack.
   void abort_on_shard(ShardConn& conn, SwapOutcome& outcome,
                       const std::string& reason);
-  [[nodiscard]] std::optional<net::SwapAckFrame> wait_swap_ack(
-      ShardConn& conn, double timeout_s);
+  /// One metrics round trip, given up if the call mutex is not free by
+  /// `deadline`; a reply becomes the shard's latest_metrics.
+  [[nodiscard]] std::optional<net::MetricsReplyFrame> pull_metrics(
+      ShardConn& conn, std::chrono::steady_clock::time_point deadline);
+  /// Sends one frame, then waits until a `reply_type` frame arrives,
+  /// `deadline` passes (nullopt) or the shard goes down (nullopt).
+  [[nodiscard]] std::optional<net::Frame> round_trip(
+      ShardConn& conn, net::FrameType type, std::string_view payload,
+      net::FrameType reply_type,
+      std::chrono::steady_clock::time_point deadline)
+      SCWC_REQUIRES(conn.call_mutex);
   bool send(ShardConn& conn, net::FrameType type, std::string_view payload);
   /// Min-RTT ping/pong clock handshake on a not-yet-published connection
   /// (the socket is exclusively owned and its io timeout still active).
   void sync_clock(ShardConn& conn, net::FrameReader& frames);
-  void metrics_poll_loop(double period_s);
 
   const RouterConfig config_;
 
@@ -282,24 +304,13 @@ class ShardRouter {
   bool stopped_ SCWC_GUARDED_BY(ring_mutex_) = false;
 
   std::atomic<std::uint64_t> next_request_id_{1};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> verdicts_{0};
-  std::atomic<std::uint64_t> orphan_verdicts_{0};
 
   // Internally synchronized (own mutex + atomics).
   obs::RequestTracer tracer_;  // scwc-lint: allow(guarded-field-coverage)
 
-  // Latest polled per-shard metrics snapshot, shard id → reply. Kept
-  // across shard death so a final scrape survives into fleet_metrics_text.
-  mutable Mutex metrics_mutex_{"cluster.router.metrics"};
-  std::map<std::uint32_t, net::MetricsReplyFrame> polled_metrics_
-      SCWC_GUARDED_BY(metrics_mutex_);
-  bool poll_stop_ SCWC_GUARDED_BY(metrics_mutex_) = false;
-  CondVar poll_cv_;
-  std::thread poll_thread_;  // scwc-lint: allow(guarded-field-coverage)
-
   obs::CounterHandle obs_submitted_;
   obs::CounterHandle obs_verdicts_;
+  obs::CounterHandle obs_orphan_verdicts_;
   obs::CounterHandle obs_shed_queue_full_;
   obs::CounterHandle obs_shed_shard_down_;
   obs::CounterHandle obs_shed_shutdown_;

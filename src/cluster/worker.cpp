@@ -293,7 +293,6 @@ void ClusterWorker::handle_swap_begin(Connection& conn,
   const net::SwapBeginFrame frame = net::decode_swap_begin(payload);
   SCWC_REQUIRE(frame.total_bytes <= net::kMaxSwapBytes,
                "swap_begin: bundle larger than kMaxSwapBytes");
-  conn.swap_version = frame.version;
   conn.swap_total = frame.total_bytes;
   conn.swap_buffer.clear();
   conn.swap_buffer.reserve(static_cast<std::size_t>(frame.total_bytes));

@@ -112,7 +112,6 @@ class ClusterWorker {
     std::deque<PendingVerdict> queue SCWC_GUARDED_BY(queue_mutex);
     bool closing SCWC_GUARDED_BY(queue_mutex) = false;
     // Swap assembly state — touched only by this connection's reader.
-    std::string swap_version;  // scwc-lint: allow(guarded-field-coverage)
     std::uint64_t swap_total = 0;  // scwc-lint: allow(guarded-field-coverage)
     std::string swap_buffer;  // scwc-lint: allow(guarded-field-coverage)
     bool swap_active = false;  // scwc-lint: allow(guarded-field-coverage)

@@ -1,7 +1,7 @@
 // Annotated synchronization primitives.
 //
-// scwc::Mutex / scwc::LockGuard / scwc::CondVar wrap the std primitives
-// with three additions:
+// scwc::Mutex / scwc::TimedMutex / scwc::LockGuard / scwc::CondVar wrap the
+// std primitives with three additions:
 //   1. Clang thread-safety capability annotations (thread_annotations.hpp),
 //      so the `tsa` preset proves GUARDED_BY/REQUIRES contracts at compile
 //      time — on GCC they cost nothing.
@@ -19,6 +19,7 @@
 // std::condition_variable::wait(lock, pred) form is deliberately absent.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -66,14 +67,73 @@ class SCWC_CAPABILITY("mutex") Mutex {
   const char* name_;
 };
 
-/// RAII lock over scwc::Mutex, annotated as a scoped capability. Supports
-/// mid-scope unlock()/lock() for the "drop the lock around the callback"
-/// pattern, which the analysis tracks precisely.
+/// A Mutex whose acquisition can also give up at a deadline, for a lock
+/// one holder may keep for long while other callers must stay bounded.
+/// Not usable with CondVar. Like try_lock, only a successful timed
+/// acquisition reaches the lock-order tracker. Built from a mutex, a
+/// condition variable and a flag rather than std::timed_mutex, whose
+/// timed lock (pthread_mutex_clocklock) ThreadSanitizer does not see.
+class SCWC_CAPABILITY("mutex") TimedMutex {
+ public:
+  explicit TimedMutex(const char* name) noexcept : name_(name) {}
+  TimedMutex(const TimedMutex&) = delete;
+  TimedMutex& operator=(const TimedMutex&) = delete;
+
+  void lock() SCWC_ACQUIRE() {
+    lock_order::note_acquire(this, name_);
+    std::unique_lock<std::mutex> native(m_);
+    while (locked_) cv_.wait(native);
+    locked_ = true;
+  }
+
+  void unlock() SCWC_RELEASE() {
+    {
+      // Notified under the lock: a waiter that wins may destroy *this.
+      const std::lock_guard<std::mutex> native(m_);
+      locked_ = false;
+      cv_.notify_one();
+    }
+    lock_order::note_release(this);
+  }
+
+  template <class Clock, class Duration>
+  bool try_lock_until(
+      const std::chrono::time_point<Clock, Duration>& deadline)
+      SCWC_TRY_ACQUIRE(true) {
+    {
+      std::unique_lock<std::mutex> native(m_);
+      while (locked_) {
+        if (cv_.wait_until(native, deadline) == std::cv_status::timeout &&
+            locked_) {
+          return false;
+        }
+      }
+      locked_ = true;
+    }
+    lock_order::note_acquire(this, name_);
+    return true;
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool locked_ = false;
+  const char* name_;
+};
+
+/// RAII lock over scwc::Mutex or scwc::TimedMutex, annotated as a scoped
+/// capability. Supports mid-scope unlock()/lock() for the "drop the lock
+/// around the callback" pattern, which the analysis tracks precisely, and
+/// adopting a lock already taken (e.g. by TimedMutex::try_lock_until).
+template <class M>
 class SCWC_SCOPED_CAPABILITY LockGuard {
  public:
-  explicit LockGuard(Mutex& m) SCWC_ACQUIRE(m) : m_(&m), held_(true) {
+  explicit LockGuard(M& m) SCWC_ACQUIRE(m) : m_(&m), held_(true) {
     m_->lock();
   }
+
+  LockGuard(M& m, std::adopt_lock_t) SCWC_REQUIRES(m)
+      : m_(&m), held_(true) {}
 
   ~LockGuard() SCWC_RELEASE() {
     if (held_) m_->unlock();
@@ -95,7 +155,7 @@ class SCWC_SCOPED_CAPABILITY LockGuard {
   }
 
  private:
-  Mutex* m_;
+  M* m_;
   bool held_;
 };
 

@@ -7,7 +7,8 @@
 #     (scwc_tracemerge --require-joined), structurally valid for
 #     chrome://tracing,
 #   * an aggregated fleet metrics exposition carrying per-shard-labeled
-#     worker series next to the router's own aggregates, and
+#     worker series next to the router's own aggregates, as fresh as the
+#     router's own summary line (same per-shard request count), and
 #   * a cluster audit log whose records carry shard_id + the propagated
 #     trace id, cross-checked against the merged trace
 #     (audit_validate --cluster --chrome-trace).
@@ -69,7 +70,7 @@ log="$out_dir/router.log"
 SCWC_OBS=on "$router_bin" --ports "$p0,$p1" --windows 64 --jobs 8 \
   --trace-out "$out_dir/router_trace.json" --trace-sample 1.0 \
   --audit-out "$out_dir/audit.jsonl" \
-  --metrics-out "$out_dir/metrics.txt" --listen 0 --metrics-poll-s 0.2 \
+  --metrics-out "$out_dir/metrics.txt" --listen 0 \
   --halt > "$log" 2>&1 || fail "router run failed"
 wait "$w0" || fail "worker 0 exited non-zero"
 wait "$w1" || fail "worker 1 exited non-zero"
@@ -106,5 +107,14 @@ grep -q '^scwc_cluster_submitted_total ' "$metrics" \
   || fail "router aggregate counters missing"
 grep -q '^scwc_cluster_ring_size ' "$metrics" \
   || fail "router ring gauge missing"
+# Freshness: the file is rendered after the load, so each shard's request
+# count must equal the one its summary line read from the same workers.
+for k in 0 1; do
+  summary=$(sed -n "s/^shard $k: requests \([0-9][0-9]*\),.*/\1/p" "$log")
+  exported=$(sed -n "s/^scwc_serve_requests_total{shard=\"$k\"} \([0-9][0-9]*\)\$/\1/p" \
+    "$metrics")
+  [ -n "$summary" ] && [ "$summary" = "$exported" ] \
+    || fail "shard $k: metrics.txt has requests '$exported', summary '$summary'"
+done
 
 echo "cluster_telemetry_smoke: OK ($records records, traces joined)"

@@ -10,7 +10,12 @@
 # idle stack has two races of its own there:
 # ConcurrencyStressTest.StopRacesParkingAndJustWokenWorkers and
 # ConcurrencyStressTest.WokenWorkerFindsQueueTakenByFinishingWorker
-# (`tests/run_tsan.sh 'ThreadPool|Concurrency|Serve|Cluster'`). Usage:
+# (`tests/run_tsan.sh 'ThreadPool|Concurrency|Serve|Cluster'`). The
+# router's per-shard control round trip has three:
+# Cluster.ConcurrentMetricsPullsOfOneShardAllAnswer,
+# Cluster.FleetMetricsKeepADeadShardsLastPull and
+# Cluster.FleetMetricsDoNotWaitBehindAStuckShard
+# (`tests/run_tsan.sh 'Cluster|Concurrency'`). Usage:
 #
 #   tests/run_tsan.sh                 # full suite
 #   tests/run_tsan.sh -R Concurrency  # forward any ctest args, e.g. a regex

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <map>
@@ -19,6 +21,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "net/socket.hpp"
+#include "obs/export.hpp"
 #include "obs/request_trace.hpp"
 #include "robust/fault.hpp"
 #include "robust/robust_window.hpp"
@@ -86,6 +89,53 @@ struct Shard {
   }
   serve::ModelRegistry registry;
   std::unique_ptr<cluster::ClusterWorker> worker;
+};
+
+/// A fake shard that completes the hello and clock handshakes, then
+/// swallows every frame without replying. `commit_seen` becomes ready when
+/// a SwapCommit arrives, i.e. once a bundle push is waiting for its ack.
+struct SilentShard {
+  SilentShard() {
+    listener.listen(0);
+    thread = std::thread([this] { run(); });
+  }
+  SilentShard(const SilentShard&) = delete;
+  SilentShard& operator=(const SilentShard&) = delete;
+  ~SilentShard() {
+    listener.shutdown_now();
+    thread.join();
+  }
+  void run() {
+    net::Socket sock = listener.accept();
+    if (!sock.valid()) return;
+    net::HelloFrame hello;
+    hello.shard_id = 0;
+    hello.window_steps = kSteps;
+    hello.sensors = kSensors;
+    (void)net::write_frame(sock, net::FrameType::kHello,
+                           net::encode_hello(hello));
+    net::FrameReader frames;
+    bool committed = false;
+    try {
+      while (const std::optional<net::Frame> frame = frames.next(sock)) {
+        if (frame->type == net::FrameType::kPing) {
+          net::PongFrame pong;
+          pong.nonce = net::decode_ping(frame->payload).nonce;
+          pong.t_mono_ns = 1;
+          (void)net::write_frame(sock, net::FrameType::kPong,
+                                 net::encode_pong(pong));
+        } else if (frame->type == net::FrameType::kSwapCommit &&
+                   !committed) {
+          committed = true;
+          commit_seen.set_value();
+        }
+      }
+    } catch (const Error&) {
+    }
+  }
+  net::TcpListener listener;
+  std::promise<void> commit_seen;
+  std::thread thread;
 };
 
 // ------------------------------------------------------------------ HashRing
@@ -255,32 +305,14 @@ TEST(Cluster, DuplicateShardIdIsRejected) {
 }
 
 TEST(Cluster, InflightBoundShedsAsQueueFull) {
-  // A fake shard that answers the hello and then goes silent: every window
+  // A fake shard that goes silent after the handshakes: every window
   // parks in `pending`, so the router's per-shard in-flight bound is what
   // sheds — deterministically, independent of worker speed.
-  net::TcpListener listener;
-  listener.listen(0);
-  std::thread fake([&listener] {
-    net::Socket sock = listener.accept();
-    if (!sock.valid()) return;
-    net::HelloFrame hello;
-    hello.shard_id = 0;
-    hello.window_steps = kSteps;
-    hello.sensors = kSensors;
-    (void)net::write_frame(sock, net::FrameType::kHello,
-                           net::encode_hello(hello));
-    net::FrameReader frames;
-    try {
-      while (frames.next(sock).has_value()) {
-      }  // swallow frames, never reply
-    } catch (const Error&) {
-    }
-  });
-
+  SilentShard fake;
   cluster::RouterConfig config;
   config.max_inflight_per_shard = 4;
   cluster::ShardRouter router(config);
-  ASSERT_EQ(router.add_shard(listener.port()), 0u);
+  ASSERT_EQ(router.add_shard(fake.listener.port()), 0u);
 
   Rng rng(11);
   std::vector<std::future<serve::ServeResult>> parked;
@@ -303,8 +335,6 @@ TEST(Cluster, InflightBoundShedsAsQueueFull) {
     EXPECT_TRUE(r.reject_reason == serve::RejectReason::kShutdown ||
                 r.reject_reason == serve::RejectReason::kShardDown);
   }
-  listener.shutdown_now();
-  fake.join();
 }
 
 TEST(Cluster, ShardDeathRehashesOntoSurvivorAndRetryRecovers) {
@@ -342,6 +372,86 @@ TEST(Cluster, ShardDeathRehashesOntoSurvivorAndRetryRecovers) {
       doomed_job, make_window(rng, 2), kSteps, kSensors, policy, rng);
   EXPECT_TRUE(r.accepted);
   router.stop();
+}
+
+// ------------------------------------------------------------ metrics pull
+
+TEST(Cluster, ConcurrentMetricsPullsOfOneShardAllAnswer) {
+  // Round trips to one shard are serialised from send through wait, so
+  // one pull can neither clear nor take the other's reply.
+  const TinyWorld& w = tiny_world();
+  Shard s0(0, w.v1);
+  cluster::ShardRouter router;
+  (void)router.add_shard(s0.worker->port());
+  std::atomic<int> answered{0};
+  const auto pull = [&] {
+    for (int i = 0; i < 200; ++i) {
+      if (router.fetch_metrics(0, 2.0).has_value()) answered.fetch_add(1);
+    }
+  };
+  std::thread a(pull);
+  std::thread b(pull);
+  a.join();
+  b.join();
+  EXPECT_EQ(answered.load(), 400);
+  router.stop();
+}
+
+TEST(Cluster, FleetMetricsKeepADeadShardsLastPull) {
+  const TinyWorld& w = tiny_world();
+  Shard s0(0, w.v1);
+  auto s1 = std::make_unique<Shard>(1, w.v1);
+  cluster::ShardRouter router;
+  (void)router.add_shard(s0.worker->port());
+  (void)router.add_shard(s1->worker->port());
+
+  const auto reply = router.fetch_metrics(1);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_FALSE(reply->counters.empty());
+  const std::string series =
+      obs::sanitize_metric_name(reply->counters.front().first) +
+      "{shard=\"1\"} ";
+
+  s1->worker->stop();
+  s1.reset();
+  for (int i = 0; i < 500 && router.live_shards() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(router.live_shards(), 1u);
+
+  const std::string text = router.fleet_metrics_text();
+  EXPECT_NE(text.find("\nscwc_cluster_shard_up{shard=\"1\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\n" + series), std::string::npos)
+      << "the dead shard's last pull must still render: " << series;
+  EXPECT_NE(text.find("\nscwc_cluster_shard_up{shard=\"0\"} 1\n"),
+            std::string::npos);
+  router.stop();
+}
+
+TEST(Cluster, FleetMetricsDoNotWaitBehindAStuckShard) {
+  // A push to a shard that never acks holds that shard's round trips for
+  // kSwapAckTimeoutS; a fleet scrape meanwhile stays within its own bound.
+  SilentShard fake;
+  cluster::ShardRouter router;
+  ASSERT_EQ(router.add_shard(fake.listener.port()), 0u);
+  std::future<void> commit_seen = fake.commit_seen.get_future();
+  std::thread push([&router] {
+    (void)router.push_bundle("not a bundle", "stuck");
+  });
+  EXPECT_EQ(commit_seen.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string text = router.fleet_metrics_text();
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), 2.0 * cluster::kFleetPullTimeoutS);
+  EXPECT_NE(text.find("scwc_cluster_shard_up{shard=\"0\"} 1\n"),
+            std::string::npos);
+
+  router.stop();  // the shard goes down, which ends the push's wait
+  push.join();
 }
 
 // ------------------------------------------------------------------ hot swap

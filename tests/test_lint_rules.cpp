@@ -360,6 +360,19 @@ TEST(LintRules, UnguardedFieldInMutexOwningClassFires) {
   EXPECT_NE(f[0].message.find("Foo"), std::string::npos);
 }
 
+TEST(LintRules, TimedMutexMarksOwnershipAndIsExempt) {
+  const auto f = lint("src/serve/foo.hpp",
+                      "#pragma once\n"
+                      "class Foo {\n"
+                      "  TimedMutex call_mutex_{\"serve.call\"};\n"
+                      "  int calls_ = 0;\n"
+                      "};\n");
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].rule, "guarded-field-coverage");
+  EXPECT_EQ(f[0].line, 4u);
+  EXPECT_NE(f[0].message.find("calls_"), std::string::npos);
+}
+
 TEST(LintRules, GuardedAndExemptFieldsAreClean) {
   EXPECT_TRUE(lint("src/serve/foo.hpp",
                    "#pragma once\n"

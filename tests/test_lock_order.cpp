@@ -10,8 +10,10 @@
 // the serve stress assertion (and vice versa).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 // The same-instance deliberate-inversion tests below nest the same two
@@ -204,6 +206,38 @@ TEST(LockOrder, OutOfOrderReleaseKeepsStackConsistent) {
     if (from == "test.ooo.a") ++from_a;
   }
   EXPECT_EQ(from_a, 1u);  // only a -> b; never a -> c
+  lock_order::clear();
+}
+
+TEST(LockOrder, TimedMutexGivesUpAtDeadlineAndRecordsOnlySuccess) {
+  lock_order::clear();
+  TimedMutex call{"test.timed.call"};
+  Mutex inner{"test.timed.inner"};
+  std::promise<void> held;
+  std::promise<void> release;
+  std::thread holder([&] {
+    const LockGuard hold(call);
+    held.set_value();
+    release.get_future().wait();
+  });
+  held.get_future().wait();
+  EXPECT_FALSE(call.try_lock_until(std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(20)));
+  release.set_value();
+  holder.join();
+  ASSERT_TRUE(call.try_lock_until(std::chrono::steady_clock::now() +
+                                  std::chrono::seconds(5)));
+  {
+    const LockGuard adopted(call, std::adopt_lock);
+    const LockGuard hold_inner(inner);
+  }
+  EXPECT_TRUE(lock_order::violations().empty());
+  if (lock_order::enabled()) {
+    const auto edges = lock_order::edges();
+    ASSERT_EQ(edges.size(), 1u);
+    EXPECT_EQ(edges[0].first, "test.timed.call");
+    EXPECT_EQ(edges[0].second, "test.timed.inner");
+  }
   lock_order::clear();
 }
 

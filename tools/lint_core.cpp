@@ -339,10 +339,11 @@ FieldInfo parse_member_field(std::string_view stmt) {
   info.name = std::string(tokens.back());
   const bool is_ref = flat.find('&') != std::string::npos;
   for (const std::string_view tok : tokens) {
-    if (tok == "Mutex" && !is_ref && flat.find('*') == std::string::npos) {
+    const bool mutex_type = tok == "Mutex" || tok == "TimedMutex";
+    if (mutex_type && !is_ref && flat.find('*') == std::string::npos) {
       info.is_mutex = true;
     }
-    if (tok == "const" || tok == "constexpr" || tok == "Mutex" ||
+    if (tok == "const" || tok == "constexpr" || mutex_type ||
         tok == "CondVar" || tok.starts_with("atomic") ||
         tok.ends_with("Handle")) {
       info.exempt = true;

@@ -6,14 +6,15 @@
 // fleet (--swap) or shut the workers down (--halt). The README "Sharded
 // serving" quickstart is built around this tool.
 //
-// Cluster observability (ISSUE 10): --listen serves the AGGREGATED fleet
-// view — /metrics re-exports every worker's wire-scraped series under a
-// shard="N" label next to the router's own counters, /shards is a JSON
-// health view with per-shard liveness and clock offsets. --trace-out
-// writes the router-side request traces (with per-shard clock offsets in
-// scwcMeta, ready for scwc_tracemerge); --audit-out appends scwc.audit/v1
-// records that carry shard_id; --metrics-out snapshots the aggregated
-// exposition to a file at the end of the run.
+// Cluster observability: --listen serves the AGGREGATED fleet view —
+// /metrics pulls every live worker's metrics over the wire when scraped and
+// re-exports them under a shard="N" label next to the router's own
+// counters, /shards is a JSON health view with per-shard liveness and
+// clock offsets. --trace-out writes the router-side request traces (with
+// per-shard clock offsets in scwcMeta, ready for scwc_tracemerge);
+// --audit-out appends scwc.audit/v1 records that carry shard_id;
+// --metrics-out renders the same exposition to a file at the end of the
+// run, so it counts every window the run sent.
 //
 // Usage:
 //   scwc_router --ports 9101,9102 --windows 200 --jobs 16
@@ -86,8 +87,6 @@ int main(int argc, char** argv) {
   cli.add_flag("listen-s", "0",
                "keep the fleet endpoint up this many extra seconds after "
                "the load drains (for interactive curls)");
-  cli.add_flag("metrics-poll-s", "0.5",
-               "wire-scrape cadence for the fleet aggregation poller");
   cli.add_flag("metrics-out", "",
                "write the aggregated Prometheus exposition here at the end");
   cli.add_flag("trace-out", "",
@@ -128,14 +127,10 @@ int main(int argc, char** argv) {
       std::cout << "shard " << id << " @ 127.0.0.1:" << port << '\n';
     }
 
-    // Fleet observability: background wire-scrape poller + aggregated
-    // scrape endpoint. The poller also feeds --metrics-out, so it runs
-    // whenever either consumer asked for the data.
+    // Fleet observability: the aggregated scrape endpoint pulls the
+    // workers' metrics on every GET /metrics.
     const std::string metrics_out = cli.get_string("metrics-out");
     const int listen_port = cli.get_int("listen");
-    if (listen_port >= 0 || !metrics_out.empty()) {
-      router.start_metrics_poll(cli.get_double("metrics-poll-s"));
-    }
     std::unique_ptr<net::ScrapeServer> scrape;
     if (listen_port >= 0) {
       scrape = std::make_unique<net::ScrapeServer>(
@@ -231,13 +226,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Give the poller one final fresh scrape before the snapshot/export so
-    // --metrics-out reflects the full run, not the last poll tick.
-    if (!metrics_out.empty()) {
-      for (const auto& status : router.shards()) {
-        (void)router.fetch_metrics(status.shard_id);
-      }
-    }
     const double listen_s = cli.get_double("listen-s");
     if (scrape != nullptr && listen_s > 0.0) {
       std::cout << "fleet endpoint stays up " << listen_s
