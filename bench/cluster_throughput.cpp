@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     cluster::ShardRouter router(router_config);
     for (const perfbench::WorkerProc& proc : fleet) {
       const std::uint32_t id = router.add_shard(proc.port);
-      std::cout << "shard " << id << " up on 127.0.0.1:" << proc.port
+      std::cout << "shard " << id << " up on local id " << proc.port
                 << " (pid " << proc.pid << ")\n";
     }
 

@@ -68,18 +68,19 @@ ShardRouter::ShardRouter(RouterConfig config)
 ShardRouter::~ShardRouter() { stop(); }
 
 std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
-  net::Socket sock = net::connect_loopback(port, kConnectDeadlineS);
-  SCWC_REQUIRE(sock.valid(), "router: cannot connect to worker on port " +
+  net::Socket sock = net::connect_local(port, kConnectDeadlineS);
+  SCWC_REQUIRE(sock.valid(), "router: cannot connect to worker on local id " +
                                  std::to_string(port));
-  // Bound the handshake, then hand the reader a fully blocking socket —
-  // a reader-side receive timeout would be indistinguishable from EOF.
+  // Bound the handshake; afterwards the reader's receive is unbounded — a
+  // reader-side receive timeout would be indistinguishable from EOF — and
+  // every send keeps the kSendTimeoutS bound.
   sock.set_io_timeout(kHelloTimeoutS);
   // The connection's one receive buffer: it serves the handshake, then
   // moves into the reader thread with whatever it already holds.
   net::FrameReader frames;
   std::optional<net::Frame> frame = frames.next(sock);
   SCWC_REQUIRE(frame.has_value() && frame->type == net::FrameType::kHello,
-               "router: worker on port " + std::to_string(port) +
+               "router: worker on local id " + std::to_string(port) +
                    " did not complete the hello handshake");
   const net::HelloFrame hello = net::decode_hello(frame->payload);
 
@@ -89,7 +90,8 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   // Clock handshake while the socket is still exclusively ours and the
   // hello io timeout still bounds each round trip.
   sync_clock(*conn, frames);
-  conn->sock.set_io_timeout(0);
+  conn->sock.set_recv_timeout(0);
+  conn->sock.set_send_timeout(kSendTimeoutS);
   conn->rolling_latency = obs::MetricsRegistry::global().rolling_histogram(
       "scwc_cluster_shard" + std::to_string(hello.shard_id) +
       "_request_seconds");
@@ -108,7 +110,7 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
         reader_loop(conn, frames);
       });
   SCWC_LOG_INFO("cluster router: shard "
-                << hello.shard_id << " joined from port " << port
+                << hello.shard_id << " joined from local id " << port
                 << " (model '" << hello.model_version << "', "
                 << hello.window_steps << "×" << hello.sensors
                 << ", clock offset " << conn->clock_offset_ns << "ns)");
@@ -145,10 +147,9 @@ void ShardRouter::sync_clock(ShardConn& conn, net::FrameReader& frames) {
   }
 }
 
-std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
-                                                    std::vector<double> window,
-                                                    std::size_t steps,
-                                                    std::size_t sensors) {
+std::future<serve::ServeResult> ShardRouter::submit(
+    std::int64_t job_id, std::span<const double> window, std::size_t steps,
+    std::size_t sensors) {
   obs_submitted_.inc();
   const auto t_entry = std::chrono::steady_clock::now();
   // Stamp the trace identity before routing so even sheds carry an id;
@@ -210,7 +211,7 @@ std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
                 conn->shard_id, t_entry, phases);
   }
 
-  net::SubmitWindowFrame frame;
+  net::SubmitWindowView frame;
   frame.request_id = request_id;
   frame.job_id = job_id;
   frame.deadline_ns =
@@ -219,24 +220,15 @@ std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
           : 0;
   frame.steps = static_cast<std::uint32_t>(steps);
   frame.sensors = static_cast<std::uint32_t>(sensors);
-  frame.values = std::move(window);
+  frame.values = window;
   frame.trace_id = trace_id;
   frame.trace_sampled = sampled;
 
   const auto t_send = std::chrono::steady_clock::now();
-  if (!send(*conn, net::FrameType::kSubmitWindow,
-            net::encode_submit_window(frame))) {
-    {
-      LockGuard lock(conn->pending_mutex);
-      conn->pending.erase(request_id);
-    }
-    mark_down(*conn, serve::RejectReason::kShardDown);
-    const auto now = std::chrono::steady_clock::now();
-    phases.admission_s = obs::seconds_between(t_routed, t_send);
-    phases.wire_send_s = obs::seconds_between(t_send, now);
-    phases.total_s = obs::seconds_between(t_entry, now);
-    return shed(serve::RejectReason::kShardDown, trace_id, sampled, job_id,
-                conn->shard_id, t_entry, phases);
+  if (!send(*conn, net::encode_submit_window_frame(frame))) {
+    // The failed send marked the shard down, which resolved this request,
+    // still pending, as a typed shed.
+    return future;
   }
   // Patch the measured send time into the pending entry. If the verdict
   // already raced past us the entry is gone and the send time simply folds
@@ -252,7 +244,7 @@ std::future<serve::ServeResult> ShardRouter::submit(std::int64_t job_id,
 }
 
 serve::ServeResult ShardRouter::submit_and_wait(
-    std::int64_t job_id, const std::vector<double>& window, std::size_t steps,
+    std::int64_t job_id, std::span<const double> window, std::size_t steps,
     std::size_t sensors, const serve::RetryPolicy& policy, Rng& rng) {
   return serve::retry_with_backoff(
       policy, rng,
@@ -737,12 +729,24 @@ std::optional<net::Frame> ShardRouter::round_trip(
 
 bool ShardRouter::send(ShardConn& conn, net::FrameType type,
                        std::string_view payload) {
-  LockGuard lock(conn.write_mutex);
-  if (!net::write_frame(conn.sock, type, payload)) {
+  return send(conn, net::encode_frame(type, payload));
+}
+
+bool ShardRouter::send(ShardConn& conn, std::string_view frame) {
+  bool sent = false;
+  {
+    LockGuard lock(conn.write_mutex);
+    sent = conn.sock.send_all(frame);
+    // A failed write may leave a torn frame behind: shut the socket before
+    // the next queued sender can block on it, so each fails at once.
+    if (!sent) conn.sock.shutdown_now();
+  }
+  if (!sent) {
+    mark_down(conn, serve::RejectReason::kShardDown);
     return false;
   }
   obs_wire_tx_frames_.inc();
-  obs_wire_tx_bytes_.inc(payload.size() + net::kHeaderBytes);
+  obs_wire_tx_bytes_.inc(frame.size());
   return true;
 }
 

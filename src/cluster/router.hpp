@@ -1,7 +1,8 @@
 // ShardRouter — the cluster front end.
 //
 // Consistent-hashes job ids onto worker shards (cluster/hash_ring.hpp) and
-// speaks SCWCWIRE to each over loopback TCP. One reader thread per shard
+// speaks SCWCWIRE to each over a local AF_UNIX stream socket, dialled by
+// the worker's 16-bit id (net::connect_local). One reader thread per shard
 // resolves verdict frames back into the promise registered at submit time;
 // per-shard in-flight windows are bounded, and every refusal is a typed
 // serve::RejectReason so cluster sheds are indistinguishable in shape from
@@ -14,7 +15,8 @@
 //                 survivor (retryable, like every transient shed)
 //   kShutdown   — the router itself is stopping
 //
-// Shard death is detected passively (reader EOF, send failure): the shard
+// Shard death is detected passively (reader EOF, a send that fails or makes
+// no progress for kSendTimeoutS — a worker that stopped reading): the shard
 // leaves the ring, its in-flight requests fail with kShardDown, and the
 // ring rehashes its 1/N of the key space onto survivors — availability for
 // everyone else is untouched, which bench/cluster_throughput measures.
@@ -39,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -67,6 +70,12 @@ inline constexpr std::size_t kVnodesPerShard = 64;
 inline constexpr double kConnectDeadlineS = 5.0;
 /// Bound on each hello and clock-handshake round trip.
 inline constexpr double kHelloTimeoutS = 5.0;
+/// Once the handshake is done, a send to a shard that makes no progress
+/// for this long (the worker stopped reading) marks the shard down, so no
+/// submit or control round trip waits behind it for longer. A healthy
+/// worker's reader never pauses this long: it loads pushed bundles on
+/// another thread.
+inline constexpr double kSendTimeoutS = 1.0;
 /// How long a bundle push waits for a shard's swap or abort ack.
 inline constexpr double kSwapAckTimeoutS = 30.0;
 /// Bound shared by all the metrics pulls of one fleet_metrics_text(): a
@@ -106,7 +115,7 @@ struct SwapReport {
 /// Point-in-time view of one shard, from the router's perspective.
 struct ShardStatus {
   std::uint32_t shard_id = 0;
-  std::uint16_t port = 0;
+  std::uint16_t port = 0;  ///< the local socket id add_shard dialled
   bool up = false;
   std::size_t inflight = 0;
   std::size_t window_steps = 0;  ///< geometry from the hello handshake
@@ -126,18 +135,20 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Connects to a worker on 127.0.0.1:`port` (retrying until the connect
+  /// Connects to the worker listening on local socket id `port`
+  /// (ClusterWorker::port(), scwc_worker --port; retrying until the connect
   /// deadline), performs the hello handshake and adds the shard to the
   /// ring. Returns the shard id the worker announced. Throws scwc::Error
   /// when the worker cannot be reached, the handshake fails, or the id is
   /// already connected.
   std::uint32_t add_shard(std::uint16_t port);
 
-  /// Routes one window to the shard owning `job_id`. The future always
-  /// becomes ready: with the worker's verdict, or with a typed router shed
-  /// (kQueueFull / kShardDown / kShutdown — see file header).
+  /// Routes one window to the shard owning `job_id`. The window is read
+  /// once, straight into its frame. The future always becomes ready: with
+  /// the worker's verdict, or with a typed router shed (kQueueFull /
+  /// kShardDown / kShutdown — see file header).
   [[nodiscard]] std::future<serve::ServeResult> submit(
-      std::int64_t job_id, std::vector<double> window, std::size_t steps,
+      std::int64_t job_id, std::span<const double> window, std::size_t steps,
       std::size_t sensors);
 
   /// Blocking client helper: submit + bounded wait, retrying retryable
@@ -145,7 +156,7 @@ class ShardRouter {
   /// a shard death the retry rehashes onto a survivor. Never call it from
   /// a reader thread.
   [[nodiscard]] serve::ServeResult submit_and_wait(
-      std::int64_t job_id, const std::vector<double>& window,
+      std::int64_t job_id, std::span<const double> window,
       std::size_t steps, std::size_t sensors,
       const serve::RetryPolicy& policy, Rng& rng);
 
@@ -163,7 +174,9 @@ class ShardRouter {
 
   /// Prometheus text exposition of the whole fleet. Pulls every live shard
   /// first, all within kFleetPullTimeoutS; a shard that is dead, late or
-  /// busy with a bundle push renders its last reply. Then renders this
+  /// busy with a bundle push renders its last reply. A shard that stopped
+  /// reading holds its pull for up to kSendTimeoutS instead, one such
+  /// shard after another (DESIGN.md §13.6). Then renders this
   /// process's own registry (router gauges/counters, per-shard rolling
   /// latency), the router's live per-shard up/inflight/clock-offset view,
   /// and every worker series re-exported with a shard="N" label.
@@ -208,7 +221,8 @@ class ShardRouter {
 
   /// Per-shard connection state. The reader thread is the only frame
   /// consumer; submit paths write frames under write_mutex. In-flight
-  /// windows are the entries of `pending`.
+  /// windows are the entries of `pending`. The socket's receive is
+  /// unbounded and its sends are bounded by kSendTimeoutS.
   struct ShardConn {
     ShardConn(std::uint32_t id, std::uint16_t p, net::Socket s)
         : shard_id(id), port(p), sock(std::move(s)) {}
@@ -290,7 +304,13 @@ class ShardRouter {
       net::FrameType reply_type,
       std::chrono::steady_clock::time_point deadline)
       SCWC_REQUIRES(conn.call_mutex);
+  /// Frames `payload` and sends it (see the `frame` overload).
   bool send(ShardConn& conn, net::FrameType type, std::string_view payload);
+  /// Writes one encoded frame. False when the write fails (peer gone, shard
+  /// already down, or no progress for kSendTimeoutS); a failure shuts the
+  /// socket, so the senders queued behind it fail at once, and marks the
+  /// shard down.
+  bool send(ShardConn& conn, std::string_view frame);
   /// Min-RTT ping/pong clock handshake on a not-yet-published connection
   /// (the socket is exclusively owned and its io timeout still active).
   void sync_clock(ShardConn& conn, net::FrameReader& frames);

@@ -15,8 +15,8 @@
 namespace scwc::cluster {
 
 ClusterWorker::ClusterWorker(serve::ModelRegistry& registry,
-                             WorkerConfig config)
-    : registry_(registry), config_(std::move(config)) {
+                             WorkerConfig config, BundleLoader load)
+    : registry_(registry), config_(std::move(config)), load_(std::move(load)) {
   service_ = std::make_unique<serve::ClassificationService>(
       registry_, config_.service);
 }
@@ -33,7 +33,7 @@ void ClusterWorker::start() {
   listener_.listen(config_.port);
   accept_thread_ = std::thread([this] { accept_loop(); });
   SCWC_LOG_INFO("cluster worker shard " << config_.shard_id
-                << " listening on 127.0.0.1:" << listener_.port());
+                << " listening on local id " << listener_.id());
 }
 
 void ClusterWorker::stop() {
@@ -57,6 +57,7 @@ void ClusterWorker::stop() {
     }
     conn->queue_cv.notify_all();
     if (conn->reader.joinable()) conn->reader.join();
+    if (conn->swap_loader.joinable()) conn->swap_loader.join();
     if (conn->responder.joinable()) conn->responder.join();
     conn->sock.close();
   }
@@ -189,8 +190,13 @@ void ClusterWorker::responder_loop(Connection& conn) {
       conn.queue.pop_front();
     }
     out.clear();
-    append_verdict(out, head,
-                   serve::get_within(head.result, kVerdictWaitS));
+    std::optional<serve::ServeResult> first =
+        serve::get_within(head.result, kVerdictWaitS);
+    // The head's batch siblings queued behind it are worth a short wait.
+    std::size_t siblings = first.has_value() && first->batch_size > 1
+                               ? first->batch_size - 1
+                               : 0;
+    append_verdict(out, head, std::move(first));
     while (true) {
       PendingVerdict next;
       {
@@ -200,12 +206,13 @@ void ClusterWorker::responder_loop(Connection& conn) {
         conn.queue.pop_front();
       }
       // Readiness is polled with the queue lock released.
-      std::optional<serve::ServeResult> ready =
-          serve::get_within(next.result, 0.0);
+      std::optional<serve::ServeResult> ready = serve::get_within(
+          next.result, siblings > 0 ? kBatchSiblingWaitS : 0.0);
       if (!ready.has_value()) {
         carried = std::move(next);
         break;
       }
+      if (siblings > 0) --siblings;
       append_verdict(out, next, std::move(ready));
     }
     // A gone peer fails the write; keep draining so queued futures are
@@ -313,18 +320,33 @@ void ClusterWorker::handle_swap_chunk(Connection& conn,
 void ClusterWorker::handle_swap_commit(Connection& conn,
                                        std::string_view payload) {
   const net::SwapCommitFrame frame = net::decode_swap_commit(payload);
+  // The router sends the next commit only after this one's ack.
+  if (conn.swap_loader.joinable()) conn.swap_loader.join();
+  std::string bytes = std::exchange(conn.swap_buffer, std::string());
+  const bool active = std::exchange(conn.swap_active, false);
+  if (!active || bytes.size() != conn.swap_total) {
+    net::SwapAckFrame ack;
+    ack.message = active ? "incomplete bundle stream" : "no swap in progress";
+    send_swap_ack(conn, std::move(ack));
+    return;
+  }
+  // The CRC check and the load run off this thread, so submits keep
+  // draining meanwhile.
+  conn.swap_loader = std::thread(
+      [this, &conn, bundle = std::move(bytes), crc = frame.crc32]() mutable {
+        commit_swap(conn, std::move(bundle), crc);
+      });
+}
+
+void ClusterWorker::commit_swap(Connection& conn, std::string bytes,
+                                std::uint32_t crc) {
   net::SwapAckFrame ack;
-  if (!conn.swap_active) {
-    ack.message = "no swap in progress";
-  } else if (conn.swap_buffer.size() != conn.swap_total) {
-    ack.message = "incomplete bundle stream";
-  } else if (crc32(conn.swap_buffer) != frame.crc32) {
+  if (crc32(bytes) != crc) {
     ack.message = "bundle CRC mismatch";
   } else {
-    // try_swap_from_bytes is failure-isolating: a corrupt bundle leaves
-    // the registry (and serving) exactly as it was.
-    const auto bundle =
-        serve::try_swap_from_bytes(registry_, conn.swap_buffer);
+    // The loader is failure-isolating: a corrupt bundle leaves the
+    // registry (and serving) exactly as it was.
+    const auto bundle = load_(registry_, bytes);
     if (bundle != nullptr) {
       ack.ok = true;
       swaps_.fetch_add(1);
@@ -335,9 +357,10 @@ void ClusterWorker::handle_swap_commit(Connection& conn,
       ack.message = "bundle rejected by loader";
     }
   }
-  conn.swap_active = false;
-  conn.swap_buffer.clear();
-  conn.swap_buffer.shrink_to_fit();
+  send_swap_ack(conn, std::move(ack));
+}
+
+void ClusterWorker::send_swap_ack(Connection& conn, net::SwapAckFrame ack) {
   if (const auto current = registry_.current()) {
     ack.active_version = current->version();
   }
@@ -347,6 +370,8 @@ void ClusterWorker::handle_swap_commit(Connection& conn,
 void ClusterWorker::handle_swap_abort(Connection& conn,
                                       std::string_view payload) {
   const net::SwapAbortFrame frame = net::decode_swap_abort(payload);
+  // Roll back only after a commit still loading has landed.
+  if (conn.swap_loader.joinable()) conn.swap_loader.join();
   conn.swap_active = false;
   conn.swap_buffer.clear();
   net::SwapAckFrame ack;

@@ -2,38 +2,46 @@
 //
 // Wraps a ClassificationService behind the SCWCWIRE protocol: a listener
 // thread accepts router connections; each connection gets a reader thread
-// (decodes frames, submits windows, handles swaps/pings/scrapes) and a
-// responder thread (drains the FIFO of pending futures and writes verdict
-// frames back, every verdict already ready by then in the same write). The
-// split keeps the read path non-blocking: slow inference never stalls
-// frame intake, and verdicts always leave in submission order per
-// connection, so the router can rely on FIFO completion per shard.
+// (decodes frames, submits windows, handles swaps/pings/scrapes), a
+// swap-loader thread while a pushed bundle loads, and a responder thread
+// (drains the FIFO of pending futures and writes verdict frames back,
+// every verdict already ready by then in the same write). The split keeps
+// the read path non-blocking: slow inference never stalls frame intake,
+// and verdicts always leave in submission order per connection, so the
+// router can rely on FIFO completion per shard.
 //
 // Model-bundle distribution (DESIGN.md §13): the router streams a bundle as
-// SwapBegin/SwapChunk*/SwapCommit. The worker assembles the bytes, verifies
-// the announced CRC, and hot-swaps through serve::try_swap_from_bytes —
-// which on ANY load failure leaves the registry untouched, so a corrupt
-// push can never take down serving. SwapAbort rolls the registry back one
+// SwapBegin/SwapChunk*/SwapCommit. The reader assembles the bytes; on commit
+// a swap-loader thread verifies the announced CRC, hot-swaps through
+// serve::try_swap_from_bytes — which on ANY load failure leaves the registry
+// untouched, so a corrupt push can never take down serving — and sends the
+// ack. The reader keeps draining submits meanwhile: the router bounds each
+// send (kSendTimeoutS), so a reader paused for a whole bundle load would
+// read as a dead shard. SwapAbort rolls the registry back one
 // activation (the router sends it when a sibling shard rejected the same
 // push, restoring fleet-wide version agreement).
 //
 // The same class backs the scwc_worker binary and the in-process cluster
-// tests — everything is loopback TCP either way.
+// tests — router connections arrive on a local AF_UNIX socket named from
+// the listener's 16-bit id (net::LocalListener) either way.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/socket.hpp"
+#include "serve/bundle_io.hpp"
 #include "serve/service.hpp"
 
 namespace scwc::cluster {
@@ -41,12 +49,24 @@ namespace scwc::cluster {
 /// Per-future wait bound in the responder; a future that is not ready
 /// within this is answered as an internal shed (never blocks forever).
 inline constexpr double kVerdictWaitS = 30.0;
+/// Once the head verdict is ready, how long the responder waits for each
+/// verdict of the same micro-batch (the batcher is fulfilling them right
+/// then), so the batch leaves in one write: each write wakes the router's
+/// reader once.
+inline constexpr double kBatchSiblingWaitS = 100e-6;
 
 struct WorkerConfig {
   std::uint32_t shard_id = 0;
-  std::uint16_t port = 0;  ///< 0 → ephemeral; read back via port()
+  /// Local socket id the router dials (net::LocalListener); 0 → any free
+  /// id, read back via port().
+  std::uint16_t port = 0;
   serve::ServiceConfig service;
 };
+
+/// Loads pushed bundle bytes into a registry and activates them; returns
+/// nullptr, with the registry untouched, on any failure.
+using BundleLoader = std::function<std::shared_ptr<const serve::ModelBundle>(
+    serve::ModelRegistry&, std::string_view)>;
 
 /// Monotonic serving counters, readable while the worker runs.
 struct WorkerCounters {
@@ -60,15 +80,17 @@ struct WorkerCounters {
 class ClusterWorker {
  public:
   /// `registry` must outlive the worker. The service is constructed here
-  /// so the worker owns the full request path of its shard.
-  ClusterWorker(serve::ModelRegistry& registry, WorkerConfig config);
+  /// so the worker owns the full request path of its shard. `load` runs a
+  /// committed bundle push (a slow one in tests).
+  ClusterWorker(serve::ModelRegistry& registry, WorkerConfig config,
+                BundleLoader load = serve::try_swap_from_bytes);
   ~ClusterWorker();
 
   ClusterWorker(const ClusterWorker&) = delete;
   ClusterWorker& operator=(const ClusterWorker&) = delete;
 
   /// Binds the listener and starts accepting. Throws scwc::Error when the
-  /// port cannot be bound.
+  /// id cannot be bound.
   void start();
 
   /// Stops accepting, closes every connection, drains pending verdicts and
@@ -79,9 +101,8 @@ class ClusterWorker {
   /// scwc_worker main parks here.
   void wait_shutdown();
 
-  [[nodiscard]] std::uint16_t port() const noexcept {
-    return listener_.port();
-  }
+  /// The bound local socket id: what ShardRouter::add_shard takes.
+  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.id(); }
   [[nodiscard]] WorkerCounters counters() const noexcept;
   [[nodiscard]] serve::ClassificationService& service() noexcept {
     return *service_;
@@ -118,6 +139,9 @@ class ClusterWorker {
     // Joined by stop() after the sockets are shut down; set once at spawn.
     std::thread reader;  // scwc-lint: allow(guarded-field-coverage)
     std::thread responder;  // scwc-lint: allow(guarded-field-coverage)
+    // The last commit's load and ack; spawned and joined by the reader,
+    // joined by stop() after the reader.
+    std::thread swap_loader;  // scwc-lint: allow(guarded-field-coverage)
   };
 
   void accept_loop();
@@ -137,17 +161,22 @@ class ClusterWorker {
   void handle_swap_begin(Connection& conn, std::string_view payload);
   void handle_swap_chunk(Connection& conn, std::string_view payload);
   void handle_swap_commit(Connection& conn, std::string_view payload);
+  /// The swap loader's body: verifies, loads and acks one committed push.
+  void commit_swap(Connection& conn, std::string bytes, std::uint32_t crc);
   void handle_swap_abort(Connection& conn, std::string_view payload);
+  /// Stamps the registry's current version on a commit's ack and sends it.
+  void send_swap_ack(Connection& conn, net::SwapAckFrame ack);
   void send_metrics(Connection& conn);
   [[nodiscard]] net::VerdictFrame make_verdict(
       const PendingVerdict& pending, const serve::ServeResult& result) const;
 
   serve::ModelRegistry& registry_;
   const WorkerConfig config_;
+  const BundleLoader load_;
   // Internally synchronized / thread-confined members of the worker shell;
   // the service and listener own their own locking.
   std::unique_ptr<serve::ClassificationService> service_;  // scwc-lint: allow(guarded-field-coverage)
-  net::TcpListener listener_;  // scwc-lint: allow(guarded-field-coverage)
+  net::LocalListener listener_;  // scwc-lint: allow(guarded-field-coverage)
   std::thread accept_thread_;  // scwc-lint: allow(guarded-field-coverage)
 
   Mutex mutex_{"cluster.worker"};

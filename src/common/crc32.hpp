@@ -1,6 +1,8 @@
 // CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, init and xorout
 // 0xFFFFFFFF) — the checksum of both the SCWCWIRE frame header and the ZIP
-// entries of the .npz exporter. One slice-by-8 implementation serves both.
+// entries of the .npz exporter. One function serves both: it folds 64 bytes
+// per step with carry-less multiplies (PCLMULQDQ) where the CPU has them and
+// runs slice-by-8 elsewhere, chosen once (common/crc32_kernel.hpp).
 #pragma once
 
 #include <cstdint>

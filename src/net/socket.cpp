@@ -2,14 +2,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -28,29 +31,76 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   return addr;
 }
 
+/// The abstract-namespace address of local id `id`: a leading NUL, then
+/// "scwc-shard-<id>" with no terminator (the length delimits it).
+struct LocalAddr {
+  explicit LocalAddr(std::uint16_t id) {
+    addr.sun_family = AF_UNIX;
+    const std::string name = "scwc-shard-" + std::to_string(id);
+    std::memcpy(addr.sun_path + 1, name.data(), name.size());
+    len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                 name.size());
+  }
+  [[nodiscard]] const sockaddr* get() const {
+    return reinterpret_cast<const sockaddr*>(&addr);
+  }
+  sockaddr_un addr{};
+  socklen_t len = 0;
+};
+
+/// Opens a `domain` stream socket and connects it to `addr`, retrying until
+/// `deadline_s` of wall time passes; -1 on timeout.
+int connect_until(int domain, const sockaddr* addr, socklen_t len,
+                  double deadline_s) {
+  using clock = std::chrono::steady_clock;
+  const auto deadline =
+      clock::now() + std::chrono::duration_cast<clock::duration>(
+                         std::chrono::duration<double>(deadline_s));
+  while (true) {
+    const int fd = ::socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return -1;
+    if (::connect(fd, addr, len) == 0) return fd;
+    ::close(fd);
+    if (clock::now() >= deadline) return -1;
+    // The server process may still be starting; back off briefly.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 }  // namespace
 
 Socket::~Socket() { close(); }
 
-Socket::Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+Socket::Socket(Socket&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      recv_timeout_ms_(other.recv_timeout_ms_) {}
 
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_ = std::exchange(other.fd_, -1);
+    recv_timeout_ms_ = other.recv_timeout_ms_;
   }
   return *this;
 }
 
 void Socket::set_io_timeout(double seconds) noexcept {
+  set_recv_timeout(seconds);
+  set_send_timeout(seconds);
+}
+
+void Socket::set_recv_timeout(double seconds) noexcept {
+  recv_timeout_ms_ =
+      seconds > 0.0 ? static_cast<int>(std::ceil(seconds * 1e3)) : -1;
+}
+
+void Socket::set_send_timeout(double seconds) noexcept {
   if (fd_ < 0) return;
-  if (!(seconds > 0.0)) seconds = 0.0;  // {0,0} restores blocking I/O
+  if (!(seconds > 0.0)) seconds = 0.0;  // {0,0} restores blocking sends
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(seconds);
   tv.tv_usec =
       static_cast<suseconds_t>((seconds - std::floor(seconds)) * 1e6);
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
@@ -61,7 +111,7 @@ bool Socket::send_all(std::string_view data) noexcept {
                              MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return false;
+      return false;  // peer gone, or SO_SNDTIMEO expired (EAGAIN)
     }
     off += static_cast<std::size_t>(n);
   }
@@ -70,10 +120,15 @@ bool Socket::send_all(std::string_view data) noexcept {
 
 std::size_t Socket::recv_some(char* buf, std::size_t cap) noexcept {
   while (true) {
-    const ssize_t got = ::recv(fd_, buf, cap, 0);
+    const ssize_t got = ::recv(fd_, buf, cap, MSG_DONTWAIT);
     if (got > 0) return static_cast<std::size_t>(got);
-    if (got < 0 && errno == EINTR) continue;
-    return 0;  // EOF, timeout, or peer reset
+    if (got == 0) return 0;  // EOF
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return 0;  // reset, closed
+    pollfd p{fd_, POLLIN, 0};
+    const int ready = ::poll(&p, 1, recv_timeout_ms_);
+    if (ready == 0) return 0;  // timeout
+    if (ready < 0 && errno != EINTR) return 0;
   }
 }
 
@@ -88,11 +143,32 @@ void Socket::close() noexcept {
   }
 }
 
-TcpListener::~TcpListener() { close(); }
+Listener::~Listener() { close(); }
+
+Socket Listener::accept() noexcept {
+  while (fd_ >= 0) {
+    const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd >= 0) return Socket(fd);
+    if (errno == EINTR) continue;
+    break;  // shutdown_now() or a terminal accept failure
+  }
+  return Socket();
+}
+
+void Listener::shutdown_now() noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+void Listener::close() noexcept {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
 
 void TcpListener::listen(std::uint16_t port, int backlog) {
   SCWC_REQUIRE(fd_ < 0, "TcpListener: already listening");
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   SCWC_REQUIRE(fd_ >= 0, "TcpListener: socket() failed");
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -101,8 +177,7 @@ void TcpListener::listen(std::uint16_t port, int backlog) {
           0 ||
       ::listen(fd_, backlog) != 0) {
     const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
+    close();
     SCWC_FAIL(std::string("TcpListener: bind/listen: ") +
               std::strerror(err));
   }
@@ -113,52 +188,47 @@ void TcpListener::listen(std::uint16_t port, int backlog) {
   }
 }
 
-Socket TcpListener::accept() noexcept {
-  while (fd_ >= 0) {
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd >= 0) {
-      const int one = 1;
-      // Frames are small and latency-sensitive; never wait for Nagle.
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return Socket(fd);
+void LocalListener::listen(std::uint16_t id, int backlog) {
+  SCWC_REQUIRE(fd_ < 0, "LocalListener: already listening");
+  fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  SCWC_REQUIRE(fd_ >= 0, "LocalListener: socket() failed");
+  // Id 0: probe every id from a start spread by process id, so concurrent
+  // fleets on one host rarely contend for the same names.
+  constexpr std::uint32_t kIds = 65535;
+  static std::atomic<std::uint32_t> next_start{
+      static_cast<std::uint32_t>(::getpid()) * 2654435761U};
+  const std::uint32_t start =
+      id != 0 ? id - 1U : next_start.fetch_add(1) % kIds;
+  int err = 0;
+  for (std::uint32_t i = 0; i < (id != 0 ? 1U : kIds); ++i) {
+    const auto candidate = static_cast<std::uint16_t>(1 + (start + i) % kIds);
+    const LocalAddr addr(candidate);
+    if (::bind(fd_, addr.get(), addr.len) == 0) {
+      err = ::listen(fd_, backlog) == 0 ? 0 : errno;
+      id_ = candidate;
+      break;
     }
-    if (errno == EINTR) continue;
-    break;  // shutdown_now() or a terminal accept failure
+    err = errno;
+    if (err != EADDRINUSE) break;
   }
-  return Socket();
-}
-
-void TcpListener::shutdown_now() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-void TcpListener::close() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  if (err != 0) {
+    close();
+    id_ = 0;
+    SCWC_FAIL("LocalListener: bind/listen id " + std::to_string(id) + ": " +
+              std::strerror(err));
   }
 }
 
 Socket connect_loopback(std::uint16_t port, double deadline_s) {
-  using clock = std::chrono::steady_clock;
-  const auto deadline =
-      clock::now() + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double>(deadline_s));
-  while (true) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return Socket();
-    const sockaddr_in addr = loopback_addr(port);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return Socket(fd);
-    }
-    ::close(fd);
-    if (clock::now() >= deadline) return Socket();
-    // The worker process may still be starting; back off briefly.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  const sockaddr_in addr = loopback_addr(port);
+  return Socket(connect_until(AF_INET,
+                              reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof(addr), deadline_s));
+}
+
+Socket connect_local(std::uint16_t id, double deadline_s) {
+  const LocalAddr addr(id);
+  return Socket(connect_until(AF_UNIX, addr.get(), addr.len, deadline_s));
 }
 
 bool write_frame(Socket& sock, FrameType type, std::string_view payload) {

@@ -1,16 +1,21 @@
-// Loopback TCP primitives for the sharded serving cluster and the HTTP
-// scrape endpoint (net/scrape.*).
+// Socket primitives for the sharded serving cluster and the HTTP scrape
+// endpoint (net/scrape.*). Router↔worker frames travel over a local
+// AF_UNIX stream socket in Linux's abstract namespace, named from the
+// shard's 16-bit id (LocalListener / connect_local); TCP on 127.0.0.1
+// carries only HTTP (TcpListener / connect_loopback).
 //
 // This is the only file that makes raw socket syscalls — the
 // `no-raw-socket-calls` lint rule enforces it. Everything above (router,
-// worker, scrape server, tools, benches) talks through Socket/TcpListener,
-// the wire protocol in SCWCWIRE frames through FrameReader/write_frame,
-// and never sees a file descriptor.
+// worker, scrape server, tools, benches) talks through Socket and the
+// listeners, the wire protocol in SCWCWIRE frames through
+// FrameReader/write_frame, and never sees a file descriptor.
 //
-// Security posture matches the scrape endpoint (DESIGN.md §7): the
-// listener binds 127.0.0.1 only — the wire protocol carries operational
-// control (model swaps, shutdown) and has no auth, so cross-host serving
-// would need an authenticated transport in front, not a 0.0.0.0 bind.
+// Security posture matches the scrape endpoint (DESIGN.md §7): nothing
+// binds beyond this host. The wire protocol carries operational control
+// (model swaps, shutdown) and has no auth; an abstract-namespace name, like
+// a 127.0.0.1 port, is reachable by every process in the host's network
+// namespace, so cross-host serving would need an authenticated transport
+// in front.
 #pragma once
 
 #include <cstdint>
@@ -35,14 +40,23 @@ class Socket {
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
 
-  /// SO_RCVTIMEO/SO_SNDTIMEO in seconds; ≤ 0 restores fully blocking I/O.
+  /// set_recv_timeout and set_send_timeout to the same bound.
   void set_io_timeout(double seconds) noexcept;
+  /// Bounds each recv_some's wait for data, in seconds; ≤ 0 waits forever.
+  /// Call it before a reader thread starts using the socket.
+  void set_recv_timeout(double seconds) noexcept;
+  /// SO_SNDTIMEO in seconds: a send that makes no progress for this long
+  /// fails; ≤ 0 lets it block forever.
+  void set_send_timeout(double seconds) noexcept;
 
   /// Writes all of `data`; false when the peer is gone or times out.
   [[nodiscard]] bool send_all(std::string_view data) noexcept;
 
   /// One recv of up to `cap` bytes into `buf`: the byte count, or 0 on
-  /// EOF, timeout or error.
+  /// EOF, timeout or error. The thread waits in poll(POLLIN), never inside
+  /// recv: a reader asleep in recv on an AF_UNIX stream socket is woken
+  /// each time the peer drains bytes this side sent (the write-space
+  /// wakeup shares the socket's wait queue), and poll filters those out.
   [[nodiscard]] std::size_t recv_some(char* buf, std::size_t cap) noexcept;
 
   /// Half-closes both directions, unblocking any thread inside recv/send
@@ -54,41 +68,69 @@ class Socket {
 
  private:
   int fd_ = -1;
+  int recv_timeout_ms_ = -1;  ///< poll() bound; -1 waits forever
 };
 
-/// Listening socket bound to 127.0.0.1. Port 0 requests an ephemeral port;
-/// port() reports the bound one.
-class TcpListener {
+/// What both listeners share: accept, cross-thread shutdown, close.
+class Listener {
  public:
-  TcpListener() = default;
-  ~TcpListener();
+  Listener() = default;
+  ~Listener();
 
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  /// Binds + listens. Throws scwc::Error when the socket cannot be set up.
-  void listen(std::uint16_t port, int backlog = 16);
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
 
   /// Blocks for the next connection; an invalid Socket means the listener
   /// was shut down (or the accept failed terminally).
   [[nodiscard]] Socket accept() noexcept;
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool listening() const noexcept { return fd_ >= 0; }
 
   /// Unblocks accept() from another thread; the listener is dead after.
   void shutdown_now() noexcept;
   void close() noexcept;
 
- private:
+ protected:
   int fd_ = -1;
+};
+
+/// TCP listener bound to 127.0.0.1. Port 0 requests an ephemeral port;
+/// port() reports the bound one.
+class TcpListener : public Listener {
+ public:
+  /// Binds + listens. Throws scwc::Error when the socket cannot be set up.
+  void listen(std::uint16_t port, int backlog = 16);
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+
+ private:
   std::uint16_t port_ = 0;
 };
 
+/// AF_UNIX stream listener whose abstract-namespace name is derived from a
+/// 16-bit id, the address a router dials with connect_local. Id 0 picks a
+/// free id ≥ 1, retrying past names already bound; id() reports it.
+class LocalListener : public Listener {
+ public:
+  /// Binds + listens. Throws scwc::Error, leaving the listener closed,
+  /// when the name is taken or the socket cannot be set up.
+  void listen(std::uint16_t id, int backlog = 16);
+
+  [[nodiscard]] std::uint16_t id() const noexcept { return id_; }
+
+ private:
+  std::uint16_t id_ = 0;
+};
+
 /// Connects to 127.0.0.1:`port`, retrying (connection refused counts as
-/// "worker not up yet") until `deadline_s` of wall time passes. Returns an
+/// "server not up yet") until `deadline_s` of wall time passes. Returns an
 /// invalid Socket on timeout.
 [[nodiscard]] Socket connect_loopback(std::uint16_t port, double deadline_s);
+
+/// Connects to the LocalListener bound to `id`, retrying (no listener yet
+/// counts as "worker not up yet") until `deadline_s` of wall time passes.
+/// Returns an invalid Socket on timeout.
+[[nodiscard]] Socket connect_local(std::uint16_t id, double deadline_s);
 
 /// Sends one SCWCWIRE frame. False when the peer is gone.
 [[nodiscard]] bool write_frame(Socket& sock, FrameType type,

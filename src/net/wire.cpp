@@ -50,6 +50,40 @@ bool known_frame_type(std::uint16_t t) noexcept {
   return false;  // unassigned, or retired (4, 13, 14)
 }
 
+void write_header(ByteWriter& w, FrameType type, std::size_t payload_len,
+                  std::uint32_t payload_crc) {
+  SCWC_REQUIRE(payload_len <= kMaxPayloadBytes,
+               "wire encode: payload exceeds kMaxPayloadBytes");
+  w.u64(kWireMagic);
+  w.u16(kWireVersion);
+  w.u16(static_cast<std::uint16_t>(type));
+  w.u32(static_cast<std::uint32_t>(payload_len));
+  w.u32(payload_crc);
+  w.u32(0);  // reserved
+}
+
+/// Payload bytes of a SubmitWindow of `values` values, checked against the
+/// cap before any buffer is sized from it.
+std::size_t submit_window_bytes(std::size_t values) {
+  SCWC_REQUIRE(values <= kMaxWindowValues,
+               "wire encode: window exceeds kMaxWindowValues");
+  return 3 * 8 + 2 * 4 + 4 + values * 8 + 8 + 1;
+}
+
+/// The SubmitWindow payload of a SubmitWindowFrame or a SubmitWindowView.
+template <typename Submit>
+void write_submit_window(ByteWriter& w, const Submit& f) {
+  w.u64(f.request_id);
+  w.i64(f.job_id);
+  w.u64(f.deadline_ns);
+  w.u32(f.steps);
+  w.u32(f.sensors);
+  w.u32(static_cast<std::uint32_t>(f.values.size()));
+  w.f64s(f.values);
+  w.u64(f.trace_id);
+  w.u8(f.trace_sampled ? 1 : 0);
+}
+
 }  // namespace
 
 const char* frame_type_name(FrameType type) noexcept {
@@ -73,16 +107,9 @@ const char* frame_type_name(FrameType type) noexcept {
 }
 
 void append_frame(std::string& out, FrameType type, std::string_view payload) {
-  SCWC_REQUIRE(payload.size() <= kMaxPayloadBytes,
-               "wire encode: payload exceeds kMaxPayloadBytes");
   out.reserve(out.size() + kHeaderBytes + payload.size());
   ByteWriter w(std::move(out));
-  w.u64(kWireMagic);
-  w.u16(kWireVersion);
-  w.u16(static_cast<std::uint16_t>(type));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(crc32(payload));
-  w.u32(0);  // reserved
+  write_header(w, type, payload.size(), crc32(payload));
   w.bytes(payload);
   out = w.take();
 }
@@ -151,19 +178,24 @@ HelloFrame decode_hello(std::string_view payload) {
 }
 
 std::string encode_submit_window(const SubmitWindowFrame& f) {
-  SCWC_REQUIRE(f.values.size() <= kMaxWindowValues,
-               "wire encode: window exceeds kMaxWindowValues");
-  ByteWriter w(3 * 8 + 2 * 4 + 4 + f.values.size() * 8 + 8 + 1);
-  w.u64(f.request_id);
-  w.i64(f.job_id);
-  w.u64(f.deadline_ns);
-  w.u32(f.steps);
-  w.u32(f.sensors);
-  w.u32(static_cast<std::uint32_t>(f.values.size()));
-  w.f64s(f.values);
-  w.u64(f.trace_id);
-  w.u8(f.trace_sampled ? 1 : 0);
+  ByteWriter w(submit_window_bytes(f.values.size()));
+  write_submit_window(w, f);
   return w.take();
+}
+
+std::string encode_submit_window_frame(const SubmitWindowView& f) {
+  const std::size_t payload_len = submit_window_bytes(f.values.size());
+  ByteWriter w(kHeaderBytes + payload_len);
+  write_header(w, FrameType::kSubmitWindow, payload_len, 0);
+  write_submit_window(w, f);
+  std::string out = w.take();
+  // The header's CRC word (bytes 16..19, little-endian) is filled in once
+  // the payload sits behind the header.
+  const std::uint32_t crc = crc32(out.data() + kHeaderBytes, payload_len);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[16 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFU);
+  }
+  return out;
 }
 
 SubmitWindowFrame decode_submit_window(std::string_view payload) {

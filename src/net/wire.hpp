@@ -107,6 +107,19 @@ struct SubmitWindowFrame {
   bool trace_sampled = false;
 };
 
+/// A SubmitWindowFrame whose values stay in the caller's memory: what the
+/// router encodes from, so each window is copied once, into its frame.
+struct SubmitWindowView {
+  std::uint64_t request_id = 0;
+  std::int64_t job_id = 0;
+  std::uint64_t deadline_ns = 0;
+  std::uint32_t steps = 0;
+  std::uint32_t sensors = 0;
+  std::span<const double> values;  ///< row-major steps×sensors
+  std::uint64_t trace_id = 0;
+  bool trace_sampled = false;
+};
+
 /// The serve result for one window, mirroring serve::ServeResult closely
 /// enough for the router to rebuild it (quality evidence included).
 struct VerdictFrame {
@@ -240,6 +253,10 @@ struct FrameHeader {
 [[nodiscard]] HelloFrame decode_hello(std::string_view payload);
 
 [[nodiscard]] std::string encode_submit_window(const SubmitWindowFrame& f);
+/// A whole kSubmitWindow frame, header and payload written into one buffer
+/// straight from the view: the bytes of encode_frame(kSubmitWindow,
+/// encode_submit_window(f)) for the frame f with the same fields.
+[[nodiscard]] std::string encode_submit_window_frame(const SubmitWindowView& f);
 [[nodiscard]] SubmitWindowFrame decode_submit_window(std::string_view payload);
 
 [[nodiscard]] std::string encode_verdict(const VerdictFrame& f);

@@ -15,7 +15,15 @@
 # Cluster.ConcurrentMetricsPullsOfOneShardAllAnswer,
 # Cluster.FleetMetricsKeepADeadShardsLastPull and
 # Cluster.FleetMetricsDoNotWaitBehindAStuckShard
-# (`tests/run_tsan.sh 'Cluster|Concurrency'`). Usage:
+# (`tests/run_tsan.sh 'Cluster|Concurrency'`). The router's bounded send
+# races a stuck submit, the sends queued behind it, a fleet scrape and the
+# reader's own shutdown in Cluster.SendsToAShardThatStopsReadingAreBounded;
+# the worker's swap-loader thread acks a commit while its reader takes
+# submits in Cluster.SlowBundleLoadUnderSaturatingSubmitsKeepsTheShard;
+# and the local socket's cross-thread cases are
+# LocalSocket.ShutdownUnblocksAReaderWaitingForData and
+# LocalSocket.ReaderIsNotWokenByItsOwnSidesSends
+# (`tests/run_tsan.sh 'Cluster|LocalSocket|FrameReader'`). Usage:
 #
 #   tests/run_tsan.sh                 # full suite
 #   tests/run_tsan.sh -R Concurrency  # forward any ctest args, e.g. a regex

@@ -1,17 +1,20 @@
 // Cluster subsystem tests: consistent-hash ring properties, router↔worker
-// round trips over real loopback TCP (in-process ClusterWorker instances on
-// ephemeral ports), bounded in-flight admission, shard-death rehash +
-// recovery, and the two-phase bundle swap with fleet-wide rollback.
+// round trips over real local AF_UNIX sockets (in-process ClusterWorker
+// instances on ephemeral local ids), bounded in-flight admission, bounded
+// sends to a shard that stops reading, shard-death rehash + recovery, and
+// the two-phase bundle swap with fleet-wide rollback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -74,7 +77,7 @@ std::vector<double> make_window(Rng& rng, int label) {
   return values;
 }
 
-/// One in-process shard: registry + worker on an ephemeral loopback port.
+/// One in-process shard: registry + worker on an ephemeral local id.
 struct Shard {
   explicit Shard(std::uint32_t id,
                  std::shared_ptr<const serve::ModelBundle> bundle = nullptr) {
@@ -91,11 +94,13 @@ struct Shard {
   std::unique_ptr<cluster::ClusterWorker> worker;
 };
 
-/// A fake shard that completes the hello and clock handshakes, then
-/// swallows every frame without replying. `commit_seen` becomes ready when
-/// a SwapCommit arrives, i.e. once a bundle push is waiting for its ack.
+/// A fake shard on an ephemeral local id that completes the hello and
+/// clock handshakes, then swallows every frame without replying.
+/// `commit_seen` becomes ready when a SwapCommit arrives, i.e. once a
+/// bundle push is waiting for its ack. A deaf shard stops reading
+/// altogether once the handshakes are done, until it is destroyed.
 struct SilentShard {
-  SilentShard() {
+  explicit SilentShard(bool stop_reading = false) : deaf(stop_reading) {
     listener.listen(0);
     thread = std::thread([this] { run(); });
   }
@@ -103,6 +108,7 @@ struct SilentShard {
   SilentShard& operator=(const SilentShard&) = delete;
   ~SilentShard() {
     listener.shutdown_now();
+    release.set_value();
     thread.join();
   }
   void run() {
@@ -116,6 +122,7 @@ struct SilentShard {
                            net::encode_hello(hello));
     net::FrameReader frames;
     bool committed = false;
+    std::size_t pings = 0;
     try {
       while (const std::optional<net::Frame> frame = frames.next(sock)) {
         if (frame->type == net::FrameType::kPing) {
@@ -124,6 +131,10 @@ struct SilentShard {
           pong.t_mono_ns = 1;
           (void)net::write_frame(sock, net::FrameType::kPong,
                                  net::encode_pong(pong));
+          if (deaf && ++pings == cluster::kClockSyncPings) {
+            release.get_future().wait();
+            return;
+          }
         } else if (frame->type == net::FrameType::kSwapCommit &&
                    !committed) {
           committed = true;
@@ -133,8 +144,10 @@ struct SilentShard {
     } catch (const Error&) {
     }
   }
-  net::TcpListener listener;
+  const bool deaf;
+  net::LocalListener listener;
   std::promise<void> commit_seen;
+  std::promise<void> release;
   std::thread thread;
 };
 
@@ -312,7 +325,7 @@ TEST(Cluster, InflightBoundShedsAsQueueFull) {
   cluster::RouterConfig config;
   config.max_inflight_per_shard = 4;
   cluster::ShardRouter router(config);
-  ASSERT_EQ(router.add_shard(fake.listener.port()), 0u);
+  ASSERT_EQ(router.add_shard(fake.listener.id()), 0u);
 
   Rng rng(11);
   std::vector<std::future<serve::ServeResult>> parked;
@@ -434,7 +447,7 @@ TEST(Cluster, FleetMetricsDoNotWaitBehindAStuckShard) {
   // kSwapAckTimeoutS; a fleet scrape meanwhile stays within its own bound.
   SilentShard fake;
   cluster::ShardRouter router;
-  ASSERT_EQ(router.add_shard(fake.listener.port()), 0u);
+  ASSERT_EQ(router.add_shard(fake.listener.id()), 0u);
   std::future<void> commit_seen = fake.commit_seen.get_future();
   std::thread push([&router] {
     (void)router.push_bundle("not a bundle", "stuck");
@@ -452,6 +465,54 @@ TEST(Cluster, FleetMetricsDoNotWaitBehindAStuckShard) {
 
   router.stop();  // the shard goes down, which ends the push's wait
   push.join();
+}
+
+TEST(Cluster, SendsToAShardThatStopsReadingAreBounded) {
+  // A shard that completed the handshakes and then never reads again:
+  // once the socket buffers fill, a submit's send makes no progress, and
+  // every later frame to that shard (submits, a fleet metrics pull) queues
+  // behind it. After kSendTimeoutS the router marks the shard down, so all
+  // of them resolve. Every wait here is bounded, so a router whose sends
+  // block forever fails this test instead of hanging it.
+  SilentShard fake(/*stop_reading=*/true);
+  cluster::ShardRouter router;
+  ASSERT_EQ(router.add_shard(fake.listener.id()), 0u);
+  // 512×7 windows: ~28 KiB frames, so a handful fill the socket buffers.
+  constexpr std::size_t kBigSteps = 512;
+  constexpr std::size_t kBigSensors = 7;
+  const std::vector<double> window(kBigSteps * kBigSensors, 1.0);
+  auto submitter = std::async(std::launch::async, [&] {
+    std::vector<std::future<serve::ServeResult>> out;
+    for (int i = 0; i < 200; ++i) {
+      out.push_back(router.submit(1, window, kBigSteps, kBigSensors));
+    }
+    return out;
+  });
+  // Let the buffers fill and the submitter block, then scrape the fleet.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto scrape = std::async(std::launch::async, [&router] {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)router.fleet_metrics_text();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  });
+  constexpr auto kBound = std::chrono::seconds(10);
+  const bool scraped = scrape.wait_for(kBound) == std::future_status::ready;
+  const bool submitted =
+      submitter.wait_for(kBound) == std::future_status::ready;
+  if (!scraped || !submitted) router.stop();  // unblock them, then fail
+  ASSERT_TRUE(scraped) << "fleet_metrics_text() waited behind a stuck send";
+  ASSERT_TRUE(submitted) << "submit() blocked on a shard that stopped reading";
+  EXPECT_LT(scrape.get(), 2.0 * cluster::kFleetPullTimeoutS);
+  for (std::future<serve::ServeResult>& f : submitter.get()) {
+    ASSERT_EQ(f.wait_for(kBound), std::future_status::ready);
+    const serve::ServeResult r = f.get();
+    EXPECT_FALSE(r.accepted);
+    EXPECT_EQ(r.reject_reason, serve::RejectReason::kShardDown);
+  }
+  EXPECT_EQ(router.live_shards(), 0u);
+  router.stop();
 }
 
 // ------------------------------------------------------------------ hot swap
@@ -485,6 +546,71 @@ TEST(Cluster, BundlePushCommitsOnEveryShard) {
   ASSERT_TRUE(r.accepted);
   EXPECT_EQ(r.model_version, "cluster-v2");
   router.stop();
+}
+
+TEST(Cluster, SlowBundleLoadUnderSaturatingSubmitsKeepsTheShard) {
+  // A bundle whose load outlasts kSendTimeoutS while submits saturate the
+  // shard. The router's in-flight bound (1,024 windows of ~480 bytes) is
+  // more than a local socket buffers, so a worker that stopped reading for
+  // the load would stall a submit's send past the bound and read as dead.
+  // The worker loads off its reader thread: the shard stays in the ring
+  // and the push commits.
+  const TinyWorld& w = tiny_world();
+  serve::ModelRegistry registry;
+  registry.register_bundle(w.v1);
+  cluster::WorkerConfig config;
+  config.service.assembler.window_steps = kSteps;
+  config.service.assembler.sensors = kSensors;
+  cluster::ClusterWorker worker(
+      registry, config,
+      [](serve::ModelRegistry& r, std::string_view bytes) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            1.5 * cluster::kSendTimeoutS));
+        return serve::try_swap_from_bytes(r, bytes);
+      });
+  worker.start();
+  cluster::ShardRouter router;
+  ASSERT_EQ(router.add_shard(worker.port()), 0u);
+
+  std::atomic<bool> pushing{true};
+  auto submitter = std::async(std::launch::async, [&] {
+    Rng rng(29);
+    const std::vector<double> window = make_window(rng, 0);
+    std::map<serve::RejectReason, std::size_t> sheds;
+    std::deque<std::future<serve::ServeResult>> inflight;
+    const std::size_t keep = 2 * cluster::RouterConfig{}.max_inflight_per_shard;
+    const auto settle = [&sheds](std::future<serve::ServeResult>& f) {
+      const serve::ServeResult r = f.get();
+      if (!r.accepted) ++sheds[r.reject_reason];
+    };
+    while (pushing.load()) {
+      inflight.push_back(router.submit(1, window, kSteps, kSensors));
+      if (inflight.size() > keep) {
+        settle(inflight.front());
+        inflight.pop_front();
+      }
+    }
+    for (std::future<serve::ServeResult>& f : inflight) settle(f);
+    return sheds;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ByteWriter os;
+  serve::save_bundle(*w.v2, os);
+  const cluster::SwapReport report = router.push_bundle(os.take(),
+                                                        "cluster-v2");
+  pushing.store(false);
+  const std::map<serve::RejectReason, std::size_t> sheds = submitter.get();
+
+  EXPECT_TRUE(report.ok);
+  ASSERT_EQ(report.shards.size(), 1u);
+  EXPECT_TRUE(report.shards[0].ok) << report.shards[0].message;
+  EXPECT_EQ(report.shards[0].active_version, "cluster-v2");
+  EXPECT_EQ(router.live_shards(), 1u);
+  EXPECT_EQ(sheds.count(serve::RejectReason::kShardDown), 0u);
+  EXPECT_GT(sheds.count(serve::RejectReason::kQueueFull), 0u)
+      << "the submits never reached the in-flight bound";
+  router.stop();
+  worker.stop();
 }
 
 TEST(Cluster, CorruptBundleRollsBackEverywhereWithoutDowntime) {

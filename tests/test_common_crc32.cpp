@@ -1,7 +1,7 @@
 // CRC-32 (common/crc32.*), the one checksum behind SCWCWIRE frames and the
 // .npz exporter's ZIP entries: the standard known answers, seeded
-// (incremental) use, and a differential check of the slice-by-8 kernel
-// against a bit-at-a-time reference at every short length and alignment.
+// (incremental) use, and differential checks of every compiled instance
+// (common/crc32_kernel.hpp) against a bit-at-a-time reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/crc32_kernel.hpp"
 #include "common/rng.hpp"
 
 namespace scwc {
@@ -20,9 +21,10 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
 }
 
 /// The textbook definition, one bit at a time — shares no table or code
-/// with the implementation under test.
-std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n) {
-  std::uint32_t c = 0xFFFFFFFFU;
+/// with the implementation under test. `seed` continues a CRC as crc32 does.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFU;
   for (std::size_t i = 0; i < n; ++i) {
     c ^= p[i];
     for (int bit = 0; bit < 8; ++bit) {
@@ -79,6 +81,59 @@ TEST(Crc32, MatchesBytewiseReferenceOnASubmitWindowPayload) {
   // 3,405 bytes: the SCWCWIRE payload of one 60×7 SubmitWindow.
   const std::vector<std::uint8_t> buf = random_bytes(3405, 11);
   EXPECT_EQ(crc32(buf), crc32_reference(buf.data(), buf.size()));
+}
+
+TEST(Crc32, EveryInstanceMatchesBitwiseReference) {
+  // Every length 0..1024 covers the short path (< 64 bytes), the 64-byte
+  // fold and the 16-byte and bytewise tails; 16 alignments cover every
+  // offset of a 16-byte load; a nonzero seed is the incremental use the
+  // .npz writer makes.
+  constexpr std::size_t kMaxLen = 1024;
+  constexpr std::size_t kAlignments = 16;
+  const std::vector<std::uint8_t> buf = random_bytes(kMaxLen + kAlignments, 17);
+  std::size_t checked = 0;
+  for (const std::uint32_t seed : {0U, 0x9E3779B9U}) {
+    for (std::size_t align = 0; align < kAlignments; ++align) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        const std::uint8_t* p = buf.data() + align;
+        const std::uint32_t want = crc32_reference(p, len, seed);
+        for (const Crc32Kernel& kernel : crc32_kernels()) {
+          if (!kernel.supported) continue;
+          ASSERT_EQ(kernel.crc(p, len, seed), want)
+              << kernel.name << ": length " << len << " at offset " << align
+              << ", seed " << seed;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 2 * kAlignments * (kMaxLen + 1));
+}
+
+TEST(Crc32, SliceBy8InstanceMatchesReference) {
+  // The fallback and tail path stays checked on CPUs that never pick it.
+  const auto kernels = crc32_kernels();
+  ASSERT_FALSE(kernels.empty());
+  const Crc32Kernel& slice8 = kernels.back();
+  ASSERT_STREQ(slice8.name, "slice8");
+  EXPECT_TRUE(slice8.supported);
+  EXPECT_EQ(slice8.crc("123456789", 9, 0), 0xCBF43926u);
+  const std::vector<std::uint8_t> buf = random_bytes(3405, 11);
+  EXPECT_EQ(slice8.crc(buf.data(), buf.size(), 0),
+            crc32_reference(buf.data(), buf.size()));
+  EXPECT_EQ(slice8.crc(buf.data() + 5, 100, 0x12345678U),
+            crc32_reference(buf.data() + 5, 100, 0x12345678U));
+}
+
+TEST(Crc32, DispatchRunsTheBestSupportedInstance) {
+  const Crc32Kernel& best = best_crc32_kernel();
+  EXPECT_TRUE(best.supported);
+  for (const Crc32Kernel& kernel : crc32_kernels()) {
+    if (&kernel == &best) break;
+    EXPECT_FALSE(kernel.supported) << kernel.name << " outranks " << best.name;
+  }
+  const std::vector<std::uint8_t> buf = random_bytes(5000, 23);
+  EXPECT_EQ(crc32(buf), best.crc(buf.data(), buf.size(), 0));
 }
 
 }  // namespace

@@ -565,6 +565,27 @@ TEST(LintRules, RawSocketCallFiresEverywhereButTheNetLayer) {
             "no-raw-socket-calls"));
 }
 
+TEST(LintRules, RawPollAndSocketpairFireOutsideTheNetLayer) {
+  // The local socket's reader waits in poll(); that and socketpair() stay
+  // inside src/net/socket.* like every other socket call.
+  const std::string wait = "const int n = ::poll(&p, 1, -1);\n";
+  const std::string pair = "::socketpair(AF_UNIX, SOCK_STREAM, 0, fds);\n";
+  EXPECT_TRUE(fired(lint("src/cluster/router.cpp", wait),
+                    "no-raw-socket-calls"));
+  EXPECT_TRUE(fired(lint("tests/test_foo.cpp", pair), "no-raw-socket-calls"));
+  EXPECT_FALSE(fired(lint("src/net/socket.cpp", wait),
+                     "no-raw-socket-calls"));
+  EXPECT_FALSE(fired(lint("src/net/socket.cpp", pair),
+                     "no-raw-socket-calls"));
+  // Qualified names are not the syscall.
+  EXPECT_FALSE(fired(lint("src/foo.cpp", "io::poll(x);\n"),
+                     "no-raw-socket-calls"));
+  const std::vector<Finding> found =
+      lint("src/cluster/worker.cpp", "::socket(AF_UNIX, SOCK_STREAM, 0);\n");
+  ASSERT_FALSE(found.empty());
+  EXPECT_NE(found.front().message.find("LocalListener"), std::string::npos);
+}
+
 TEST(LintRules, OnlySocketImplIsExempt) {
   const std::string call = "int fd = ::socket(AF_INET, SOCK_STREAM, 0);\n";
   EXPECT_FALSE(fired(lint("src/net/socket.cpp", call),

@@ -1,7 +1,9 @@
 // SCWCWIRE codec tests: round-trips for every frame type, golden bytes
 // that pin the wire format, header validation (including the strict
 // version check and the retired frame types), the buffered FrameReader
-// over a real loopback pair, and the byte-level fuzz pass the wire header
+// over a real local socket pair, the local socket itself (net::LocalListener
+// ids, connect deadlines, shutdown, and a reader that is not woken by its
+// own side's sends), and the byte-level fuzz pass the wire header
 // promises — every single-byte corruption and every truncation of every
 // frame type either decodes (the flip hit a don't-care byte) or throws a
 // typed scwc::Error, and a stream of every frame type cut into random
@@ -9,11 +11,17 @@
 // unbounded memory.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
 #include <optional>
 #include <string>
@@ -398,6 +406,34 @@ TEST(WireCodec, AppendFrameEqualsConcatenatedEncodeFrame) {
                      encode_frame(FrameType::kError, error));
 }
 
+TEST(WireCodec, SubmitWindowFrameFromAViewEqualsEncodeFrame) {
+  SubmitWindowFrame f;
+  f.request_id = 77;
+  f.job_id = -3;
+  f.deadline_ns = 5'000'000;
+  f.steps = 60;
+  f.sensors = 7;
+  for (std::size_t i = 0; i < 60 * 7; ++i) {
+    f.values.push_back(std::sin(static_cast<double>(i)) * 100.0);
+  }
+  f.trace_id = 0xfeedULL;
+  f.trace_sampled = true;
+  SubmitWindowView view;
+  view.request_id = f.request_id;
+  view.job_id = f.job_id;
+  view.deadline_ns = f.deadline_ns;
+  view.steps = f.steps;
+  view.sensors = f.sensors;
+  view.values = f.values;
+  view.trace_id = f.trace_id;
+  view.trace_sampled = f.trace_sampled;
+  const std::string frame = encode_submit_window_frame(view);
+  EXPECT_EQ(frame, encode_frame(FrameType::kSubmitWindow,
+                                encode_submit_window(f)));
+  // One 60×7 window: the 24-byte header and a 3,405-byte payload.
+  EXPECT_EQ(frame.size(), kHeaderBytes + 3405u);
+}
+
 // ---------------------------------------------------------------- fuzzing
 
 /// Every frame type with a representative payload, as full wire frames.
@@ -577,17 +613,18 @@ TEST(WireFuzz, GarbageBytesNeverCrash) {
 
 // ------------------------------------------------------------ FrameReader
 
-/// A connected loopback pair: the test writes on `client` and reads
-/// `server` through a FrameReader. The server's receive timeout turns a
-/// reader that waits for bytes that never come into a failure, not a hang.
-struct LoopbackPair {
-  LoopbackPair() {
+/// A connected local socket pair, the router↔worker transport: the test
+/// writes on `client` and reads `server` through a FrameReader. The
+/// server's receive timeout turns a reader that waits for bytes that never
+/// come into a failure, not a hang.
+struct LocalPair {
+  LocalPair() {
     listener.listen(0);
-    client = connect_loopback(listener.port(), 5.0);
+    client = connect_local(listener.id(), 5.0);
     server = listener.accept();
     server.set_io_timeout(10.0);
   }
-  TcpListener listener;
+  LocalListener listener;
   Socket client;
   Socket server;
 };
@@ -618,7 +655,7 @@ void expect_same_frames(const std::vector<Frame>& got,
 }
 
 TEST(FrameReader, ReassemblesFramesWrittenOneByteAtATime) {
-  LoopbackPair pair;
+  LocalPair pair;
   ASSERT_TRUE(pair.client.valid() && pair.server.valid());
   std::string stream;
   std::vector<Frame> want;
@@ -640,7 +677,7 @@ TEST(FrameReader, ReassemblesFramesWrittenOneByteAtATime) {
 }
 
 TEST(FrameReader, SplitsManyFramesOutOfOneWrite) {
-  LoopbackPair pair;
+  LocalPair pair;
   ASSERT_TRUE(pair.client.valid() && pair.server.valid());
   std::string stream;
   std::vector<Frame> want;
@@ -664,7 +701,7 @@ TEST(FrameReader, SplitsManyFramesOutOfOneWrite) {
 }
 
 TEST(FrameReader, OverCapHeaderThrowsBeforeAnyPayloadIsSent) {
-  LoopbackPair pair;
+  LocalPair pair;
   ASSERT_TRUE(pair.client.valid() && pair.server.valid());
   std::string header =
       encode_frame(FrameType::kPing, encode_ping(PingFrame{1}))
@@ -684,7 +721,7 @@ TEST(FrameReader, EofMidHeaderOrMidPayloadIsNullopt) {
   for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
                                 kHeaderBytes - 1, kHeaderBytes,
                                 frame.size() - 1}) {
-    LoopbackPair pair;
+    LocalPair pair;
     ASSERT_TRUE(pair.client.valid() && pair.server.valid());
     ASSERT_TRUE(pair.client.send_all(std::string_view(frame).substr(0, cut)));
     pair.client.close();
@@ -694,7 +731,7 @@ TEST(FrameReader, EofMidHeaderOrMidPayloadIsNullopt) {
 }
 
 TEST(FrameReader, BadPayloadCrcThrowsTypedError) {
-  LoopbackPair pair;
+  LocalPair pair;
   ASSERT_TRUE(pair.client.valid() && pair.server.valid());
   std::string frame = encode_frame(FrameType::kPing, encode_ping(PingFrame{5}));
   frame.back() = static_cast<char>(frame.back() ^ 0x01);
@@ -717,7 +754,7 @@ TEST(WireFuzz, RandomlyChunkedStreamYieldsTheFramesDecodeFrameYields) {
     }
   }
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    LoopbackPair pair;
+    LocalPair pair;
     ASSERT_TRUE(pair.client.valid() && pair.server.valid());
     std::thread writer([&pair, &stream, seed] {
       std::uint64_t state = 0x9e3779b97f4a7c15ULL * seed;
@@ -740,6 +777,130 @@ TEST(WireFuzz, RandomlyChunkedStreamYieldsTheFramesDecodeFrameYields) {
     writer.join();
     expect_same_frames(got, want);
   }
+}
+
+// ------------------------------------------------------------ LocalSocket
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// voluntary_ctxt_switches of thread `tid` of this process; -1 if unread.
+long voluntary_switches(pid_t tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/status");
+  const std::string key = "voluntary_ctxt_switches:";
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with(key)) return std::stol(line.substr(key.size()));
+  }
+  return -1;
+}
+
+TEST(LocalSocket, EphemeralListenersGetDistinctIds) {
+  LocalListener a;
+  LocalListener b;
+  a.listen(0);
+  b.listen(0);
+  EXPECT_GE(a.id(), 1);
+  EXPECT_GE(b.id(), 1);
+  EXPECT_NE(a.id(), b.id());
+}
+
+TEST(LocalSocket, AnIdAlreadyBoundThrowsAndLeavesTheListenerClosed) {
+  LocalListener a;
+  a.listen(0);
+  LocalListener b;
+  EXPECT_THROW(b.listen(a.id()), Error);
+  EXPECT_FALSE(b.listening());
+  // The first owner of the id still takes connections.
+  const Socket client = connect_local(a.id(), 5.0);
+  EXPECT_TRUE(client.valid());
+}
+
+TEST(LocalSocket, ConnectToAnUnboundIdFailsByItsDeadline) {
+  std::uint16_t id = 0;
+  {
+    LocalListener gone;
+    gone.listen(0);
+    id = gone.id();
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  const Socket sock = connect_local(id, 0.2);
+  const double took = seconds_since(t0);
+  EXPECT_FALSE(sock.valid());
+  EXPECT_GE(took, 0.2);
+  EXPECT_LT(took, 5.0);
+}
+
+TEST(LocalSocket, ShutdownUnblocksAReaderWaitingForData) {
+  LocalPair pair;
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  pair.server.set_recv_timeout(0);  // wait for data without a bound
+  auto reader = std::async(std::launch::async, [&pair] {
+    char buf[16];
+    return pair.server.recv_some(buf, sizeof(buf));
+  });
+  EXPECT_EQ(reader.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  pair.server.shutdown_now();
+  const bool woke =
+      reader.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!woke) pair.client.close();  // EOF frees it, so the test fails, not hangs
+  ASSERT_TRUE(woke);
+  EXPECT_EQ(reader.get(), 0u);
+}
+
+TEST(LocalSocket, ReaderIsNotWokenByItsOwnSidesSends) {
+  // The router's shape: one thread waits for frames on a socket while
+  // another sends on it and the peer consumes what it sends. A reader
+  // asleep inside recv would be woken each time the peer drained a frame;
+  // one waiting in poll(POLLIN) sleeps through all of them.
+  constexpr int kFrames = 2000;
+  LocalPair pair;
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  pair.client.set_recv_timeout(10.0);
+  std::atomic<pid_t> reader_tid{0};
+  std::thread reader([&pair, &reader_tid] {
+    reader_tid.store(::gettid());
+    FrameReader frames;
+    (void)frames.next(pair.client);  // the one frame the peer sends at the end
+  });
+  while (reader_tid.load() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // parked
+  const long before = voluntary_switches(reader_tid.load());
+
+  std::atomic<int> consumed{0};
+  std::thread consumer([&pair, &consumed] {
+    FrameReader frames;
+    for (int i = 0; i < kFrames; ++i) {
+      if (!frames.next(pair.server).has_value()) return;
+      consumed.fetch_add(1);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool paced = true;
+  for (int i = 0; i < kFrames && paced; ++i) {
+    paced = write_frame(pair.client, FrameType::kPing,
+                        encode_ping(PingFrame{static_cast<std::uint64_t>(i)}));
+    // One frame in flight at a time, so each is drained on its own.
+    while (paced && consumed.load() <= i) {
+      paced = std::chrono::steady_clock::now() < deadline;
+      std::this_thread::yield();
+    }
+  }
+  if (!paced) pair.server.shutdown_now();  // ends the consumer and reader
+  consumer.join();
+  const long after = voluntary_switches(reader_tid.load());
+  (void)write_frame(pair.server, FrameType::kPing, encode_ping(PingFrame{0}));
+  reader.join();
+
+  ASSERT_TRUE(paced) << "the peer stopped consuming";
+  EXPECT_EQ(consumed.load(), kFrames);
+  ASSERT_GE(before, 0);
+  EXPECT_LT(after - before, 100)
+      << "the reader woke " << (after - before) << " times over " << kFrames
+      << " frames its own side sent";
 }
 
 }  // namespace

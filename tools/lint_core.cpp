@@ -914,9 +914,9 @@ std::vector<Finding> lint_source(std::string_view rel_path,
     // one place allowed to make them, is exempt by path.
     if (!ctx.is_socket_impl) {
       for (const std::string_view syscall :
-           {"socket", "bind", "connect", "listen", "accept", "send", "recv",
-            "sendto", "recvfrom", "shutdown", "setsockopt", "getsockopt",
-            "getsockname"}) {
+           {"socket", "socketpair", "bind", "connect", "listen", "accept",
+            "send", "recv", "sendto", "recvfrom", "shutdown", "setsockopt",
+            "getsockopt", "getsockname", "poll"}) {
         const std::string pattern = "::" + std::string(syscall) + "(";
         std::size_t pos = line.find(pattern);
         bool fired = false;
@@ -930,7 +930,8 @@ std::vector<Finding> lint_source(std::string_view rel_path,
             report(i, "no-raw-socket-calls",
                    "raw '::" + std::string(syscall) +
                        "()' outside src/net/socket.* — go through "
-                       "net::Socket / TcpListener / FrameReader / "
+                       "net::Socket / LocalListener (router-worker "
+                       "wire) / TcpListener (HTTP) / FrameReader / "
                        "write_frame (src/net/socket.hpp)");
             fired = true;
             break;

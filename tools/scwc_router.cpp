@@ -1,6 +1,7 @@
 // scwc_router — drive a fleet of scwc_worker shards from the command line.
 //
-// Connects to a comma-separated list of worker ports, routes synthetic
+// Connects to a comma-separated list of worker local shard ids (each the
+// --port a scwc_worker bound its local AF_UNIX socket to), routes synthetic
 // windows by job id through the consistent-hash ring, prints the verdict
 // mix and per-shard stats, and can optionally hot-swap a bundle across the
 // fleet (--swap) or shut the workers down (--halt). The README "Sharded
@@ -74,7 +75,9 @@ std::uint64_t counter_sum(const scwc::net::MetricsReplyFrame& reply,
 int main(int argc, char** argv) {
   using namespace scwc;
   CliParser cli("Consistent-hash front end for a scwc_worker fleet.");
-  cli.add_flag("ports", "", "comma-separated worker ports (required)");
+  cli.add_flag("ports", "",
+               "comma-separated worker local shard ids, as scwc_worker "
+               "--port bound them (required)");
   cli.add_flag("windows", "200", "synthetic windows to submit");
   cli.add_flag("jobs", "16", "distinct job ids to spread the windows over");
   cli.add_flag("deadline-ms", "0", "per-window latency budget (0 = none)");
@@ -124,7 +127,7 @@ int main(int argc, char** argv) {
     cluster::ShardRouter router(config);
     for (const std::uint16_t port : ports) {
       const std::uint32_t id = router.add_shard(port);
-      std::cout << "shard " << id << " @ 127.0.0.1:" << port << '\n';
+      std::cout << "shard " << id << " @ local id " << port << '\n';
     }
 
     // Fleet observability: the aggregated scrape endpoint pulls the

@@ -2,10 +2,14 @@
 //
 // Loads a serialized model bundle (optional — without one the shard serves
 // kNoModel sheds until the router pushes a bundle), stands a ClusterWorker
-// up on a loopback port and parks until the router sends kShutdown. With
-// --port 0 the kernel picks an ephemeral port; --port-file publishes the
-// bound port for the parent process (bench/cluster_throughput and the
-// cluster-smoke gate use exactly that rendezvous).
+// up on a local AF_UNIX socket and parks until the router sends kShutdown.
+// The socket lives in Linux's abstract namespace under a name derived from
+// its 16-bit local shard id, which --port sets and ShardRouter::add_shard
+// (scwc_router --ports) dials. With --port 0 the worker picks a free id;
+// --port-file publishes the bound id for the parent process
+// (bench/cluster_throughput, perfbench and the cluster-smoke gate use
+// exactly that rendezvous). TCP serves only the optional HTTP scrape
+// endpoint.
 //
 // Cluster observability (ISSUE 10): --trace-out writes the shard's sampled
 // request traces as a chrome://tracing document whose scwcMeta block names
@@ -55,9 +59,12 @@ int main(int argc, char** argv) {
   using namespace scwc;
   CliParser cli("One shard of the sharded serving cluster.");
   cli.add_flag("shard-id", "0", "numeric shard identity (unique per fleet)");
-  cli.add_flag("port", "0", "listen port; 0 picks an ephemeral port");
+  cli.add_flag("port", "0",
+               "local shard id the router dials (a local AF_UNIX socket); "
+               "0 picks a free one");
   cli.add_flag("port-file", "",
-               "write the bound port here once listening (parent rendezvous)");
+               "write the bound local shard id here once listening "
+               "(parent rendezvous)");
   cli.add_flag("bundle", "", "serialized bundle to load + activate at boot");
   cli.add_flag("steps", "12", "window steps when no bundle sets geometry");
   cli.add_flag("sensors", "3", "window sensors when no bundle sets geometry");
@@ -110,7 +117,7 @@ int main(int argc, char** argv) {
 
     cluster::ClusterWorker worker(registry, config);
     worker.start();
-    std::cout << "shard " << config.shard_id << " serving on 127.0.0.1:"
+    std::cout << "shard " << config.shard_id << " serving on local id "
               << worker.port() << '\n';
 
     const std::string port_file = cli.get_string("port-file");
