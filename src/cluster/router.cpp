@@ -8,6 +8,7 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "net/wire.hpp"
 #include "obs/export.hpp"
 #include "obs/request_trace.hpp"
@@ -73,7 +74,7 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
                                  std::to_string(port));
   // Bound the handshake; afterwards the reader's receive is unbounded — a
   // reader-side receive timeout would be indistinguishable from EOF — and
-  // every send keeps the kSendTimeoutS bound.
+  // every send keeps the net::kSendTimeoutS bound.
   sock.set_io_timeout(kHelloTimeoutS);
   // The connection's one receive buffer: it serves the handshake, then
   // moves into the reader thread with whatever it already holds.
@@ -91,7 +92,7 @@ std::uint32_t ShardRouter::add_shard(std::uint16_t port) {
   // hello io timeout still bounds each round trip.
   sync_clock(*conn, frames);
   conn->sock.set_recv_timeout(0);
-  conn->sock.set_send_timeout(kSendTimeoutS);
+  conn->sock.set_send_timeout(net::kSendTimeoutS);
   conn->rolling_latency = obs::MetricsRegistry::global().rolling_histogram(
       "scwc_cluster_shard" + std::to_string(hello.shard_id) +
       "_request_seconds");
@@ -435,6 +436,7 @@ std::vector<ShardStatus> ShardRouter::shards() const {
 
 void ShardRouter::shutdown_workers() {
   for (const auto& conn : connections(true)) {
+    conn->exiting.store(true);
     (void)send(*conn, net::FrameType::kShutdown, "");
   }
 }
@@ -468,6 +470,7 @@ void ShardRouter::stop() {
 
 void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn,
                               net::FrameReader& frames) {
+  set_thread_name("rd-shard" + std::to_string(conn->shard_id));
   try {
     while (std::optional<net::Frame> frame = frames.next(conn->sock)) {
       obs_wire_rx_frames_.inc();
@@ -568,6 +571,8 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn,
 }
 
 void ShardRouter::mark_down(ShardConn& conn, serve::RejectReason reason) {
+  // A worker told to exit closing its end is no shard death.
+  if (conn.exiting.load()) reason = serve::RejectReason::kShutdown;
   const bool first = conn.up.exchange(false);
   if (first) {
     {

@@ -16,10 +16,10 @@
 //   kShutdown   — the router itself is stopping
 //
 // Shard death is detected passively (reader EOF, a send that fails or makes
-// no progress for kSendTimeoutS — a worker that stopped reading): the shard
-// leaves the ring, its in-flight requests fail with kShardDown, and the
-// ring rehashes its 1/N of the key space onto survivors — availability for
-// everyone else is untouched, which bench/cluster_throughput measures.
+// no progress for net::kSendTimeoutS — a worker that stopped reading): the
+// shard leaves the ring, its in-flight requests fail with kShardDown, and
+// the ring rehashes its 1/N of the key space onto survivors — availability
+// for everyone else is untouched, which bench/cluster_throughput measures.
 //
 // Bundle distribution: push_bundle() streams a serialized bundle to every
 // live shard (SwapBegin/Chunk*/Commit) and collects per-shard acks. If any
@@ -70,12 +70,6 @@ inline constexpr std::size_t kVnodesPerShard = 64;
 inline constexpr double kConnectDeadlineS = 5.0;
 /// Bound on each hello and clock-handshake round trip.
 inline constexpr double kHelloTimeoutS = 5.0;
-/// Once the handshake is done, a send to a shard that makes no progress
-/// for this long (the worker stopped reading) marks the shard down, so no
-/// submit or control round trip waits behind it for longer. A healthy
-/// worker's reader never pauses this long: it loads pushed bundles on
-/// another thread.
-inline constexpr double kSendTimeoutS = 1.0;
 /// How long a bundle push waits for a shard's swap or abort ack.
 inline constexpr double kSwapAckTimeoutS = 30.0;
 /// Bound shared by all the metrics pulls of one fleet_metrics_text(): a
@@ -175,7 +169,7 @@ class ShardRouter {
   /// Prometheus text exposition of the whole fleet. Pulls every live shard
   /// first, all within kFleetPullTimeoutS; a shard that is dead, late or
   /// busy with a bundle push renders its last reply. A shard that stopped
-  /// reading holds its pull for up to kSendTimeoutS instead, one such
+  /// reading holds its pull for up to net::kSendTimeoutS instead, one such
   /// shard after another (DESIGN.md §13.6). Then renders this
   /// process's own registry (router gauges/counters, per-shard rolling
   /// latency), the router's live per-shard up/inflight/clock-offset view,
@@ -195,7 +189,7 @@ class ShardRouter {
   [[nodiscard]] obs::RequestTracer& tracer() noexcept { return tracer_; }
 
   /// Asks every live worker process to exit (kShutdown frame). The workers
-  /// acknowledge by closing; the router marks them down as they go.
+  /// acknowledge by closing and leave the ring as kShutdown, not deaths.
   void shutdown_workers();
 
   /// Fails all in-flight requests with kShutdown and closes every
@@ -222,7 +216,7 @@ class ShardRouter {
   /// Per-shard connection state. The reader thread is the only frame
   /// consumer; submit paths write frames under write_mutex. In-flight
   /// windows are the entries of `pending`. The socket's receive is
-  /// unbounded and its sends are bounded by kSendTimeoutS.
+  /// unbounded and its sends are bounded by net::kSendTimeoutS.
   struct ShardConn {
     ShardConn(std::uint32_t id, std::uint16_t p, net::Socket s)
         : shard_id(id), port(p), sock(std::move(s)) {}
@@ -248,6 +242,7 @@ class ShardRouter {
     std::optional<net::MetricsReplyFrame> latest_metrics
         SCWC_GUARDED_BY(control_mutex);
     std::atomic<bool> up{true};
+    std::atomic<bool> exiting{false};  // shutdown_workers() asked it to
     // Hello metadata: written once during add_shard, before the reader
     // spawns or the shard is published — immutable afterwards.
     net::HelloFrame hello;  // scwc-lint: allow(guarded-field-coverage)
@@ -307,9 +302,9 @@ class ShardRouter {
   /// Frames `payload` and sends it (see the `frame` overload).
   bool send(ShardConn& conn, net::FrameType type, std::string_view payload);
   /// Writes one encoded frame. False when the write fails (peer gone, shard
-  /// already down, or no progress for kSendTimeoutS); a failure shuts the
-  /// socket, so the senders queued behind it fail at once, and marks the
-  /// shard down.
+  /// already down, or no progress for net::kSendTimeoutS); a failure shuts
+  /// the socket, so the senders queued behind it fail at once, and marks
+  /// the shard down.
   bool send(ShardConn& conn, std::string_view frame);
   /// Min-RTT ping/pong clock handshake on a not-yet-published connection
   /// (the socket is exclusively owned and its io timeout still active).

@@ -6,11 +6,11 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "serve/bundle_io.hpp"
-#include "serve/retry.hpp"
 
 namespace scwc::cluster {
 
@@ -51,17 +51,14 @@ void ClusterWorker::stop() {
   listener_.close();
   for (auto& conn : conns) {
     conn->sock.shutdown_now();
-    {
-      LockGuard lock(conn->queue_mutex);
-      conn->closing = true;
-    }
-    conn->queue_cv.notify_all();
     if (conn->reader.joinable()) conn->reader.join();
     if (conn->swap_loader.joinable()) conn->swap_loader.join();
-    if (conn->responder.joinable()) conn->responder.join();
-    conn->sock.close();
   }
+  // Drain every delivery and the writers it started (each fails at once on
+  // its shut socket) before an fd closes (and could be reused).
   service_->stop();
+  for (auto& conn : conns) conn->wait_written();
+  for (auto& conn : conns) conn->sock.close();
 }
 
 void ClusterWorker::wait_shutdown() {
@@ -80,10 +77,12 @@ WorkerCounters ClusterWorker::counters() const noexcept {
 }
 
 void ClusterWorker::accept_loop() {
+  set_thread_name("wk-accept");
   while (true) {
     net::Socket sock = listener_.accept();
     if (!sock.valid()) return;  // stop() shut the listener down
-    auto conn = std::make_unique<Connection>(std::move(sock));
+    sock.set_send_timeout(net::kSendTimeoutS);
+    auto conn = std::make_unique<Connection>(*this, std::move(sock));
     Connection& ref = *conn;
     {
       LockGuard lock(mutex_);
@@ -99,15 +98,13 @@ void ClusterWorker::accept_loop() {
     if (const auto bundle = registry_.current()) {
       hello.model_version = bundle->version();
     }
-    if (!send(ref, net::FrameType::kHello, net::encode_hello(hello))) {
-      continue;  // peer vanished before the handshake; reader will reap it
-    }
+    ref.send(net::FrameType::kHello, net::encode_hello(hello));
     ref.reader = std::thread([this, &ref] { reader_loop(ref); });
-    ref.responder = std::thread([this, &ref] { responder_loop(ref); });
   }
 }
 
 void ClusterWorker::reader_loop(Connection& conn) {
+  set_thread_name("wk-reader");
   net::FrameReader frames;
   try {
     while (std::optional<net::Frame> frame = frames.next(conn.sock)) {
@@ -155,134 +152,101 @@ void ClusterWorker::reader_loop(Connection& conn) {
     net::ErrorFrame err;
     err.code = 1;
     err.message = e.what();
-    (void)send(conn, net::FrameType::kError, net::encode_error(err));
+    conn.send(net::FrameType::kError, net::encode_error(err));
+    conn.wait_written();
     SCWC_LOG_WARN("cluster worker shard "
                   << config_.shard_id
                   << ": dropping connection after protocol error: "
                   << e.what());
   }
   conn.sock.shutdown_now();
-  {
-    LockGuard lock(conn.queue_mutex);
-    conn.closing = true;
-  }
-  conn.queue_cv.notify_all();
 }
 
-void ClusterWorker::responder_loop(Connection& conn) {
-  // Byte-stream coalescing: once the head verdict is ready, every queued
-  // verdict that is ready too is framed into the same buffer and leaves in
-  // one write; the router's FrameReader splits it back into frames.
-  std::string out;
-  std::optional<PendingVerdict> carried;  // popped, but was not ready yet
-  while (true) {
-    PendingVerdict head;
-    if (carried.has_value()) {
-      head = std::move(*carried);
-      carried.reset();
-    } else {
-      LockGuard lock(conn.queue_mutex);
-      while (conn.queue.empty() && !conn.closing) {
-        conn.queue_cv.wait(conn.queue_mutex);
-      }
-      if (conn.queue.empty()) return;  // closing, fully drained
-      head = std::move(conn.queue.front());
-      conn.queue.pop_front();
-    }
-    out.clear();
-    std::optional<serve::ServeResult> first =
-        serve::get_within(head.result, kVerdictWaitS);
-    // The head's batch siblings queued behind it are worth a short wait.
-    std::size_t siblings = first.has_value() && first->batch_size > 1
-                               ? first->batch_size - 1
-                               : 0;
-    append_verdict(out, head, std::move(first));
-    while (true) {
-      PendingVerdict next;
-      {
-        LockGuard lock(conn.queue_mutex);
-        if (conn.queue.empty()) break;
-        next = std::move(conn.queue.front());
-        conn.queue.pop_front();
-      }
-      // Readiness is polled with the queue lock released.
-      std::optional<serve::ServeResult> ready = serve::get_within(
-          next.result, siblings > 0 ? kBatchSiblingWaitS : 0.0);
-      if (!ready.has_value()) {
-        carried = std::move(next);
-        break;
-      }
-      if (siblings > 0) --siblings;
-      append_verdict(out, next, std::move(ready));
-    }
-    // A gone peer fails the write; keep draining so queued futures are
-    // still consumed.
-    (void)send_bytes(conn, out);
-  }
-}
-
-void ClusterWorker::append_verdict(std::string& out,
-                                   const PendingVerdict& pending,
-                                   std::optional<serve::ServeResult> ready) {
-  serve::ServeResult result;
-  if (ready.has_value()) {
-    result = std::move(*ready);
-  } else {
-    // The promise side is wedged or lost — answer with a typed shed so
-    // the router never waits on a verdict that will not come.
-    result.accepted = false;
-    result.reject_reason = serve::RejectReason::kInternal;
-  }
+void ClusterWorker::Connection::deliver(std::uint64_t tag,
+                                        serve::ServeResult result) {
   if (result.accepted) {
-    answered_.fetch_add(1);
-    if (result.prediction.abstained) abstained_.fetch_add(1);
+    worker.answered_.fetch_add(1);
+    if (result.prediction.abstained) worker.abstained_.fetch_add(1);
   } else {
-    shed_.fetch_add(1);
+    worker.shed_.fetch_add(1);
   }
-  net::append_frame(out, net::FrameType::kVerdict,
-                    net::encode_verdict(make_verdict(pending, result)));
+  const std::string payload = net::encode_verdict(make_verdict(tag, result));
+  LockGuard lock(write_mutex);
+  if (!broken) net::append_frame(outbox, net::FrameType::kVerdict, payload);
 }
 
-bool ClusterWorker::send(Connection& conn, net::FrameType type,
-                         std::string_view payload) {
-  return send_bytes(conn, net::encode_frame(type, payload));
-}
-
-bool ClusterWorker::send_bytes(Connection& conn, std::string_view bytes) {
-  LockGuard lock(conn.write_mutex);
-  return conn.sock.send_all(bytes);
-}
-
-void ClusterWorker::enqueue(Connection& conn, PendingVerdict pending) {
+void ClusterWorker::Connection::flush() {
   {
-    LockGuard lock(conn.queue_mutex);
-    if (conn.closing) return;  // future is dropped; promise side still runs
-    conn.queue.push_back(std::move(pending));
+    LockGuard lock(write_mutex);
+    if (writing || outbox.empty()) return;  // the writer sends these too
+    writing = true;
   }
-  conn.queue_cv.notify_one();
+  pump(false);
+}
+
+void ClusterWorker::Connection::pump(bool may_wait) {
+  std::string bytes;
+  while (true) {
+    {
+      LockGuard lock(write_mutex);
+      if (broken || outbox.empty()) {
+        writing = false;
+        written_cv.notify_all();
+        return;
+      }
+      bytes.swap(outbox);  // all of it in one write; the router splits it
+    }
+    const std::optional<std::size_t> sent = sock.send_some(bytes, may_wait);
+    LockGuard lock(write_mutex);
+    if (!sent) {
+      // Peer gone, or stuck for net::kSendTimeoutS mid-frame: send no more.
+      broken = true;
+      outbox.clear();
+      sock.shutdown_now();
+    } else if (*sent < bytes.size()) {
+      // The peer is behind: the rest goes first, from a pool task that may
+      // wait for it, so the thread that flushed goes on.
+      outbox.insert(0, bytes, *sent);
+      break;
+    }
+    bytes.clear();
+  }
+  if (!ThreadPool::global().try_submit(
+          [this] { pump(true); }, ThreadPool::kUnboundedQueueSanityLimit)) {
+    pump(true);  // the pool has stopped (process exit): wait here
+  }
+}
+
+void ClusterWorker::Connection::send(net::FrameType type,
+                                     std::string_view payload) {
+  {
+    LockGuard lock(write_mutex);
+    if (!broken) net::append_frame(outbox, type, payload);
+  }
+  flush();
+}
+
+void ClusterWorker::Connection::wait_written() {
+  LockGuard lock(write_mutex);
+  while (writing) written_cv.wait(write_mutex);
 }
 
 void ClusterWorker::handle_submit(Connection& conn, std::string_view payload) {
   net::SubmitWindowFrame frame = net::decode_submit_window(payload);
   submitted_.fetch_add(1);
-  PendingVerdict pending;
-  pending.request_id = frame.request_id;
-  pending.job_id = frame.job_id;
-  pending.submitted_at = std::chrono::steady_clock::now();
+  const auto now = std::chrono::steady_clock::now();
   auto deadline = std::chrono::steady_clock::time_point::max();
   if (frame.deadline_ns > 0) {
-    deadline =
-        pending.submitted_at + std::chrono::nanoseconds(frame.deadline_ns);
+    deadline = now + std::chrono::nanoseconds(frame.deadline_ns);
   } else if (service_->config().default_deadline_s > 0.0) {
-    deadline = pending.submitted_at +
+    deadline = now +
                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                    std::chrono::duration<double>(
                        service_->config().default_deadline_s));
   }
-  pending.result = service_->submit_with_trace(
-      std::move(frame.values), frame.steps, frame.sensors, deadline,
-      frame.trace_id, frame.trace_sampled);
-  enqueue(conn, std::move(pending));
+  service_->submit_to(conn, frame.request_id, std::move(frame.values),
+                      frame.steps, frame.sensors, deadline, frame.trace_id,
+                      frame.trace_sampled, frame.job_id);
 }
 
 void ClusterWorker::handle_ping(Connection& conn, std::string_view payload) {
@@ -292,7 +256,7 @@ void ClusterWorker::handle_ping(Connection& conn, std::string_view payload) {
   // Our monotonic clock, stamped as late as possible so the router's
   // NTP-style offset estimate sees minimal serialization delay.
   pong.t_mono_ns = obs::steady_ns();
-  send(conn, net::FrameType::kPong, net::encode_pong(pong));
+  conn.send(net::FrameType::kPong, net::encode_pong(pong));
 }
 
 void ClusterWorker::handle_swap_begin(Connection& conn,
@@ -340,6 +304,7 @@ void ClusterWorker::handle_swap_commit(Connection& conn,
 
 void ClusterWorker::commit_swap(Connection& conn, std::string bytes,
                                 std::uint32_t crc) {
+  set_thread_name("wk-swap");
   net::SwapAckFrame ack;
   if (crc32(bytes) != crc) {
     ack.message = "bundle CRC mismatch";
@@ -364,7 +329,7 @@ void ClusterWorker::send_swap_ack(Connection& conn, net::SwapAckFrame ack) {
   if (const auto current = registry_.current()) {
     ack.active_version = current->version();
   }
-  send(conn, net::FrameType::kSwapAck, net::encode_swap_ack(ack));
+  conn.send(net::FrameType::kSwapAck, net::encode_swap_ack(ack));
 }
 
 void ClusterWorker::handle_swap_abort(Connection& conn,
@@ -381,13 +346,9 @@ void ClusterWorker::handle_swap_abort(Connection& conn,
   const auto restored = registry_.rollback();
   ack.ok = true;
   ack.message = restored != nullptr ? "rolled back" : "nothing to roll back";
-  if (const auto current = registry_.current()) {
-    ack.active_version = current->version();
-  }
-  SCWC_LOG_INFO("cluster worker shard "
-                << config_.shard_id << ": swap abort (" << frame.reason
-                << ") → serving '" << ack.active_version << "'");
-  send(conn, net::FrameType::kSwapAck, net::encode_swap_ack(ack));
+  SCWC_LOG_INFO("cluster worker shard " << config_.shard_id
+                << ": swap abort (" << frame.reason << "): " << ack.message);
+  send_swap_ack(conn, std::move(ack));
 }
 
 void ClusterWorker::send_metrics(Connection& conn) {
@@ -416,15 +377,15 @@ void ClusterWorker::send_metrics(Connection& conn) {
     e.p99 = roll.p99;
     reply.rolling.push_back(std::move(e));
   }
-  send(conn, net::FrameType::kMetricsReply, net::encode_metrics_reply(reply));
+  conn.send(net::FrameType::kMetricsReply, net::encode_metrics_reply(reply));
 }
 
 net::VerdictFrame ClusterWorker::make_verdict(
-    const PendingVerdict& pending, const serve::ServeResult& result) const {
+    std::uint64_t request_id, const serve::ServeResult& result) {
   net::VerdictFrame v;
-  v.request_id = pending.request_id;
+  v.request_id = request_id;
   v.trace_id = result.trace_id;
-  v.job_id = pending.job_id;
+  v.job_id = result.job_id;
   v.accepted = result.accepted;
   v.reject_reason = static_cast<std::uint8_t>(result.reject_reason);
   v.degrade_level = static_cast<std::uint8_t>(result.degrade_level);
@@ -433,8 +394,7 @@ net::VerdictFrame ClusterWorker::make_verdict(
   v.label = result.prediction.label;
   v.batch_size = static_cast<std::uint32_t>(result.batch_size);
   v.quality = result.prediction.report.quality();
-  v.worker_latency_s = obs::seconds_between(pending.submitted_at,
-                                            std::chrono::steady_clock::now());
+  v.worker_latency_s = result.phases.total_s;  // submit → verdict
   v.missing_values =
       static_cast<std::uint32_t>(result.prediction.report.missing_values);
   v.repaired_values =

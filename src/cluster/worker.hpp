@@ -2,13 +2,12 @@
 //
 // Wraps a ClassificationService behind the SCWCWIRE protocol: a listener
 // thread accepts router connections; each connection gets a reader thread
-// (decodes frames, submits windows, handles swaps/pings/scrapes), a
-// swap-loader thread while a pushed bundle loads, and a responder thread
-// (drains the FIFO of pending futures and writes verdict frames back,
-// every verdict already ready by then in the same write). The split keeps
-// the read path non-blocking: slow inference never stalls frame intake,
-// and verdicts always leave in submission order per connection, so the
-// router can rely on FIFO completion per shard.
+// (decodes frames, submits windows, handles swaps/pings/scrapes) and a
+// swap-loader thread while a pushed bundle loads. Each connection is the
+// VerdictSink of its windows: verdict frames collect in its outbox and the
+// batch that made them writes the outbox in one send, from the pool thread
+// that ran it. Verdicts leave in batch order; the router matches them by
+// request id. Only a pool task waits on a slow peer (Connection::pump).
 //
 // Model-bundle distribution (DESIGN.md §13): the router streams a bundle as
 // SwapBegin/SwapChunk*/SwapCommit. The reader assembles the bytes; on commit
@@ -16,8 +15,8 @@
 // serve::try_swap_from_bytes — which on ANY load failure leaves the registry
 // untouched, so a corrupt push can never take down serving — and sends the
 // ack. The reader keeps draining submits meanwhile: the router bounds each
-// send (kSendTimeoutS), so a reader paused for a whole bundle load would
-// read as a dead shard. SwapAbort rolls the registry back one
+// send (net::kSendTimeoutS), so a reader paused for a whole bundle load
+// would read as a dead shard. SwapAbort rolls the registry back one
 // activation (the router sends it when a sibling shard rejected the same
 // push, restoring fleet-wide version agreement).
 //
@@ -28,11 +27,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -45,15 +41,6 @@
 #include "serve/service.hpp"
 
 namespace scwc::cluster {
-
-/// Per-future wait bound in the responder; a future that is not ready
-/// within this is answered as an internal shed (never blocks forever).
-inline constexpr double kVerdictWaitS = 30.0;
-/// Once the head verdict is ready, how long the responder waits for each
-/// verdict of the same micro-batch (the batcher is fulfilling them right
-/// then), so the batch leaves in one write: each write wakes the router's
-/// reader once.
-inline constexpr double kBatchSiblingWaitS = 100e-6;
 
 struct WorkerConfig {
   std::uint32_t shard_id = 0;
@@ -93,8 +80,9 @@ class ClusterWorker {
   /// id cannot be bound.
   void start();
 
-  /// Stops accepting, closes every connection, drains pending verdicts and
-  /// stops the service. Idempotent; the destructor calls it.
+  /// Stops accepting, shuts every connection down, stops the service (so
+  /// every verdict is delivered), then closes the sockets. Idempotent; the
+  /// destructor calls it.
   void stop();
 
   /// Blocks until a kShutdown frame arrives (or stop() is called). The
@@ -109,36 +97,42 @@ class ClusterWorker {
   }
 
  private:
-  /// One verdict the responder still owes the peer, FIFO per connection.
-  struct PendingVerdict {
-    std::uint64_t request_id = 0;
-    std::int64_t job_id = 0;
-    std::chrono::steady_clock::time_point submitted_at;
-    std::future<serve::ServeResult> result;
-  };
+  /// Per-connection state, and the verdict sink of its submits (the tag
+  /// is the router's request id). The reader thread owns decode + swap
+  /// assembly. Every frame goes through the outbox, which one thread at a
+  /// time (`writing`) sends.
+  struct Connection final : serve::VerdictSink {
+    Connection(ClusterWorker& w, net::Socket s)
+        : worker(w), sock(std::move(s)) {}
 
-  /// Per-connection state. The reader thread owns decode + swap assembly;
-  /// the responder thread owns the pending queue's consumer side; both
-  /// write frames under write_mutex.
-  struct Connection {
-    explicit Connection(net::Socket s) : sock(std::move(s)) {}
+    /// Counts the verdict and frames it into the outbox.
+    void deliver(std::uint64_t tag, serve::ServeResult result) override;
+    /// Sends the outbox unless a writer is already sending it.
+    void flush() override;
+    /// Frames one frame into the outbox and flushes it.
+    void send(net::FrameType type, std::string_view payload);
+    /// Returns once no thread is sending (within net::kSendTimeoutS).
+    void wait_written();
+    /// The writer's loop: sends the outbox until it is empty. Without
+    /// `may_wait` it sends only what the socket takes now and leaves the
+    /// rest to a pool task, so no flush waits on a slow peer.
+    void pump(bool may_wait);
 
-    // Written by the reader (submit/swap paths) and shut down cross-thread
-    // by stop(); the socket's own fd lifecycle is the synchronization
-    // (shutdown_now unblocks, close happens after joins).
+    ClusterWorker& worker;
+    // Shut down cross-thread by stop(), the reader and a failed send;
+    // closed only after the service has stopped and the writer is done.
     net::Socket sock;  // scwc-lint: allow(guarded-field-coverage)
     Mutex write_mutex{"cluster.worker.write"};
-    Mutex queue_mutex{"cluster.worker.queue"};
-    CondVar queue_cv;
-    std::deque<PendingVerdict> queue SCWC_GUARDED_BY(queue_mutex);
-    bool closing SCWC_GUARDED_BY(queue_mutex) = false;
+    CondVar written_cv;  // signalled when `writing` clears
+    std::string outbox SCWC_GUARDED_BY(write_mutex);  // not yet sent
+    bool writing SCWC_GUARDED_BY(write_mutex) = false;  // a thread sends
+    bool broken SCWC_GUARDED_BY(write_mutex) = false;  // later frames drop
     // Swap assembly state — touched only by this connection's reader.
     std::uint64_t swap_total = 0;  // scwc-lint: allow(guarded-field-coverage)
     std::string swap_buffer;  // scwc-lint: allow(guarded-field-coverage)
     bool swap_active = false;  // scwc-lint: allow(guarded-field-coverage)
     // Joined by stop() after the sockets are shut down; set once at spawn.
     std::thread reader;  // scwc-lint: allow(guarded-field-coverage)
-    std::thread responder;  // scwc-lint: allow(guarded-field-coverage)
     // The last commit's load and ack; spawned and joined by the reader,
     // joined by stop() after the reader.
     std::thread swap_loader;  // scwc-lint: allow(guarded-field-coverage)
@@ -146,16 +140,6 @@ class ClusterWorker {
 
   void accept_loop();
   void reader_loop(Connection& conn);
-  void responder_loop(Connection& conn);
-  /// Serializes + writes one frame under the connection's write mutex.
-  bool send(Connection& conn, net::FrameType type, std::string_view payload);
-  /// Writes already-framed bytes under the connection's write mutex.
-  bool send_bytes(Connection& conn, std::string_view bytes);
-  /// Frames the verdict for `pending` onto `out`; `ready` is its result,
-  /// or nullopt when the wait timed out (answered as a kInternal shed).
-  void append_verdict(std::string& out, const PendingVerdict& pending,
-                      std::optional<serve::ServeResult> ready);
-  void enqueue(Connection& conn, PendingVerdict pending);
   void handle_submit(Connection& conn, std::string_view payload);
   void handle_ping(Connection& conn, std::string_view payload);
   void handle_swap_begin(Connection& conn, std::string_view payload);
@@ -167,8 +151,8 @@ class ClusterWorker {
   /// Stamps the registry's current version on a commit's ack and sends it.
   void send_swap_ack(Connection& conn, net::SwapAckFrame ack);
   void send_metrics(Connection& conn);
-  [[nodiscard]] net::VerdictFrame make_verdict(
-      const PendingVerdict& pending, const serve::ServeResult& result) const;
+  [[nodiscard]] static net::VerdictFrame make_verdict(
+      std::uint64_t request_id, const serve::ServeResult& result);
 
   serve::ModelRegistry& registry_;
   const WorkerConfig config_;

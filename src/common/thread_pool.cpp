@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 
 #include "common/error.hpp"
@@ -12,6 +14,10 @@ std::size_t resolve_worker_count(std::size_t threads) {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 }  // namespace
+
+void set_thread_name(const std::string& name) {
+  (void)pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
+}
 
 ThreadPool::ThreadPool(std::size_t threads)
     : n_workers_(resolve_worker_count(threads)),
@@ -133,6 +139,7 @@ std::size_t ThreadPool::pop_idle() {
 }
 
 void ThreadPool::worker_loop(std::size_t me) {
+  set_thread_name("pool-" + std::to_string(me));
   t_inside_pool_worker = true;
   const bool timed = obs::enabled();
   for (;;) {

@@ -17,6 +17,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,10 @@
 #include "obs/metrics.hpp"
 
 namespace scwc {
+
+/// Names the calling thread as /proc/<pid>/task/<tid>/comm, top -H and gdb
+/// show it; Linux keeps the first 15 bytes. Pool workers are pool-<i>.
+void set_thread_name(const std::string& name);
 
 /// A fixed-size pool of worker threads. Tasks run FIFO; idle workers are
 /// woken LIFO: each parks on its own wait slot, on top of an idle stack,
@@ -69,7 +74,7 @@ class ThreadPool {
   /// pool simply rejects (check stopped() to distinguish "full" from
   /// "shutting down"). The task runs detached: exceptions it throws are
   /// swallowed, so callers route failures through their own channel (the
-  /// serve layer fulfils a promise inside the task). This is the primitive
+  /// serve layer resolves requests inside the task). This is the primitive
   /// behind AdmissionController's load shedding.
   [[nodiscard]] bool try_submit(std::function<void()> task,
                                 std::size_t max_queue);

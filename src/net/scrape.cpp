@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/thread_pool.hpp"
+
 namespace scwc::net {
 
 namespace {
@@ -65,6 +67,7 @@ void ScrapeServer::stop() {
 }
 
 void ScrapeServer::accept_loop() {
+  set_thread_name("scrape");
   while (running()) {
     Socket sock = listener_.accept();
     if (!sock.valid()) break;  // stopped, or the listener is gone

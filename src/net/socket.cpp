@@ -105,17 +105,23 @@ void Socket::set_send_timeout(double seconds) noexcept {
 }
 
 bool Socket::send_all(std::string_view data) noexcept {
+  return send_some(data, true).has_value();
+}
+
+std::optional<std::size_t> Socket::send_some(std::string_view data,
+                                             bool wait) noexcept {
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::send(fd_, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL);
+                             MSG_NOSIGNAL | (wait ? 0 : MSG_DONTWAIT));
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return false;  // peer gone, or SO_SNDTIMEO expired (EAGAIN)
+      if (!wait && n < 0 && errno == EAGAIN) break;  // the peer is behind
+      return std::nullopt;  // peer gone, or SO_SNDTIMEO expired (EAGAIN)
     }
     off += static_cast<std::size_t>(n);
   }
-  return true;
+  return off;
 }
 
 std::size_t Socket::recv_some(char* buf, std::size_t cap) noexcept {

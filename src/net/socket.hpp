@@ -26,6 +26,10 @@
 
 namespace scwc::net {
 
+/// Bound on a router↔worker send that makes no progress (the peer stopped
+/// reading), on both ends after the handshake; then the sender shuts down.
+inline constexpr double kSendTimeoutS = 1.0;
+
 /// Move-only owner of one connected socket fd.
 class Socket {
  public:
@@ -51,6 +55,10 @@ class Socket {
 
   /// Writes all of `data`; false when the peer is gone or times out.
   [[nodiscard]] bool send_all(std::string_view data) noexcept;
+  /// send_all, or with `wait` false only what the socket takes now: the
+  /// byte count (short when the peer is behind), nullopt on failure.
+  [[nodiscard]] std::optional<std::size_t> send_some(std::string_view data,
+                                                     bool wait) noexcept;
 
   /// One recv of up to `cap` bytes into `buf`: the byte count, or 0 on
   /// EOF, timeout or error. The thread waits in poll(POLLIN), never inside

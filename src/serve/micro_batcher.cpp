@@ -4,15 +4,13 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "serve/chaos.hpp"
 
 namespace scwc::serve {
 
-MicroBatcher::MicroBatcher(MicroBatcherConfig config, BatchRunner runner,
-                           ExpiredHandler expired)
-    : config_(config),
-      runner_(std::move(runner)),
-      expired_handler_(std::move(expired)) {
+MicroBatcher::MicroBatcher(MicroBatcherConfig config, BatchRunner runner)
+    : config_(config), runner_(std::move(runner)) {
   SCWC_REQUIRE(config_.max_batch > 0, "MicroBatcher: max_batch must be > 0");
   SCWC_REQUIRE(config_.max_delay_s >= 0.0,
                "MicroBatcher: max_delay_s must be >= 0");
@@ -23,9 +21,6 @@ MicroBatcher::MicroBatcher(MicroBatcherConfig config, BatchRunner runner,
   obs_flush_deadline_ = reg.counter("scwc_serve_batch_flush_deadline_total");
   obs_flusher_wakeups_ = reg.counter("scwc_serve_batch_flusher_wakeups_total");
   obs_queue_depth_ = reg.gauge("scwc_serve_batch_queue_depth");
-  obs_batch_size_ = reg.histogram(
-      "scwc_serve_batch_size",
-      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
   flusher_ = std::thread([this] { flusher_loop(); });
 }
 
@@ -54,22 +49,14 @@ std::size_t MicroBatcher::pending() const {
   return pending_.size();
 }
 
-std::vector<BatchRequest> MicroBatcher::cut_batch_locked(
-    std::chrono::steady_clock::time_point now,
-    std::vector<BatchRequest>& expired) {
+std::vector<BatchRequest> MicroBatcher::cut_batch_locked() {
   std::vector<BatchRequest> batch;
   batch.reserve(std::min(config_.max_batch, pending_.size()));
   while (!pending_.empty() && batch.size() < config_.max_batch) {
-    BatchRequest request = std::move(pending_.front());
+    batch.push_back(std::move(pending_.front()));
     pending_.pop_front();
-    if (expired_handler_ && request.deadline <= now) {
-      expired.push_back(std::move(request));
-    } else {
-      batch.push_back(std::move(request));
-    }
   }
   obs_queue_depth_.set(static_cast<double>(pending_.size()));
-  obs_batch_size_.observe(static_cast<double>(batch.size()));
   return batch;
 }
 
@@ -83,6 +70,7 @@ std::chrono::steady_clock::time_point MicroBatcher::min_deadline_locked()
 }
 
 void MicroBatcher::flusher_loop() {
+  set_thread_name("flusher");
   const auto max_delay = std::chrono::duration_cast<
       std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(config_.max_delay_s));
@@ -120,13 +108,8 @@ void MicroBatcher::flusher_loop() {
     } else if (!stop_) {
       obs_flush_deadline_.inc();
     }
-    std::vector<BatchRequest> expired;
-    std::vector<BatchRequest> batch =
-        cut_batch_locked(std::chrono::steady_clock::now(), expired);
+    std::vector<BatchRequest> batch = cut_batch_locked();
     lock.unlock();
-    for (BatchRequest& request : expired) {
-      expired_handler_(std::move(request));
-    }
     if (config_.chaos != nullptr) config_.chaos->on_flusher_cut();
     if (!batch.empty()) runner_(std::move(batch));
     lock.lock();

@@ -9,8 +9,9 @@
 // The batcher owns a dedicated flusher thread; batch execution itself is
 // delegated to a BatchRunner callback installed by the owning service
 // (which typically hops onto the shared ThreadPool through the
-// AdmissionController). Each request carries a promise; whatever happens —
-// flush, shutdown, runner failure — the promise is fulfilled exactly once.
+// AdmissionController). Each request names its VerdictSink; whatever
+// happens — flush, shutdown, runner failure — the service delivers its
+// verdict exactly once.
 //
 // The flusher thread sleeps until the queue is non-empty, then until the
 // flush time: the oldest request's enqueue + max_delay_s, or the earliest
@@ -27,7 +28,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -65,37 +65,33 @@ struct BatchRequest {
   /// the admission phase.
   std::chrono::steady_clock::time_point submitted;
   std::chrono::steady_clock::time_point enqueued;
-  /// Absolute deadline; time_point::max() (the default) means "none".
-  /// Requests whose deadline passed while queued are cut out of the batch
-  /// and handed to the expired handler instead of the runner.
+  /// Absolute deadline; time_point::max() (the default) means "none". A
+  /// batch is cut by the earliest one at the latest.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  std::promise<ServeResult> promise;
+  VerdictSink* sink = nullptr;  ///< where the verdict goes, under `tag`
+  std::uint64_t tag = 0;
+  bool resolved = false;  ///< set once the verdict went to the sink
 };
 
 /// Coalesces submitted requests into batches under a deadline/size policy.
 class MicroBatcher {
  public:
-  /// Receives the cut batch and must fulfil every request's promise.
+  /// Receives the cut batch and must resolve every request.
   using BatchRunner = std::function<void(std::vector<BatchRequest>&&)>;
-  /// Receives one request whose deadline expired while queued and must
-  /// fulfil its promise (typically with kDeadlineExceeded).
-  using ExpiredHandler = std::function<void(BatchRequest&&)>;
 
   /// Starts the flusher thread. `runner` is called on the flusher thread,
-  /// once per cut batch, never concurrently with itself. `expired` (when
-  /// set) receives requests whose deadline passed while queued, also on the
-  /// flusher thread; without it expired requests stay in the batch and the
-  /// runner is expected to apply its own deadline policy.
-  MicroBatcher(MicroBatcherConfig config, BatchRunner runner,
-               ExpiredHandler expired = nullptr);
+  /// once per cut batch, never concurrently with itself; requests whose
+  /// deadline passed while queued ride in the batch, for the runner's own
+  /// deadline policy.
+  MicroBatcher(MicroBatcherConfig config, BatchRunner runner);
   ~MicroBatcher();
 
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
   /// Enqueues one request (stamping `enqueued`) and returns true, or
-  /// returns false after stop() — the caller then fulfils the promise
+  /// returns false after stop() — the caller then resolves the request
   /// itself with a shutdown rejection.
   [[nodiscard]] bool submit(BatchRequest&& request);
 
@@ -113,18 +109,13 @@ class MicroBatcher {
  private:
   void flusher_loop();
   /// Cuts up to max_batch requests off the queue front.
-  /// When an expired handler is installed, requests whose deadline ≤ now are
-  /// diverted into `expired` (they do not count against max_batch).
-  std::vector<BatchRequest> cut_batch_locked(
-      std::chrono::steady_clock::time_point now,
-      std::vector<BatchRequest>& expired) SCWC_REQUIRES(mutex_);
+  std::vector<BatchRequest> cut_batch_locked() SCWC_REQUIRES(mutex_);
   /// Earliest pending deadline, or time_point::max().
   [[nodiscard]] std::chrono::steady_clock::time_point min_deadline_locked()
       const SCWC_REQUIRES(mutex_);
 
   const MicroBatcherConfig config_;
   const BatchRunner runner_;
-  const ExpiredHandler expired_handler_;
 
   mutable Mutex mutex_{"serve.batcher.queue"};
   CondVar cv_;
@@ -144,7 +135,6 @@ class MicroBatcher {
   obs::CounterHandle obs_flush_deadline_;  ///< flushes triggered by max_delay
   obs::CounterHandle obs_flusher_wakeups_;  ///< returns from either wait
   obs::GaugeHandle obs_queue_depth_;
-  obs::HistogramHandle obs_batch_size_;
 };
 
 }  // namespace scwc::serve

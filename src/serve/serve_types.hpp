@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <future>
 #include <string>
 
 #include "obs/request_trace.hpp"
@@ -59,7 +60,31 @@ struct ServeResult {
   /// the per-phase latency breakdown — DESIGN.md §7. Always filled, not
   /// just for sampled requests; sampling only gates record retention.
   std::uint64_t trace_id = 0;
+  std::int64_t job_id = -1;  ///< the request's source job; -1 when none
   obs::RequestPhases phases;
 };
+
+/// Where a request's verdict goes, supplied by its submitter. The service
+/// calls deliver() once per request, then flush() once per distinct sink
+/// at the end of each loop that resolves requests (a batch, a shed), both
+/// with no service lock held. A sink outlives the requests that name it.
+class VerdictSink {
+ public:
+  virtual void deliver(std::uint64_t tag, ServeResult result) = 0;
+  virtual void flush() = 0;
+
+ protected:
+  ~VerdictSink() = default;
+};
+
+/// The in-process sink behind every std::future the service hands out: a
+/// tag owns one heap promise, which make() creates and deliver() frees.
+class PromiseSink final : public VerdictSink {
+ public:
+  [[nodiscard]] static std::future<ServeResult> make(std::uint64_t& tag);
+  void deliver(std::uint64_t tag, ServeResult result) override;
+  void flush() override {}
+};
+inline PromiseSink promise_sink;  ///< stateless: one serves every future
 
 }  // namespace scwc::serve

@@ -1,6 +1,8 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -31,7 +33,28 @@ std::chrono::steady_clock::time_point deadline_from(double budget_s) {
 /// bundle served.
 const char* const kDegradedVersion = "(degraded)";
 
+/// Ends a resolution loop: flushes each distinct sink of `requests` once.
+void flush_sinks(const std::vector<BatchRequest>& requests) {
+  for (auto it = requests.begin(); it != requests.end(); ++it) {
+    const auto same = [&](const BatchRequest& r) { return r.sink == it->sink; };
+    if (std::none_of(requests.begin(), it, same)) it->sink->flush();
+  }
+}
+
 }  // namespace
+
+std::future<ServeResult> PromiseSink::make(std::uint64_t& tag) {
+  auto promise = std::make_unique<std::promise<ServeResult>>();
+  std::future<ServeResult> future = promise->get_future();
+  tag = reinterpret_cast<std::uintptr_t>(promise.release());
+  return future;
+}
+
+void PromiseSink::deliver(std::uint64_t tag, ServeResult result) {
+  std::unique_ptr<std::promise<ServeResult>>(
+      reinterpret_cast<std::promise<ServeResult>*>(tag))
+      ->set_value(std::move(result));
+}
 
 ClassificationService::ClassificationService(ModelRegistry& registry,
                                              ServiceConfig config,
@@ -48,6 +71,9 @@ ClassificationService::ClassificationService(ModelRegistry& registry,
   obs_request_seconds_rolling_ =
       reg.rolling_histogram("scwc_serve_request_seconds_rolling");
   obs_batch_exec_seconds_ = reg.histogram("scwc_serve_batch_exec_seconds");
+  obs_batch_size_ = reg.histogram(
+      "scwc_serve_batch_size",
+      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
   obs_deadline_missed_ = reg.counter("scwc_serve_deadline_missed_total");
   obs_degraded_ = reg.counter("scwc_serve_degraded_total");
   obs_auto_rollbacks_ = reg.counter("scwc_serve_auto_rollbacks_total");
@@ -58,11 +84,8 @@ ClassificationService::ClassificationService(ModelRegistry& registry,
   MicroBatcherConfig batcher_config = config_.batcher;
   batcher_config.chaos = config_.chaos;
   batcher_ = std::make_unique<MicroBatcher>(
-      batcher_config,
-      [this](std::vector<BatchRequest>&& batch) { run_batch(std::move(batch)); },
-      [this](BatchRequest&& request) {
-        // Deadline passed while the request sat in the batcher queue.
-        shed(request, RejectReason::kDeadlineExceeded);
+      batcher_config, [this](std::vector<BatchRequest>&& batch) {
+        run_batch(std::move(batch));
       });
 }
 
@@ -72,6 +95,7 @@ void ClassificationService::resolve(
     BatchRequest& request, ServeResult result,
     std::chrono::steady_clock::time_point done) {
   result.trace_id = request.trace_id;
+  result.job_id = request.job_id;
   result.phases.admission_s =
       seconds_between(request.submitted, request.enqueued);
   result.phases.total_s = seconds_between(request.submitted, done);
@@ -83,7 +107,9 @@ void ClassificationService::resolve(
   record_verdict(tracer_, config_.audit, request.trace_id,
                  request.trace_sampled, request.job_id, request.submitted,
                  result, std::nullopt, slack);
-  request.promise.set_value(std::move(result));
+  // Marked first: a deliver() that throws has still taken the tag.
+  request.resolved = true;
+  request.sink->deliver(request.tag, std::move(result));
 }
 
 void ClassificationService::shed(BatchRequest& request, RejectReason reason) {
@@ -98,32 +124,31 @@ void ClassificationService::shed(BatchRequest& request, RejectReason reason) {
   resolve(request, std::move(result), now);
 }
 
-std::future<ServeResult> ClassificationService::submit(
-    std::vector<double> window, std::size_t steps, std::size_t sensors) {
-  return submit_traced(std::move(window), steps, sensors,
-                       deadline_from(config_.default_deadline_s), -1);
+void ClassificationService::shed_all(std::vector<BatchRequest>& batch,
+                                     RejectReason reason) {
+  for (BatchRequest& request : batch) shed(request, reason);
+  flush_sinks(batch);
 }
 
 std::future<ServeResult> ClassificationService::submit(
     std::vector<double> window, std::size_t steps, std::size_t sensors,
-    std::chrono::steady_clock::time_point deadline) {
-  return submit_traced(std::move(window), steps, sensors, deadline, -1);
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
+  std::uint64_t tag = 0;
+  std::future<ServeResult> future = PromiseSink::make(tag);
+  submit_to(promise_sink, tag, std::move(window), steps, sensors,
+            deadline ? *deadline : deadline_from(config_.default_deadline_s));
+  return future;
 }
 
-std::future<ServeResult> ClassificationService::submit_with_trace(
-    std::vector<double> window, std::size_t steps, std::size_t sensors,
+void ClassificationService::submit_to(
+    VerdictSink& sink, std::uint64_t tag, std::vector<double> window,
+    std::size_t steps, std::size_t sensors,
     std::chrono::steady_clock::time_point deadline, std::uint64_t trace_id,
-    bool trace_sampled) {
-  return submit_traced(std::move(window), steps, sensors, deadline, -1,
-                       trace_id, trace_sampled);
-}
-
-std::future<ServeResult> ClassificationService::submit_traced(
-    std::vector<double> window, std::size_t steps, std::size_t sensors,
-    std::chrono::steady_clock::time_point deadline, std::int64_t job_id,
-    std::uint64_t trace_id, bool trace_sampled) {
+    bool trace_sampled, std::int64_t job_id) {
   obs_requests_.inc();
   BatchRequest request;
+  request.sink = &sink;
+  request.tag = tag;
   request.window = std::move(window);
   request.steps = steps;
   request.sensors = sensors;
@@ -143,7 +168,6 @@ std::future<ServeResult> ClassificationService::submit_traced(
   // coincide so entry-time sheds report zero-width phases.
   request.enqueued = request.submitted;
   request.deadline = deadline;
-  std::future<ServeResult> future = request.promise.get_future();
 
   RejectReason reason = RejectReason::kNone;
   if (request.deadline <= request.enqueued) {
@@ -161,8 +185,8 @@ std::future<ServeResult> ClassificationService::submit_traced(
   }
   if (reason != RejectReason::kNone) {
     shed(request, reason);
+    sink.flush();
   }
-  return future;
 }
 
 std::vector<PendingWindow> ClassificationService::ingest_block(
@@ -183,10 +207,12 @@ std::vector<PendingWindow> ClassificationService::submit_closed(
     PendingWindow pending;
     pending.job_id = window.job_id;
     pending.start_step = window.start_step;
-    pending.result = submit_traced(
-        std::move(window.values), config_.assembler.window_steps,
-        config_.assembler.sensors,
-        deadline_from(config_.default_deadline_s), window.job_id);
+    std::uint64_t tag = 0;
+    pending.result = PromiseSink::make(tag);
+    submit_to(promise_sink, tag, std::move(window.values),
+              config_.assembler.window_steps, config_.assembler.sensors,
+              deadline_from(config_.default_deadline_s), 0, false,
+              window.job_id);
     out.push_back(std::move(pending));
   }
   return out;
@@ -238,12 +264,22 @@ void ClassificationService::answer_degraded(
     result.phases.queue_s = result.queue_delay_s;
     resolve(request, std::move(result), now);
   }
+  flush_sinks(batch);
 }
 
 void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
+  const auto now = std::chrono::steady_clock::now();
+  // Deadline checkpoint 2 of 3: requests that expired in the queue.
+  const auto late = std::stable_partition(
+      batch.begin(), batch.end(),
+      [now](const BatchRequest& r) { return r.deadline > now; });
+  std::vector<BatchRequest> expired(std::make_move_iterator(late),
+                                    std::make_move_iterator(batch.end()));
+  batch.erase(late, batch.end());
+  obs_batch_size_.observe(static_cast<double>(batch.size()));
+  shed_all(expired, RejectReason::kDeadlineExceeded);
   if (batch.empty()) return;
   const obs::TraceSpan span("serve.flush");
-  const auto now = std::chrono::steady_clock::now();
 
   evaluate_health(now);
 
@@ -264,7 +300,7 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
     return;
   }
   if (route.bundle == nullptr) {
-    for (BatchRequest& request : batch) shed(request, RejectReason::kNoModel);
+    shed_all(batch, RejectReason::kNoModel);
     if (route.probe) chain_->on_probe_outcome(false, now);
     return;
   }
@@ -280,9 +316,7 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
     // Chaos dispatch hook: may delay (sleeps the flusher — exactly the
     // stalled-dispatch failure mode) or drop the batch outright.
     if (config_.chaos->on_batch_dispatch() == BatchFate::kDrop) {
-      for (BatchRequest& request : batch) {
-        shed(request, RejectReason::kInternal);
-      }
+      shed_all(batch, RejectReason::kInternal);
       if (route.probe) {
         chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
       }
@@ -290,8 +324,8 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
     }
   }
 
-  // BatchRequest is move-only (promise) but std::function requires a
-  // copyable callable — hand the batch over through a shared_ptr.
+  // std::function requires a copyable callable, and copying the batch
+  // would copy every window — hand it over through a shared_ptr.
   auto shared =
       std::make_shared<std::vector<BatchRequest>>(std::move(batch));
   {
@@ -314,7 +348,7 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
       --inflight_batches_;
       inflight_cv_.notify_all();
     }
-    for (BatchRequest& request : *shared) shed(request, reason);
+    shed_all(*shared, reason);
     if (route.probe) {
       chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
     }
@@ -381,7 +415,7 @@ void ClassificationService::execute_batch(
       }
       resolve(request, std::move(result), done);
     };
-    // A probe batch is judged before any of its promises resolves, so a
+    // A probe batch is judged before any of its requests resolves, so a
     // caller that sees a probe's answer also sees the breaker move on it.
     // Every other batch resolves each request as soon as it is predicted.
     std::vector<ServeResult> probe_results;
@@ -433,28 +467,25 @@ void ClassificationService::execute_batch(
     }
   } catch (...) {
     // Defensive net: the guard never throws, but if anything here does
-    // (bad_alloc, a broken custom Classifier), no promise may be left
-    // unresolved — that future would hang a client forever.
+    // (bad_alloc, a broken custom Classifier), no request may be left
+    // unresolved — its client would wait for it forever.
     for (BatchRequest& request : batch) {
-      try {
-        shed(request, RejectReason::kInternal);
-      } catch (const std::future_error&) {
-        // already resolved before the throw — exactly what we want
-      }
+      if (!request.resolved) shed(request, RejectReason::kInternal);
     }
     if (route.probe && !probe_judged) {
       chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
     }
     SCWC_LOG_ERROR("serve batch execution failed; shed with kInternal");
   }
+  flush_sinks(batch);
 }
 
 void ClassificationService::stop() {
   admission_.close();
   // Flushes every queued batch through run_batch (inline-drain path above),
   // then joins the flusher. Requests whose deadline expired in the queue
-  // are resolved by the batcher's expired handler during the drain; every
-  // other queued request is answered inline — nothing is left pending.
+  // are shed by run_batch during the drain; every other queued request is
+  // answered inline — nothing is left pending.
   batcher_->stop();
   // Wait out batches already handed to the pool. Explicit wait loop: the
   // analysis checks this form (it cannot see into predicate lambdas).

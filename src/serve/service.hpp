@@ -8,7 +8,7 @@
 //                       → ThreadPool task (one
 //                         GuardedClassifier::classify_batch on the
 //                         ModelRegistry bundle captured at batch cut)
-//                       → resolve(): one verdict builder for every promise
+//                       → resolve(): one verdict builder → VerdictSink
 //
 // Threading model: callers submit from any thread; the batcher's flusher
 // thread cuts batches and hands them to the shared ThreadPool, so flushing
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -87,25 +88,23 @@ class ClassificationService {
   /// Submits one complete window for classification. The future always
   /// becomes ready: with a shed ServeResult (accepted == false) when
   /// admission rejects, no model is active, or the deadline expires, else
-  /// with the guarded prediction once its batch executes. The first
-  /// overload derives the deadline from config().default_deadline_s (none
-  /// when 0); the second takes an explicit absolute deadline
-  /// (time_point::max() = none).
-  [[nodiscard]] std::future<ServeResult> submit(std::vector<double> window,
-                                                std::size_t steps,
-                                                std::size_t sensors);
+  /// with the guarded prediction once its batch executes. `deadline` is
+  /// absolute (time_point::max() = none); without one it derives from
+  /// config().default_deadline_s (none when 0).
   [[nodiscard]] std::future<ServeResult> submit(
       std::vector<double> window, std::size_t steps, std::size_t sensors,
-      std::chrono::steady_clock::time_point deadline);
+      std::optional<std::chrono::steady_clock::time_point> deadline = {});
 
-  /// Cluster entry: submit under an externally-issued trace identity (the
-  /// router's trace id + sampling verdict, propagated over SCWCWIRE) so
-  /// worker-side phases land under the same trace as the router's record.
-  /// trace_id 0 falls back to a locally-issued id.
-  [[nodiscard]] std::future<ServeResult> submit_with_trace(
-      std::vector<double> window, std::size_t steps, std::size_t sensors,
-      std::chrono::steady_clock::time_point deadline, std::uint64_t trace_id,
-      bool trace_sampled);
+  /// The real submit: resolves through `sink` under `tag` (admission sheds
+  /// before it returns), attributed to the source job (-1 = none). A
+  /// nonzero trace_id adopts the router's trace identity, so worker-side
+  /// phases land under its record; 0 issues a local one.
+  void submit_to(VerdictSink& sink, std::uint64_t tag,
+                 std::vector<double> window, std::size_t steps,
+                 std::size_t sensors,
+                 std::chrono::steady_clock::time_point deadline,
+                 std::uint64_t trace_id = 0, bool trace_sampled = false,
+                 std::int64_t job_id = -1);
 
   /// Streaming front door: feeds one or more whole sample rows into the
   /// WindowAssembler and submits every window that closed. Returns the
@@ -118,7 +117,8 @@ class ClassificationService {
   [[nodiscard]] std::vector<PendingWindow> finish_job(std::int64_t job_id);
 
   /// Stops accepting requests, flushes queued batches, waits for in-flight
-  /// inference. Idempotent; the destructor calls it.
+  /// inference and every verdict delivery. Idempotent; the destructor
+  /// calls it.
   void stop();
 
   [[nodiscard]] const ServiceConfig& config() const noexcept {
@@ -142,14 +142,6 @@ class ClassificationService {
   [[nodiscard]] obs::RequestTracer& tracer() noexcept { return tracer_; }
 
  private:
-  /// The real submit: stamps trace identity (and the source job) before
-  /// admission. job_id -1 = unattributed (direct submit() calls).
-  /// trace_id 0 = issue a fresh local id; nonzero adopts the caller's id
-  /// and sampling verdict (cluster workers; see submit_with_trace).
-  [[nodiscard]] std::future<ServeResult> submit_traced(
-      std::vector<double> window, std::size_t steps, std::size_t sensors,
-      std::chrono::steady_clock::time_point deadline, std::int64_t job_id,
-      std::uint64_t trace_id = 0, bool trace_sampled = false);
   /// Submits the windows the assembler closed (ingest_block, finish_job),
   /// each attributed to its job under the default deadline.
   [[nodiscard]] std::vector<PendingWindow> submit_closed(
@@ -159,7 +151,7 @@ class ClassificationService {
   /// this stamps trace_id, phases.admission_s, phases.total_s and
   /// total_latency_s — all measured to `done`, so total_s ==
   /// admission_s + total_latency_s — writes the trace/audit record and
-  /// fulfils the promise.
+  /// delivers the verdict to the request's sink. Its caller flushes.
   void resolve(BatchRequest& request, ServeResult result,
                std::chrono::steady_clock::time_point done);
   /// Runs on the flusher thread: evaluates health, routes the batch through
@@ -171,8 +163,8 @@ class ClassificationService {
   /// Reads the monitor and reacts: bundle faults trigger an automatic
   /// registry rollback, cluster-level SLO violations trip the breaker.
   void evaluate_health(std::chrono::steady_clock::time_point now);
-  /// Executes one batch against the routed bundle and fulfils every
-  /// promise. Never lets an exception escape with unresolved promises.
+  /// Executes one batch against the routed bundle and resolves every
+  /// request. Never lets an exception escape with a request unresolved.
   /// `cut` is the batch-cut timestamp (ends the queue phase; executor
   /// pickup ends the batch-wait phase).
   void execute_batch(const Route& route, std::vector<BatchRequest>& batch,
@@ -181,6 +173,8 @@ class ClassificationService {
   void answer_degraded(std::vector<BatchRequest>& batch);
   /// Resolves a request with a typed rejection (and counts it).
   void shed(BatchRequest& request, RejectReason reason);
+  /// Sheds every request of `batch`: one resolution loop.
+  void shed_all(std::vector<BatchRequest>& batch, RejectReason reason);
 
   ModelRegistry& registry_;
   const ServiceConfig config_;
@@ -209,6 +203,7 @@ class ClassificationService {
   obs::HistogramHandle obs_request_seconds_;
   obs::RollingHistogramHandle obs_request_seconds_rolling_;
   obs::HistogramHandle obs_batch_exec_seconds_;
+  obs::HistogramHandle obs_batch_size_;  ///< live requests per cut batch
   obs::CounterHandle obs_deadline_missed_;
   obs::CounterHandle obs_degraded_;
   obs::CounterHandle obs_auto_rollbacks_;

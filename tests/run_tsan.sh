@@ -19,8 +19,19 @@
 # races a stuck submit, the sends queued behind it, a fleet scrape and the
 # reader's own shutdown in Cluster.SendsToAShardThatStopsReadingAreBounded;
 # the worker's swap-loader thread acks a commit while its reader takes
-# submits in Cluster.SlowBundleLoadUnderSaturatingSubmitsKeepsTheShard;
-# and the local socket's cross-thread cases are
+# submits in Cluster.SlowBundleLoadUnderSaturatingSubmitsKeepsTheShard.
+# Worker verdicts are framed and written by the pool threads that resolve
+# their batches: Cluster.AConnectionThatStopsReadingDoesNotStallTheWorker
+# races those writes, and the pool task that waits on a slow peer,
+# against a connection whose peer stopped reading and against stop();
+# Cluster.AStuckConnectionsExpiringRequestsDoNotDelayAnotherConnection
+# does the same from the flusher's expired-request sheds;
+# Cluster.VerdictsAreMatchedByRequestIdNotByOrder and
+# Cluster.RequestedShutdownIsNotAShardDeath race the router's reader
+# against out-of-order verdicts and a requested worker exit, and
+# LockOrder.ClusterStressWritesVerdictsOutsideServeLocks checks that no
+# serve lock is held around a verdict write (`tests/run_tsan.sh
+# 'Cluster|LockOrder'`). The local socket's cross-thread cases are
 # LocalSocket.ShutdownUnblocksAReaderWaitingForData and
 # LocalSocket.ReaderIsNotWokenByItsOwnSidesSends
 # (`tests/run_tsan.sh 'Cluster|LocalSocket|FrameReader'`). Usage:

@@ -1,8 +1,10 @@
 // Cluster subsystem tests: consistent-hash ring properties, router↔worker
 // round trips over real local AF_UNIX sockets (in-process ClusterWorker
-// instances on ephemeral local ids), bounded in-flight admission, bounded
-// sends to a shard that stops reading, shard-death rehash + recovery, and
-// the two-phase bundle swap with fleet-wide rollback.
+// instances on ephemeral local ids), verdicts matched by request id,
+// bounded in-flight admission, bounded sends on both ends of a connection
+// whose peer stops reading, shard-death rehash + recovery (and a requested
+// shutdown that is not a death), and the two-phase bundle swap with
+// fleet-wide rollback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,12 +25,15 @@
 #include "cluster/worker.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "net/socket.hpp"
 #include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "robust/fault.hpp"
 #include "robust/robust_window.hpp"
 #include "serve/bundle_io.hpp"
+#include "serve/chaos.hpp"
 #include "serve/retry.hpp"
 
 namespace scwc {
@@ -150,6 +155,71 @@ struct SilentShard {
   std::promise<void> release;
   std::thread thread;
 };
+
+/// A fake shard on an ephemeral local id that completes the hello and
+/// clock handshakes, reads `burst` submits, then answers them in reverse
+/// order, every verdict labelled with its request's job id.
+struct ReversingShard {
+  explicit ReversingShard(std::size_t n) : burst(n) {
+    listener.listen(0);
+    thread = std::thread([this] { run(); });
+  }
+  ReversingShard(const ReversingShard&) = delete;
+  ReversingShard& operator=(const ReversingShard&) = delete;
+  ~ReversingShard() {
+    listener.shutdown_now();
+    thread.join();
+  }
+  void run() {
+    net::Socket sock = listener.accept();
+    if (!sock.valid()) return;
+    net::HelloFrame hello;
+    hello.window_steps = kSteps;
+    hello.sensors = kSensors;
+    (void)net::write_frame(sock, net::FrameType::kHello,
+                           net::encode_hello(hello));
+    net::FrameReader frames;
+    std::vector<net::SubmitWindowFrame> submits;
+    try {
+      while (const std::optional<net::Frame> frame = frames.next(sock)) {
+        if (frame->type == net::FrameType::kPing) {
+          net::PongFrame pong;
+          pong.nonce = net::decode_ping(frame->payload).nonce;
+          pong.t_mono_ns = 1;
+          (void)net::write_frame(sock, net::FrameType::kPong,
+                                 net::encode_pong(pong));
+        } else if (frame->type == net::FrameType::kSubmitWindow) {
+          submits.push_back(net::decode_submit_window(frame->payload));
+          if (submits.size() < burst) continue;
+          std::string out;
+          for (auto it = submits.rbegin(); it != submits.rend(); ++it) {
+            net::VerdictFrame v;
+            v.request_id = it->request_id;
+            v.trace_id = it->trace_id;
+            v.job_id = it->job_id;
+            v.accepted = true;
+            v.label = static_cast<std::int32_t>(it->job_id);
+            v.batch_size = static_cast<std::uint32_t>(burst);
+            v.model_version = "reversed";
+            net::append_frame(out, net::FrameType::kVerdict,
+                              net::encode_verdict(v));
+          }
+          (void)sock.send_all(out);
+          submits.clear();
+        }
+      }
+    } catch (const Error&) {
+    }
+  }
+  const std::size_t burst;
+  net::LocalListener listener;
+  std::thread thread;
+};
+
+std::uint64_t shard_deaths() {
+  return obs::counter_value(obs::MetricsRegistry::global().snapshot(),
+                            "scwc_cluster_shard_deaths_total");
+}
 
 // ------------------------------------------------------------------ HashRing
 
@@ -307,6 +377,32 @@ TEST(Cluster, DamagedWindowVerdictsMatchInProcessGuard) {
   router.stop();
 }
 
+TEST(Cluster, VerdictsAreMatchedByRequestIdNotByOrder) {
+  // Workers write each batch's verdicts when the batch resolves, so a
+  // connection's verdicts need not come back in submission order. A fake
+  // shard answers a whole burst in reverse: every future must still get
+  // its own request's verdict.
+  constexpr std::size_t kBurst = 16;
+  ReversingShard fake(kBurst);
+  cluster::ShardRouter router;
+  ASSERT_EQ(router.add_shard(fake.listener.id()), 0u);
+  Rng rng(37);
+  std::vector<std::future<serve::ServeResult>> futures;
+  for (std::size_t job = 0; job < kBurst; ++job) {
+    futures.push_back(router.submit(static_cast<std::int64_t>(job),
+                                    make_window(rng, 0), kSteps, kSensors));
+  }
+  for (std::size_t job = 0; job < kBurst; ++job) {
+    ASSERT_EQ(futures[job].wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    const serve::ServeResult r = futures[job].get();
+    ASSERT_TRUE(r.accepted) << "job " << job;
+    EXPECT_EQ(r.prediction.label, static_cast<int>(job));
+    EXPECT_EQ(r.model_version, "reversed");
+  }
+  router.stop();
+}
+
 TEST(Cluster, DuplicateShardIdIsRejected) {
   const TinyWorld& w = tiny_world();
   Shard a(5, w.v1);
@@ -367,6 +463,7 @@ TEST(Cluster, ShardDeathRehashesOntoSurvivorAndRetryRecovers) {
     }
   }
   ASSERT_GE(doomed_job, 0);
+  const std::uint64_t deaths_before = shard_deaths();
   s1->worker->stop();
   s1.reset();
 
@@ -385,6 +482,32 @@ TEST(Cluster, ShardDeathRehashesOntoSurvivorAndRetryRecovers) {
       doomed_job, make_window(rng, 2), kSteps, kSensors, policy, rng);
   EXPECT_TRUE(r.accepted);
   router.stop();
+  EXPECT_EQ(shard_deaths() - deaths_before, 1u)
+      << "a killed worker is one shard death";
+}
+
+TEST(Cluster, RequestedShutdownIsNotAShardDeath) {
+  const TinyWorld& w = tiny_world();
+  Shard s0(0, w.v1);
+  Shard s1(1, w.v1);
+  cluster::ShardRouter router;
+  (void)router.add_shard(s0.worker->port());
+  (void)router.add_shard(s1.worker->port());
+  const std::uint64_t deaths_before = shard_deaths();
+  router.shutdown_workers();
+  // Each worker exits as scwc_worker does once asked, closing its end.
+  for (Shard* shard : {&s0, &s1}) {
+    shard->worker->wait_shutdown();
+    shard->worker->stop();
+  }
+  // The router sees both EOFs before it stops itself.
+  for (int i = 0; i < 500 && router.live_shards() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(router.live_shards(), 0u);
+  router.stop();
+  EXPECT_EQ(shard_deaths() - deaths_before, 0u)
+      << "a requested shutdown counted as a shard death";
 }
 
 // ------------------------------------------------------------ metrics pull
@@ -515,6 +638,156 @@ TEST(Cluster, SendsToAShardThatStopsReadingAreBounded) {
   router.stop();
 }
 
+/// Submits windows on `deaf` until their verdicts would be several times
+/// what the socket buffers hold, and never reads one. deadline_ns 0 means
+/// none. Stops early once the worker shuts the connection down.
+void flood_without_reading(net::Socket& deaf, const std::string& version,
+                           std::uint64_t deadline_ns) {
+  deaf.set_send_timeout(5.0);
+  net::VerdictFrame sample;
+  sample.model_version = version;
+  const std::size_t verdict_bytes =
+      net::encode_frame(net::FrameType::kVerdict,
+                        net::encode_verdict(sample))
+          .size();
+  Rng rng(41);
+  const std::vector<double> window = make_window(rng, 0);
+  for (std::size_t i = 0; i * verdict_bytes < (std::size_t{1} << 20); ++i) {
+    net::SubmitWindowView frame;
+    frame.request_id = i + 1;
+    frame.job_id = 1;
+    frame.deadline_ns = deadline_ns;
+    frame.steps = kSteps;
+    frame.sensors = kSensors;
+    frame.values = window;
+    if (!deaf.send_all(net::encode_submit_window_frame(frame))) break;
+  }
+}
+
+/// Stops `worker` and returns how long that took, in seconds.
+double timed_stop(cluster::ClusterWorker& worker) {
+  const auto t0 = std::chrono::steady_clock::now();
+  worker.stop();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(Cluster, AConnectionThatStopsReadingDoesNotStallTheWorker) {
+  // A raw client submits until its unread verdicts are several times what
+  // the socket buffers hold, then never reads. The worker writes verdicts
+  // from the pool threads that resolve batches, but no flush waits on a
+  // slow peer: one pool task waits for it, within net::kSendTimeoutS, and
+  // then shuts the connection down. Under the default admission bounds a
+  // router on a second connection still gets every verdict, and stop() is
+  // not held up by the stuck connection.
+  const TinyWorld& w = tiny_world();
+  serve::ModelRegistry registry;
+  registry.register_bundle(w.v1);
+  cluster::WorkerConfig config;
+  config.service.assembler.window_steps = kSteps;
+  config.service.assembler.sensors = kSensors;
+  cluster::ClusterWorker worker(registry, config);
+  worker.start();
+
+  net::Socket deaf = net::connect_local(worker.port(),
+                                        cluster::kConnectDeadlineS);
+  ASSERT_TRUE(deaf.valid());
+  flood_without_reading(deaf, w.v1->version(), 0);
+
+  cluster::ShardRouter router;
+  ASSERT_EQ(router.add_shard(worker.port()), 0u);
+  Rng rng(43);
+  std::vector<std::future<serve::ServeResult>> futures;
+  for (std::int64_t job = 0; job < 64; ++job) {
+    futures.push_back(router.submit(job, make_window(rng, 1), kSteps,
+                                    kSensors));
+  }
+  for (std::future<serve::ServeResult>& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "the router's verdicts waited behind the stuck connection";
+    const serve::ServeResult r = f.get();
+    EXPECT_TRUE(r.accepted) << serve::reject_reason_name(r.reject_reason);
+  }
+  router.stop();
+  EXPECT_LT(timed_stop(worker), 2.0 * net::kSendTimeoutS);
+}
+
+TEST(Cluster, AStuckConnectionsExpiringRequestsDoNotDelayAnotherConnection) {
+  // The stuck client's windows carry a 1 ms budget and every batch cut
+  // stalls the flusher 5 ms, so they all expire in the queue and the
+  // flusher itself sheds them to the stuck connection. The queue bound is
+  // raised so that none sheds at admission: the flusher is the first
+  // thread whose flush meets the full socket. It must not wait on it: a
+  // router submitting on a second connection the whole time sees every
+  // verdict well inside the send bound.
+  if (ThreadPool::global().size() < 2) {
+    GTEST_SKIP() << "needs a pool thread beyond the one that waits on the "
+                    "stuck connection";
+  }
+  const TinyWorld& w = tiny_world();
+  serve::ModelRegistry registry;
+  registry.register_bundle(w.v1);
+  serve::ChaosProfile profile;
+  profile.flusher_stall_probability = 1.0;
+  profile.flusher_stall_s = 0.005;
+  serve::ChaosInjector chaos(profile, 47);
+  chaos.set_armed(true);
+  cluster::WorkerConfig config;
+  config.service.assembler.window_steps = kSteps;
+  config.service.assembler.sensors = kSensors;
+  config.service.chaos = &chaos;
+  config.service.admission.max_pending = 1 << 16;
+  config.service.batcher.max_batch = 1024;
+  cluster::ClusterWorker worker(registry, config);
+  worker.start();
+  cluster::ShardRouter router;
+  ASSERT_EQ(router.add_shard(worker.port()), 0u);
+
+  net::Socket deaf = net::connect_local(worker.port(),
+                                        cluster::kConnectDeadlineS);
+  ASSERT_TRUE(deaf.valid());
+
+  std::atomic<bool> flooding{true};
+  double worst_s = 0.0;
+  std::size_t answered = 0;
+  std::thread submitter([&] {
+    Rng rng(53);
+    std::int64_t job = 0;
+    // Keep submitting until the flood is over and half a send bound more.
+    auto until = std::chrono::steady_clock::time_point::max();
+    while (std::chrono::steady_clock::now() < until) {
+      const auto t0 = std::chrono::steady_clock::now();
+      std::future<serve::ServeResult> f =
+          router.submit(job++, make_window(rng, 1), kSteps, kSensors);
+      if (f.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+        worst_s = 10.0;
+        return;
+      }
+      worst_s = std::max(
+          worst_s, std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0).count());
+      if (f.get().accepted) ++answered;
+      if (!flooding.load() &&
+          until == std::chrono::steady_clock::time_point::max()) {
+        until = std::chrono::steady_clock::now() +
+                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double>(0.5 * net::kSendTimeoutS));
+      }
+    }
+  });
+
+  flood_without_reading(deaf, w.v1->version(), 1'000'000);
+  flooding = false;
+  submitter.join();
+
+  EXPECT_GT(answered, 0u);
+  EXPECT_LT(worst_s, 0.5 * net::kSendTimeoutS)
+      << "a verdict on the second connection waited behind the stuck one";
+  router.stop();
+  EXPECT_LT(timed_stop(worker), 2.0 * net::kSendTimeoutS);
+}
+
 // ------------------------------------------------------------------ hot swap
 
 TEST(Cluster, BundlePushCommitsOnEveryShard) {
@@ -561,11 +834,17 @@ TEST(Cluster, SlowBundleLoadUnderSaturatingSubmitsKeepsTheShard) {
   cluster::WorkerConfig config;
   config.service.assembler.window_steps = kSteps;
   config.service.assembler.sensors = kSensors;
+  // The worker cuts a batch only once the router's whole in-flight bound
+  // is queued in it, so the submitter reaches the bound however fast the
+  // worker answers.
+  config.service.batcher.max_batch =
+      cluster::RouterConfig{}.max_inflight_per_shard;
+  config.service.batcher.max_delay_s = 0.2;
   cluster::ClusterWorker worker(
       registry, config,
       [](serve::ModelRegistry& r, std::string_view bytes) {
         std::this_thread::sleep_for(std::chrono::duration<double>(
-            1.5 * cluster::kSendTimeoutS));
+            1.5 * net::kSendTimeoutS));
         return serve::try_swap_from_bytes(r, bytes);
       });
   worker.start();

@@ -7,7 +7,7 @@
 //
 // The deliberate-ABBA tests use lock classes namespaced "test.*" and
 // clear() the global graph around themselves so they cannot contaminate
-// the serve stress assertion (and vice versa).
+// the serve and cluster stress assertions (and vice versa).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -33,6 +33,9 @@
 #define SCWC_UNDER_TSAN 0
 #endif
 
+#include "cluster/router.hpp"
+#include "cluster/worker.hpp"
+#include "common/byte_io.hpp"
 #include "common/lock_order.hpp"
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
@@ -327,6 +330,60 @@ TEST(LockOrder, ServeStressRecordsAcyclicHierarchy) {
   }
   EXPECT_TRUE(chain_before_registry);
   EXPECT_FALSE(registry_before_chain);
+  lock_order::clear();
+}
+
+TEST(LockOrder, ClusterStressWritesVerdictsOutsideServeLocks) {
+  if (!lock_order::enabled()) GTEST_SKIP() << "tracker compiled out";
+  lock_order::clear();
+
+  // A router and an in-process worker through submits, a bundle push and
+  // stop(). The worker frames and writes verdicts from whichever thread
+  // resolves them, under cluster.worker.write: no serve lock may be held
+  // then, or a stuck send would stall the service behind that lock.
+  serve::ModelRegistry registry;
+  registry.register_bundle(train_tiny("lo-c1", 3));
+  cluster::WorkerConfig config;
+  config.service.assembler.window_steps = kSteps;
+  config.service.assembler.sensors = kSensors;
+  config.service.batcher.max_batch = 8;
+  config.service.batcher.max_delay_s = 0.001;
+  config.service.health.enabled = true;
+  cluster::ClusterWorker worker(registry, config);
+  worker.start();
+  {
+    cluster::ShardRouter router;
+    ASSERT_EQ(router.add_shard(worker.port()), 0u);
+    Rng rng(11);
+    std::vector<std::future<serve::ServeResult>> futures;
+    const auto submit_some = [&] {
+      for (std::int64_t job = 0; job < 200; ++job) {
+        std::vector<double> window(kSteps * kSensors);
+        for (double& v : window) v = rng.normal(0.0, 1.0);
+        futures.push_back(router.submit(job, window, kSteps, kSensors));
+      }
+    };
+    submit_some();
+    ByteWriter bytes;
+    serve::save_bundle(*train_tiny("lo-c2", 4), bytes);
+    EXPECT_TRUE(router.push_bundle(bytes.take(), "lo-c2").ok);
+    submit_some();
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
+                std::future_status::ready);
+    }
+    router.stop();
+  }
+  worker.stop();
+
+  EXPECT_TRUE(lock_order::violations().empty());
+  EXPECT_TRUE(lock_order::acyclic());
+  const auto edges = lock_order::edges();
+  EXPECT_FALSE(edges.empty());
+  for (const auto& [from, to] : edges) {
+    EXPECT_FALSE(to == "cluster.worker.write" && from.rfind("serve.", 0) == 0)
+        << from << " is held while a verdict is written";
+  }
   lock_order::clear();
 }
 

@@ -6,10 +6,17 @@
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -197,6 +204,12 @@ TEST(WindowAssembler, RejectsMisalignedBlocksAndZeroGeometry) {
 
 // --------------------------------------------------------------- MicroBatcher
 
+/// Points `request` at the promise sink; returns its verdict's future.
+std::future<serve::ServeResult> promise_of(serve::BatchRequest& request) {
+  request.sink = &serve::promise_sink;
+  return serve::PromiseSink::make(request.tag);
+}
+
 TEST(MicroBatcher, SizeBoundFlushesFullBatchImmediately) {
   std::mutex mu;
   std::vector<std::size_t> batch_sizes;
@@ -209,14 +222,14 @@ TEST(MicroBatcher, SizeBoundFlushesFullBatchImmediately) {
           const std::lock_guard<std::mutex> lock(mu);
           batch_sizes.push_back(batch.size());
         }
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+        for (auto& r : batch) r.sink->deliver(r.tag, serve::ServeResult{});
       });
   std::vector<std::future<serve::ServeResult>> futures;
   for (int i = 0; i < 8; ++i) {
     serve::BatchRequest request;
     request.steps = kSteps;
     request.sensors = kSensors;
-    futures.push_back(request.promise.get_future());
+    futures.push_back(promise_of(request));
     ASSERT_TRUE(batcher.submit(std::move(request)));
   }
   for (auto& f : futures) (void)f.get();
@@ -238,10 +251,10 @@ TEST(MicroBatcher, DeadlineFlushesPartialBatch) {
   serve::MicroBatcher batcher(
       config, [&](std::vector<serve::BatchRequest>&& batch) {
         seen.set_value(batch.size());
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+        for (auto& r : batch) r.sink->deliver(r.tag, serve::ServeResult{});
       });
   serve::BatchRequest request;
-  std::future<serve::ServeResult> f = request.promise.get_future();
+  std::future<serve::ServeResult> f = promise_of(request);
   ASSERT_TRUE(batcher.submit(std::move(request)));
   EXPECT_EQ(seen.get_future().get(), 1u);  // flushed alone, by deadline
   (void)f.get();
@@ -256,12 +269,12 @@ TEST(MicroBatcher, StopFlushesQueuedRequestsAndRejectsNewOnes) {
   serve::MicroBatcher batcher(
       config, [&](std::vector<serve::BatchRequest>&& batch) {
         served.fetch_add(batch.size());
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+        for (auto& r : batch) r.sink->deliver(r.tag, serve::ServeResult{});
       });
   std::vector<std::future<serve::ServeResult>> futures;
   for (int i = 0; i < 5; ++i) {
     serve::BatchRequest request;
-    futures.push_back(request.promise.get_future());
+    futures.push_back(promise_of(request));
     ASSERT_TRUE(batcher.submit(std::move(request)));
   }
   batcher.stop();  // must drain the 5 queued requests through the runner
@@ -280,22 +293,24 @@ TEST(MicroBatcher, EarlierDeadlineArrivingMidWaitIsShedOnTime) {
   config.max_batch = 100;
   config.max_delay_s = 0.5;
   serve::MicroBatcher batcher(
-      config,
-      [](std::vector<serve::BatchRequest>&& batch) {
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
-      },
-      [](serve::BatchRequest&& request) {
-        serve::ServeResult shed;
-        shed.reject_reason = serve::RejectReason::kDeadlineExceeded;
-        request.promise.set_value(shed);
+      config, [](std::vector<serve::BatchRequest>&& batch) {
+        // Expired requests ride in the batch; the runner sheds them.
+        const auto now = Clock::now();
+        for (auto& r : batch) {
+          serve::ServeResult result;
+          if (r.deadline <= now) {
+            result.reject_reason = serve::RejectReason::kDeadlineExceeded;
+          }
+          r.sink->deliver(r.tag, result);
+        }
       });
   serve::BatchRequest a;
-  std::future<serve::ServeResult> fa = a.promise.get_future();
+  std::future<serve::ServeResult> fa = promise_of(a);
   ASSERT_TRUE(batcher.submit(std::move(a)));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   serve::BatchRequest b;
   b.deadline = Clock::now() + std::chrono::milliseconds(20);
-  std::future<serve::ServeResult> fb = b.promise.get_future();
+  std::future<serve::ServeResult> fb = promise_of(b);
   ASSERT_TRUE(batcher.submit(std::move(b)));
   ASSERT_EQ(fb.wait_for(std::chrono::milliseconds(250)),
             std::future_status::ready);
@@ -316,14 +331,14 @@ TEST(MicroBatcher, OneSubmitterWakesTheFlusherAtMostTwicePerBatch) {
   config.max_delay_s = 60.0;  // only the size bound flushes
   serve::MicroBatcher batcher(
       config, [](std::vector<serve::BatchRequest>&& batch) {
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+        for (auto& r : batch) r.sink->deliver(r.tag, serve::ServeResult{});
       });
   const std::uint64_t before = wakeups();
   std::vector<std::future<serve::ServeResult>> futures;
   std::thread submitter([&] {
     for (std::size_t i = 0; i < config.max_batch; ++i) {
       serve::BatchRequest request;
-      futures.push_back(request.promise.get_future());
+      futures.push_back(promise_of(request));
       ASSERT_TRUE(batcher.submit(std::move(request)));
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
@@ -911,6 +926,274 @@ TEST(ClassificationService, StopRacingDeadlineExpiryResolvesEveryFuture) {
       }
     }
   }
+}
+
+// --------------------------------------------------------------- verdict sink
+
+/// Records every sink call in order: a delivered verdict with its tag, or
+/// a flush.
+class RecordingSink final : public serve::VerdictSink {
+ public:
+  struct Event {
+    bool flush = false;
+    std::uint64_t tag = 0;
+    serve::ServeResult result;
+  };
+
+  void deliver(std::uint64_t tag, serve::ServeResult result) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back({false, tag, std::move(result)});
+    cv_.notify_all();
+  }
+  void flush() override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back({true, 0, {}});
+    cv_.notify_all();
+  }
+  /// The events so far, once at least `n` arrived or 10 s passed.
+  std::vector<Event> wait_for(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(10),
+                 [&] { return events_.size() >= n; });
+    return events_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Event> events_;
+};
+
+/// Checks that `events` is one resolution loop of `n` requests: a delivery
+/// per distinct tag, then exactly one flush and nothing else. Returns the
+/// verdicts by tag.
+std::map<std::uint64_t, serve::ServeResult> expect_one_loop(
+    const std::vector<RecordingSink::Event>& events, std::size_t n) {
+  std::map<std::uint64_t, serve::ServeResult> by_tag;
+  EXPECT_EQ(events.size(), n + 1);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].flush, i == n) << "event " << i;
+    if (!events[i].flush) {
+      EXPECT_TRUE(by_tag.emplace(events[i].tag, events[i].result).second)
+          << "tag " << events[i].tag << " delivered twice";
+    }
+  }
+  EXPECT_EQ(by_tag.size(), n);
+  return by_tag;
+}
+
+constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+
+void submit_tagged(serve::ClassificationService& service,
+                   RecordingSink& sink, std::uint64_t tag,
+                   std::chrono::steady_clock::time_point deadline =
+                       kNoDeadline) {
+  const auto src = tiny_world().x.trial(tag % tiny_world().x.trials());
+  service.submit_to(sink, tag, {src.begin(), src.end()}, kSteps, kSensors,
+                    deadline, 0, false);
+}
+
+TEST(VerdictSink, BatchOfEightDeliversEightThenFlushesOnce) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ServiceConfig config = tiny_service_config();
+  config.batcher.max_batch = 8;
+  config.batcher.max_delay_s = 60.0;  // only the size bound cuts
+  serve::ClassificationService service(registry, config);
+  RecordingSink sink;
+  for (std::uint64_t tag = 1; tag <= 8; ++tag) {
+    submit_tagged(service, sink, tag);
+  }
+  const auto verdicts = expect_one_loop(sink.wait_for(9), 8);
+  for (const auto& [tag, result] : verdicts) {
+    EXPECT_GE(tag, 1u);
+    EXPECT_LE(tag, 8u);
+    EXPECT_TRUE(result.accepted);
+    EXPECT_EQ(result.batch_size, 8u);
+  }
+  service.stop();
+  EXPECT_EQ(sink.wait_for(0).size(), 9u) << "nothing after the flush";
+}
+
+TEST(VerdictSink, AdmissionShedsDeliverAndFlushBeforeSubmitReturns) {
+  for (const serve::RejectReason reason :
+       {serve::RejectReason::kQueueFull, serve::RejectReason::kNoModel,
+        serve::RejectReason::kDeadlineExceeded,
+        serve::RejectReason::kShutdown}) {
+    SCOPED_TRACE(serve::reject_reason_name(reason));
+    serve::ModelRegistry registry;
+    if (reason != serve::RejectReason::kNoModel) {
+      registry.register_bundle(tiny_world().bundle);
+    }
+    serve::ServiceConfig config = tiny_service_config();
+    if (reason == serve::RejectReason::kQueueFull) {
+      config.admission.max_pending = 0;
+    }
+    serve::ClassificationService service(registry, config);
+    if (reason == serve::RejectReason::kShutdown) service.stop();
+    RecordingSink sink;
+    submit_tagged(service, sink, 7,
+                  reason == serve::RejectReason::kDeadlineExceeded
+                      ? std::chrono::steady_clock::now()
+                      : kNoDeadline);
+    // No wait: an admission shed resolves inside submit_to.
+    const auto verdicts = expect_one_loop(sink.wait_for(0), 1);
+    ASSERT_EQ(verdicts.count(7), 1u);
+    EXPECT_FALSE(verdicts.at(7).accepted);
+    EXPECT_EQ(verdicts.at(7).reject_reason, reason);
+    service.stop();
+  }
+}
+
+/// Count and sum of the scwc_serve_batch_size histogram so far.
+std::pair<std::uint64_t, double> batch_size_histogram() {
+  for (const obs::HistogramSnapshot& h :
+       obs::MetricsRegistry::global().snapshot().histograms) {
+    if (h.name == "scwc_serve_batch_size") return {h.count, h.sum};
+  }
+  return {0, 0.0};
+}
+
+TEST(VerdictSink, ExpiredInQueueDeliversOnceThenFlushes) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ServiceConfig config = tiny_service_config();
+  config.batcher.max_batch = 64;
+  config.batcher.max_delay_s = 60.0;
+  serve::ClassificationService service(registry, config);
+  const auto sizes_before = batch_size_histogram();
+  RecordingSink sink;
+  submit_tagged(service, sink, 3,
+                std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(20));
+  const auto verdicts = expect_one_loop(sink.wait_for(2), 1);
+  ASSERT_EQ(verdicts.count(3), 1u);
+  EXPECT_EQ(verdicts.at(3).reject_reason,
+            serve::RejectReason::kDeadlineExceeded);
+  service.stop();
+  EXPECT_EQ(sink.wait_for(0).size(), 2u);
+  if (obs::enabled()) {
+    // One cut, and the expired request is not a live window of it.
+    const auto sizes_after = batch_size_histogram();
+    EXPECT_EQ(sizes_after.first - sizes_before.first, 1u);
+    EXPECT_DOUBLE_EQ(sizes_after.second - sizes_before.second, 0.0);
+  }
+}
+
+TEST(VerdictSink, DispatchRejectShedsTheWholeBatchInOneLoop) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ServiceConfig config = tiny_service_config();
+  config.batcher.max_batch = 4;
+  config.batcher.max_delay_s = 60.0;
+  config.admission.max_executor_queue = 0;  // the pool refuses every batch
+  serve::ClassificationService service(registry, config);
+  RecordingSink sink;
+  for (std::uint64_t tag = 1; tag <= 4; ++tag) {
+    submit_tagged(service, sink, tag);
+  }
+  for (const auto& [tag, result] : expect_one_loop(sink.wait_for(5), 4)) {
+    EXPECT_EQ(result.reject_reason, serve::RejectReason::kExecutor) << tag;
+  }
+  service.stop();
+}
+
+TEST(VerdictSink, StopDrainDeliversEveryQueuedRequest) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ServiceConfig config = tiny_service_config();
+  config.batcher.max_batch = 64;
+  config.batcher.max_delay_s = 60.0;  // only stop() cuts
+  serve::ClassificationService service(registry, config);
+  RecordingSink sink;
+  for (std::uint64_t tag = 1; tag <= 3; ++tag) {
+    submit_tagged(service, sink, tag);
+  }
+  service.stop();
+  // stop() returned, so every delivery and flush already happened.
+  for (const auto& [tag, result] : expect_one_loop(sink.wait_for(0), 3)) {
+    EXPECT_TRUE(result.accepted) << tag;
+    EXPECT_EQ(result.batch_size, 3u);
+  }
+}
+
+TEST(VerdictSink, DegradedBatchDeliversEveryRequestThenFlushes) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ServiceConfig config = tiny_service_config();
+  config.batcher.max_batch = 3;
+  config.batcher.max_delay_s = 60.0;
+  // Any shed trips the breaker; with no fallback bundle it opens straight
+  // to level 2 (abstain-only) and stays there for the test.
+  config.health.enabled = true;
+  config.health.min_samples = 1;
+  config.health.max_shed_rate = 0.0;
+  config.health.max_p99_s = 1e9;
+  config.health.open_cooldown_s = 60.0;
+  serve::ClassificationService service(registry, config);
+  RecordingSink shed_sink;
+  submit_tagged(service, shed_sink, 1, std::chrono::steady_clock::now());
+  (void)expect_one_loop(shed_sink.wait_for(0), 1);
+
+  RecordingSink sink;
+  for (std::uint64_t tag = 1; tag <= 3; ++tag) {
+    submit_tagged(service, sink, tag);
+  }
+  for (const auto& [tag, result] : expect_one_loop(sink.wait_for(4), 3)) {
+    EXPECT_TRUE(result.accepted) << tag;
+    EXPECT_EQ(result.degrade_level, 2) << tag;
+    EXPECT_EQ(result.prediction.reason, robust::AbstainReason::kDegraded);
+  }
+  service.stop();
+}
+
+// ---------------------------------------------------------------- thread names
+
+/// The names of this process's threads, from /proc/self/task/*/comm.
+std::multiset<std::string> thread_names() {
+  std::multiset<std::string> names;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) names.insert(name);
+  }
+  return names;
+}
+
+TEST(ThreadNames, PoolWorkersAndFlusherAreNamed) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads /proc/self/task";
+#else
+  ThreadPool pool(2);
+  serve::MicroBatcher batcher(serve::MicroBatcherConfig{},
+                              [](std::vector<serve::BatchRequest>&&) {});
+  // A pool worker names itself when it starts: give both time to.
+  std::multiset<std::string> names;
+  for (int i = 0; i < 500; ++i) {
+    names = thread_names();
+    if (names.count("pool-0") > 0 && names.count("pool-1") > 0 &&
+        names.count("flusher") > 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(names.count("pool-0"), 1u);
+  EXPECT_GE(names.count("pool-1"), 1u);
+  EXPECT_GE(names.count("flusher"), 1u);
+
+  // Linux keeps 15 bytes of a name; the helper cuts, never fails.
+  std::string seen;
+  std::thread named([&seen] {
+    set_thread_name("a-name-longer-than-fifteen");
+    char buf[32] = {};
+    (void)pthread_getname_np(pthread_self(), buf, sizeof(buf));
+    seen = buf;
+  });
+  named.join();
+  EXPECT_EQ(seen, "a-name-longer-t");
+  batcher.stop();
+#endif
 }
 
 TEST(GuardedClassifierBatch, MixedQualityBatchGatesPerWindow) {
