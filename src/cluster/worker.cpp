@@ -1,5 +1,6 @@
 #include "cluster/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -19,6 +20,14 @@ ClusterWorker::ClusterWorker(serve::ModelRegistry& registry,
     : registry_(registry), config_(std::move(config)), load_(std::move(load)) {
   service_ = std::make_unique<serve::ClassificationService>(
       registry_, config_.service);
+  auto& reg = obs::MetricsRegistry::global();
+  obs_frames_per_read_ = reg.histogram(
+      "scwc_cluster_worker_frames_per_read",
+      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
+  obs_quiet_in_time_ =
+      reg.counter("scwc_cluster_worker_quiet_waits_in_time_total");
+  obs_quiet_overran_ =
+      reg.counter("scwc_cluster_worker_quiet_waits_overran_total");
 }
 
 ClusterWorker::~ClusterWorker() { stop(); }
@@ -106,12 +115,25 @@ void ClusterWorker::accept_loop() {
 void ClusterWorker::reader_loop(Connection& conn) {
   set_thread_name("wk-reader");
   net::FrameReader frames;
+  // A quiet wait leaves at most half the socket's buffer unread.
+  const std::size_t unread_cap = conn.sock.send_buffer_bytes() / 2;
+  double in_read = 0;  // frames taken since the reader last waited on recv
   try {
     while (std::optional<net::Frame> frame = frames.next(conn.sock)) {
+      ++in_read;
+      const bool drained = frames.buffered() == 0;
+      if (drained) {
+        obs_frames_per_read_.observe(in_read);
+        in_read = 0;
+      }
       switch (frame->type) {
-        case net::FrameType::kSubmitWindow:
+        case net::FrameType::kSubmitWindow: {
+          const std::size_t frame_bytes =
+              net::kHeaderBytes + frame->payload.size();
           handle_submit(conn, frame->payload);
+          if (drained) quiet_wait(unread_cap / frame_bytes);
           break;
+        }
         case net::FrameType::kPing:
           handle_ping(conn, frame->payload);
           break;
@@ -160,6 +182,27 @@ void ClusterWorker::reader_loop(Connection& conn) {
                   << e.what());
   }
   conn.sock.shutdown_now();
+}
+
+void ClusterWorker::quiet_wait(std::size_t max_last_cut) {
+  using clock = std::chrono::steady_clock;
+  const auto cut = service_->light_cut_at(max_last_cut);
+  if (!cut) return;
+  const auto lead = std::chrono::duration_cast<clock::duration>(
+      std::chrono::duration<double>(kQuietWaitLeadS));
+  const auto cap = std::chrono::duration_cast<clock::duration>(
+      std::chrono::duration<double>(net::kSendTimeoutS / 4));
+  const auto now = clock::now();
+  const auto until = std::min(*cut - lead, now + cap);
+  if (until <= now) return;
+  {
+    LockGuard lock(mutex_);
+    while (!stopped_ &&
+           shutdown_cv_.wait_until(mutex_, until) != std::cv_status::timeout) {
+    }
+    if (stopped_) return;
+  }
+  (clock::now() < *cut ? obs_quiet_in_time_ : obs_quiet_overran_).inc();
 }
 
 void ClusterWorker::Connection::deliver(std::uint64_t tag,

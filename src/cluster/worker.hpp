@@ -37,10 +37,16 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "serve/bundle_io.hpp"
 #include "serve/service.hpp"
 
 namespace scwc::cluster {
+
+/// How long before the open batch's cut a reader in a quiet wait wakes
+/// (DESIGN.md §13.3): about the p99 lateness of its timed wait plus the
+/// p99 time it takes to read what arrived meanwhile.
+inline constexpr double kQuietWaitLeadS = 500e-6;
 
 struct WorkerConfig {
   std::uint32_t shard_id = 0;
@@ -140,6 +146,10 @@ class ClusterWorker {
 
   void accept_loop();
   void reader_loop(Connection& conn);
+  /// While traffic is light, sleeps until kQuietWaitLeadS before the open
+  /// batch's cut (at most net::kSendTimeoutS / 4), or until stop(). The
+  /// frames that arrive meanwhile wait unread in the socket.
+  void quiet_wait(std::size_t max_last_cut);
   void handle_submit(Connection& conn, std::string_view payload);
   void handle_ping(Connection& conn, std::string_view payload);
   void handle_swap_begin(Connection& conn, std::string_view payload);
@@ -169,13 +179,17 @@ class ClusterWorker {
   bool started_ SCWC_GUARDED_BY(mutex_) = false;
   bool stopped_ SCWC_GUARDED_BY(mutex_) = false;
   bool shutdown_requested_ SCWC_GUARDED_BY(mutex_) = false;
-  CondVar shutdown_cv_;
+  CondVar shutdown_cv_;  // also ends every reader's quiet wait at stop()
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> answered_{0};
   std::atomic<std::uint64_t> abstained_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> swaps_{0};
+
+  obs::HistogramHandle obs_frames_per_read_;
+  obs::CounterHandle obs_quiet_in_time_;  ///< woke before the batch's cut
+  obs::CounterHandle obs_quiet_overran_;  ///< woke at or after it
 };
 
 }  // namespace scwc::cluster

@@ -1,6 +1,7 @@
 #include "common/error.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace scwc {
 
@@ -17,6 +18,14 @@ Error::Error(std::string_view what_arg, std::string_view file, int line)
     : std::runtime_error(format_what(what_arg, file, line)),
       file_(file),
       line_(line) {}
+
+Error::Error(Verbatim, const std::string& what_arg, std::string file,
+             int line)
+    : std::runtime_error(what_arg), file_(std::move(file)), line_(line) {}
+
+Error Error::deep_copy() const {
+  return Error(Verbatim{}, std::string(what()), std::string(file_), line_);
+}
 
 namespace detail {
 

@@ -25,7 +25,15 @@ class Error : public std::runtime_error {
   /// Source line at which the check failed.
   [[nodiscard]] int line() const noexcept { return line_; }
 
+  /// A copy that shares no storage with this one: the message is copied
+  /// into a new buffer, not reference-counted. A thread can throw it
+  /// while another destroys the original (parallel_for_blocked does).
+  [[nodiscard]] Error deep_copy() const;
+
  private:
+  struct Verbatim {};
+  Error(Verbatim, const std::string& what_arg, std::string file, int line);
+
   std::string file_;
   int line_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <pthread.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 
@@ -32,6 +33,7 @@ ThreadPool::ThreadPool(std::size_t threads)
   obs_busy_seconds_ = reg.gauge("scwc_common_pool_busy_seconds");
   obs_utilization_ = reg.gauge("scwc_common_pool_utilization");
   obs_task_seconds_ = reg.histogram("scwc_common_pool_task_seconds");
+  obs_wasted_wakes_ = reg.counter("scwc_common_pool_wasted_wakes_total");
   idle_.reserve(n);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -154,6 +156,7 @@ void ThreadPool::worker_loop(std::size_t me) {
         woken_[me] = false;
         idle_.push_back(me);
         while (!stop_ && !woken_[me]) wake_[me].wait(mutex_);
+        if (!stop_ && queue_.empty()) obs_wasted_wakes_.inc();
       }
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
@@ -216,23 +219,37 @@ void parallel_for_blocked(
       std::min(workers, (n + min_block - 1) / std::max<std::size_t>(min_block, 1));
   const std::size_t chunk = (n + blocks - 1) / blocks;
 
+  // A block's scwc::Error is caught on its pool thread and copied into the
+  // block's slot, so the caller never holds an exception object a pool
+  // thread may still be destroying; the caller throws its own copy.
+  std::vector<std::optional<Error>> errors(blocks);
   std::vector<std::future<void>> futures;
   futures.reserve(blocks);
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::size_t lo = begin + b * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
     if (lo >= hi) break;
-    futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
+    futures.push_back(pool.submit([&body, &error = errors[b], lo, hi] {
+      try {
+        body(lo, hi);
+      } catch (const Error& e) {
+        error.emplace(e.deep_copy());
+      }
+    }));
   }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
+  // Join every block, then report the first failure in block order.
+  std::vector<std::exception_ptr> others(futures.size());
+  for (std::size_t b = 0; b < futures.size(); ++b) {
     try {
-      f.get();
+      futures[b].get();
     } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      others[b] = std::current_exception();
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::size_t b = 0; b < futures.size(); ++b) {
+    if (errors[b]) throw errors[b]->deep_copy();
+    if (others[b]) std::rethrow_exception(others[b]);
+  }
 }
 
 }  // namespace scwc

@@ -137,6 +137,8 @@ class ThreadPool {
   obs::GaugeHandle obs_busy_seconds_;
   obs::GaugeHandle obs_utilization_;
   obs::HistogramHandle obs_task_seconds_;
+  /// Workers a submit popped that found the queue already drained.
+  obs::CounterHandle obs_wasted_wakes_;
 };
 
 /// Blocked parallel loop over [begin, end).

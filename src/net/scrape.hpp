@@ -2,8 +2,10 @@
 //
 // Just enough HTTP to let `curl` and a Prometheus scraper pull /metrics,
 // /healthz and /vars from a live serving process — deliberately NOT a web
-// framework: one blocking accept loop on its own thread, one connection
-// served at a time, GET only, no keep-alive, no TLS. Handlers are
+// framework: one thread waits in one poll on the listener and every
+// connection still sending its request (net::wait_readable), so a client
+// that connects and sends nothing delays no other; each request is read
+// within 2 s. GET only, no keep-alive, no TLS. Handlers are
 // registered before start() and produce the whole body per request; a
 // throwing handler maps to a 500. The transport is net::Socket, so this
 // file holds only the HTTP part.
@@ -66,7 +68,8 @@ class ScrapeServer {
   };
 
   void accept_loop();
-  void serve_connection(Socket& sock);
+  /// Answers one connection's request (or drops it) and returns.
+  void serve_request(Socket& sock, const std::string& request);
 
   // Lock-free by construction, not by accident: requested_port_/routes_
   // and the listener's fd/port are written only before start() spawns the

@@ -104,6 +104,16 @@ void Socket::set_send_timeout(double seconds) noexcept {
   ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
+std::size_t Socket::send_buffer_bytes() const noexcept {
+  int bytes = 0;
+  socklen_t len = sizeof(bytes);
+  if (fd_ < 0 || ::getsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &bytes, &len) != 0 ||
+      bytes < 0) {
+    return 0;
+  }
+  return static_cast<std::size_t>(bytes);
+}
+
 bool Socket::send_all(std::string_view data) noexcept {
   return send_some(data, true).has_value();
 }
@@ -170,6 +180,23 @@ void Listener::close() noexcept {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+std::vector<bool> wait_readable(std::span<Socket* const> socks,
+                                const Listener* listener, double timeout_s) {
+  std::vector<pollfd> fds;
+  fds.reserve(socks.size() + 1);
+  for (const Socket* sock : socks) fds.push_back(pollfd{sock->fd_, POLLIN, 0});
+  fds.push_back(pollfd{listener != nullptr ? listener->fd_ : -1, POLLIN, 0});
+  const int timeout_ms =
+      timeout_s < 0.0 ? -1 : static_cast<int>(std::ceil(timeout_s * 1e3));
+  std::vector<bool> ready(fds.size(), false);
+  if (::poll(fds.data(), fds.size(), timeout_ms) > 0) {
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      ready[i] = fds[i].fd >= 0 && fds[i].revents != 0;
+    }
+  }
+  return ready;
 }
 
 void TcpListener::listen(std::uint16_t port, int backlog) {

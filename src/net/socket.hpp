@@ -20,7 +20,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "net/wire.hpp"
 
@@ -29,6 +31,8 @@ namespace scwc::net {
 /// Bound on a router↔worker send that makes no progress (the peer stopped
 /// reading), on both ends after the handshake; then the sender shuts down.
 inline constexpr double kSendTimeoutS = 1.0;
+
+class Listener;
 
 /// Move-only owner of one connected socket fd.
 class Socket {
@@ -53,6 +57,9 @@ class Socket {
   /// fails; ≤ 0 lets it block forever.
   void set_send_timeout(double seconds) noexcept;
 
+  /// SO_SNDBUF as the kernel reports it (0 when it cannot be read).
+  [[nodiscard]] std::size_t send_buffer_bytes() const noexcept;
+
   /// Writes all of `data`; false when the peer is gone or times out.
   [[nodiscard]] bool send_all(std::string_view data) noexcept;
   /// send_all, or with `wait` false only what the socket takes now: the
@@ -75,6 +82,10 @@ class Socket {
   void close() noexcept;
 
  private:
+  friend std::vector<bool> wait_readable(std::span<Socket* const> socks,
+                                         const Listener* listener,
+                                         double timeout_s);
+
   int fd_ = -1;
   int recv_timeout_ms_ = -1;  ///< poll() bound; -1 waits forever
 };
@@ -99,8 +110,21 @@ class Listener {
   void close() noexcept;
 
  protected:
+  friend std::vector<bool> wait_readable(std::span<Socket* const> socks,
+                                         const Listener* listener,
+                                         double timeout_s);
+
   int fd_ = -1;
 };
+
+/// Waits in one poll until one of `socks` has bytes, EOF or an error to
+/// read, or `listener` (may be null) has a connection to accept, for at
+/// most `timeout_s` (< 0 waits forever). One flag per socket, then one for
+/// the listener; all false on timeout. Lets one thread serve a listener
+/// and its open connections without any of them blocking the others.
+[[nodiscard]] std::vector<bool> wait_readable(std::span<Socket* const> socks,
+                                              const Listener* listener,
+                                              double timeout_s);
 
 /// TCP listener bound to 127.0.0.1. Port 0 requests an ephemeral port;
 /// port() reports the bound one.
@@ -158,6 +182,10 @@ class FrameReader {
   /// a CRC mismatch once the payload is in — a corrupt peer must be
   /// surfaced, not silently dropped.
   [[nodiscard]] std::optional<Frame> next(Socket& sock);
+
+  /// Bytes received and not yet taken as frames; 0 means the next frame
+  /// needs a recv.
+  [[nodiscard]] std::size_t buffered() const noexcept { return end_ - begin_; }
 
  private:
   static constexpr std::size_t kRecvChunkBytes = 64 * 1024;

@@ -10,7 +10,11 @@
 namespace scwc::serve {
 
 MicroBatcher::MicroBatcher(MicroBatcherConfig config, BatchRunner runner)
-    : config_(config), runner_(std::move(runner)) {
+    : config_(config),
+      max_delay_(std::chrono::duration_cast<
+                 std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(config_.max_delay_s))),
+      runner_(std::move(runner)) {
   SCWC_REQUIRE(config_.max_batch > 0, "MicroBatcher: max_batch must be > 0");
   SCWC_REQUIRE(config_.max_delay_s >= 0.0,
                "MicroBatcher: max_delay_s must be >= 0");
@@ -49,6 +53,18 @@ std::size_t MicroBatcher::pending() const {
   return pending_.size();
 }
 
+std::optional<std::chrono::steady_clock::time_point>
+MicroBatcher::light_cut_at(std::size_t max_last_cut) const {
+  const scwc::LockGuard lock(mutex_);
+  const std::size_t light = std::min(config_.max_batch / 2, max_last_cut);
+  if (stop_ || pending_.empty() || pending_.size() >= config_.max_batch ||
+      last_timer_cut_ == 0 || last_timer_cut_ >= light) {
+    return std::nullopt;
+  }
+  return std::min(pending_.front().enqueued + max_delay_,
+                  min_deadline_locked());
+}
+
 std::vector<BatchRequest> MicroBatcher::cut_batch_locked() {
   std::vector<BatchRequest> batch;
   batch.reserve(std::min(config_.max_batch, pending_.size()));
@@ -71,9 +87,6 @@ std::chrono::steady_clock::time_point MicroBatcher::min_deadline_locked()
 
 void MicroBatcher::flusher_loop() {
   set_thread_name("flusher");
-  const auto max_delay = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(config_.max_delay_s));
   scwc::LockGuard lock(mutex_);
   for (;;) {
     // Explicit wait loops (not the predicate overloads): clang's analysis
@@ -95,7 +108,7 @@ void MicroBatcher::flusher_loop() {
     // earlier deadline may have arrived (submit wakes us for exactly that).
     bool filled = stop_ || pending_.size() >= config_.max_batch;
     while (!filled) {
-      flush_at_ = std::min(pending_.front().enqueued + max_delay,
+      flush_at_ = std::min(pending_.front().enqueued + max_delay_,
                            min_deadline_locked());
       const bool timed_out =
           cv_.wait_until(mutex_, flush_at_) == std::cv_status::timeout;
@@ -109,6 +122,7 @@ void MicroBatcher::flusher_loop() {
       obs_flush_deadline_.inc();
     }
     std::vector<BatchRequest> batch = cut_batch_locked();
+    last_timer_cut_ = filled || stop_ ? 0 : batch.size();
     lock.unlock();
     if (config_.chaos != nullptr) config_.chaos->on_flusher_cut();
     if (!batch.empty()) runner_(std::move(batch));

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -98,6 +99,15 @@ class MicroBatcher {
   /// Requests currently queued (instantaneous; admission reads this).
   [[nodiscard]] std::size_t pending() const;
 
+  /// When the open batch will be cut — the oldest request's enqueue +
+  /// max_delay_s, or the earliest deadline if sooner — while traffic is
+  /// light: the previous cut was a timer cut holding fewer than
+  /// min(max_batch / 2, max_last_cut) requests, and the queue is neither
+  /// empty nor full. Otherwise, and after stop(), nullopt. A reader that
+  /// sleeps until just before this time misses no batch (DESIGN.md §13.3).
+  [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
+  light_cut_at(std::size_t max_last_cut) const;
+
   /// Flushes every queued request, then joins the flusher. Idempotent.
   /// After stop() submit() returns false.
   void stop();
@@ -115,6 +125,7 @@ class MicroBatcher {
       const SCWC_REQUIRES(mutex_);
 
   const MicroBatcherConfig config_;
+  const std::chrono::steady_clock::duration max_delay_;
   const BatchRunner runner_;
 
   mutable Mutex mutex_{"serve.batcher.queue"};
@@ -126,6 +137,9 @@ class MicroBatcher {
   std::chrono::steady_clock::time_point flush_at_ SCWC_GUARDED_BY(mutex_) =
       std::chrono::steady_clock::time_point::max();
   bool stop_ SCWC_GUARDED_BY(mutex_) = false;
+  /// Requests the previous cut held if the timer cut it; 0 after a size
+  /// cut, a stop cut and before the first cut (light_cut_at's guard).
+  std::size_t last_timer_cut_ SCWC_GUARDED_BY(mutex_) = 0;
   // Serialises the join phase of stop(); distinct from mutex_ because the
   // flusher takes mutex_ while draining.
   Mutex join_mutex_{"serve.batcher.join"};

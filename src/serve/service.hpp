@@ -129,6 +129,12 @@ class ClassificationService {
   }
   /// Requests queued in the batcher right now.
   [[nodiscard]] std::size_t pending() const { return batcher_->pending(); }
+  /// When the open batch will be cut while traffic is light
+  /// (MicroBatcher::light_cut_at).
+  [[nodiscard]] std::optional<std::chrono::steady_clock::time_point>
+  light_cut_at(std::size_t max_last_cut) const {
+    return batcher_->light_cut_at(max_last_cut);
+  }
 
   /// Health introspection; null unless config().health.enabled.
   [[nodiscard]] const HealthMonitor* monitor() const noexcept {

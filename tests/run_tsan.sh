@@ -34,7 +34,16 @@
 # 'Cluster|LockOrder'`). The local socket's cross-thread cases are
 # LocalSocket.ShutdownUnblocksAReaderWaitingForData and
 # LocalSocket.ReaderIsNotWokenByItsOwnSidesSends
-# (`tests/run_tsan.sh 'Cluster|LocalSocket|FrameReader'`). Usage:
+# (`tests/run_tsan.sh 'Cluster|LocalSocket|FrameReader'`). The worker's
+# reader sleeps through a light batch on the condition stop() signals,
+# while the flusher records each cut that MicroBatcher::light_cut_at reads:
+# MicroBatcher.LightCutAtFollowsTheLastCut,
+# Cluster.LightTrafficIsReadOncePerBatch,
+# Cluster.BurstAfterLightTrafficIsNotHeldBack, Cluster.StopEndsAQuietWait
+# and Cluster.DeadlineDuringAQuietWaitResolvesOnceAsExceeded
+# (`tests/run_tsan.sh 'MicroBatcher|Cluster'`). The scrape thread polls
+# its listener and every open connection at once:
+# ScrapeServerTest.SilentConnectionDoesNotDelayAGoodScrape. Usage:
 #
 #   tests/run_tsan.sh                 # full suite
 #   tests/run_tsan.sh -R Concurrency  # forward any ctest args, e.g. a regex

@@ -187,7 +187,13 @@ TEST_F(ConcurrencyStressTest, WokenWorkerFindsQueueTakenByFinishingWorker) {
   // idle worker while a busy one is finishing; the finisher takes the task
   // first and the woken worker meets an empty queue and must park again.
   // Afterwards all four workers must still be reachable: four tasks that
-  // only finish together prove none was lost from the idle stack.
+  // only finish together prove none was lost from the idle stack. Each
+  // such wasted wake counts in scwc_common_pool_wasted_wakes_total.
+  const auto wasted = [] {
+    return obs::counter_value(obs::MetricsRegistry::global().snapshot(),
+                              "scwc_common_pool_wasted_wakes_total");
+  };
+  const std::uint64_t wasted_before = wasted();
   ThreadPool pool(4);
   std::atomic<int> executed{0};
   std::vector<std::thread> producers;
@@ -207,6 +213,7 @@ TEST_F(ConcurrencyStressTest, WokenWorkerFindsQueueTakenByFinishingWorker) {
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(executed.load(), 4 * 2000);
+  EXPECT_GT(wasted(), wasted_before);
 
   std::atomic<int> arrived{0};
   std::atomic<int> met{0};  // tasks that saw all four running at once

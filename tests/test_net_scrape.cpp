@@ -6,6 +6,7 @@
 // rule.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,6 +158,21 @@ TEST_F(ScrapeServerTest, GarbageRequestDoesNotKillTheServer) {
   (void)http_exchange(server_.port(), "GET\r\n\r\n");       // malformed line
   EXPECT_NE(get(server_.port(), "/metrics").find("200 OK"),
             std::string::npos);
+}
+
+TEST_F(ScrapeServerTest, SilentConnectionDoesNotDelayAGoodScrape) {
+  // A client that connects and sends nothing holds its connection for the
+  // whole 2 s read bound; a scrape arriving behind it is answered at once.
+  Socket silent = connect_loopback(server_.port(), 5.0);
+  ASSERT_TRUE(silent.valid());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_NE(get(server_.port(), "/metrics").find("200 OK"),
+            std::string::npos);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            0.1);
 }
 
 TEST_F(ScrapeServerTest, OversizedRequestIsBoundedNotBuffered) {

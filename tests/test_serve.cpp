@@ -4,6 +4,7 @@
 // batched == single-request invariant of the ClassificationService.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -259,6 +260,69 @@ TEST(MicroBatcher, DeadlineFlushesPartialBatch) {
   EXPECT_EQ(seen.get_future().get(), 1u);  // flushed alone, by deadline
   (void)f.get();
   batcher.stop();
+}
+
+TEST(MicroBatcher, LightCutAtFollowsTheLastCut) {
+  // light_cut_at names the open batch's cut only after a light timer cut:
+  // fewer than min(max_batch / 2, max_last_cut) requests, cut by the timer.
+  using clock = std::chrono::steady_clock;
+  serve::MicroBatcherConfig config;
+  config.max_batch = 8;
+  config.max_delay_s = 0.2;
+  std::atomic<int> cuts{0};
+  serve::MicroBatcher batcher(
+      config, [&](std::vector<serve::BatchRequest>&& batch) {
+        cuts.fetch_add(1);  // before any future of the cut is ready
+        for (auto& r : batch) r.sink->deliver(r.tag, serve::ServeResult{});
+      });
+  std::vector<std::future<serve::ServeResult>> futures;
+  const auto submit = [&](clock::time_point deadline = clock::time_point::max()) {
+    serve::BatchRequest request;
+    request.deadline = deadline;
+    futures.push_back(promise_of(request));
+    ASSERT_TRUE(batcher.submit(std::move(request)));
+  };
+  const auto wait_cuts = [&](int n) {
+    for (auto& f : futures) (void)f.get();
+    futures.clear();
+    EXPECT_EQ(cuts.load(), n);
+  };
+  const auto delay = std::chrono::milliseconds(200);
+
+  submit();  // no cut yet: nothing to follow
+  EXPECT_FALSE(batcher.light_cut_at(100).has_value());
+  wait_cuts(1);  // a timer cut of one request
+  EXPECT_FALSE(batcher.light_cut_at(100).has_value()) << "empty queue";
+
+  const auto before = clock::now();
+  submit();
+  const auto after = clock::now();
+  const auto cut = batcher.light_cut_at(100);
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_GE(*cut, before + delay);
+  EXPECT_LE(*cut, after + delay);
+  EXPECT_FALSE(batcher.light_cut_at(1).has_value())
+      << "the last cut held max_last_cut requests";
+  const auto deadline = clock::now() + std::chrono::milliseconds(50);
+  submit(deadline);
+  EXPECT_EQ(batcher.light_cut_at(100), deadline) << "the deadline cuts first";
+  wait_cuts(2);  // a timer cut of two requests
+
+  for (int i = 0; i < 8; ++i) submit();
+  wait_cuts(3);  // a size cut
+  submit();
+  EXPECT_FALSE(batcher.light_cut_at(100).has_value()) << "after a size cut";
+  for (int i = 0; i < 3; ++i) submit();
+  wait_cuts(4);  // a timer cut of max_batch / 2 = 4 requests
+  submit();
+  EXPECT_FALSE(batcher.light_cut_at(100).has_value())
+      << "the last cut held max_batch / 2 requests";
+  wait_cuts(5);  // a timer cut of one request: light again
+  submit();
+  EXPECT_TRUE(batcher.light_cut_at(100).has_value());
+  batcher.stop();
+  EXPECT_FALSE(batcher.light_cut_at(100).has_value()) << "after stop()";
+  for (auto& f : futures) (void)f.get();
 }
 
 TEST(MicroBatcher, StopFlushesQueuedRequestsAndRejectsNewOnes) {
